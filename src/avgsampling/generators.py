@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InputError, NumericalError
 from .graph import WeightedGraph, is_connected
@@ -87,12 +88,14 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     rng = _rng(seed)
     for _ in range(RETRY_BUDGET):
         points = rng.random((n, 2))
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if np.hypot(*(points[u] - points[v])) <= radius:
-                    edges.append((u, v, 1.0))
-        graph = WeightedGraph.from_edges(n, edges)
+        # The tree's slightly widened radius only proposes candidates; the
+        # np.hypot test decides, so the edge set does not depend on how the
+        # tree rounds its distances.
+        pairs = cKDTree(points).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        delta = points[pairs[:, 0]] - points[pairs[:, 1]]
+        pairs = pairs[np.hypot(delta[:, 0], delta[:, 1]) <= radius]
+        graph = WeightedGraph.from_edges(n, [(int(u), int(v), 1.0) for u, v in pairs])
         if is_connected(graph):
             return graph
     raise NumericalError(

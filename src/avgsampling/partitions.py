@@ -19,11 +19,14 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, NumericalError
-from .graph import WeightedGraph, induced_subgraph, is_connected
-from .spectral import SpectralDecomposition, build_laplacian, eigendecompose, lambda1, pw_space
+from .graph import WeightedGraph
+from .spectral import SpectralDecomposition, pw_space
 
 #: Singular values at or below this fraction of the largest are treated as
 #: zero when deciding whether the analysis map has a kernel.
@@ -82,17 +85,7 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     if uncovered.size:
         raise InputError(f"vertices not covered by any cluster: {uncovered[:8].tolist()}")
 
-    gaps: list[float] = []
-    for idx, verts in enumerate(norm_clusters):
-        if len(verts) == 1:
-            gaps.append(math.inf)
-            continue
-        sub = induced_subgraph(graph, verts)
-        if not is_connected(sub):
-            raise InputError(f"cluster {idx} {verts} induces a disconnected subgraph")
-        decomp = eigendecompose(build_laplacian(sub))
-        gaps.append(lambda1(decomp))
-
+    gaps = _cluster_gaps(graph, norm_clusters)
     finite = [g for g in gaps if math.isfinite(g)]
     lam_xi = min(finite) if finite else math.inf
     return ClusterPartition(
@@ -101,6 +94,51 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
         lambda1s=tuple(gaps),
         lambda_xi=lam_xi,
     )
+
+
+def _cluster_gaps(graph: WeightedGraph, clusters: Sequence[tuple[int, ...]]) -> list[float]:
+    """Spectral gap of each cluster's induced subgraph, from one pass over the edges.
+
+    The intra-cluster edges are grouped by cluster label; each cluster's
+    Laplacian block is assembled from its group alone. Raises InputError
+    for the first cluster whose induced subgraph is disconnected.
+    """
+    sizes = np.array([len(c) for c in clusters], dtype=np.intp)
+    members = np.concatenate(clusters).astype(np.intp)
+    labels = np.empty(graph.n, dtype=np.intp)
+    labels[members] = np.repeat(np.arange(len(clusters)), sizes)
+    position = np.empty(graph.n, dtype=np.intp)
+    position[members] = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+    us, vs, ws = graph._edge_arrays
+    intra = labels[us] == labels[vs]
+    us, vs, ws = us[intra], vs[intra], ws[intra]
+    order = np.argsort(labels[us], kind="stable")
+    us, vs, ws = us[order], vs[order], ws[order]
+    bounds = np.searchsorted(labels[us], np.arange(len(clusters) + 1))
+
+    count, component = connected_components(
+        coo_matrix((np.ones(len(us)), (us, vs)), shape=(graph.n, graph.n)), directed=False
+    )
+    if count > len(clusters):
+        per_cluster = np.bincount(labels[np.unique(component, return_index=True)[1]],
+                                  minlength=len(clusters))
+        idx = int(np.flatnonzero(per_cluster > 1)[0])
+        raise InputError(f"cluster {idx} {clusters[idx]} induces a disconnected subgraph")
+
+    gaps: list[float] = []
+    for idx, size in enumerate(sizes):
+        if size == 1:
+            gaps.append(math.inf)
+            continue
+        lo, hi = bounds[idx], bounds[idx + 1]
+        i, j, w = position[us[lo:hi]], position[vs[lo:hi]], ws[lo:hi]
+        block = np.zeros((size, size))
+        block[i, j] = -w
+        block[j, i] = -w
+        block[np.diag_indices(size)] = -block.sum(axis=1)
+        gaps.append(float(sla.eigvalsh(block, check_finite=False)[1]))
+    return gaps
 
 
 @dataclass(frozen=True)

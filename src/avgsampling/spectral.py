@@ -1,4 +1,4 @@
-"""Graph Laplacian assembly, dense symmetric eigendecomposition, and band filters.
+"""Graph Laplacian assembly, dense LAPACK eigendecomposition, and band filters.
 
 The Laplacian acts as (L f)(v) = sum_u (f(v) - f(u)) w(v,u); as a matrix it is
 diag(degrees) minus the weight matrix, symmetric positive semidefinite, with
@@ -15,17 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .graph import WeightedGraph, as_signal
 
-#: Off-diagonal Frobenius tolerance (relative to the input norm) for the
-#: cyclic Jacobi sweep, and the sweep budget.
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
-#: Eigenvalues within this slack of a bandwidth still count as in-band, so a
-#: band never excludes an analytically-equal eigenvalue computed with roundoff.
+#: Eigenvalues within this slack of a bandwidth, relative to lambda_max, still
+#: count as in-band, so a band never excludes an analytically-equal eigenvalue
+#: computed with roundoff, whatever the scale of the weights.
 BAND_SLACK = 1e-12
 
 
@@ -49,84 +46,6 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianOperator:
     return LaplacianOperator(matrix=L, graph=graph)
 
 
-def _jacobi_eigh(matrix: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations on a symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns). Deterministic:
-    fixed sweep order, stable sort, and a fixed sign convention (the first
-    entry of each eigenvector that is nonzero at working precision is made
-    positive).
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    scale = float(np.linalg.norm(a))
-    converged = scale == 0.0
-    if not converged:
-        for _ in range(max_sweeps):
-            off_diag = a - np.diag(np.diag(a))
-            if np.linalg.norm(off_diag) <= tol * scale:
-                converged = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    diff = a[q, q] - a[p, p]
-                    # Entries far below the diagonal gap rotate by ~0; drop
-                    # them outright to avoid overflow in theta.
-                    if abs(apq) < 1e-300 * abs(diff):
-                        a[p, q] = 0.0
-                        a[q, p] = 0.0
-                        continue
-                    theta = diff / (2.0 * apq)
-                    if abs(theta) > 1e150:
-                        t = 1.0 / (2.0 * theta)
-                    elif theta >= 0.0:
-                        t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                    else:
-                        t = 1.0 / (theta - np.sqrt(theta * theta + 1.0))
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    a[p, p] -= t * apq
-                    a[q, q] += t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    mask = np.ones(n, dtype=bool)
-                    mask[p] = False
-                    mask[q] = False
-                    aip = a[mask, p].copy()
-                    aiq = a[mask, q].copy()
-                    a[mask, p] = c * aip - s * aiq
-                    a[mask, q] = s * aip + c * aiq
-                    a[p, mask] = a[mask, p]
-                    a[q, mask] = a[mask, q]
-                    vip = vecs[:, p].copy()
-                    viq = vecs[:, q].copy()
-                    vecs[:, p] = c * vip - s * viq
-                    vecs[:, q] = s * vip + c * viq
-    if not converged:
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {off:.3e}, target {tol * scale:.3e})"
-        )
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vecs = vecs[:, order]
-    for j in range(n):
-        col = vecs[:, j]
-        thresh = 1e-12 * float(np.max(np.abs(col)))
-        for x in col:
-            if abs(x) > thresh:
-                if x < 0:
-                    vecs[:, j] = -col
-                break
-    return values, vecs
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Ascending eigenvalues and orthonormal eigenvector columns of a Laplacian."""
@@ -148,23 +67,26 @@ class SpectralDecomposition:
         return 1e-9 * max(1.0, self.lambda_max)
 
 
-def eigendecompose(
-    operator: LaplacianOperator | np.ndarray,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigendecompose(operator: LaplacianOperator | np.ndarray) -> SpectralDecomposition:
+    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
-    Output is deterministic for identical input. Raises NumericalError if the
-    off-diagonal mass has not dropped below ``tol`` (relative to the input
-    Frobenius norm) within the sweep budget.
+    Eigenvalues come in ascending order. Each eigenvector is signed so that
+    its first entry above ``1e-12`` of its largest magnitude is positive, so
+    identical input on one platform and BLAS build gives identical output.
+    Raises InputError for a non-square, non-finite or non-symmetric matrix.
     """
     matrix = operator.matrix if isinstance(operator, LaplacianOperator) else np.asarray(operator, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InputError(f"expected a square matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise InputError("matrix contains non-finite entries")
     if matrix.size and np.max(np.abs(matrix - matrix.T)) > 1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
         raise InputError("matrix is not symmetric")
-    values, vectors = _jacobi_eigh(matrix, tol=tol, max_sweeps=max_sweeps)
+    values, vectors = sla.eigh(matrix, check_finite=False)
+    if vectors.size:
+        magnitude = np.abs(vectors)
+        lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
+        vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     values.flags.writeable = False
     vectors.flags.writeable = False
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
@@ -207,7 +129,7 @@ def pw_space(decomp: SpectralDecomposition, omega: float) -> PWSpace:
     """Bandlimited subspace for a given bandwidth."""
     if omega < 0:
         raise InputError(f"bandwidth must be nonnegative, got {omega}")
-    mask = decomp.eigenvalues <= omega + BAND_SLACK
+    mask = decomp.eigenvalues <= omega + BAND_SLACK * abs(decomp.lambda_max)
     basis = decomp.eigenvectors[:, mask]
     values = decomp.eigenvalues[mask]
     return PWSpace(omega=float(omega), basis=basis, eigenvalues=values)

@@ -1,6 +1,7 @@
 """CLI subcommands, output formats, exit codes."""
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -154,6 +155,20 @@ class TestDemoPath:
         expected = [0.0, 2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)]
         assert eigs == pytest.approx(expected, abs=1e-9)
         assert payload["spectrum"]["within_0_4"] is True
+
+    def test_bytes_identical_across_blas_thread_counts(self):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "avgsampling.cli", "demo-path",
+                 "--n", "64", "--omega", "0.5", "--seed", "42"],
+                capture_output=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestExitCodes:

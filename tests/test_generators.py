@@ -1,9 +1,12 @@
 """Graph and signal generators: shapes, connectivity, determinism."""
+import math
+
 import numpy as np
 import pytest
 
 from avgsampling import (
     InputError,
+    WeightedGraph,
     build_laplacian,
     eigendecompose,
     generate_graph,
@@ -42,6 +45,22 @@ class TestGraphGenerators:
         g2 = generate_graph("random-geometric", 25, seed=3)
         assert g1.edges() == g2.edges()
         assert is_connected(g1)
+
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_random_geometric_matches_brute_force(self, n, seed):
+        radius = 1.5 * math.sqrt(math.log(n) / (math.pi * n))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        while True:  # the generator redraws until the graph is connected
+            points = rng.random((n, 2))
+            edges = []
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if np.hypot(*(points[u] - points[v])) <= radius:
+                        edges.append((u, v, 1.0))
+            if is_connected(WeightedGraph.from_edges(n, edges)):
+                break
+        assert generate_graph("random-geometric", n, seed=seed).edges() == edges
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):

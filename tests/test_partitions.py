@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from avgsampling import (
     InputError,
@@ -59,6 +60,23 @@ class TestValidatePartition:
         assert part.lambda_xi == pytest.approx(2.0)
         all_single = validate_partition(g, [(0,), (1,), (2,)])
         assert all_single.lambda_xi == math.inf
+
+    @pytest.mark.parametrize("n, seed", [(30, 5), (64, 110)])
+    def test_gaps_match_induced_subgraph_eigvalsh(self, n, seed):
+        g = generate_graph("erdos-renyi-weighted", n, seed=seed, p=0.3)
+        part = validate_partition(g, bfs_partition(g, 1))
+        assert part.num_clusters > 1
+        for verts, gap in zip(part.clusters, part.lambda1s):
+            if len(verts) == 1:
+                assert gap == math.inf
+                continue
+            expected = sla.eigvalsh(build_laplacian(induced_subgraph(g, verts)).matrix)[1]
+            assert gap == pytest.approx(expected, rel=1e-12)
+
+    def test_disconnected_cluster_named_after_connected_ones(self):
+        g = generate_graph("path", 8)
+        with pytest.raises(InputError, match=r"cluster 2 \(4, 6\) induces a disconnected"):
+            validate_partition(g, [(0, 1), (2, 3), (4, 6), (5, 7)])
 
 
 class TestAverageFunctionals:

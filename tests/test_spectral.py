@@ -1,4 +1,4 @@
-"""Laplacian assembly, Jacobi eigendecomposition, band filters, smoothness powers."""
+"""Laplacian assembly, LAPACK eigendecomposition, band filters, smoothness powers."""
 import math
 
 import numpy as np
@@ -19,7 +19,6 @@ from avgsampling import (
     pw_project,
     pw_space,
 )
-from avgsampling.spectral import _jacobi_eigh
 
 
 def path_eigenvalues(n: int) -> np.ndarray:
@@ -96,16 +95,17 @@ class TestEigendecompose:
         with pytest.raises(InputError):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_no_convergence_raises(self):
-        from avgsampling import NumericalError
-        m = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 3.0], [0.5, 3.0, 0.0]])
-        with pytest.raises(NumericalError):
-            _jacobi_eigh(m, tol=1e-12, max_sweeps=1)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3)
+        m[1, 1] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            eigendecompose(m)
 
-    def test_jacobi_on_diagonal_matrix(self):
-        vals, vecs = _jacobi_eigh(np.diag([3.0, 1.0, 2.0]), tol=1e-12, max_sweeps=100)
-        assert vals.tolist() == [1.0, 2.0, 3.0]
-        assert np.array_equal(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
+    def test_diagonal_matrix_sorted_with_positive_lead(self):
+        d = eigendecompose(np.diag([3.0, 1.0, 2.0]))
+        assert d.eigenvalues.tolist() == [1.0, 2.0, 3.0]
+        assert np.array_equal(d.eigenvectors, np.eye(3)[:, [1, 2, 0]])
 
 
 class TestLambda1:
@@ -165,6 +165,13 @@ class TestBandFilters:
         _, d, _ = path16
         omega = float(d.eigenvalues[3])
         assert pw_space(d, omega).dim == 4
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_band_dim_invariant_under_weight_scale(self, scale):
+        # 12-cycle spectrum 2 - 2cos(2 pi k / 12): 0, 2 - sqrt(3) (x2), 1 (x2), ...
+        g = WeightedGraph.from_edges(12, [(i, (i + 1) % 12, scale) for i in range(12)])
+        d = eigendecompose(build_laplacian(g))
+        assert pw_space(d, scale).dim == 5
 
     def test_negative_bandwidth_rejected(self, path16):
         _, d, _ = path16
