@@ -12,6 +12,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 from .errors import InputError
 
@@ -74,21 +75,17 @@ class WeightedGraph:
 
     @cached_property
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        pairs = sorted({(min(u, v), max(u, v)) for (u, v) in self._weights})
-        us, vs, ws = [], [], []
-        for u, v in pairs:
-            if u == v:
-                continue
-            w = self.weight(u, v)
-            if w != 0.0:
-                us.append(u)
-                vs.append(v)
-                ws.append(w)
-        out = (
-            np.array(us, dtype=np.intp),
-            np.array(vs, dtype=np.intp),
-            np.array(ws, dtype=float),
-        )
+        keys = np.array(list(self._weights), dtype=np.intp).reshape(-1, 2)
+        values = np.fromiter(self._weights.values(), dtype=float, count=len(self._weights))
+        us, vs = keys[:, 0], keys[:, 1]
+        lo, hi, flipped = np.minimum(us, vs), np.maximum(us, vs), us > vs
+        # One entry per unordered pair, the (min, max) orientation first when present.
+        order = np.lexsort((flipped, hi, lo))
+        lo, hi, values = lo[order], hi[order], values[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        keep = first & (lo != hi) & (values != 0.0)
+        out = (lo[keep], hi[keep], values[keep])
         for arr in out:
             arr.flags.writeable = False
         return out
@@ -104,14 +101,11 @@ class WeightedGraph:
 
     @cached_property
     def _adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
         us, vs, _ = self._edge_arrays
-        for u, v in zip(us, vs):
-            adj[u].append(int(v))
-            adj[v].append(int(u))
-        for lst in adj:
-            lst.sort()
-        return adj
+        heads, tails = np.concatenate([us, vs]), np.concatenate([vs, us])
+        flat = tails[np.argsort(heads * self.n + tails)].tolist()
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=self.n))]).tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def neighbors(self, v: int) -> list[int]:
         return list(self._adjacency[v])
@@ -207,42 +201,17 @@ def restrict_signal(f: np.ndarray, cluster: Sequence[int]) -> np.ndarray:
 
 def is_connected(graph: WeightedGraph) -> bool:
     """True iff the nonzero-weight edge relation has a single component."""
-    n = graph.n
-    if n == 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+    return len(connected_components(graph)) == 1
 
 
 def connected_components(graph: WeightedGraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
-    seen = np.zeros(graph.n, dtype=bool)
-    comps = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+    us, vs, _ = graph._edge_arrays
+    count, labels = csgraph.connected_components(
+        coo_matrix((np.ones(len(us)), (us, vs)), shape=(graph.n, graph.n)), directed=False)
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    return sorted((comp.tolist() for comp in comps), key=lambda comp: comp[0])
 
 
 def gradient_norm_sq(graph: WeightedGraph, f: np.ndarray) -> float:

@@ -14,13 +14,11 @@ lower frame bound at least ``(1 - gamma)/(1 + alpha)`` and upper bound 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.optimize import minimize_scalar
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -31,6 +29,9 @@ from .spectral import SpectralDecomposition, pw_space
 #: Singular values at or below this fraction of the largest are treated as
 #: zero when deciding whether the analysis map has a kernel.
 RANK_CUTOFF = 1e-10
+#: Relative cutoff under which singular values are treated as zero in the
+#: pseudoinverse, matching the rank test used for the lower frame bound.
+PINV_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,21 @@ class ClusterPartition:
         out = np.array([len(c) for c in self.clusters], dtype=float)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Cluster index of each vertex."""
+        out = _label_vector(self.n, self.clusters)
+        out.flags.writeable = False
+        return out
+
+
+def _label_vector(n: int, clusters: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Cluster index of each vertex of a disjoint cover of 0..n-1."""
+    labels = np.empty(n, dtype=np.intp)
+    labels[np.concatenate(clusters).astype(np.intp)] = np.repeat(
+        np.arange(len(clusters)), [len(c) for c in clusters])
+    return labels
 
 
 def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) -> ClusterPartition:
@@ -99,23 +115,20 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
 def _cluster_gaps(graph: WeightedGraph, clusters: Sequence[tuple[int, ...]]) -> list[float]:
     """Spectral gap of each cluster's induced subgraph, from one pass over the edges.
 
-    The intra-cluster edges are grouped by cluster label; each cluster's
-    Laplacian block is assembled from its group alone. Raises InputError
-    for the first cluster whose induced subgraph is disconnected.
+    The intra-cluster edges are grouped by cluster label; the Laplacian
+    blocks of all clusters of one size are stacked and solved by a single
+    batched eigensolve. Raises InputError for the first cluster whose
+    induced subgraph is disconnected.
     """
     sizes = np.array([len(c) for c in clusters], dtype=np.intp)
-    members = np.concatenate(clusters).astype(np.intp)
-    labels = np.empty(graph.n, dtype=np.intp)
-    labels[members] = np.repeat(np.arange(len(clusters)), sizes)
+    labels = _label_vector(graph.n, clusters)
     position = np.empty(graph.n, dtype=np.intp)
-    position[members] = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    position[np.concatenate(clusters).astype(np.intp)] = (
+        np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes))
 
     us, vs, ws = graph._edge_arrays
     intra = labels[us] == labels[vs]
     us, vs, ws = us[intra], vs[intra], ws[intra]
-    order = np.argsort(labels[us], kind="stable")
-    us, vs, ws = us[order], vs[order], ws[order]
-    bounds = np.searchsorted(labels[us], np.arange(len(clusters) + 1))
 
     count, component = connected_components(
         coo_matrix((np.ones(len(us)), (us, vs)), shape=(graph.n, graph.n)), directed=False
@@ -126,19 +139,21 @@ def _cluster_gaps(graph: WeightedGraph, clusters: Sequence[tuple[int, ...]]) -> 
         idx = int(np.flatnonzero(per_cluster > 1)[0])
         raise InputError(f"cluster {idx} {clusters[idx]} induces a disconnected subgraph")
 
-    gaps: list[float] = []
-    for idx, size in enumerate(sizes):
-        if size == 1:
-            gaps.append(math.inf)
-            continue
-        lo, hi = bounds[idx], bounds[idx + 1]
-        i, j, w = position[us[lo:hi]], position[vs[lo:hi]], ws[lo:hi]
-        block = np.zeros((size, size))
-        block[i, j] = -w
-        block[j, i] = -w
-        block[np.diag_indices(size)] = -block.sum(axis=1)
-        gaps.append(float(sla.eigvalsh(block, check_finite=False)[1]))
-    return gaps
+    gaps = np.full(len(clusters), math.inf)
+    edge_cluster = labels[us]
+    slot = np.empty(len(clusters), dtype=np.intp)  # index of a cluster among those of its size
+    for size in np.unique(sizes[sizes > 1]):
+        members = np.flatnonzero(sizes == size)
+        slot[members] = np.arange(len(members))
+        mine = sizes[edge_cluster] == size
+        c, i, j, w = slot[edge_cluster[mine]], position[us[mine]], position[vs[mine]], ws[mine]
+        blocks = np.zeros((len(members), size, size))
+        blocks[c, i, j] = -w
+        blocks[c, j, i] = -w
+        diagonal = np.arange(size)
+        blocks[:, diagonal, diagonal] = -blocks.sum(axis=2)
+        gaps[members] = np.linalg.eigvalsh(blocks)[:, 1]
+    return gaps.tolist()
 
 
 @dataclass(frozen=True)
@@ -156,30 +171,31 @@ class AverageFunctionals:
 
 
 def average_functionals(partition: ClusterPartition) -> AverageFunctionals:
-    J = partition.num_clusters
-    xi = np.zeros((J, partition.n))
-    zeta = np.zeros((J, partition.n))
-    for j, verts in enumerate(partition.clusters):
-        size = len(verts)
-        xi[j, list(verts)] = 1.0 / math.sqrt(size)
-        zeta[j, list(verts)] = 1.0 / size
+    labels, vertices = partition.labels, np.arange(partition.n)
+    xi = np.zeros((partition.num_clusters, partition.n))
+    zeta = np.zeros((partition.num_clusters, partition.n))
+    xi[labels, vertices] = (1.0 / np.sqrt(partition.sizes))[labels]
+    zeta[labels, vertices] = (1.0 / partition.sizes)[labels]
     xi.flags.writeable = False
     zeta.flags.writeable = False
     return AverageFunctionals(xi=xi, zeta=zeta)
 
 
-def analyze(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
-    """Scaled cluster averages: s_j = sum(f over cluster j) / sqrt(size j)."""
+def _cluster_sums(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (partition.n,):
         raise InputError(f"signal shape {f.shape} does not match n={partition.n}")
-    return np.array([f[list(verts)].sum() / math.sqrt(len(verts)) for verts in partition.clusters])
+    return np.bincount(partition.labels, f, minlength=partition.num_clusters)
+
+
+def analyze(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
+    """Scaled cluster averages: s_j = sum(f over cluster j) / sqrt(size j)."""
+    return _cluster_sums(partition, f) / np.sqrt(partition.sizes)
 
 
 def cluster_means(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
     """Plain arithmetic means of a signal over each cluster."""
-    f = np.asarray(f, dtype=float)
-    return np.array([f[list(verts)].mean() for verts in partition.clusters])
+    return _cluster_sums(partition, f) / partition.sizes
 
 
 @dataclass(frozen=True)
@@ -192,6 +208,11 @@ class FrameSystem:
     ``lower`` is zero when there are more band dimensions than clusters (or
     the analysis map otherwise loses rank), in which case the averages do not
     determine the signal.
+
+    The bounds, the pseudoinverse ``pinv`` (the canonical dual frame,
+    singular values at or below ``PINV_CUTOFF`` times the largest dropped)
+    and the Gram matrix ``gram`` (``analysis.T @ analysis``) are derived
+    from ``analysis`` by one thin SVD when the system is built.
     """
 
     omega: float
@@ -201,9 +222,25 @@ class FrameSystem:
     analysis: np.ndarray  # J x m
     basis: np.ndarray  # n x m band eigenvectors
     band_eigenvalues: np.ndarray
-    lower: float
-    upper: float
     partition: ClusterPartition
+    lower: float = field(init=False)
+    upper: float = field(init=False)
+    pinv: np.ndarray = field(init=False, repr=False)  # m x J
+    gram: np.ndarray = field(init=False, repr=False)  # m x m
+
+    def __post_init__(self):
+        J, m = self.analysis.shape
+        u, singular, vt = np.linalg.svd(self.analysis, full_matrices=False)
+        kept = singular > PINV_CUTOFF * singular[0]
+        inverse = np.divide(1.0, singular, where=kept, out=np.zeros_like(singular))
+        pinv = vt.T @ (inverse[:, None] * u.T)
+        gram = self.analysis.T @ self.analysis
+        pinv.flags.writeable = False
+        gram.flags.writeable = False
+        object.__setattr__(self, "upper", float(singular[0] ** 2))
+        object.__setattr__(self, "lower", float(singular[-1] ** 2) if J >= m else 0.0)
+        object.__setattr__(self, "pinv", pinv)
+        object.__setattr__(self, "gram", gram)
 
     @property
     def dim(self) -> int:
@@ -228,6 +265,21 @@ class FrameSystem:
         return self.basis @ np.asarray(coefficients, dtype=float)
 
 
+def _gamma(omega: float, alpha: float, lambda_xi: float) -> float:
+    """The contraction parameter gamma = (1+alpha)/alpha * omega/Lambda.
+
+    0 when every cluster is a singleton (Lambda = +inf: averages are point
+    samples); +inf when Lambda is not positive, so no guarantee applies.
+    """
+    if alpha <= 0:
+        raise InputError(f"alpha must be positive, got {alpha}")
+    if not math.isfinite(lambda_xi):
+        return 0.0
+    if lambda_xi <= 0:
+        return math.inf
+    return (1.0 + alpha) / alpha * omega / lambda_xi
+
+
 def build_frame_system(
     decomp: SpectralDecomposition,
     partition: ClusterPartition,
@@ -240,8 +292,7 @@ def build_frame_system(
     whether the proven bounds are active; the actual bounds are always
     computed from the singular values of the analysis matrix.
     """
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
+    gamma = _gamma(omega, alpha, partition.lambda_xi)
     space = pw_space(decomp, omega)
     if space.dim < 1:
         raise NumericalError(f"band subspace is empty for omega={omega}")
@@ -250,16 +301,6 @@ def build_frame_system(
 
     analysis = average_functionals(partition).xi @ space.basis  # J x m
     analysis.flags.writeable = False
-
-    J, m = analysis.shape
-    singular = np.linalg.svd(analysis, compute_uv=False)
-    upper = float(singular[0] ** 2) if singular.size else 0.0
-    lower = float(singular[-1] ** 2) if (J >= m and singular.size == m) else 0.0
-
-    if math.isfinite(partition.lambda_xi) and partition.lambda_xi > 0:
-        gamma = (1.0 + alpha) / alpha * omega / partition.lambda_xi
-    else:
-        gamma = 0.0  # every cluster is a singleton: averages are point samples
     return FrameSystem(
         omega=float(omega),
         alpha=float(alpha),
@@ -268,8 +309,6 @@ def build_frame_system(
         analysis=analysis,
         basis=space.basis,
         band_eigenvalues=space.eigenvalues,
-        lower=lower,
-        upper=upper,
         partition=partition,
     )
 
@@ -316,32 +355,26 @@ def global_poincare_check(
     return PoincareCheck(holds=slack >= -tol * max(1.0, lhs), slack=slack, lhs=lhs, rhs=rhs)
 
 
-def optimal_alpha(omega: float, lambda_xi: float, upper: float = 1e6) -> tuple[float, float]:
+def optimal_alpha(omega: float, lambda_xi: float) -> tuple[float, float]:
     """The alpha maximizing the guaranteed lower frame bound (1-gamma)/(1+alpha).
 
-    Only meaningful when omega < lambda_xi (otherwise no alpha makes
-    gamma < 1). Returns (alpha, bound). Found by bounded scalar search over
-    (omega/(lambda_xi - omega), upper), the interval on which gamma < 1.
+    With r = omega/Lambda the bound is 1/(1+alpha) - r/alpha, maximal at
+    alpha* = sqrt(r)/(1 - sqrt(r)), where it equals (1 - sqrt(r))**2 (and
+    gamma = sqrt(r)). Returns (alpha*, bound); omega = 0 gives (0.0, 1.0).
+    Requires 0 <= omega < Lambda, since otherwise no alpha makes gamma < 1.
     """
+    if not omega >= 0:
+        raise InputError(f"omega must be nonnegative, got {omega}")
     if not math.isfinite(lambda_xi):
         # Point samples: gamma is 0 for every alpha and the bound 1/(1+alpha)
         # has no interior maximum; report the open-end supremum.
         return 0.0, 1.0
     if omega >= lambda_xi:
         raise InputError(f"no alpha yields gamma < 1 for omega={omega} >= Lambda={lambda_xi}")
-    ratio = omega / lambda_xi
-
-    def negative_bound(alpha: float) -> float:
-        gamma = (1.0 + alpha) / alpha * ratio
-        return -(1.0 - gamma) / (1.0 + alpha)
-
-    lo = ratio / (1.0 - ratio) if ratio > 0 else 0.0
-    result = minimize_scalar(
-        negative_bound, bounds=(lo + 1e-12, upper), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    alpha_star = float(result.x)
-    return alpha_star, -float(result.fun)
+    root = math.sqrt(omega / lambda_xi)
+    # 1 - sqrt(r) = (1 - r)/(1 + sqrt(r)) stays positive when r rounds near 1.
+    complement = (lambda_xi - omega) / lambda_xi / (1.0 + root)
+    return root / complement, complement * complement
 
 
 def pairs_partition(n: int) -> list[tuple[int, int]]:

@@ -3,11 +3,16 @@
 Two routes. The iterative frame algorithm is a relaxed Richardson iteration
 on band coefficients, ``c_next = c + mu * A^T (s - A c)``, converging
 geometrically with factor ``eta = max(|1 - mu*a|, |1 - mu*b|)`` whenever the
-averages form a frame (a > 0). The direct route applies the canonical dual
-frame, realized as the minimum-norm least-squares solve ``c = pinv(A) s``.
+averages form a frame (a > 0). It runs on the normal equations: with
+``r = A^T s`` formed once per signal, each step is one m x m matvec with the
+Gram matrix ``G = A^T A``. The direct route applies the canonical dual
+frame, the minimum-norm least-squares solve ``c = pinv(A) s``. Both ``G``
+and ``pinv(A)`` are formed once in ``build_frame_system``, from the same
+thin SVD that gives the frame bounds, so each signal costs a few matvecs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +21,6 @@ from .errors import InputError, NumericalError
 from .graph import WeightedGraph
 from .partitions import ClusterPartition, FrameSystem, analyze, build_frame_system
 from .spectral import SpectralDecomposition, build_laplacian, eigendecompose, pw_project
-
-#: Relative cutoff under which singular values are treated as zero in the
-#: pseudoinverse, matching the rank test used for the lower frame bound.
-PINV_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,13 @@ def frame_algorithm(
         raise InputError(f"relaxation parameter mu={mu} outside (0, 2/b)=(0, {2.0 / b})")
     eta = max(abs(1.0 - mu * a), abs(1.0 - mu * b))
 
-    A = frame.analysis
     truth_coeffs = None
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
         truth_coeffs = frame.basis.T @ truth
 
     c = np.zeros(frame.dim)
-    normal_rhs = A.T @ s
+    normal_rhs = frame.analysis.T @ s
     denom = float(np.linalg.norm(normal_rhs))
     errors: list[float] = []
     if denom == 0.0:
@@ -110,11 +110,15 @@ def frame_algorithm(
     iterations = 0
     residual = 1.0
     converged = False
+    # The direction A^T (s - A c) = r - G c is recomputed from c every step,
+    # not updated by recurrence, so roundoff does not accumulate in it.
+    direction = normal_rhs
     for iterations in range(1, config.max_iter + 1):
-        c = c + mu * (A.T @ (s - A @ c))
+        c += mu * direction
         if truth_coeffs is not None:
             errors.append(float(np.linalg.norm(truth_coeffs - c)))
-        residual = float(np.linalg.norm(A.T @ (s - A @ c))) / denom
+        direction = normal_rhs - frame.gram @ c
+        residual = math.sqrt(direction @ direction) / denom
         if residual <= config.tol:
             converged = True
             break
@@ -133,17 +137,17 @@ def frame_algorithm(
 def dual_frame_reconstruct(frame: FrameSystem, samples: np.ndarray) -> ReconstructionResult:
     """Recover band coefficients through the canonical dual frame.
 
-    Computed as the minimum-norm least-squares solution; exact (up to
-    roundoff) for consistent samples of a band signal whenever the averages
-    form a frame. For rank-deficient analysis maps this still returns the
-    least-squares signal, with the deficiency reflected in the residual.
+    Applies the pseudoinverse formed in ``build_frame_system``, giving the
+    minimum-norm least-squares solution; exact (up to roundoff) for
+    consistent samples of a band signal whenever the averages form a frame.
+    For rank-deficient analysis maps this still returns the least-squares
+    signal, with the deficiency reflected in the residual.
     """
     s = _check_samples(frame, samples)
-    A = frame.analysis
-    c = np.linalg.pinv(A, rcond=PINV_CUTOFF) @ s
-    normal_rhs = A.T @ s
+    c = frame.pinv @ s
+    normal_rhs = frame.analysis.T @ s
     denom = float(np.linalg.norm(normal_rhs))
-    residual = float(np.linalg.norm(A.T @ (s - A @ c))) / denom if denom > 0 else 0.0
+    residual = float(np.linalg.norm(normal_rhs - frame.gram @ c)) / denom if denom > 0 else 0.0
     return ReconstructionResult(
         method="dual",
         signal=frame.to_signal(c),

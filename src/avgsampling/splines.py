@@ -21,13 +21,12 @@ recovers it up to a factor 2*gamma**k of its norm.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .partitions import ClusterPartition, analyze, average_functionals
+from .partitions import ClusterPartition, _gamma, analyze, average_functionals
 from .spectral import SpectralDecomposition, pw_project
 
 #: Refuse spline solves whose equilibrated system is estimated worse than this.
@@ -77,22 +76,25 @@ class SplineSolution:
     order_is_power_of_two: bool
 
 
-def _constraint_rows(decomp: SpectralDecomposition, partition: ClusterPartition) -> np.ndarray:
-    """Averages of each eigenvector: the constraint matrix in eigen-coordinates."""
-    return average_functionals(partition).xi @ decomp.eigenvectors  # J x n
+def _constraints(
+    decomp: SpectralDecomposition, partition: ClusterPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint matrix in eigen-coordinates and an orthonormal basis of its kernel.
 
-
-def _kernel_basis(B: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the kernel of the constraint matrix."""
-    J, n = B.shape
+    Row j of the constraint matrix holds the scaled averages over cluster j
+    of every eigenvector (J x n); the kernel basis is n x (n - J).
+    """
+    if partition.n != decomp.n:
+        raise InputError("partition and decomposition sizes differ")
+    B = average_functionals(partition).xi @ decomp.eigenvectors
     _, singular, vt = np.linalg.svd(B)
     rank = int(np.sum(singular > 1e-10 * singular[0])) if singular.size else 0
-    if rank < J:
+    if rank < B.shape[0]:
         raise InputError(
-            f"average constraints are rank-deficient (rank {rank} of {J}); "
+            f"average constraints are rank-deficient (rank {rank} of {B.shape[0]}); "
             "the partition does not define an interpolation problem"
         )
-    return vt[rank:].T  # n x (n - J)
+    return B, vt[rank:].T
 
 
 def _power_weights(decomp: SpectralDecomposition, k: int) -> np.ndarray:
@@ -110,6 +112,56 @@ def _condition_estimate(decomp: SpectralDecomposition, k: int) -> float:
     return float((positive[-1] / positive[0]) ** (k / 2.0))
 
 
+def _smoothness_defect(scaled_kernel: np.ndarray, smoothed: np.ndarray) -> tuple[float, float]:
+    """Largest inner product of a smoothed signal with the smoothed kernel basis, and its scale.
+
+    The scale is the product of the factor norms (at least 1), so that
+    ``defect / scale`` is a relative orthogonality defect.
+    """
+    defect_vec = scaled_kernel.T @ smoothed
+    defect = float(np.max(np.abs(defect_vec))) if defect_vec.size else 0.0
+    col_norms = np.linalg.norm(scaled_kernel, axis=0)
+    scale = max(1.0, float(np.linalg.norm(smoothed)) * float(col_norms.max() if col_norms.size else 0.0))
+    return defect, scale
+
+
+def _solve(
+    decomp: SpectralDecomposition,
+    partition: ClusterPartition,
+    constraints: tuple[np.ndarray, np.ndarray],
+    problem: SplineProblem,
+) -> SplineSolution:
+    """Solve one spline problem given the constraint matrix and its kernel basis."""
+    k = problem.order
+    condition = _condition_estimate(decomp, k)
+    if condition > CONDITION_LIMIT:
+        raise NumericalError(
+            f"order-{k} spline system condition ~{condition:.2e} exceeds "
+            f"{CONDITION_LIMIT:.0e}; reduce the order or improve the spectral gap"
+        )
+
+    B, kernel = constraints
+    weights = _power_weights(decomp, k)
+    feasible = B.T @ problem.targets  # minimum-norm feasible point, exact by row orthonormality
+    scaled_kernel = weights[:, None] * kernel
+    y, *_ = np.linalg.lstsq(scaled_kernel, -(weights * feasible), rcond=None)
+    coeffs = feasible + kernel @ y
+    signal = decomp.eigenvectors @ coeffs
+
+    smoothed = weights * coeffs
+    defect, scale = _smoothness_defect(scaled_kernel, smoothed)
+    return SplineSolution(
+        signal=signal,
+        order=k,
+        seminorm=float(np.linalg.norm(smoothed)),
+        achieved_averages=analyze(partition, signal),
+        targets=problem.targets,
+        kkt_residual=defect / scale,
+        condition_estimate=condition,
+        order_is_power_of_two=problem.order_is_power_of_two,
+    )
+
+
 def solve_spline(
     decomp: SpectralDecomposition,
     partition: ClusterPartition,
@@ -121,44 +173,7 @@ def solve_spline(
     system exceeds the double-precision budget, rather than returning digits
     that cannot be trusted.
     """
-    if partition.n != decomp.n:
-        raise InputError("partition and decomposition sizes differ")
-    k = problem.order
-    condition = _condition_estimate(decomp, k)
-    if condition > CONDITION_LIMIT:
-        raise NumericalError(
-            f"order-{k} spline system condition ~{condition:.2e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; reduce the order or improve the spectral gap"
-        )
-
-    B = _constraint_rows(decomp, partition)
-    kernel = _kernel_basis(B)
-    weights = _power_weights(decomp, k)
-
-    feasible = B.T @ problem.targets  # minimum-norm feasible point, exact by row orthonormality
-    scaled_kernel = weights[:, None] * kernel
-    scaled_feasible = weights * feasible
-    y, *_ = np.linalg.lstsq(scaled_kernel, -scaled_feasible, rcond=None)
-    coeffs = feasible + kernel @ y
-    signal = decomp.eigenvectors @ coeffs
-
-    smoothed = weights * coeffs
-    seminorm = float(np.linalg.norm(smoothed))
-    defect_vec = scaled_kernel.T @ smoothed
-    defect = float(np.max(np.abs(defect_vec))) if defect_vec.size else 0.0
-    col_norms = np.linalg.norm(scaled_kernel, axis=0)
-    scale = max(1.0, seminorm * float(col_norms.max() if col_norms.size else 0.0))
-    achieved = analyze(partition, signal)
-    return SplineSolution(
-        signal=signal,
-        order=k,
-        seminorm=seminorm,
-        achieved_averages=achieved,
-        targets=problem.targets,
-        kkt_residual=defect / scale,
-        condition_estimate=condition,
-        order_is_power_of_two=problem.order_is_power_of_two,
-    )
+    return _solve(decomp, partition, _constraints(decomp, partition), problem)
 
 
 def interpolate(
@@ -202,15 +217,10 @@ def orthogonality_check(
     u = np.asarray(u, dtype=float)
     if u.shape != (decomp.n,):
         raise InputError(f"signal shape {u.shape} does not match n={decomp.n}")
-    B = _constraint_rows(decomp, partition)
-    kernel = _kernel_basis(B)
+    _, kernel = _constraints(decomp, partition)
     weights = _power_weights(decomp, k)
-    scaled_kernel = weights[:, None] * kernel
     smoothed = weights * (decomp.eigenvectors.T @ u)
-    defect_vec = scaled_kernel.T @ smoothed
-    defect = float(np.max(np.abs(defect_vec))) if defect_vec.size else 0.0
-    col_norms = np.linalg.norm(scaled_kernel, axis=0)
-    scale = max(1.0, float(np.linalg.norm(smoothed)) * float(col_norms.max() if col_norms.size else 0.0))
+    defect, scale = _smoothness_defect(weights[:, None] * kernel, smoothed)
     normalized = defect / scale
     return OrthogonalityResult(
         defect=defect,
@@ -230,8 +240,7 @@ def zero_average_signal(
     Maps arbitrary coefficients through the orthonormal kernel basis of the
     constraint matrix; useful for building feasible perturbations of a spline.
     """
-    B = _constraint_rows(decomp, partition)
-    kernel = _kernel_basis(B)
+    _, kernel = _constraints(decomp, partition)
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (kernel.shape[1],):
         raise InputError(
@@ -265,12 +274,7 @@ def spline_convergence_experiment(
     Rows with ``proved=False`` mark orders that are not powers of two, where
     the bound is reported for reference only.
     """
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
-    if not math.isfinite(partition.lambda_xi):
-        gamma = 0.0
-    else:
-        gamma = (1.0 + alpha) / alpha * omega / partition.lambda_xi
+    gamma = _gamma(omega, alpha, partition.lambda_xi)
     if gamma >= 1.0:
         raise InputError(
             f"gamma={gamma:.4f} >= 1 for omega={omega}, alpha={alpha}, "
@@ -286,9 +290,12 @@ def spline_convergence_experiment(
             f"signal has out-of-band content for omega={omega}; "
             "project it first or lower the bandwidth"
         )
+    constraints = _constraints(decomp, partition)
+    targets = analyze(partition, f)
     rows = []
     for k in k_list:
-        solution = interpolate(decomp, partition, f, int(k))
+        problem = SplineProblem(order=int(k), targets=targets, partition=partition)
+        solution = _solve(decomp, partition, constraints, problem)
         rel = float(np.linalg.norm(f - solution.signal)) / norm_f
         bound = 2.0 * gamma ** int(k)
         rows.append(

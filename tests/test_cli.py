@@ -8,9 +8,18 @@ import sys
 import numpy as np
 import pytest
 
+import avgsampling
 from avgsampling.cli import main
 from avgsampling.fileio import write_edge_list, write_partition, write_signal
 from avgsampling import generate_graph
+
+
+def child_env(**overrides) -> dict:
+    """Environment for a fresh interpreter that imports the package under test,
+    installed or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avgsampling.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def run_cli(args, capsys):
@@ -159,8 +168,8 @@ class TestDemoPath:
     def test_bytes_identical_across_blas_thread_counts(self):
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
+            env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                            MKL_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "avgsampling.cli", "demo-path",
                  "--n", "64", "--omega", "0.5", "--seed", "42"],
@@ -180,7 +189,7 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "avgsampling.cli", "spectrum", "--bogus"],
-            capture_output=True,
+            capture_output=True, env=child_env(),
         )
         assert proc.returncode == 1
 
@@ -205,7 +214,7 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "avgsampling.cli", "spectrum",
              "--generate", "path", "--n", "3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("index,eigenvalue")

@@ -97,6 +97,59 @@ class TestConnectivity:
         g = WeightedGraph.from_edges(5, [(0, 1, 1.0), (3, 4, 2.0)])
         assert connected_components(g) == [[0, 1], [2], [3, 4]]
 
+    @given(n=st.integers(1, 30), data=st.data())
+    def test_components_match_traversal(self, n, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+        g = WeightedGraph.from_edges(n, [(u, v, 1.0) for u, v in {(min(p), max(p)) for p in pairs if p[0] != p[1]}])
+        seen = [False] * n
+        expected = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            seen[start], comp, stack = True, [start], [start]
+            while stack:
+                for v in g.neighbors(stack.pop()):
+                    if not seen[v]:
+                        seen[v] = True
+                        comp.append(v)
+                        stack.append(v)
+            expected.append(sorted(comp))
+        assert connected_components(g) == expected
+        assert is_connected(g) == (len(expected) == 1)
+
+
+def reference_edges(weights):
+    """Edge views as a loop over the raw entries: each unordered pair read
+    through its (min, max) orientation when present, loops and zeros dropped."""
+    out = []
+    for u, v in sorted({(min(u, v), max(u, v)) for (u, v) in weights}):
+        w = weights.get((u, v), weights.get((v, u), 0.0))
+        if u != v and w != 0.0:
+            out.append((u, v, w))
+    return out
+
+
+class TestEdgeViews:
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_edges_match_loop_reference(self, n, data):
+        """Asymmetric, one-sided, zero and loop entries included."""
+        keys = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=50, unique=True))
+        values = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 1e-300]),
+                                    min_size=len(keys), max_size=len(keys)))
+        weights = dict(zip(keys, values))
+        g = WeightedGraph(n, weights)
+        expected = reference_edges(weights)
+        assert g.edges() == expected
+        assert g.num_edges == len(expected)
+        for v in range(n):
+            assert g.neighbors(v) == sorted({b for a, b, _ in expected if a == v} | {a for a, b, _ in expected if b == v})
+
+    def test_generated_graph_edges_sorted(self):
+        g = generate_graph("random-geometric", 200, seed=3)
+        edges = g.edges()
+        assert edges == sorted(edges)
+        assert edges == reference_edges(g.raw_weights())
+
 
 class TestGradientNorm:
     def test_single_edge(self):

@@ -1,11 +1,16 @@
 """Partitions, average functionals, frame bounds, and the energy inequalities."""
+import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avgsampling import (
+    FrameSystem,
     InputError,
     analyze,
     average_functionals,
@@ -23,8 +28,11 @@ from avgsampling import (
     optimal_alpha,
     pairs_partition,
     restrict_signal,
+    spline_convergence_experiment,
     validate_partition,
 )
+
+from conftest import complete_graph
 
 
 class TestValidatePartition:
@@ -118,9 +126,52 @@ class TestAverageFunctionals:
         _, _, part = path4
         with pytest.raises(InputError):
             analyze(part, np.zeros(5))
+        with pytest.raises(InputError):
+            cluster_means(part, np.zeros(3))
+
+    @given(st.data())
+    def test_label_vector_matches_functional_rows(self, data):
+        """Any vertex set of a complete graph is connected, so every split of a
+        shuffled vertex order, in shuffled cluster order, is a partition."""
+        n = data.draw(st.integers(1, 24), label="n")
+        order = data.draw(st.permutations(range(n)), label="vertex order")
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1), label="cuts")) if n > 1 else []
+        pieces = [tuple(order[lo:hi]) for lo, hi in zip([0] + cuts, cuts + [n])]
+        clusters = data.draw(st.permutations(pieces), label="cluster order")
+        part = validate_partition(complete_graph(n), clusters)
+        f = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n), label="f"))
+
+        for j, verts in enumerate(part.clusters):
+            assert (part.labels[list(verts)] == j).all()
+        funcs = average_functionals(part)
+        scale = 1e-12 * (1.0 + np.abs(funcs.xi) @ np.abs(f))
+        assert (np.abs(analyze(part, f) - funcs.xi @ f) <= scale).all()
+        assert (np.abs(cluster_means(part, f) - funcs.zeta @ f) <= scale).all()
 
 
 class TestFrameSystem:
+    def test_bounds_dual_and_gram_are_derived(self, path64):
+        _, d, part = path64
+        frame = build_frame_system(d, part, omega=0.5, alpha=1.0)
+        given_fields = {f.name: getattr(frame, f.name) for f in dataclasses.fields(FrameSystem) if f.init}
+        rebuilt = FrameSystem(**given_fields)
+        assert (rebuilt.lower, rebuilt.upper) == (frame.lower, frame.upper)
+        assert np.array_equal(rebuilt.pinv, frame.pinv) and np.array_equal(rebuilt.gram, frame.gram)
+        assert np.array_equal(frame.gram, frame.analysis.T @ frame.analysis)
+        assert not frame.pinv.flags.writeable and not frame.gram.flags.writeable
+        for name in ("lower", "upper", "pinv", "gram"):
+            with pytest.raises(TypeError):
+                FrameSystem(**given_fields, **{name: getattr(frame, name)})
+
+    def test_gamma_without_positive_gap_has_no_guarantee(self, path4):
+        # frames once reported gamma = 0 here and splines divided by zero
+        _, d, part = path4
+        degenerate = dataclasses.replace(part, lambda1s=(0.0, 0.0), lambda_xi=0.0)
+        frame = build_frame_system(d, degenerate, omega=0.5, alpha=1.0)
+        assert frame.gamma == math.inf and not frame.guarantee_active
+        with pytest.raises(InputError, match="gamma=inf"):
+            spline_convergence_experiment(d, degenerate, 0.5, 1.0, generate_pw_signal(d, 0.5, 0), [1])
+
     def test_full_band_has_kernel(self, path4):
         _, d, part = path4
         frame = build_frame_system(d, part, omega=4.0, alpha=1.0)
@@ -287,3 +338,26 @@ class TestOptimalAlpha:
     def test_rejects_omega_at_or_above_gap(self):
         with pytest.raises(InputError):
             optimal_alpha(2.0, 2.0)
+
+    @pytest.mark.parametrize("omega", [-0.5, -1e-300, math.nan])
+    def test_rejects_negative_omega(self, omega):
+        # a negative bandwidth once "certified" a lower frame bound of 5.1e9
+        with pytest.raises(InputError, match="nonnegative"):
+            optimal_alpha(omega, 2.0)
+
+    def test_zero_omega_matches_point_samples(self):
+        assert optimal_alpha(0.0, 2.0) == (0.0, 1.0)
+        assert optimal_alpha(0.0, math.inf) == optimal_alpha(0.7, math.inf) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("omega", [1.999999, 2.0 - 1e-12, math.nextafter(2.0, 0.0)])
+    def test_ratio_close_to_one(self, omega):
+        # once a raw scipy ValueError: the search interval's lower end passed its upper end
+        alpha_star, bound = optimal_alpha(omega, 2.0)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            root = (Decimal(omega) / Decimal(2.0)).sqrt()
+            expected_alpha = float(root / (1 - root))
+            expected_bound = float((1 - root) ** 2)
+        assert alpha_star == pytest.approx(expected_alpha, rel=1e-12)
+        assert bound == pytest.approx(expected_bound, rel=1e-12)
+        assert 0.0 < bound < 1e-12

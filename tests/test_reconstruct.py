@@ -1,4 +1,6 @@
 """Frame-iteration and dual-frame recovery from cluster averages."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,16 @@ from avgsampling import (
     InputError,
     NumericalError,
     analyze,
+    bfs_partition,
     build_frame_system,
+    build_laplacian,
     dual_frame_reconstruct,
+    eigendecompose,
     frame_algorithm,
+    generate_graph,
     generate_pw_signal,
     sample_and_reconstruct_roundtrip,
+    validate_partition,
 )
 
 
@@ -21,7 +28,47 @@ def frame64(path64):
     return build_frame_system(d, part, omega=0.5, alpha=1.0)
 
 
+@pytest.fixture(scope="module")
+def grid_frame():
+    """A near-critical frame: the 10x10 grid with radius-1 balls at omega=3.22
+    (band dim 41, 50 clusters, a ~ 0.108), which needs about 100 iterations."""
+    g = generate_graph("grid2d", 100)
+    d = eigendecompose(build_laplacian(g))
+    part = validate_partition(g, bfs_partition(g, 1))
+    return d, part, build_frame_system(d, part, omega=3.22, alpha=1.0)
+
+
+def richardson_reference(A, s, mu, tol, max_iter=10000):
+    """The frame iteration written directly: two matvecs with A per step."""
+    c = np.zeros(A.shape[1])
+    normal_rhs = A.T @ s
+    direction = normal_rhs
+    for iterations in range(1, max_iter + 1):
+        c = c + mu * direction
+        direction = A.T @ (s - A @ c)
+        if np.linalg.norm(direction) <= tol * np.linalg.norm(normal_rhs):
+            break
+    return c, iterations
+
+
 class TestFrameAlgorithm:
+    def test_matches_two_matvec_reference(self, path64, frame64, grid_frame):
+        config = FrameIterationConfig()
+        for d, part, frame, omega in [(path64[1], path64[2], frame64, 0.5), (*grid_frame, 3.22)]:
+            A = frame.analysis
+            mu = 2.0 / (frame.lower + frame.upper)
+            for seed in range(5):
+                samples = analyze(part, generate_pw_signal(d, omega, seed))
+                result = frame_algorithm(frame, samples, config)
+                expected, iterations = richardson_reference(A, samples, mu, config.tol)
+                assert abs(result.iterations - iterations) <= 1
+                assert np.linalg.norm(result.coefficients - expected) <= 1e-10 * np.linalg.norm(expected)
+                recomputed = (np.linalg.norm(A.T @ (samples - A @ result.coefficients))
+                              / np.linalg.norm(A.T @ samples))
+                # both are relative to norm(A^T s), so they differ by a few roundings
+                assert abs(result.residual - recomputed) <= 16 * np.finfo(float).eps
+                assert result.converged and result.residual <= config.tol
+
     def test_zero_samples_give_zero_signal(self, frame64):
         result = frame_algorithm(frame64, np.zeros(32))
         assert result.iterations <= 1
@@ -91,6 +138,22 @@ class TestFrameAlgorithm:
 
 
 class TestDualFrame:
+    def test_matches_numpy_pinv(self, path4, frame64, grid_frame):
+        _, d, part = path4
+        rank_deficient = build_frame_system(d, part, omega=4.0, alpha=1.0)  # band dim 4 > 2 clusters
+        assert not rank_deficient.is_frame
+        rng = np.random.Generator(np.random.PCG64(37))
+        # singular values on either side of the 1e-10 relative cutoff
+        left, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        graded = dataclasses.replace(
+            frame64, analysis=left @ np.diag([1.0, 1e-6, 1e-12]) @ right.T, basis=np.eye(3))
+        for frame in (rank_deficient, frame64, grid_frame[2], graded):
+            samples = rng.standard_normal(frame.num_clusters)
+            expected = np.linalg.pinv(frame.analysis, rcond=1e-10) @ samples
+            got = dual_frame_reconstruct(frame, samples).coefficients
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_exact_recovery(self, frame64, path64):
         _, d, part = path64
         for seed in range(10):

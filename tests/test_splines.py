@@ -192,6 +192,17 @@ class TestConvergence:
             assert row.bound == pytest.approx(2.0 * 0.5 ** row.order, abs=1e-15)
             assert row.proved
 
+    def test_rows_match_per_order_interpolate(self, path64):
+        _, d, part = path64
+        f = generate_pw_signal(d, 0.5, 21)
+        rows = spline_convergence_experiment(d, part, 0.5, 1.0, f, [1, 2, 3, 4, 8])
+        assert [row.order for row in rows] == [1, 2, 3, 4, 8]
+        for row in rows:
+            solution = interpolate(d, part, f, row.order)
+            rel = np.linalg.norm(f - solution.signal) / np.linalg.norm(f)
+            assert row.rel_error == pytest.approx(rel, rel=1e-12, abs=0)
+            assert row.proved == solution.order_is_power_of_two
+
     def test_spline_fixed_point_has_zero_error(self, path16):
         _, d, part = path16
         k = 2
