@@ -210,9 +210,11 @@ class FrameSystem:
     determine the signal.
 
     The bounds, the pseudoinverse ``pinv`` (the canonical dual frame,
-    singular values at or below ``PINV_CUTOFF`` times the largest dropped)
-    and the Gram matrix ``gram`` (``analysis.T @ analysis``) are derived
-    from ``analysis`` by one thin SVD when the system is built.
+    singular values at or below ``PINV_CUTOFF`` times the largest dropped),
+    the Gram matrix ``gram`` (``analysis.T @ analysis``), and the
+    ``singular_values`` and right singular vectors ``right_vectors`` (as
+    columns, m x min(J, m)) are derived from ``analysis`` by one thin SVD
+    when the system is built.
     """
 
     omega: float
@@ -227,20 +229,25 @@ class FrameSystem:
     upper: float = field(init=False)
     pinv: np.ndarray = field(init=False, repr=False)  # m x J
     gram: np.ndarray = field(init=False, repr=False)  # m x m
+    singular_values: np.ndarray = field(init=False, repr=False)  # min(J, m), descending
+    right_vectors: np.ndarray = field(init=False, repr=False)  # m x min(J, m)
 
     def __post_init__(self):
         J, m = self.analysis.shape
         u, singular, vt = np.linalg.svd(self.analysis, full_matrices=False)
         kept = singular > PINV_CUTOFF * singular[0]
         inverse = np.divide(1.0, singular, where=kept, out=np.zeros_like(singular))
-        pinv = vt.T @ (inverse[:, None] * u.T)
+        right = vt.T
+        pinv = right @ (inverse[:, None] * u.T)
         gram = self.analysis.T @ self.analysis
-        pinv.flags.writeable = False
-        gram.flags.writeable = False
+        for derived in (pinv, gram, singular, right):
+            derived.flags.writeable = False
         object.__setattr__(self, "upper", float(singular[0] ** 2))
         object.__setattr__(self, "lower", float(singular[-1] ** 2) if J >= m else 0.0)
         object.__setattr__(self, "pinv", pinv)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "singular_values", singular)
+        object.__setattr__(self, "right_vectors", right)
 
     @property
     def dim(self) -> int:

@@ -3,12 +3,16 @@
 Two routes. The iterative frame algorithm is a relaxed Richardson iteration
 on band coefficients, ``c_next = c + mu * A^T (s - A c)``, converging
 geometrically with factor ``eta = max(|1 - mu*a|, |1 - mu*b|)`` whenever the
-averages form a frame (a > 0). It runs on the normal equations: with
-``r = A^T s`` formed once per signal, each step is one m x m matvec with the
-Gram matrix ``G = A^T A``. The direct route applies the canonical dual
-frame, the minimum-norm least-squares solve ``c = pinv(A) s``. Both ``G``
-and ``pinv(A)`` are formed once in ``build_frame_system``, from the same
-thin SVD that gives the frame bounds, so each signal costs a few matvecs.
+averages form a frame (a > 0). For a fixed frame and ``mu`` the k-th iterate
+is a fixed polynomial in the frame operator, so it is evaluated in closed
+form in the eigenbasis of ``A^T A``: the right singular vectors of the thin
+SVD ``A = U S V^T``, in which mode i contracts by ``1 - mu*sigma_i^2`` per
+step. The step count is the first k whose residual meets the tolerance,
+found by bisection, so a signal costs a few m x m matvecs whatever the
+number of steps. The direct route applies the canonical dual frame, the
+minimum-norm least-squares solve ``c = pinv(A) s``. The singular vectors,
+the Gram matrix ``G = A^T A`` and ``pinv(A)`` are all formed once in
+``build_frame_system``, from the one thin SVD that gives the frame bounds.
 """
 from __future__ import annotations
 
@@ -22,6 +26,10 @@ from .graph import WeightedGraph
 from .partitions import ClusterPartition, FrameSystem, analyze, build_frame_system
 from .spectral import SpectralDecomposition, build_laplacian, eigendecompose, pw_project
 
+#: Steps per block when the error log is evaluated, which bounds its memory
+#: to this many band-coefficient vectors at a time.
+_ERROR_LOG_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class FrameIterationConfig:
@@ -30,7 +38,8 @@ class FrameIterationConfig:
     ``mu`` must lie in (0, 2/b); None picks 2/(a+b), which minimizes the
     contraction factor. The stopping rule uses the normal-equations residual
     ``norm(A^T (s - A c)) <= tol * norm(A^T s)``, computable without the
-    ground truth.
+    ground truth; ``tol`` must be finite and positive and ``max_iter`` at
+    least 1.
     """
 
     mu: float | None = None
@@ -67,11 +76,18 @@ def frame_algorithm(
     config: FrameIterationConfig | None = None,
     truth: np.ndarray | None = None,
 ) -> ReconstructionResult:
-    """Iteratively recover band coefficients from cluster averages.
+    """Recover band coefficients from cluster averages by the frame iteration.
 
-    Requires a positive lower frame bound. When ``truth`` (a vertex-space
-    signal assumed to lie in the band) is supplied, the per-iteration error
-    ``norm(truth - iterate)`` is logged alongside the run.
+    Requires a positive lower frame bound. The iteration is evaluated in
+    closed form in the frame's SVD basis ``A = U S V^T``: with
+    ``y = V^T A^T s``, mode i contracts by ``rho_i = 1 - mu*sigma_i^2`` per
+    step, so after k steps the iterate is ``V ((1 - rho^k)/sigma^2 * y)`` and
+    the residual is ``norm(rho^k * y) / norm(y)``. That residual never
+    increases with k, so the first step meeting ``tol`` is found by
+    bisection; the returned residual is recomputed from the iterate. When
+    ``truth`` (a vertex-space signal assumed to lie in the band) is
+    supplied, the per-iteration error ``norm(truth - iterate)`` is logged
+    alongside the run.
     """
     config = config or FrameIterationConfig()
     s = _check_samples(frame, samples)
@@ -84,19 +100,29 @@ def frame_algorithm(
     mu = 2.0 / (a + b) if config.mu is None else float(config.mu)
     if not (0.0 < mu < 2.0 / b):
         raise InputError(f"relaxation parameter mu={mu} outside (0, 2/b)=(0, {2.0 / b})")
+    tol, max_iter = float(config.tol), int(config.max_iter)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"tolerance tol={config.tol} must be finite and positive")
+    if max_iter < 1:
+        raise InputError(f"max_iter={config.max_iter} must be at least 1")
     eta = max(abs(1.0 - mu * a), abs(1.0 - mu * b))
 
     truth_coeffs = None
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
+        if truth.shape != (frame.basis.shape[0],):
+            raise InputError(
+                f"truth shape {truth.shape} does not match n={frame.basis.shape[0]}"
+            )
+        if not np.all(np.isfinite(truth)):
+            raise InputError("truth contains non-finite entries")
         truth_coeffs = frame.basis.T @ truth
 
-    c = np.zeros(frame.dim)
     normal_rhs = frame.analysis.T @ s
     denom = float(np.linalg.norm(normal_rhs))
-    errors: list[float] = []
     if denom == 0.0:
         # Zero samples: the zero signal is already the fixed point.
+        c = np.zeros(frame.dim)
         return ReconstructionResult(
             method="frame-iter",
             signal=frame.to_signal(c),
@@ -107,21 +133,66 @@ def frame_algorithm(
             eta=eta,
             error_log=() if truth_coeffs is not None else None,
         )
-    iterations = 0
-    residual = 1.0
-    converged = False
-    # The direction A^T (s - A c) = r - G c is recomputed from c every step,
-    # not updated by recurrence, so roundoff does not accumulate in it.
-    direction = normal_rhs
-    for iterations in range(1, config.max_iter + 1):
-        c += mu * direction
-        if truth_coeffs is not None:
-            errors.append(float(np.linalg.norm(truth_coeffs - c)))
+
+    right = frame.right_vectors
+    sigma2 = frame.singular_values ** 2
+    y = right.T @ normal_rhs
+    fixed_point = y / sigma2  # the least-squares solution in the V basis
+    rho = 1.0 - mu * sigma2  # per-step contraction of each mode
+    rho_squared = rho * rho
+    share = (y / denom) ** 2  # norm(y) = norm(A^T s), as V is orthogonal
+    # 1 - rho**k is -expm1(k * log1p(-mu*sigma^2)) where rho > 0, which keeps
+    # its digits when mu*sigma^2 is tiny; where rho <= 0 nothing cancels.
+    positive = rho > 0.0
+    log_rho = np.log1p(-np.where(positive, mu * sigma2, 0.0))
+
+    def complement(steps) -> np.ndarray:
+        return np.where(positive, -np.expm1(steps * log_rho), 1.0 - rho ** steps)
+
+    def closed_form_within_tol(steps: int) -> bool:
+        return math.sqrt(float(share @ rho_squared ** steps)) <= tol
+
+    def iterate(steps: int) -> tuple[np.ndarray, float]:
+        c = right @ (complement(steps) * fixed_point)
         direction = normal_rhs - frame.gram @ c
-        residual = math.sqrt(direction @ direction) / denom
-        if residual <= config.tol:
-            converged = True
-            break
+        return c, math.sqrt(direction @ direction) / denom
+
+    def run() -> tuple[int, np.ndarray, float, bool]:
+        # The residual after k steps is at most eta**k, so that k brackets the
+        # first step within tol; max_iter stands in if roundoff moved it.
+        brackets = [max_iter]
+        if 0.0 < eta < 1.0:
+            brackets.insert(0, min(max_iter, max(1, math.ceil(math.log(tol) / math.log(eta)))))
+        hi = next((k for k in brackets if closed_form_within_tol(k)), None)
+        if hi is not None:
+            lo = 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if closed_form_within_tol(mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            # The closed form has no roundoff floor, the recomputed residual
+            # has. One step more covers a closed-form residual that lands
+            # within roundoff below tol; a miss beyond that is the floor,
+            # where a stepwise run exhausts its budget.
+            for steps in range(lo, min(lo + 1, max_iter) + 1):
+                c, residual = iterate(steps)
+                if residual <= tol:
+                    return steps, c, residual, True
+        return (max_iter, *iterate(max_iter), False)
+
+    iterations, c, residual, converged = run()
+
+    errors = None
+    if truth_coeffs is not None:
+        target = right.T @ truth_coeffs
+        errors = []
+        for start in range(1, iterations + 1, _ERROR_LOG_BLOCK):
+            steps = np.arange(start, min(start + _ERROR_LOG_BLOCK, iterations + 1))
+            iterates = complement(steps[:, None]) * fixed_point
+            errors.extend(np.linalg.norm(target - iterates, axis=1).tolist())
+        errors = tuple(errors)
     return ReconstructionResult(
         method="frame-iter",
         signal=frame.to_signal(c),
@@ -130,7 +201,7 @@ def frame_algorithm(
         residual=residual,
         converged=converged,
         eta=eta,
-        error_log=tuple(errors) if truth_coeffs is not None else None,
+        error_log=errors,
     )
 
 

@@ -13,7 +13,9 @@ y the least-squares solution of ``min || D^{1/2} (B^T v + N y) ||`` where
 D^{1/2} scales each eigen-coordinate by lambda**(k/2). The scaling keeps the
 solve's condition near (lambda_max/lambda_1)**(k/2) instead of its square,
 and kernel coordinates (lambda = 0) carry no weight at all, entering through
-the constraints only.
+the constraints only. N comes from one complete QR of B^T per partition, and
+each order is one Householder QR of the scaled kernel ``D^{1/2} N`` and a
+triangular solve.
 
 When a signal of bandwidth omega is interpolated through a partition with
 gamma = (1+alpha)/alpha * omega/Lambda < 1, the spline of order k = 2^l
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack, qr
 
 from .errors import InputError, NumericalError
 from .partitions import ClusterPartition, _gamma, analyze, average_functionals
@@ -87,14 +90,18 @@ def _constraints(
     if partition.n != decomp.n:
         raise InputError("partition and decomposition sizes differ")
     B = average_functionals(partition).xi @ decomp.eigenvectors
-    _, singular, vt = np.linalg.svd(B)
-    rank = int(np.sum(singular > 1e-10 * singular[0])) if singular.size else 0
-    if rank < B.shape[0]:
+    J = B.shape[0]
+    # Column pivoting orders |diag R| decreasingly, so counting the large
+    # pivots gives the numerical rank; the pivoting leaves the span unchanged.
+    q, r, _ = qr(B.T, pivoting=True, check_finite=False)
+    pivots = np.abs(np.diag(r))
+    rank = int(np.sum(pivots > 1e-10 * pivots[0])) if pivots.size else 0
+    if rank < J:
         raise InputError(
-            f"average constraints are rank-deficient (rank {rank} of {B.shape[0]}); "
+            f"average constraints are rank-deficient (rank {rank} of {J}); "
             "the partition does not define an interpolation problem"
         )
-    return B, vt[rank:].T
+    return B, q[:, J:]
 
 
 def _power_weights(decomp: SpectralDecomposition, k: int) -> np.ndarray:
@@ -125,6 +132,27 @@ def _smoothness_defect(scaled_kernel: np.ndarray, smoothed: np.ndarray) -> tuple
     return defect, scale
 
 
+def _least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares solution of a full-column-rank system by Householder QR.
+
+    The scaled kernel has full column rank (the constant eigenvector, the
+    only one with weight zero, lies in the row space of the constraints), and
+    its condition is at most ``_condition_estimate``, which ``_solve`` bounds
+    before calling this.
+    """
+    cols = matrix.shape[1]
+    if cols == 0:  # every cluster a singleton: the averages fix the signal
+        return np.zeros(0)
+    factored, tau, _, info = lapack.dgeqrf(matrix)
+    if info == 0:
+        qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, rhs[:, None], 1)
+    if info == 0:
+        solution, info = lapack.dtrtrs(factored, qt_rhs)
+    if info != 0:
+        raise NumericalError(f"QR least-squares solve failed (LAPACK info {info})")
+    return solution[:cols, 0]
+
+
 def _solve(
     decomp: SpectralDecomposition,
     partition: ClusterPartition,
@@ -144,8 +172,7 @@ def _solve(
     weights = _power_weights(decomp, k)
     feasible = B.T @ problem.targets  # minimum-norm feasible point, exact by row orthonormality
     scaled_kernel = weights[:, None] * kernel
-    y, *_ = np.linalg.lstsq(scaled_kernel, -(weights * feasible), rcond=None)
-    coeffs = feasible + kernel @ y
+    coeffs = feasible + kernel @ _least_squares(scaled_kernel, -(weights * feasible))
     signal = decomp.eigenvectors @ coeffs
 
     smoothed = weights * coeffs

@@ -203,6 +203,16 @@ class TestExitCodes:
         assert code == 2
         assert "not a frame" in err
 
+    @pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "nan"], ["--max-iter", "0"]])
+    def test_bad_iteration_settings_are_exit_one(self, flags, capsys):
+        code, out, err = run_cli(
+            ["reconstruct", "--generate", "path", "--n", "64", "--clusters", "pairs",
+             "--omega", "0.5", "--method", "frame-iter", "--random-seed", "7", *flags],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "tol" in err or "max_iter" in err
+
     def test_invalid_graph_file_is_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
         bad.write_text("n=2\n0\t1\t1.0\n0\t1\t1.0\n", encoding="utf-8")

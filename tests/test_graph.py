@@ -1,4 +1,6 @@
 """Graph construction, validation, induced subgraphs, gradient seminorm."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,26 @@ from avgsampling import (
     restrict_signal,
     validate,
 )
+from avgsampling.graph import ValidationIssue
+
+
+def reference_issues(raw):
+    """Validation as a loop over the raw entries in sorted (u, v) order."""
+    issues = []
+    for (u, v), w in sorted(raw.items()):
+        if not math.isfinite(w):
+            issues.append(ValidationIssue("non-finite", u, v, f"w({u},{v})={w}"))
+        if w < 0:
+            issues.append(ValidationIssue("negative", u, v, f"w({u},{v})={w}"))
+        if u == v and w != 0.0:
+            issues.append(ValidationIssue("loop", u, v, f"w({u},{u})={w} must be 0"))
+        if u < v:
+            other = raw.get((v, u), 0.0)
+            if other != w:
+                issues.append(
+                    ValidationIssue("asymmetric", u, v, f"w({u},{v})={w} but w({v},{u})={other}")
+                )
+    return issues
 
 
 class TestValidate:
@@ -40,6 +62,21 @@ class TestValidate:
         g = WeightedGraph(2, {(0, 1): -1.0, (1, 0): -1.0})
         report = validate(g)
         assert any(issue.kind == "negative" for issue in report.issues)
+
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_matches_loop_reference(self, n, data):
+        """Malformed dicts: one-sided, asymmetric, negative, zero, loop and non-finite entries."""
+        keys = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=60, unique=True))
+        values = data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0, 1e-300, np.inf, -np.inf, np.nan])
+            | st.floats(allow_nan=True, allow_infinity=True),
+            min_size=len(keys), max_size=len(keys)))
+        raw = dict(zip(keys, values))
+        report = validate(WeightedGraph(n, raw))
+        expected = reference_issues(raw)
+        assert list(report.issues) == expected
+        assert report.ok == (not expected)
 
     def test_from_edges_rejects_duplicates_and_loops(self):
         with pytest.raises(InputError):

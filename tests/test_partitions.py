@@ -158,8 +158,15 @@ class TestFrameSystem:
         assert (rebuilt.lower, rebuilt.upper) == (frame.lower, frame.upper)
         assert np.array_equal(rebuilt.pinv, frame.pinv) and np.array_equal(rebuilt.gram, frame.gram)
         assert np.array_equal(frame.gram, frame.analysis.T @ frame.analysis)
-        assert not frame.pinv.flags.writeable and not frame.gram.flags.writeable
-        for name in ("lower", "upper", "pinv", "gram"):
+        assert np.array_equal(rebuilt.singular_values, frame.singular_values)
+        assert np.array_equal(rebuilt.right_vectors, frame.right_vectors)
+        right, singular = frame.right_vectors, frame.singular_values
+        assert np.allclose(right.T @ right, np.eye(frame.dim), atol=1e-13)
+        assert np.allclose(right @ (singular[:, None] ** 2 * right.T), frame.gram, atol=1e-13)
+        assert (singular[0] ** 2, singular[-1] ** 2) == (frame.upper, frame.lower)
+        for name in ("pinv", "gram", "singular_values", "right_vectors"):
+            assert not getattr(frame, name).flags.writeable
+        for name in ("lower", "upper", "pinv", "gram", "singular_values", "right_vectors"):
             with pytest.raises(TypeError):
                 FrameSystem(**given_fields, **{name: getattr(frame, name)})
 

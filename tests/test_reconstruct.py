@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avgsampling import (
     FrameIterationConfig,
@@ -38,29 +40,42 @@ def grid_frame():
     return d, part, build_frame_system(d, part, omega=3.22, alpha=1.0)
 
 
-def richardson_reference(A, s, mu, tol, max_iter=10000):
-    """The frame iteration written directly: two matvecs with A per step."""
+def richardson_reference(A, s, mu, tol, max_iter=10000, truth_coeffs=None):
+    """The frame iteration written directly: two matvecs with A per step.
+
+    Returns the last iterate, the step count and, given ``truth_coeffs``,
+    the error against them after every step.
+    """
     c = np.zeros(A.shape[1])
     normal_rhs = A.T @ s
     direction = normal_rhs
+    errors = []
     for iterations in range(1, max_iter + 1):
         c = c + mu * direction
+        if truth_coeffs is not None:
+            errors.append(np.linalg.norm(truth_coeffs - c))
         direction = A.T @ (s - A @ c)
         if np.linalg.norm(direction) <= tol * np.linalg.norm(normal_rhs):
             break
-    return c, iterations
+    return c, iterations, errors
+
+
+@pytest.fixture(scope="module")
+def both_frames(path64, frame64, grid_frame):
+    """(decomposition, partition, frame, omega) for path64 and the near-critical grid."""
+    return [(path64[1], path64[2], frame64, 0.5), (*grid_frame, 3.22)]
 
 
 class TestFrameAlgorithm:
-    def test_matches_two_matvec_reference(self, path64, frame64, grid_frame):
+    def test_matches_two_matvec_reference(self, both_frames):
         config = FrameIterationConfig()
-        for d, part, frame, omega in [(path64[1], path64[2], frame64, 0.5), (*grid_frame, 3.22)]:
+        for d, part, frame, omega in both_frames:
             A = frame.analysis
             mu = 2.0 / (frame.lower + frame.upper)
             for seed in range(5):
                 samples = analyze(part, generate_pw_signal(d, omega, seed))
                 result = frame_algorithm(frame, samples, config)
-                expected, iterations = richardson_reference(A, samples, mu, config.tol)
+                expected, iterations, _ = richardson_reference(A, samples, mu, config.tol)
                 assert abs(result.iterations - iterations) <= 1
                 assert np.linalg.norm(result.coefficients - expected) <= 1e-10 * np.linalg.norm(expected)
                 recomputed = (np.linalg.norm(A.T @ (samples - A @ result.coefficients))
@@ -68,6 +83,101 @@ class TestFrameAlgorithm:
                 # both are relative to norm(A^T s), so they differ by a few roundings
                 assert abs(result.residual - recomputed) <= 16 * np.finfo(float).eps
                 assert result.converged and result.residual <= config.tol
+
+    def test_error_log_matches_stepwise_reference(self, both_frames):
+        for d, part, frame, omega in both_frames:
+            mu = 2.0 / (frame.lower + frame.upper)
+            for seed in range(3):
+                f = generate_pw_signal(d, omega, seed)
+                samples = analyze(part, f)
+                result = frame_algorithm(frame, samples, truth=f)
+                _, iterations, expected = richardson_reference(
+                    frame.analysis, samples, mu, 1e-10, truth_coeffs=frame.basis.T @ f)
+                assert abs(len(result.error_log) - iterations) <= 1
+                assert len(result.error_log) == result.iterations
+                common = min(len(expected), result.iterations)
+                assert np.max(np.abs(np.subtract(result.error_log[:common], expected[:common]))) \
+                    <= 1e-10 * np.linalg.norm(f)
+
+    @pytest.mark.parametrize("scale", [1.9, 1.0])
+    def test_other_relaxations_match_reference(self, both_frames, scale):
+        # mu = 1.9/b makes the stiffest mode's contraction negative
+        for d, part, frame, omega in both_frames:
+            mu = scale / frame.upper
+            for seed in range(3):
+                samples = analyze(part, generate_pw_signal(d, omega, seed))
+                result = frame_algorithm(frame, samples, FrameIterationConfig(mu=mu))
+                expected, iterations, _ = richardson_reference(frame.analysis, samples, mu, 1e-10)
+                assert result.converged
+                assert abs(result.iterations - iterations) <= 1
+                assert np.linalg.norm(result.coefficients - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_exhausted_budget_returns_last_iterate(self, both_frames):
+        for d, part, frame, omega in both_frames:
+            samples = analyze(part, generate_pw_signal(d, omega, 4))
+            result = frame_algorithm(frame, samples, FrameIterationConfig(max_iter=5))
+            expected, _, _ = richardson_reference(
+                frame.analysis, samples, 2.0 / (frame.lower + frame.upper), 1e-10, max_iter=5)
+            assert not result.converged and result.iterations == 5
+            assert result.residual > 1e-10
+            assert np.linalg.norm(result.coefficients - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_tolerance_below_roundoff_floor_runs_out_the_budget(self, both_frames):
+        # the closed-form residual reaches 1e-18; the residual of the iterate cannot
+        for d, part, frame, omega in both_frames:
+            samples = analyze(part, generate_pw_signal(d, omega, 6))
+            config = FrameIterationConfig(tol=1e-18)
+            result = frame_algorithm(frame, samples, config)
+            assert not result.converged and result.iterations == config.max_iter
+            normal_rhs = frame.analysis.T @ samples
+            recomputed = (np.linalg.norm(normal_rhs - frame.gram @ result.coefficients)
+                          / np.linalg.norm(normal_rhs))
+            assert result.residual == pytest.approx(recomputed, rel=1e-12)
+            expected, _, _ = richardson_reference(
+                frame.analysis, samples, 2.0 / (frame.lower + frame.upper), config.tol)
+            assert np.linalg.norm(result.coefficients - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_tolerance_within_roundoff_of_a_step_still_converges(self, grid_frame):
+        # tol just above the exact residual after k steps: the residual of the
+        # computed iterate may land on either side of it, so the result is
+        # step k or k + 1, and never an exhausted budget
+        d, part, frame = grid_frame
+        A = frame.analysis
+        mu = 2.0 / (frame.lower + frame.upper)
+        _, singular, vt = np.linalg.svd(A, full_matrices=False)
+        steps_seen = []
+        for seed in range(3):
+            samples = analyze(part, generate_pw_signal(d, 3.22, seed))
+            y = vt @ (A.T @ samples)
+            for k in range(95, 125, 3):
+                exact = np.linalg.norm((1.0 - mu * singular ** 2) ** k * y) / np.linalg.norm(y)
+                result = frame_algorithm(frame, samples, FrameIterationConfig(tol=exact * (1 + 1e-13)))
+                assert result.converged and result.iterations in (k, k + 1)
+                steps_seen.append(result.iterations - k)
+        assert 0 in steps_seen and 1 in steps_seen
+
+    @pytest.mark.parametrize("config", [
+        FrameIterationConfig(tol=0.0),
+        FrameIterationConfig(tol=-1e-10),
+        FrameIterationConfig(tol=float("nan")),
+        FrameIterationConfig(tol=float("inf")),
+        FrameIterationConfig(max_iter=0),
+        FrameIterationConfig(max_iter=-3),
+    ])
+    def test_bad_tolerance_or_budget_rejected(self, frame64, path64, config):
+        samples = analyze(path64[2], generate_pw_signal(path64[1], 0.5, 1))
+        with pytest.raises(InputError):
+            frame_algorithm(frame64, samples, config)
+
+    def test_bad_truth_rejected(self, frame64, path64):
+        _, d, part = path64
+        f = generate_pw_signal(d, 0.5, 2)
+        samples = analyze(part, f)
+        bad = f.copy()
+        bad[5] = np.nan
+        for truth in (f[:-1], np.append(f, 0.0), f.reshape(8, 8), bad):
+            with pytest.raises(InputError, match="truth"):
+                frame_algorithm(frame64, samples, truth=truth)
 
     def test_zero_samples_give_zero_signal(self, frame64):
         result = frame_algorithm(frame64, np.zeros(32))
@@ -203,6 +313,31 @@ class TestDualFrame:
             combined = method(frame64, s1 + s2).signal
             separate = method(frame64, s1).signal + method(frame64, s2).signal
             assert combined == pytest.approx(separate, abs=1e-9)
+
+
+class TestNoisySamples:
+    @given(seed=st.integers(0, 2**16), scale=st.floats(1e-4, 10.0), worst=st.floats(0.0, 1.0))
+    def test_recovery_stays_inside_frame_bound(self, both_frames, seed, scale, worst):
+        """Dual recovery from averages plus noise e is within norm(e)/sqrt(a) of f; the
+        converged frame iteration within that plus tol*norm(f)*b/a. ``worst`` mixes in
+        the noise direction the frame amplifies most, where the dual bound is attained."""
+        for d, part, frame, omega in both_frames:
+            f = generate_pw_signal(d, omega, seed)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            u, _, _ = np.linalg.svd(frame.analysis, full_matrices=False)
+            direction = rng.standard_normal(frame.num_clusters)
+            noise = scale * ((1.0 - worst) * direction / np.linalg.norm(direction) + worst * u[:, -1])
+            samples = analyze(part, f) + noise
+            bound = np.linalg.norm(noise) / np.sqrt(frame.lower) * (1.0 + 1e-9)
+
+            dual = dual_frame_reconstruct(frame, samples)
+            assert np.linalg.norm(f - dual.signal) <= bound
+
+            config = FrameIterationConfig()
+            iterative = frame_algorithm(frame, samples, config)
+            assert iterative.converged
+            slack = config.tol * np.linalg.norm(f) * frame.upper / frame.lower
+            assert np.linalg.norm(f - iterative.signal) <= bound + slack
 
 
 class TestRoundtrip:

@@ -1,4 +1,5 @@
 """Variational splines: exact interpolation, minimality, characterization, rate."""
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from avgsampling import (
     orthogonality_check,
     solve_spline,
     spline_convergence_experiment,
+    validate_partition,
     zero_average_signal,
 )
 
@@ -95,6 +97,21 @@ class TestSolveSpline:
         _, d, part = path64
         with pytest.raises(NumericalError, match="condition"):
             solve_spline(d, part, SplineProblem(order=16, targets=np.zeros(32), partition=part))
+
+    def test_all_singletons_reproduce_the_signal(self, path16):
+        # no zero-average signals: the constraints alone fix the spline
+        g, d, _ = path16
+        singletons = validate_partition(g, [(v,) for v in range(16)])
+        f = generate_pw_signal(d, 1.0, 4)
+        for k in (1, 2):
+            assert interpolate(d, singletons, f, k).signal == pytest.approx(f, abs=1e-12)
+
+    def test_rank_deficient_constraints_refused(self, path4):
+        # a repeated cluster leaves one constraint row zero: rank 2 of 3
+        _, d, part = path4
+        repeated = dataclasses.replace(part, clusters=((0, 1), (0, 1), (2, 3)), lambda1s=(2.0,) * 3)
+        with pytest.raises(InputError, match=r"rank 2 of 3"):
+            solve_spline(d, repeated, SplineProblem(order=1, targets=np.zeros(3), partition=repeated))
 
     def test_bad_problem_rejected(self, path4):
         _, d, part = path4
