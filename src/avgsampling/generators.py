@@ -31,29 +31,23 @@ def _rng(seed: int) -> np.random.Generator:
 def path_graph(n: int) -> WeightedGraph:
     if n < 1:
         raise InputError(f"path needs n >= 1, got {n}")
-    return WeightedGraph.from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    return WeightedGraph.from_edges(n, np.column_stack([np.arange(n - 1), np.arange(1, n), np.ones(n - 1)]))
 
 
 def cycle_graph(n: int) -> WeightedGraph:
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
-    edges = [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)]
-    return WeightedGraph.from_edges(n, edges)
+    return WeightedGraph.from_edges(n, np.column_stack([np.arange(n), (np.arange(n) + 1) % n, np.ones(n)]))
 
 
 def grid2d_graph(n: int) -> WeightedGraph:
     side = math.isqrt(n)
     if side * side != n or side < 1:
         raise InputError(f"grid2d needs a perfect-square vertex count, got {n}")
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            if c + 1 < side:
-                edges.append((v, v + 1, 1.0))
-            if r + 1 < side:
-                edges.append((v, v + side, 1.0))
-    return WeightedGraph.from_edges(n, edges)
+    v = np.arange(n).reshape(side, side)
+    right = np.column_stack([v[:, :-1].ravel(), v[:, 1:].ravel(), np.ones(side * (side - 1))])
+    down = np.column_stack([v[:-1, :].ravel(), v[1:, :].ravel(), np.ones(side * (side - 1))])
+    return WeightedGraph.from_edges(n, np.concatenate([right, down]))
 
 
 def erdos_renyi_weighted(n: int, p: float, seed: int) -> WeightedGraph:
@@ -95,7 +89,7 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         delta = points[pairs[:, 0]] - points[pairs[:, 1]]
         pairs = pairs[np.hypot(delta[:, 0], delta[:, 1]) <= radius]
-        graph = WeightedGraph.from_edges(n, [(int(u), int(v), 1.0) for u, v in pairs])
+        graph = WeightedGraph.from_edges(n, np.column_stack([pairs, np.ones(len(pairs))]))
         if is_connected(graph):
             return graph
     raise NumericalError(

@@ -20,7 +20,8 @@ from .errors import InputError
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1.
 
-    The weight mapping is stored exactly as given, so that :func:`validate`
+    The weight entries are stored exactly as given, as a read-only K x 2
+    array of (u, v) keys and a K-vector of values, so that :func:`validate`
     can report asymmetric or otherwise malformed input. All derived views
     (degrees, dense matrix, adjacency) assume the graph is valid and read
     each unordered pair through its canonical (min, max) orientation first.
@@ -30,89 +31,128 @@ class WeightedGraph:
     """
 
     def __init__(self, n: int, weights: Mapping[tuple[int, int], float]):
+        count = len(weights)
+        keys = np.fromiter(chain.from_iterable(weights), dtype=np.intp, count=2 * count)
+        self._store(n, keys.reshape(count, 2), np.fromiter(weights.values(), dtype=float, count=count))
+
+    def _store(self, n: int, keys: np.ndarray, values: np.ndarray) -> None:
         if n < 1:
             raise InputError(f"graph needs at least one vertex, got n={n}")
         self.n = int(n)
-        self._weights = {(int(u), int(v)): float(w) for (u, v), w in weights.items()}
-        for (u, v) in self._weights:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"weight entry ({u},{v}) out of range for n={self.n}")
+        outside = ((keys < 0) | (keys >= self.n)).any(axis=1)
+        if outside.any():
+            u, v = keys[outside.argmax()].tolist()
+            raise InputError(f"weight entry ({u},{v}) out of range for n={self.n}")
+        keys.flags.writeable = values.flags.writeable = False
+        self._keys, self._values = keys, values
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]] | np.ndarray) -> "WeightedGraph":
         """Build a graph from undirected edges, storing both orientations.
 
-        Rejects loops, negative weights and repeated pairs. Zero-weight
-        entries are dropped (a zero weight means "no edge").
+        ``edges`` is an iterable of (u, v, w) triples or an (E, 3) array.
+        Rejects loops, negative weights and repeated pairs, naming the first
+        offending edge. Zero-weight entries are dropped (a zero weight means
+        "no edge").
         """
-        weights: dict[tuple[int, int], float] = {}
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
+        if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 3:
+            us, vs, ws = edges.T
+        else:
+            us, vs, ws = list(zip(*edges)) or ((), (), ())
+        us, vs, ws = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp), np.asarray(ws, dtype=float)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        order = np.lexsort((hi, lo))  # stable: a repeat sorts after the entry it repeats
+        repeated = np.zeros(len(us), dtype=bool)
+        repeated[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+        bad = (us == vs) | (ws < 0) | repeated
+        if bad.any():
+            i = int(bad.argmax())
+            u, v, w = int(us[i]), int(vs[i]), float(ws[i])
             if u == v:
                 raise InputError(f"loop edge ({u},{v}) is not allowed")
             if w < 0:
                 raise InputError(f"negative weight {w} on edge ({u},{v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InputError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            if w != 0.0:
-                weights[(u, v)] = w
-                weights[(v, u)] = w
-        return cls(n, weights)
+            raise InputError(f"duplicate edge ({u},{v})")
+        keep = ws != 0.0
+        graph = cls.__new__(cls)
+        graph._store(n, np.stack([us, vs, vs, us], axis=1)[keep].reshape(-1, 2), np.repeat(ws[keep], 2))
+        return graph
+
+    @cached_property
+    def _codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The raw entries' codes u * n + v, sorted, and the order that sorts them."""
+        codes = self._keys[:, 0] * self.n + self._keys[:, 1]
+        order = np.argsort(codes)
+        codes = codes[order]
+        codes.flags.writeable = order.flags.writeable = False
+        return codes, order
 
     def weight(self, u: int, v: int) -> float:
         """Weight of the pair (u, v); 0.0 when no edge is present."""
-        got = self._weights.get((u, v))
-        if got is None:
-            got = self._weights.get((v, u), 0.0)
-        return got
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return 0.0
+        codes, order = self._codes
+        for code in (u * self.n + v, v * self.n + u):
+            i = np.searchsorted(codes, code)
+            if i < len(codes) and codes[i] == code:
+                return float(self._values[order[i]])
+        return 0.0
 
     def raw_weights(self) -> dict[tuple[int, int], float]:
         """The weight entries exactly as supplied (for validation)."""
-        return dict(self._weights)
+        return dict(zip(map(tuple, self._keys.tolist()), self._values.tolist()))
 
     @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        keys = np.array(list(self._weights), dtype=np.intp).reshape(-1, 2)
-        values = np.fromiter(self._weights.values(), dtype=float, count=len(self._weights))
-        us, vs = keys[:, 0], keys[:, 1]
-        lo, hi, flipped = np.minimum(us, vs), np.maximum(us, vs), us > vs
-        # One entry per unordered pair, the (min, max) orientation first when present.
-        order = np.lexsort((flipped, hi, lo))
-        lo, hi, values = lo[order], hi[order], values[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        keep = first & (lo != hi) & (values != 0.0)
-        out = (lo[keep], hi[keep], values[keep])
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One entry per unordered pair u < v with a nonzero weight, sorted:
+        u, v, the weight read as (u, v) first and as (v, u) first."""
+        us, vs = self._keys.T
+        pair = np.minimum(us, vs) * self.n + np.maximum(us, vs)
+        order = np.argsort(pair * 2 + (us > vs), kind="stable")
+        pair, values = pair[order], self._values[order]
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))
+        ends = np.append(starts[1:], len(order)) - 1  # a pair's (v, u) entry sorts last
+        lo, hi = np.divmod(pair[starts], self.n)
+        keep = (lo != hi) & (values[starts] != 0.0)
+        out = (lo[keep], hi[keep], values[starts[keep]], values[ends[keep]])
         for arr in out:
             arr.flags.writeable = False
         return out
 
+    @property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._pairs[:3]
+
     def edges(self) -> list[tuple[int, int, float]]:
         """Edges as (u, v, w) with u < v, sorted."""
         us, vs, ws = self._edge_arrays
-        return [(int(u), int(v), float(w)) for u, v, w in zip(us, vs, ws)]
+        return list(zip(us.tolist(), vs.tolist(), ws.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self._edge_arrays[0])
+        return len(self._pairs[0])
 
     @cached_property
-    def _adjacency(self) -> list[list[int]]:
-        us, vs, _ = self._edge_arrays
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``indptr`` and ``indices`` (neighbours ascending) and the weighted degrees."""
+        us, vs, forward, backward = self._pairs
         heads, tails = np.concatenate([us, vs]), np.concatenate([vs, us])
-        flat = tails[np.argsort(heads * self.n + tails)].tolist()
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=self.n))]).tolist()
-        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        order = np.argsort(heads * self.n + tails)
+        heads, tails = heads[order], tails[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=self.n))])
+        # bincount sums each vertex's weights in neighbour order, w(v, u) read first.
+        degrees = np.bincount(heads, np.concatenate([forward, backward])[order], minlength=self.n)
+        for arr in (indptr, tails, degrees):
+            arr.flags.writeable = False
+        return indptr, tails, degrees
 
     def neighbors(self, v: int) -> list[int]:
-        return list(self._adjacency[v])
+        indptr, indices, _ = self._adjacency
+        return indices[indptr[v]:indptr[v + 1]].tolist()
 
     def degree(self, v: int) -> float:
         """Weighted degree: the sum of edge weights incident on v."""
-        return float(sum(self.weight(v, u) for u in self._adjacency[v]))
+        return float(self._adjacency[2][v])
 
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric n-by-n weight matrix."""
@@ -148,14 +188,11 @@ def validate(graph: WeightedGraph) -> ValidationReport:
     checked in sorted (u, v) order; a pair is checked for symmetry from its
     u < v entry, a missing reverse entry counting as 0.0.
     """
-    raw = graph._weights
-    if not raw:
+    keys, values = graph._keys, graph._values
+    if not len(values):
         return ValidationReport(())
-    keys = np.fromiter(chain.from_iterable(raw), dtype=np.int64, count=2 * len(raw)).reshape(-1, 2)
-    values = np.fromiter(raw.values(), dtype=float, count=len(raw))
-    codes = keys[:, 0] * graph.n + keys[:, 1]
-    order = np.argsort(codes)
-    codes, us, vs, values = codes[order], keys[order, 0], keys[order, 1], values[order]
+    codes, order = graph._codes
+    us, vs, values = keys[order, 0], keys[order, 1], values[order]
     reverse = vs * graph.n + us
     by_reverse = np.argsort(reverse)  # searchsorted runs faster on sorted queries
     slot = np.empty_like(by_reverse)
@@ -203,12 +240,12 @@ def induced_subgraph(graph: WeightedGraph, cluster: Sequence[int]) -> WeightedGr
         raise InputError("cluster is empty")
     if verts[0] < 0 or verts[-1] >= graph.n:
         raise InputError(f"cluster indices {verts[0]}..{verts[-1]} out of range for n={graph.n}")
-    index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for u, v, w in graph.edges():
-        if u in index and v in index:
-            edges.append((index[u], index[v], w))
-    return WeightedGraph.from_edges(len(verts), edges)
+    index = np.full(graph.n, -1)
+    index[verts] = np.arange(len(verts))
+    us, vs, ws = graph._edge_arrays
+    us, vs = index[us], index[vs]
+    inside = (us >= 0) & (vs >= 0)
+    return WeightedGraph.from_edges(len(verts), np.column_stack([us[inside], vs[inside], ws[inside]]))
 
 
 def restrict_signal(f: np.ndarray, cluster: Sequence[int]) -> np.ndarray:

@@ -406,7 +406,9 @@ def bfs_partition(graph: WeightedGraph, radius: int) -> list[tuple[int, ...]]:
     """
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
-    assigned = np.zeros(graph.n, dtype=bool)
+    indptr, indices, _ = graph._adjacency
+    indptr, indices = indptr.tolist(), indices.tolist()  # a ball is too small for numpy calls to pay
+    assigned = [False] * graph.n
     clusters: list[tuple[int, ...]] = []
     for start in range(graph.n):
         if assigned[start]:
@@ -417,7 +419,7 @@ def bfs_partition(graph: WeightedGraph, radius: int) -> list[tuple[int, ...]]:
         for _ in range(radius):
             nxt = []
             for u in frontier:
-                for v in graph.neighbors(u):
+                for v in indices[indptr[u]:indptr[u + 1]]:
                     if not assigned[v]:
                         assigned[v] = True
                         ball.append(v)

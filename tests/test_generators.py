@@ -16,6 +16,21 @@ from avgsampling import (
 )
 
 
+def reference_random_geometric(n, seed):
+    """Brute-force neighbour rows with np.hypot, redrawn until connected."""
+    radius = 1.5 * math.sqrt(math.log(n) / (math.pi * n))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    while True:
+        points = rng.random((n, 2))
+        edges = []
+        for u in range(n):
+            delta = points[u] - points[u + 1:]
+            for v in np.flatnonzero(np.hypot(delta[:, 0], delta[:, 1]) <= radius) + u + 1:
+                edges.append((u, int(v), 1.0))
+        if is_connected(WeightedGraph.from_edges(n, edges)):
+            return edges
+
+
 class TestGraphGenerators:
     def test_path_shape(self):
         g = generate_graph("path", 4)
@@ -61,6 +76,10 @@ class TestGraphGenerators:
             if is_connected(WeightedGraph.from_edges(n, edges)):
                 break
         assert generate_graph("random-geometric", n, seed=seed).edges() == edges
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_random_geometric_1000_matches_brute_force(self, seed):
+        assert generate_graph("random-geometric", 1000, seed=seed).edges() == reference_random_geometric(1000, seed)
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
