@@ -46,9 +46,9 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianOperator:
     return LaplacianOperator(matrix=L, graph=graph)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns of a Laplacian."""
+    """Ascending eigenvalues and orthonormal eigenvectors of a Laplacian; equal only to itself."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray

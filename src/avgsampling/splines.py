@@ -13,9 +13,12 @@ y the least-squares solution of ``min || D^{1/2} (B^T v + N y) ||`` where
 D^{1/2} scales each eigen-coordinate by lambda**(k/2). The scaling keeps the
 solve's condition near (lambda_max/lambda_1)**(k/2) instead of its square,
 and kernel coordinates (lambda = 0) carry no weight at all, entering through
-the constraints only. N comes from one complete QR of B^T per partition, and
-each order is one Householder QR of the scaled kernel ``D^{1/2} N`` and a
-triangular solve.
+the constraints only. N comes from one complete QR of B^T per partition.
+The spline's eigen-coordinates are ``C_k v``, with the n x J operator
+``C_k = B^T + N X_k`` and X_k the least-squares solution for the J columns
+of ``-D^{1/2} B^T``, by one Householder QR of ``D^{1/2} N`` per order. None
+of this depends on v, so each decomposition memoises B, N and every C_k used
+for its last partition (``_basis``); a spline then costs two matvecs.
 
 When a signal of bandwidth omega is interpolated through a partition with
 gamma = (1+alpha)/alpha * omega/Lambda < 1, the spline of order k = 2^l
@@ -23,7 +26,8 @@ recovers it up to a factor 2*gamma**k of its norm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack, qr
@@ -50,8 +54,7 @@ class SplineProblem:
     partition: ClusterPartition
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InputError(f"spline order must be a positive integer, got {self.order}")
+        object.__setattr__(self, "order", _order(self.order))
         targets = np.asarray(self.targets, dtype=float)
         if targets.shape != (self.partition.num_clusters,):
             raise InputError(
@@ -67,6 +70,13 @@ class SplineProblem:
         return self.order & (self.order - 1) == 0
 
 
+def _order(order) -> int:
+    """A spline order as an int; InputError unless it is an integer (not a bool) >= 1."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+        raise InputError(f"spline order must be a positive integer, got {order!r}")
+    return int(order)
+
+
 @dataclass(frozen=True)
 class SplineSolution:
     signal: np.ndarray
@@ -79,14 +89,30 @@ class SplineSolution:
     order_is_power_of_two: bool
 
 
-def _constraints(
-    decomp: SpectralDecomposition, partition: ClusterPartition
-) -> tuple[np.ndarray, np.ndarray]:
-    """The constraint matrix in eigen-coordinates and an orthonormal basis of its kernel.
+@dataclass(frozen=True, eq=False)
+class _SplineBasis:
+    """B, N and the C_k built so far (all read-only) for one partition; no reference to the decomposition."""
 
-    Row j of the constraint matrix holds the scaled averages over cluster j
-    of every eigenvector (J x n); the kernel basis is n x (n - J).
+    partition: ClusterPartition
+    constraints: np.ndarray
+    kernel: np.ndarray
+    operators: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+#: Each live decomposition's basis for the last partition used with it.
+_BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _SplineBasis:
+    """The constraint matrix B in eigen-coordinates and an orthonormal basis N of its kernel.
+
+    Row j of B holds the scaled averages over cluster j of every eigenvector
+    (J x n); N is n x (n - J). Memoised per decomposition and replaced when
+    the partition changes; a rank-deficient partition raises and stores nothing.
     """
+    basis = _BASES.get(decomp)
+    if basis is not None and (basis.partition is partition or basis.partition == partition):
+        return basis
     if partition.n != decomp.n:
         raise InputError("partition and decomposition sizes differ")
     B = average_functionals(partition).xi @ decomp.eigenvectors
@@ -101,7 +127,10 @@ def _constraints(
             f"average constraints are rank-deficient (rank {rank} of {J}); "
             "the partition does not define an interpolation problem"
         )
-    return B, q[:, J:]
+    kernel = q[:, J:].copy()  # a copy, so the memo does not keep all of q
+    B.flags.writeable = kernel.flags.writeable = False
+    basis = _BASES[decomp] = _SplineBasis(partition, B, kernel)
+    return basis
 
 
 def _power_weights(decomp: SpectralDecomposition, k: int) -> np.ndarray:
@@ -133,60 +162,49 @@ def _smoothness_defect(scaled_kernel: np.ndarray, smoothed: np.ndarray) -> tuple
 
 
 def _least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solution of a full-column-rank system by Householder QR.
+    """Least-squares solutions of a full-column-rank system, one per column of ``rhs``.
 
     The scaled kernel has full column rank (the constant eigenvector, the
     only one with weight zero, lies in the row space of the constraints), and
-    its condition is at most ``_condition_estimate``, which ``_solve`` bounds
+    its condition is at most ``_condition_estimate``, which ``_spline`` bounds
     before calling this.
     """
     cols = matrix.shape[1]
     if cols == 0:  # every cluster a singleton: the averages fix the signal
-        return np.zeros(0)
+        return np.zeros((0, rhs.shape[1]))
     factored, tau, _, info = lapack.dgeqrf(matrix)
     if info == 0:
-        qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, rhs[:, None], 1)
+        work = lapack.dormqr("L", "T", factored, tau, rhs, -1)[1]  # workspace query
+        qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, rhs, int(work[0]))
     if info == 0:
         solution, info = lapack.dtrtrs(factored, qt_rhs)
     if info != 0:
         raise NumericalError(f"QR least-squares solve failed (LAPACK info {info})")
-    return solution[:cols, 0]
+    return solution[:cols]
 
 
-def _solve(
-    decomp: SpectralDecomposition,
-    partition: ClusterPartition,
-    constraints: tuple[np.ndarray, np.ndarray],
-    problem: SplineProblem,
-) -> SplineSolution:
-    """Solve one spline problem given the constraint matrix and its kernel basis."""
-    k = problem.order
+def _spline(
+    decomp: SpectralDecomposition, basis: _SplineBasis, k: int, targets: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Condition estimate, eigen-coefficients and signal of the order-k spline.
+
+    Refuses an order beyond ``CONDITION_LIMIT`` before building its operator.
+    """
     condition = _condition_estimate(decomp, k)
     if condition > CONDITION_LIMIT:
         raise NumericalError(
             f"order-{k} spline system condition ~{condition:.2e} exceeds "
             f"{CONDITION_LIMIT:.0e}; reduce the order or improve the spectral gap"
         )
-
-    B, kernel = constraints
-    weights = _power_weights(decomp, k)
-    feasible = B.T @ problem.targets  # minimum-norm feasible point, exact by row orthonormality
-    scaled_kernel = weights[:, None] * kernel
-    coeffs = feasible + kernel @ _least_squares(scaled_kernel, -(weights * feasible))
-    signal = decomp.eigenvectors @ coeffs
-
-    smoothed = weights * coeffs
-    defect, scale = _smoothness_defect(scaled_kernel, smoothed)
-    return SplineSolution(
-        signal=signal,
-        order=k,
-        seminorm=float(np.linalg.norm(smoothed)),
-        achieved_averages=analyze(partition, signal),
-        targets=problem.targets,
-        kkt_residual=defect / scale,
-        condition_estimate=condition,
-        order_is_power_of_two=problem.order_is_power_of_two,
-    )
+    operator = basis.operators.get(k)
+    if operator is None:
+        weights, kernel = _power_weights(decomp, k)[:, None], basis.kernel
+        feasible = basis.constraints.T  # minimum-norm feasible map, exact by row orthonormality
+        operator = feasible + kernel @ _least_squares(weights * kernel, -(weights * feasible))
+        operator.flags.writeable = False
+        basis.operators[k] = operator
+    coeffs = operator @ targets
+    return condition, coeffs, decomp.eigenvectors @ coeffs
 
 
 def solve_spline(
@@ -200,7 +218,22 @@ def solve_spline(
     system exceeds the double-precision budget, rather than returning digits
     that cannot be trusted.
     """
-    return _solve(decomp, partition, _constraints(decomp, partition), problem)
+    basis = _basis(decomp, partition)
+    k = problem.order
+    condition, coeffs, signal = _spline(decomp, basis, k, problem.targets)
+    weights = _power_weights(decomp, k)
+    smoothed = weights * coeffs
+    defect, scale = _smoothness_defect(weights[:, None] * basis.kernel, smoothed)
+    return SplineSolution(
+        signal=signal,
+        order=k,
+        seminorm=float(np.linalg.norm(smoothed)),
+        achieved_averages=analyze(partition, signal),
+        targets=problem.targets,
+        kkt_residual=defect / scale,
+        condition_estimate=condition,
+        order_is_power_of_two=problem.order_is_power_of_two,
+    )
 
 
 def interpolate(
@@ -239,12 +272,11 @@ def orthogonality_check(
     k: int,
     tol: float = 1e-8,
 ) -> OrthogonalityResult:
-    if k < 1:
-        raise InputError(f"spline order must be a positive integer, got {k}")
+    k = _order(k)
     u = np.asarray(u, dtype=float)
     if u.shape != (decomp.n,):
         raise InputError(f"signal shape {u.shape} does not match n={decomp.n}")
-    _, kernel = _constraints(decomp, partition)
+    kernel = _basis(decomp, partition).kernel
     weights = _power_weights(decomp, k)
     smoothed = weights * (decomp.eigenvectors.T @ u)
     defect, scale = _smoothness_defect(weights[:, None] * kernel, smoothed)
@@ -267,7 +299,7 @@ def zero_average_signal(
     Maps arbitrary coefficients through the orthonormal kernel basis of the
     constraint matrix; useful for building feasible perturbations of a spline.
     """
-    _, kernel = _constraints(decomp, partition)
+    kernel = _basis(decomp, partition).kernel
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (kernel.shape[1],):
         raise InputError(
@@ -317,21 +349,19 @@ def spline_convergence_experiment(
             f"signal has out-of-band content for omega={omega}; "
             "project it first or lower the bandwidth"
         )
-    constraints = _constraints(decomp, partition)
+    basis = _basis(decomp, partition)
     targets = analyze(partition, f)
     rows = []
-    for k in k_list:
-        problem = SplineProblem(order=int(k), targets=targets, partition=partition)
-        solution = _solve(decomp, partition, constraints, problem)
-        rel = float(np.linalg.norm(f - solution.signal)) / norm_f
-        bound = 2.0 * gamma ** int(k)
+    for k in map(_order, k_list):
+        rel = float(np.linalg.norm(f - _spline(decomp, basis, k, targets)[2])) / norm_f
+        bound = 2.0 * gamma ** k
         rows.append(
             ConvergenceRow(
-                order=int(k),
+                order=k,
                 rel_error=rel,
                 bound=bound,
                 within_bound=rel <= bound + tol,
-                proved=solution.order_is_power_of_two,
+                proved=k & (k - 1) == 0,
             )
         )
     return tuple(rows)

@@ -91,6 +91,16 @@ class TestEigendecompose:
             lead = col[np.abs(col) > 1e-12 * np.max(np.abs(col))][0]
             assert lead > 0
 
+    def test_equality_and_hash_by_identity(self):
+        # equal arrays do not make equal decompositions: equality and hashing go by
+        # identity, so a decomposition can key a cache
+        L = build_laplacian(generate_graph("path", 6))
+        d1, d2 = eigendecompose(L), eigendecompose(L)
+        assert d1 == d1
+        assert d1 != d2
+        assert hash(d1) == hash(d1)
+        assert {d1: 1, d2: 2}[d2] == 2
+
     def test_rejects_nonsymmetric(self):
         with pytest.raises(InputError):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))

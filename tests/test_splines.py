@@ -1,9 +1,12 @@
 """Variational splines: exact interpolation, minimality, characterization, rate."""
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack, qr
 
 from avgsampling import (
     InputError,
@@ -11,14 +14,20 @@ from avgsampling import (
     SplineProblem,
     analyze,
     apply_power,
+    blocks_partition,
+    build_laplacian,
+    eigendecompose,
+    generate_graph,
     generate_pw_signal,
     interpolate,
     orthogonality_check,
+    pairs_partition,
     solve_spline,
     spline_convergence_experiment,
     validate_partition,
     zero_average_signal,
 )
+from avgsampling import splines
 
 
 def raw_kkt_spline(L: np.ndarray, xi_rows: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
@@ -43,6 +52,33 @@ def xi_matrix(partition) -> np.ndarray:
     from avgsampling import average_functionals
 
     return average_functionals(partition).xi
+
+
+def reference_spline(decomp, partition, targets: np.ndarray, k: int) -> np.ndarray:
+    """The per-vector route the package used before it memoised operators.
+
+    One complete pivoted QR of the constraint rows gives the kernel basis N;
+    the spline is ``V (B^T v + N y)`` with y from one Householder QR solve of
+    ``min || D^{1/2} (B^T v + N y) ||`` for this target vector alone.
+    """
+    B = xi_matrix(partition) @ decomp.eigenvectors
+    J = B.shape[0]
+    kernel = qr(B.T, pivoting=True)[0][:, J:]
+    lam = decomp.eigenvalues
+    weights = np.where(lam > decomp.default_zero_tol, np.maximum(lam, 0.0), 0.0) ** (k / 2.0)
+    feasible = B.T @ targets
+    y = np.zeros(kernel.shape[1])
+    if y.size:
+        factored, tau, _, info = lapack.dgeqrf(weights[:, None] * kernel)
+        qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, -(weights * feasible)[:, None], 1)
+        y = lapack.dtrtrs(factored, qt_rhs)[0][: y.size, 0]
+    return decomp.eigenvectors @ (feasible + kernel @ y)
+
+
+def fresh_path64():
+    """A path64 decomposition that no spline call has seen yet, with its graph and pairs."""
+    g = generate_graph("path", 64)
+    return g, eigendecompose(build_laplacian(g)), validate_partition(g, pairs_partition(64))
 
 
 class TestSolveSpline:
@@ -121,6 +157,36 @@ class TestSolveSpline:
             SplineProblem(order=1, targets=np.zeros(3), partition=part)
         with pytest.raises(InputError):
             SplineProblem(order=1, targets=np.array([np.nan, 0.0]), partition=part)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, True, np.bool_(True), "2", None, 0, -1, np.int64(0)])
+    def test_non_integral_orders_rejected(self, path4, order):
+        _, d, part = path4
+        f = np.arange(4.0)
+        with pytest.raises(InputError, match="positive integer"):
+            SplineProblem(order=order, targets=np.zeros(2), partition=part)
+        with pytest.raises(InputError, match="positive integer"):
+            interpolate(d, part, f, order)
+        with pytest.raises(InputError, match="positive integer"):
+            orthogonality_check(d, part, f, order)
+
+    def test_sweep_rejects_fractional_order(self, path64):
+        # a fractional order is refused, not truncated to an order-2 row
+        _, d, part = path64
+        f = generate_pw_signal(d, 0.5, 21)
+        with pytest.raises(InputError, match="positive integer"):
+            spline_convergence_experiment(d, part, 0.5, 1.0, f, [1, 2.5])
+        with pytest.raises(InputError, match="positive integer"):
+            spline_convergence_experiment(d, part, 0.5, 1.0, f, [True])
+
+    def test_numpy_integer_orders_accepted(self, path64):
+        _, d, part = path64
+        f = generate_pw_signal(d, 0.5, 21)
+        problem = SplineProblem(order=np.int64(4), targets=np.zeros(32), partition=part)
+        assert type(problem.order) is int and problem.order_is_power_of_two
+        rows = spline_convergence_experiment(d, part, 0.5, 1.0, f, np.array([1, 2, 4], dtype=np.int32))
+        assert [type(row.order) for row in rows] == [int] * 3
+        assert [row.order for row in rows] == [1, 2, 4]
+        assert np.array_equal(interpolate(d, part, f, np.int32(4)).signal, interpolate(d, part, f, 4).signal)
 
     def test_non_power_of_two_accepted_and_flagged(self, path16):
         _, d, part = path16
@@ -245,3 +311,115 @@ class TestConvergence:
         rows = spline_convergence_experiment(d, part, 0.5, 1.0, f, [3, 4])
         assert not rows[0].proved
         assert rows[1].proved
+
+
+class TestReferenceRoute:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+    def test_matches_per_vector_route_on_path64(self, path64, k):
+        _, d, part = path64
+        rng = np.random.Generator(np.random.PCG64(61))
+        targets = [analyze(part, generate_pw_signal(d, 0.5, k))] + [rng.standard_normal(32) for _ in range(3)]
+        for v in targets:
+            got = solve_spline(d, part, SplineProblem(order=k, targets=v, partition=part)).signal
+            want = reference_spline(d, part, v, k)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+    def test_matches_per_vector_route_on_er_suite(self, er_suite, k):
+        rng = np.random.Generator(np.random.PCG64(67))
+        for g, d, part in er_suite:
+            for _ in range(2):
+                v = rng.standard_normal(part.num_clusters)
+                got = solve_spline(d, part, SplineProblem(order=k, targets=v, partition=part)).signal
+                want = reference_spline(d, part, v, k)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (g.n, k)
+
+
+class TestMemo:
+    """Operators are memoised per decomposition; results must not depend on it."""
+
+    CALLS = {
+        "interpolate": lambda d, p, f: interpolate(d, p, f, 4).signal,
+        "solve_spline": lambda d, p, f: solve_spline(
+            d, p, SplineProblem(order=2, targets=analyze(p, f), partition=p)).signal,
+        "sweep": lambda d, p, f: [
+            row.rel_error for row in spline_convergence_experiment(d, p, 0.5, 1.0, f, [1, 2, 3, 4, 8])],
+        "orthogonality_check": lambda d, p, f: orthogonality_check(d, p, f, 4).defect,
+        "zero_average_signal": lambda d, p, f: zero_average_signal(d, p, np.linspace(-1.0, 1.0, 32)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_cold_and_warm_are_bit_identical(self, name):
+        _, d, part = fresh_path64()
+        f = generate_pw_signal(d, 0.5, 5)
+        assert d not in splines._BASES
+        cold = self.CALLS[name](d, part, f)
+        assert d in splines._BASES
+        warm = self.CALLS[name](d, part, f)
+        assert np.array_equal(cold, warm)
+
+    def test_alternating_partitions_match_fresh_decompositions(self):
+        g, d, pairs = fresh_path64()
+        blocks = validate_partition(g, blocks_partition(64, 4))
+        f = generate_pw_signal(d, 0.5, 7)
+        for part in (pairs, blocks, pairs, blocks):
+            for k in (1, 4):
+                fresh = eigendecompose(build_laplacian(g))
+                assert np.array_equal(interpolate(d, part, f, k).signal, interpolate(fresh, part, f, k).signal)
+            assert splines._BASES[d].partition is part
+
+    def test_equal_partition_reuses_the_entry(self):
+        g, d, part = fresh_path64()
+        f = generate_pw_signal(d, 0.5, 8)
+        interpolate(d, part, f, 2)
+        basis = splines._BASES[d]
+        rebuilt = validate_partition(g, pairs_partition(64))
+        assert rebuilt is not part and rebuilt == part
+        interpolate(d, rebuilt, f, 2)
+        assert splines._BASES[d] is basis
+
+    def test_rank_refusal_caches_nothing(self, path4):
+        _, _, part = path4
+        d = eigendecompose(build_laplacian(generate_graph("path", 4)))
+        repeated = dataclasses.replace(part, clusters=((0, 1), (0, 1), (2, 3)), lambda1s=(2.0,) * 3)
+        f = np.array([1.0, 2.0, 4.0, 3.0])
+        first = interpolate(d, part, f, 2).signal
+        basis = splines._BASES[d]
+        for _ in range(2):
+            with pytest.raises(InputError, match=r"rank 2 of 3"):
+                solve_spline(d, repeated, SplineProblem(order=1, targets=np.zeros(3), partition=repeated))
+            assert splines._BASES[d] is basis
+        assert np.array_equal(interpolate(d, part, f, 2).signal, first)
+        cold = eigendecompose(build_laplacian(generate_graph("path", 4)))
+        with pytest.raises(InputError, match=r"rank 2 of 3"):
+            zero_average_signal(cold, repeated, np.zeros(1))
+        assert cold not in splines._BASES
+        assert np.array_equal(interpolate(cold, part, f, 2).signal, first)
+
+    def test_condition_refusal_caches_no_operator(self):
+        _, d, part = fresh_path64()
+        with pytest.raises(NumericalError, match="condition"):
+            solve_spline(d, part, SplineProblem(order=16, targets=np.zeros(32), partition=part))
+        assert splines._BASES[d].operators == {}
+
+    def test_entry_dies_with_its_decomposition(self):
+        _, d, part = fresh_path64()
+        interpolate(d, part, generate_pw_signal(d, 0.5, 9), 8)
+        ref = weakref.ref(d)
+        entries = len(splines._BASES)
+        del d
+        gc.collect()
+        assert ref() is None
+        assert len(splines._BASES) == entries - 1
+
+    def test_cached_arrays_are_read_only(self):
+        _, d, part = fresh_path64()
+        spline_convergence_experiment(d, part, 0.5, 1.0, generate_pw_signal(d, 0.5, 11), [1, 2, 8])
+        basis = splines._BASES[d]
+        assert sorted(basis.operators) == [1, 2, 8]
+        arrays = [basis.constraints, basis.kernel, *basis.operators.values()]
+        assert [a.shape for a in arrays] == [(32, 64), (64, 32)] + [(64, 32)] * 3
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
