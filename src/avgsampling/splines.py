@@ -13,12 +13,11 @@ y the least-squares solution of ``min || D^{1/2} (B^T v + N y) ||`` where
 D^{1/2} scales each eigen-coordinate by lambda**(k/2). The scaling keeps the
 solve's condition near (lambda_max/lambda_1)**(k/2) instead of its square,
 and kernel coordinates (lambda = 0) carry no weight at all, entering through
-the constraints only. N comes from one complete QR of B^T per partition.
-The spline's eigen-coordinates are ``C_k v``, with the n x J operator
-``C_k = B^T + N X_k`` and X_k the least-squares solution for the J columns
-of ``-D^{1/2} B^T``, by one Householder QR of ``D^{1/2} N`` per order. None
-of this depends on v, so each decomposition memoises B, N and every C_k used
-for its last partition (``_basis``); a spline then costs two matvecs.
+the constraints only. N comes from one complete QR of B^T per partition, and
+each order is one Householder QR of the scaled kernel ``D^{1/2} N`` and a
+triangular solve. None of this depends on v, so each decomposition memoises
+B, N and every order's QR factors for its last partition (``_basis``); a
+spline then costs matvecs, one Q^T application and one triangular solve.
 
 When a signal of bandwidth omega is interpolated through a partition with
 gamma = (1+alpha)/alpha * omega/Lambda < 1, the spline of order k = 2^l
@@ -91,12 +90,12 @@ class SplineSolution:
 
 @dataclass(frozen=True, eq=False)
 class _SplineBasis:
-    """B, N and the C_k built so far (all read-only) for one partition; no reference to the decomposition."""
+    """B, N and each order's QR factors so far, all read-only, for one partition; never the decomposition."""
 
     partition: ClusterPartition
     constraints: np.ndarray
     kernel: np.ndarray
-    operators: dict[int, np.ndarray] = field(default_factory=dict)
+    factors: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 #: Each live decomposition's basis for the last partition used with it.
@@ -127,7 +126,7 @@ def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _Splin
             f"average constraints are rank-deficient (rank {rank} of {J}); "
             "the partition does not define an interpolation problem"
         )
-    kernel = q[:, J:].copy()  # a copy, so the memo does not keep all of q
+    kernel = q[:, J:].copy(order="F")  # not all of q; q's layout, so products keep their digits
     B.flags.writeable = kernel.flags.writeable = False
     basis = _BASES[decomp] = _SplineBasis(partition, B, kernel)
     return basis
@@ -161,26 +160,23 @@ def _smoothness_defect(scaled_kernel: np.ndarray, smoothed: np.ndarray) -> tuple
     return defect, scale
 
 
-def _least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solutions of a full-column-rank system, one per column of ``rhs``.
+def _least_squares(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Least-squares solution for one right-hand side, from the ``dgeqrf`` factors of the system.
 
     The scaled kernel has full column rank (the constant eigenvector, the
     only one with weight zero, lies in the row space of the constraints), and
     its condition is at most ``_condition_estimate``, which ``_spline`` bounds
-    before calling this.
+    before factoring it.
     """
-    cols = matrix.shape[1]
-    if cols == 0:  # every cluster a singleton: the averages fix the signal
-        return np.zeros((0, rhs.shape[1]))
-    factored, tau, _, info = lapack.dgeqrf(matrix)
-    if info == 0:
-        work = lapack.dormqr("L", "T", factored, tau, rhs, -1)[1]  # workspace query
-        qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, rhs, int(work[0]))
+    factored, tau = factors
+    if tau.size == 0:  # every cluster a singleton: the averages fix the signal
+        return np.zeros(0)
+    qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, rhs[:, None], 1)
     if info == 0:
         solution, info = lapack.dtrtrs(factored, qt_rhs)
     if info != 0:
         raise NumericalError(f"QR least-squares solve failed (LAPACK info {info})")
-    return solution[:cols]
+    return solution[: tau.size, 0]
 
 
 def _spline(
@@ -188,7 +184,7 @@ def _spline(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Condition estimate, eigen-coefficients and signal of the order-k spline.
 
-    Refuses an order beyond ``CONDITION_LIMIT`` before building its operator.
+    Refuses an order beyond ``CONDITION_LIMIT`` before factoring its system.
     """
     condition = _condition_estimate(decomp, k)
     if condition > CONDITION_LIMIT:
@@ -196,14 +192,16 @@ def _spline(
             f"order-{k} spline system condition ~{condition:.2e} exceeds "
             f"{CONDITION_LIMIT:.0e}; reduce the order or improve the spectral gap"
         )
-    operator = basis.operators.get(k)
-    if operator is None:
-        weights, kernel = _power_weights(decomp, k)[:, None], basis.kernel
-        feasible = basis.constraints.T  # minimum-norm feasible map, exact by row orthonormality
-        operator = feasible + kernel @ _least_squares(weights * kernel, -(weights * feasible))
-        operator.flags.writeable = False
-        basis.operators[k] = operator
-    coeffs = operator @ targets
+    weights, kernel = _power_weights(decomp, k), basis.kernel
+    factors = basis.factors.get(k)
+    if factors is None:
+        factored, tau, _, info = lapack.dgeqrf(weights[:, None] * kernel)
+        if info != 0:
+            raise NumericalError(f"QR factorisation failed (LAPACK info {info})")
+        factored.flags.writeable = tau.flags.writeable = False
+        factors = basis.factors[k] = factored, tau
+    feasible = basis.constraints.T @ targets  # minimum-norm feasible point, exact by row orthonormality
+    coeffs = feasible + kernel @ _least_squares(factors, -(weights * feasible))
     return condition, coeffs, decomp.eigenvectors @ coeffs
 
 
@@ -340,6 +338,8 @@ def spline_convergence_experiment(
             f"Lambda={partition.lambda_xi}; no convergence rate applies"
         )
     f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise InputError("signal contains non-finite entries")
     norm_f = float(np.linalg.norm(f))
     if norm_f == 0.0:
         raise InputError("signal is zero")

@@ -55,7 +55,7 @@ def xi_matrix(partition) -> np.ndarray:
 
 
 def reference_spline(decomp, partition, targets: np.ndarray, k: int) -> np.ndarray:
-    """The per-vector route the package used before it memoised operators.
+    """The per-vector route, factoring every system afresh for each target vector.
 
     One complete pivoted QR of the constraint rows gives the kernel basis N;
     the spline is ``V (B^T v + N y)`` with y from one Householder QR solve of
@@ -305,6 +305,14 @@ class TestConvergence:
         with pytest.raises(InputError, match="out-of-band"):
             spline_convergence_experiment(d, part, 0.5, 1.0, rng.standard_normal(64), [1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_refused(self, path64, bad):
+        _, d, part = path64
+        f = generate_pw_signal(d, 0.5, 23)
+        f[17] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            spline_convergence_experiment(d, part, 0.5, 1.0, f, [1, 2])
+
     def test_non_power_of_two_rows_labeled_unproved(self, path64):
         _, d, part = path64
         f = generate_pw_signal(d, 0.5, 6)
@@ -314,6 +322,8 @@ class TestConvergence:
 
 
 class TestReferenceRoute:
+    """The memo keeps factorisations, not products of them, so every spline is the per-vector route, bit for bit."""
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
     def test_matches_per_vector_route_on_path64(self, path64, k):
         _, d, part = path64
@@ -321,8 +331,7 @@ class TestReferenceRoute:
         targets = [analyze(part, generate_pw_signal(d, 0.5, k))] + [rng.standard_normal(32) for _ in range(3)]
         for v in targets:
             got = solve_spline(d, part, SplineProblem(order=k, targets=v, partition=part)).signal
-            want = reference_spline(d, part, v, k)
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.array_equal(got, reference_spline(d, part, v, k))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
     def test_matches_per_vector_route_on_er_suite(self, er_suite, k):
@@ -331,12 +340,11 @@ class TestReferenceRoute:
             for _ in range(2):
                 v = rng.standard_normal(part.num_clusters)
                 got = solve_spline(d, part, SplineProblem(order=k, targets=v, partition=part)).signal
-                want = reference_spline(d, part, v, k)
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (g.n, k)
+                assert np.array_equal(got, reference_spline(d, part, v, k)), (g.n, k)
 
 
 class TestMemo:
-    """Operators are memoised per decomposition; results must not depend on it."""
+    """Factorisations are memoised per decomposition; results must not depend on it."""
 
     CALLS = {
         "interpolate": lambda d, p, f: interpolate(d, p, f, 4).signal,
@@ -396,11 +404,11 @@ class TestMemo:
         assert cold not in splines._BASES
         assert np.array_equal(interpolate(cold, part, f, 2).signal, first)
 
-    def test_condition_refusal_caches_no_operator(self):
+    def test_condition_refusal_caches_no_factors(self):
         _, d, part = fresh_path64()
         with pytest.raises(NumericalError, match="condition"):
             solve_spline(d, part, SplineProblem(order=16, targets=np.zeros(32), partition=part))
-        assert splines._BASES[d].operators == {}
+        assert splines._BASES[d].factors == {}
 
     def test_entry_dies_with_its_decomposition(self):
         _, d, part = fresh_path64()
@@ -416,9 +424,9 @@ class TestMemo:
         _, d, part = fresh_path64()
         spline_convergence_experiment(d, part, 0.5, 1.0, generate_pw_signal(d, 0.5, 11), [1, 2, 8])
         basis = splines._BASES[d]
-        assert sorted(basis.operators) == [1, 2, 8]
-        arrays = [basis.constraints, basis.kernel, *basis.operators.values()]
-        assert [a.shape for a in arrays] == [(32, 64), (64, 32)] + [(64, 32)] * 3
+        assert sorted(basis.factors) == [1, 2, 8]
+        arrays = [basis.constraints, basis.kernel, *(a for pair in basis.factors.values() for a in pair)]
+        assert [a.shape for a in arrays] == [(32, 64), (64, 32)] + [(64, 32), (32,)] * 3
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
