@@ -15,13 +15,10 @@ from .graph import (
     as_signal,
     connected_components,
     gradient_norm_sq,
-    induced_subgraph,
     is_connected,
-    restrict_signal,
     validate,
 )
 from .spectral import (
-    LaplacianOperator,
     PWSpace,
     SpectralDecomposition,
     apply_power,
@@ -33,16 +30,13 @@ from .spectral import (
     quadratic_form,
 )
 from .partitions import (
-    AverageFunctionals,
     ClusterPartition,
     FrameSystem,
     PoincareCheck,
     analyze,
-    average_functionals,
     bfs_partition,
     blocks_partition,
     build_frame_system,
-    cluster_means,
     global_poincare_check,
     optimal_alpha,
     pairs_partition,
@@ -80,12 +74,9 @@ __all__ = [
     "ValidationReport",
     "validate",
     "as_signal",
-    "induced_subgraph",
-    "restrict_signal",
     "is_connected",
     "connected_components",
     "gradient_norm_sq",
-    "LaplacianOperator",
     "build_laplacian",
     "SpectralDecomposition",
     "eigendecompose",
@@ -97,10 +88,7 @@ __all__ = [
     "quadratic_form",
     "ClusterPartition",
     "validate_partition",
-    "AverageFunctionals",
-    "average_functionals",
     "analyze",
-    "cluster_means",
     "FrameSystem",
     "build_frame_system",
     "PoincareCheck",

@@ -17,6 +17,7 @@ from .generators import GRAPH_KINDS, generate_graph, generate_pw_signal
 from .graph import WeightedGraph, validate
 from .harness import demo_path, stable_json
 from .partitions import (
+    analyze,
     bfs_partition,
     blocks_partition,
     build_frame_system,
@@ -130,10 +131,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_frame_check(args) -> int:
     graph = _load_graph(args)
-    decomp = eigendecompose(build_laplacian(graph))
     partition = _load_partition(args, graph)
     if args.format == "csv":
         raise InputError("frame-check emits JSON only")
+    decomp = eigendecompose(build_laplacian(graph))
     frame = build_frame_system(decomp, partition, args.omega, args.alpha)
     payload = {
         "schema": 1,
@@ -155,15 +156,15 @@ def _cmd_frame_check(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     graph = _load_graph(args)
-    decomp = eigendecompose(build_laplacian(graph))
     partition = _load_partition(args, graph)
     if args.format == "csv":
         raise InputError("reconstruct emits JSON only")
+    decomp = eigendecompose(build_laplacian(graph))
     signal = _load_signal(args, graph, decomp, args.omega)
     truth = pw_project(decomp, args.omega, signal)
     truth_norm = float(np.linalg.norm(truth))
     frame = build_frame_system(decomp, partition, args.omega, args.alpha)
-    samples = frame.analysis @ (frame.basis.T @ truth)
+    samples = analyze(partition, truth)
     if args.method == "frame-iter":
         config = FrameIterationConfig(mu=args.mu, max_iter=args.max_iter, tol=args.tol)
         result = frame_algorithm(frame, samples, config, truth=truth)
@@ -184,8 +185,8 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_spline(args) -> int:
     graph = _load_graph(args)
-    decomp = eigendecompose(build_laplacian(graph))
     partition = _load_partition(args, graph)
+    decomp = eigendecompose(build_laplacian(graph))
     signal = _load_signal(args, graph, decomp, args.omega)
     signal = pw_project(decomp, args.omega, signal)
     if float(np.linalg.norm(signal)) == 0.0:

@@ -98,10 +98,6 @@ class WeightedGraph:
                 return float(self._values[order[i]])
         return 0.0
 
-    def raw_weights(self) -> dict[tuple[int, int], float]:
-        """The weight entries exactly as supplied (for validation)."""
-        return dict(zip(map(tuple, self._keys.tolist()), self._values.tolist()))
-
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One entry per unordered pair u < v with a nonzero weight, sorted:
@@ -227,31 +223,6 @@ def as_signal(graph: WeightedGraph, values: Sequence[float] | np.ndarray) -> np.
     if not np.all(np.isfinite(f)):
         raise InputError("signal contains non-finite entries")
     return f
-
-
-def induced_subgraph(graph: WeightedGraph, cluster: Sequence[int]) -> WeightedGraph:
-    """Subgraph induced by a vertex set, reindexed to 0..|cluster|-1.
-
-    Vertices keep their relative order: position i of the sorted cluster
-    becomes vertex i. Edge weights inside the cluster are copied unchanged.
-    """
-    verts = sorted(set(int(v) for v in cluster))
-    if not verts:
-        raise InputError("cluster is empty")
-    if verts[0] < 0 or verts[-1] >= graph.n:
-        raise InputError(f"cluster indices {verts[0]}..{verts[-1]} out of range for n={graph.n}")
-    index = np.full(graph.n, -1)
-    index[verts] = np.arange(len(verts))
-    us, vs, ws = graph._edge_arrays
-    us, vs = index[us], index[vs]
-    inside = (us >= 0) & (vs >= 0)
-    return WeightedGraph.from_edges(len(verts), np.column_stack([us[inside], vs[inside], ws[inside]]))
-
-
-def restrict_signal(f: np.ndarray, cluster: Sequence[int]) -> np.ndarray:
-    """Restrict a signal to a cluster, in the same order induced_subgraph uses."""
-    verts = sorted(set(int(v) for v in cluster))
-    return np.asarray(f, dtype=float)[verts]
 
 
 def is_connected(graph: WeightedGraph) -> bool:

@@ -1,11 +1,13 @@
-"""Cluster partitions, average functionals, and frame bounds on band subspaces.
+"""Cluster partitions, cluster averages, and frame bounds on band subspaces.
 
 A partition splits the vertex set into disjoint clusters, each inducing a
 connected subgraph. Each cluster carries the spectral gap of its induced
 subgraph; the partition constant is the smallest of those gaps. Sampling a
 signal means recording, per cluster, the scaled average
 ``sum(f over cluster) / sqrt(cluster size)`` - the inner product against the
-normalized indicator of the cluster.
+normalized indicator of the cluster. The label vector is the only stored form
+of a partition; averages, the frame's analysis matrix and the spline
+constraint rows are all computed from it.
 
 For signals of bandwidth omega, those averages form a frame whenever
 ``gamma = (1 + alpha)/alpha * omega / Lambda < 1`` for some alpha > 0, with
@@ -19,7 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, NumericalError
@@ -101,7 +103,8 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     if uncovered.size:
         raise InputError(f"vertices not covered by any cluster: {uncovered[:8].tolist()}")
 
-    gaps = _cluster_gaps(graph, norm_clusters)
+    sizes = np.fromiter(map(len, norm_clusters), dtype=np.intp, count=len(norm_clusters))
+    gaps = _cluster_gaps(graph, norm_clusters, _label_vector(graph.n, norm_clusters), sizes)
     finite = [g for g in gaps if math.isfinite(g)]
     lam_xi = min(finite) if finite else math.inf
     return ClusterPartition(
@@ -112,16 +115,17 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     )
 
 
-def _cluster_gaps(graph: WeightedGraph, clusters: Sequence[tuple[int, ...]]) -> list[float]:
+def _cluster_gaps(
+    graph: WeightedGraph, clusters: Sequence[tuple[int, ...]], labels: np.ndarray, sizes: np.ndarray
+) -> list[float]:
     """Spectral gap of each cluster's induced subgraph, from one pass over the edges.
 
+    ``labels`` and ``sizes`` are the cover's label vector and cluster sizes.
     The intra-cluster edges are grouped by cluster label; the Laplacian
     blocks of all clusters of one size are stacked and solved by a single
     batched eigensolve. Raises InputError for the first cluster whose
     induced subgraph is disconnected.
     """
-    sizes = np.array([len(c) for c in clusters], dtype=np.intp)
-    labels = _label_vector(graph.n, clusters)
     position = np.empty(graph.n, dtype=np.intp)
     position[np.concatenate(clusters).astype(np.intp)] = (
         np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes))
@@ -156,46 +160,26 @@ def _cluster_gaps(graph: WeightedGraph, clusters: Sequence[tuple[int, ...]]) -> 
     return gaps.tolist()
 
 
-@dataclass(frozen=True)
-class AverageFunctionals:
-    """Indicator-based sampling vectors for a partition.
+def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray:
+    """Scaled cluster sums of each column of an n-row matrix (J rows).
 
-    ``xi[j]`` is the cluster indicator scaled by 1/sqrt(size) (unit norm, and
-    pairwise orthonormal because clusters are disjoint); ``zeta[j]`` is the
-    indicator scaled by 1/size, so that the inner product against zeta is the
-    plain arithmetic mean over the cluster.
+    Row j is the sum of the rows of cluster j divided by sqrt(size j), the
+    normalized indicators applied to every column. The indicators are built
+    sparse from the label vector (n nonzeros), never as a dense J x n array;
+    a cluster index that no vertex carries gets a zero row.
     """
-
-    xi: np.ndarray  # J x n
-    zeta: np.ndarray  # J x n
-
-
-def average_functionals(partition: ClusterPartition) -> AverageFunctionals:
-    labels, vertices = partition.labels, np.arange(partition.n)
-    xi = np.zeros((partition.num_clusters, partition.n))
-    zeta = np.zeros((partition.num_clusters, partition.n))
-    xi[labels, vertices] = (1.0 / np.sqrt(partition.sizes))[labels]
-    zeta[labels, vertices] = (1.0 / partition.sizes)[labels]
-    xi.flags.writeable = False
-    zeta.flags.writeable = False
-    return AverageFunctionals(xi=xi, zeta=zeta)
-
-
-def _cluster_sums(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != (partition.n,):
-        raise InputError(f"signal shape {f.shape} does not match n={partition.n}")
-    return np.bincount(partition.labels, f, minlength=partition.num_clusters)
+    labels = partition.labels
+    indicators = csr_matrix((1.0 / np.sqrt(partition.sizes)[labels], (labels, np.arange(partition.n))),
+                            shape=(partition.num_clusters, partition.n))
+    return indicators @ matrix
 
 
 def analyze(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
     """Scaled cluster averages: s_j = sum(f over cluster j) / sqrt(size j)."""
-    return _cluster_sums(partition, f) / np.sqrt(partition.sizes)
-
-
-def cluster_means(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
-    """Plain arithmetic means of a signal over each cluster."""
-    return _cluster_sums(partition, f) / partition.sizes
+    f = np.asarray(f, dtype=float)
+    if f.shape != (partition.n,):
+        raise InputError(f"signal shape {f.shape} does not match n={partition.n}")
+    return np.bincount(partition.labels, f, minlength=partition.num_clusters) / np.sqrt(partition.sizes)
 
 
 @dataclass(frozen=True)
@@ -306,7 +290,7 @@ def build_frame_system(
     if partition.n != decomp.n:
         raise InputError("partition and decomposition sizes differ")
 
-    analysis = average_functionals(partition).xi @ space.basis  # J x m
+    analysis = _cluster_rows(partition, space.basis)  # J x m
     analysis.flags.writeable = False
     return FrameSystem(
         omega=float(omega),

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InputError
-from .graph import WeightedGraph, as_signal
+from .graph import WeightedGraph
 
 #: Eigenvalues within this slack of a bandwidth, relative to lambda_max, still
 #: count as in-band, so a band never excludes an analytically-equal eigenvalue
@@ -26,24 +26,12 @@ from .graph import WeightedGraph, as_signal
 BAND_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class LaplacianOperator:
-    """Dense symmetric Laplacian matrix together with its source graph."""
-
-    matrix: np.ndarray
-    graph: WeightedGraph
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def build_laplacian(graph: WeightedGraph) -> LaplacianOperator:
-    """Assemble the dense Laplacian: degrees on the diagonal, -w(u,v) off it."""
+def build_laplacian(graph: WeightedGraph) -> np.ndarray:
+    """The dense read-only Laplacian matrix: degrees on the diagonal, -w(u,v) off it."""
     W = graph.weight_matrix()
     L = np.diag(W.sum(axis=1)) - W
     L.flags.writeable = False
-    return LaplacianOperator(matrix=L, graph=graph)
+    return L
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +55,7 @@ class SpectralDecomposition:
         return 1e-9 * max(1.0, self.lambda_max)
 
 
-def eigendecompose(operator: LaplacianOperator | np.ndarray) -> SpectralDecomposition:
+def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Eigenvalues come in ascending order. Each eigenvector is signed so that
@@ -75,7 +63,7 @@ def eigendecompose(operator: LaplacianOperator | np.ndarray) -> SpectralDecompos
     identical input on one platform and BLAS build gives identical output.
     Raises InputError for a non-square, non-finite or non-symmetric matrix.
     """
-    matrix = operator.matrix if isinstance(operator, LaplacianOperator) else np.asarray(operator, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InputError(f"expected a square matrix, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
@@ -164,7 +152,11 @@ def apply_power(decomp: SpectralDecomposition, s: float, f: np.ndarray) -> np.nd
     return decomp.eigenvectors @ (lam ** (s / 2.0) * coeffs)
 
 
-def quadratic_form(operator: LaplacianOperator, f: np.ndarray) -> float:
-    """The form f^T L f; equals the squared weighted gradient seminorm."""
-    f = as_signal(operator.graph, f)
-    return float(f @ (operator.matrix @ f))
+def quadratic_form(L: np.ndarray, f: np.ndarray) -> float:
+    """The form f^T L f of a Laplacian matrix; equals the squared weighted gradient seminorm."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (L.shape[0],):
+        raise InputError(f"signal shape {f.shape} does not match n={L.shape[0]}")
+    if not np.all(np.isfinite(f)):
+        raise InputError("signal contains non-finite entries")
+    return float(f @ (L @ f))

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import lapack, qr
 
 from .errors import InputError, NumericalError
-from .partitions import ClusterPartition, _gamma, analyze, average_functionals
+from .partitions import ClusterPartition, _cluster_rows, _gamma, analyze
 from .spectral import SpectralDecomposition, pw_project
 
 #: Refuse spline solves whose equilibrated system is estimated worse than this.
@@ -114,7 +114,7 @@ def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _Splin
         return basis
     if partition.n != decomp.n:
         raise InputError("partition and decomposition sizes differ")
-    B = average_functionals(partition).xi @ decomp.eigenvectors
+    B = _cluster_rows(partition, decomp.eigenvectors)
     J = B.shape[0]
     # Column pivoting orders |diag R| decreasingly, so counting the large
     # pivots gives the numerical rank; the pivoting leaves the span unchanged.
@@ -214,8 +214,11 @@ def solve_spline(
 
     Raises NumericalError when the estimated condition of the equilibrated
     system exceeds the double-precision budget, rather than returning digits
-    that cannot be trusted.
+    that cannot be trusted. Raises InputError when ``problem.partition``
+    differs from ``partition``.
     """
+    if not (problem.partition is partition or problem.partition == partition):
+        raise InputError("the spline problem's partition differs from the partition given")
     basis = _basis(decomp, partition)
     k = problem.order
     condition, coeffs, signal = _spline(decomp, basis, k, problem.targets)

@@ -47,6 +47,20 @@ def dense_weighted_graph(n: int, seed: int) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges)
 
 
+def dense_indicators(partition) -> np.ndarray:
+    """The J x n normalized cluster indicators, built densely from the cluster tuples."""
+    xi = np.zeros((partition.num_clusters, partition.n))
+    for j, verts in enumerate(partition.clusters):
+        xi[j, list(verts)] = 1.0 / np.sqrt(len(verts))
+    return xi
+
+
+def cluster_laplacian(graph: WeightedGraph, verts) -> np.ndarray:
+    """Laplacian of the subgraph a vertex list induces, rows in the list's order."""
+    W = graph.weight_matrix()[np.ix_(verts, verts)]
+    return np.diag(W.sum(axis=1)) - W
+
+
 def _bundle(graph, clusters):
     decomp = eigendecompose(build_laplacian(graph))
     partition = validate_partition(graph, clusters)

@@ -32,8 +32,8 @@ from avgsampling import (
 )
 from avgsampling.cli import main as cli_main
 
-from conftest import unit_signals
-from test_splines import raw_kkt_spline, xi_matrix
+from conftest import dense_indicators, unit_signals
+from test_splines import raw_kkt_spline
 
 
 def _report(num, ok, detail):
@@ -214,8 +214,8 @@ def test_criterion_08_spline_interpolation(er_suite, path16, path64, small_suite
             worst_avg = max(worst_avg, gap / max(1.0, float(np.linalg.norm(targets))))
     worst_oracle = 0.0
     for name, g, d, part in small_suite:
-        L = build_laplacian(g).matrix
-        X = xi_matrix(part)
+        L = build_laplacian(g)
+        X = dense_indicators(part)
         rng = np.random.Generator(np.random.PCG64(7100))
         for k in (1, 2, 4, 8):
             targets = rng.standard_normal(part.num_clusters)

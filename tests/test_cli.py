@@ -180,6 +180,50 @@ class TestDemoPath:
         assert outputs[0] == outputs[1]
 
 
+class TestInputChecksBeforeEigensolve:
+    """Bad partitions and formats exit 1 without paying for the eigensolve."""
+
+    @pytest.fixture
+    def no_eigensolve(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("eigensolve ran before the input checks")
+
+        monkeypatch.setattr("avgsampling.cli.eigendecompose", refuse)
+
+    @pytest.mark.parametrize("command", ["frame-check", "reconstruct", "spline"])
+    @pytest.mark.parametrize("partition, message", [
+        (["--clusters", "rings:2"], "bad --clusters spec"),
+        (["--clusters", "blocks:0"], "block size"),
+        (["--partition", "uncovered"], "not covered"),
+        (["--partition", "missing"], "No such file"),
+        ([], "partition is required"),
+    ])
+    def test_bad_partition(self, command, partition, message, no_eigensolve, tmp_path, capsys):
+        if partition[:1] == ["--partition"]:
+            path = tmp_path / f"{partition[1]}.clusters"
+            if partition[1] == "uncovered":
+                path.write_text("0 1\n2 3\n", encoding="utf-8")
+            partition = ["--partition", str(path)]
+        signal = [] if command == "frame-check" else ["--random-seed", "0"]
+        code, out, err = run_cli([command, "--generate", "path", "--n", "6", *partition,
+                                  "--omega", "0.5", *signal], capsys)
+        assert code == 1 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["frame-check", "reconstruct"])
+    def test_csv_format(self, command, no_eigensolve, capsys):
+        signal = [] if command == "frame-check" else ["--random-seed", "0"]
+        code, out, err = run_cli([command, "--generate", "path", "--n", "6", "--clusters", "pairs",
+                                  "--omega", "0.5", *signal, "--format", "csv"], capsys)
+        assert code == 1 and out == ""
+        assert "emits JSON only" in err
+
+    def test_valid_input_reaches_the_eigensolve(self, no_eigensolve, capsys):
+        with pytest.raises(AssertionError, match="eigensolve ran"):
+            main(["frame-check", "--generate", "path", "--n", "6", "--clusters", "pairs",
+                  "--omega", "0.5"])
+
+
 class TestExitCodes:
     def test_missing_graph_is_usage_error(self, capsys):
         code, _, err = run_cli(["spectrum"], capsys)

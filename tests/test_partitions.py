@@ -1,4 +1,4 @@
-"""Partitions, average functionals, frame bounds, and the energy inequalities."""
+"""Partitions, cluster averages, frame bounds, and the energy inequalities."""
 import dataclasses
 import math
 from decimal import Decimal, localcontext
@@ -13,26 +13,23 @@ from avgsampling import (
     FrameSystem,
     InputError,
     analyze,
-    average_functionals,
     bfs_partition,
     blocks_partition,
     build_frame_system,
     build_laplacian,
-    cluster_means,
     eigendecompose,
     generate_graph,
     generate_pw_signal,
     global_poincare_check,
-    gradient_norm_sq,
-    induced_subgraph,
     optimal_alpha,
     pairs_partition,
-    restrict_signal,
     spline_convergence_experiment,
     validate_partition,
 )
 
-from conftest import complete_graph
+from avgsampling.partitions import _cluster_rows
+
+from conftest import cluster_laplacian, complete_graph, dense_indicators
 
 
 class TestValidatePartition:
@@ -78,13 +75,24 @@ class TestValidatePartition:
             if len(verts) == 1:
                 assert gap == math.inf
                 continue
-            expected = sla.eigvalsh(build_laplacian(induced_subgraph(g, verts)).matrix)[1]
+            expected = sla.eigvalsh(cluster_laplacian(g, list(verts)))[1]
             assert gap == pytest.approx(expected, rel=1e-12)
 
     def test_disconnected_cluster_named_after_connected_ones(self):
         g = generate_graph("path", 8)
         with pytest.raises(InputError, match=r"cluster 2 \(4, 6\) induces a disconnected"):
             validate_partition(g, [(0, 1), (2, 3), (4, 6), (5, 7)])
+
+
+def draw_shuffled_partition(data):
+    """Any vertex set of a complete graph is connected, so every split of a
+    shuffled vertex order, in shuffled cluster order, is a partition."""
+    n = data.draw(st.integers(1, 24), label="n")
+    order = data.draw(st.permutations(range(n)), label="vertex order")
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1), label="cuts")) if n > 1 else []
+    pieces = [tuple(order[lo:hi]) for lo, hi in zip([0] + cuts, cuts + [n])]
+    clusters = data.draw(st.permutations(pieces), label="cluster order")
+    return validate_partition(complete_graph(n), clusters)
 
 
 class TestAverageFunctionals:
@@ -104,49 +112,55 @@ class TestAverageFunctionals:
 
     def test_indicator_orthonormality(self, path4):
         _, _, part = path4
-        funcs = average_functionals(part)
-        xi0 = funcs.xi[0]
-        s = analyze(part, xi0)
+        xi = dense_indicators(part)
+        s = analyze(part, xi[0])
         assert s == pytest.approx([1.0, 0.0], abs=1e-15)
-        gram = funcs.xi @ funcs.xi.T
+        gram = xi @ xi.T
         # disjoint supports make the off-diagonal exactly zero; the diagonal
         # is 1 up to one rounding of 1/sqrt(size)
         assert gram[0, 1] == 0.0 and gram[1, 0] == 0.0
         assert np.diag(gram) == pytest.approx([1.0, 1.0], abs=1e-15)
-
-    def test_zeta_gives_plain_mean(self, path4):
-        _, _, part = path4
-        funcs = average_functionals(part)
-        f = np.array([1.0, 3.0, 10.0, 20.0])
-        means = funcs.zeta @ f
-        assert means == pytest.approx([2.0, 15.0], abs=1e-15)
-        assert cluster_means(part, f) == pytest.approx([2.0, 15.0], abs=1e-15)
 
     def test_length_mismatch(self, path4):
         _, _, part = path4
         with pytest.raises(InputError):
             analyze(part, np.zeros(5))
         with pytest.raises(InputError):
-            cluster_means(part, np.zeros(3))
+            analyze(part, np.zeros(3))
 
     @given(st.data())
     def test_label_vector_matches_functional_rows(self, data):
-        """Any vertex set of a complete graph is connected, so every split of a
-        shuffled vertex order, in shuffled cluster order, is a partition."""
-        n = data.draw(st.integers(1, 24), label="n")
-        order = data.draw(st.permutations(range(n)), label="vertex order")
-        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1), label="cuts")) if n > 1 else []
-        pieces = [tuple(order[lo:hi]) for lo, hi in zip([0] + cuts, cuts + [n])]
-        clusters = data.draw(st.permutations(pieces), label="cluster order")
-        part = validate_partition(complete_graph(n), clusters)
+        part = draw_shuffled_partition(data)
+        n = part.n
         f = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n), label="f"))
 
         for j, verts in enumerate(part.clusters):
             assert (part.labels[list(verts)] == j).all()
-        funcs = average_functionals(part)
-        scale = 1e-12 * (1.0 + np.abs(funcs.xi) @ np.abs(f))
-        assert (np.abs(analyze(part, f) - funcs.xi @ f) <= scale).all()
-        assert (np.abs(cluster_means(part, f) - funcs.zeta @ f) <= scale).all()
+        xi = dense_indicators(part)
+        scale = 1e-12 * (1.0 + np.abs(xi) @ np.abs(f))
+        assert (np.abs(analyze(part, f) - xi @ f) <= scale).all()
+
+    @given(st.data())
+    def test_cluster_rows_match_dense_indicators(self, data):
+        part = draw_shuffled_partition(data)
+        n = part.n
+        m = data.draw(st.integers(1, 4), label="columns")
+        M = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n * m, max_size=n * m),
+                               label="matrix")).reshape(n, m)
+        singletons = validate_partition(complete_graph(n), [(v,) for v in range(n)][::-1])
+        for p in (part, singletons):
+            xi = dense_indicators(p)
+            scale = 1e-12 * (1.0 + np.abs(xi) @ np.abs(M))
+            assert _cluster_rows(p, M).shape == (p.num_clusters, m)
+            assert (np.abs(_cluster_rows(p, M) - xi @ M) <= scale).all()
+
+    def test_cluster_rows_give_a_vertexless_label_a_zero_row(self, path4):
+        # a repeated cluster loses its vertices to the later copy
+        _, _, part = path4
+        repeated = dataclasses.replace(part, clusters=((0, 1), (0, 1), (2, 3)), lambda1s=(2.0,) * 3)
+        rows = _cluster_rows(repeated, np.eye(4))
+        assert np.array_equal(rows[0], np.zeros(4))
+        assert rows[1:] == pytest.approx(dense_indicators(part), abs=1e-15)
 
 
 class TestFrameSystem:
@@ -241,14 +255,13 @@ class TestLocalDeviationBound:
             for _ in range(5):
                 f = rng.standard_normal(g.n)
                 for verts, gap in zip(part.clusters, part.lambda1s):
-                    local = restrict_signal(f, verts)
+                    local = f[list(verts)]
                     dev = local - local.mean()
                     lhs = float(dev @ dev)
                     if math.isinf(gap):
                         assert lhs <= 1e-12
                         continue
-                    sub = induced_subgraph(g, verts)
-                    rhs = gradient_norm_sq(sub, local) / gap
+                    rhs = float(local @ cluster_laplacian(g, list(verts)) @ local) / gap
                     assert lhs <= rhs + 1e-9 * max(1.0, lhs)
 
 
@@ -272,8 +285,7 @@ class TestGlobalPoincare:
     def test_local_eigenvector_extended_by_zero(self, path64):
         g, d, part = path64
         verts = list(part.clusters[3])
-        sub = induced_subgraph(g, verts)
-        sub_d = eigendecompose(build_laplacian(sub))
+        sub_d = eigendecompose(cluster_laplacian(g, verts))
         f = np.zeros(64)
         f[verts] = sub_d.eigenvectors[:, 1]
         for alpha in (0.5, 1.0, 4.0):

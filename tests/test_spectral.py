@@ -18,6 +18,7 @@ from avgsampling import (
     lambda1,
     pw_project,
     pw_space,
+    quadratic_form,
 )
 
 
@@ -28,7 +29,7 @@ def path_eigenvalues(n: int) -> np.ndarray:
 class TestBuildLaplacian:
     def test_single_edge_matrix(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 0.7)])
-        L = build_laplacian(g).matrix
+        L = build_laplacian(g)
         assert np.array_equal(L, np.array([[0.7, -0.7], [-0.7, 0.7]]))
 
     def test_single_edge_eigenvalues(self):
@@ -38,16 +39,26 @@ class TestBuildLaplacian:
 
     def test_edgeless_graph_zero_matrix(self):
         g = WeightedGraph(2, {})
-        assert np.array_equal(build_laplacian(g).matrix, np.zeros((2, 2)))
+        assert np.array_equal(build_laplacian(g), np.zeros((2, 2)))
 
     def test_row_sums_and_entries(self):
         g = generate_graph("erdos-renyi-weighted", 12, seed=9, p=0.4)
-        L = build_laplacian(g).matrix
+        L = build_laplacian(g)
         assert np.max(np.abs(L.sum(axis=1))) <= 1e-12
         for u, v, w in g.edges():
             assert L[u, v] == -w
         for v in range(g.n):
             assert L[v, v] == pytest.approx(g.degree(v), rel=1e-12)
+
+
+    def test_dense_read_only_matrix_and_its_form(self):
+        L = build_laplacian(generate_graph("path", 3))
+        assert type(L) is np.ndarray and not L.flags.writeable
+        assert quadratic_form(L, [0.0, 1.0, 3.0]) == 5.0
+        with pytest.raises(InputError, match="does not match"):
+            quadratic_form(L, [1.0, 2.0])
+        with pytest.raises(InputError, match="non-finite"):
+            quadratic_form(L, [1.0, np.nan, 2.0])
 
 
 class TestEigendecompose:
@@ -71,7 +82,7 @@ class TestEigendecompose:
     def test_invariants(self, path64):
         _, d, _ = path64
         n = d.n
-        L = build_laplacian(generate_graph("path", n)).matrix
+        L = build_laplacian(generate_graph("path", n))
         resid = np.max(np.abs(L @ d.eigenvectors - d.eigenvectors * d.eigenvalues))
         assert resid <= 1e-9 * max(1.0, d.lambda_max)
         gram = d.eigenvectors.T @ d.eigenvectors

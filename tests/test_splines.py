@@ -27,7 +27,9 @@ from avgsampling import (
     validate_partition,
     zero_average_signal,
 )
-from avgsampling import splines
+from avgsampling import partitions, splines
+
+from conftest import dense_indicators
 
 
 def raw_kkt_spline(L: np.ndarray, xi_rows: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
@@ -48,12 +50,6 @@ def raw_kkt_spline(L: np.ndarray, xi_rows: np.ndarray, targets: np.ndarray, k: i
     return np.linalg.solve(system, rhs)[:n]
 
 
-def xi_matrix(partition) -> np.ndarray:
-    from avgsampling import average_functionals
-
-    return average_functionals(partition).xi
-
-
 def reference_spline(decomp, partition, targets: np.ndarray, k: int) -> np.ndarray:
     """The per-vector route, factoring every system afresh for each target vector.
 
@@ -61,7 +57,7 @@ def reference_spline(decomp, partition, targets: np.ndarray, k: int) -> np.ndarr
     the spline is ``V (B^T v + N y)`` with y from one Householder QR solve of
     ``min || D^{1/2} (B^T v + N y) ||`` for this target vector alone.
     """
-    B = xi_matrix(partition) @ decomp.eigenvectors
+    B = partitions._cluster_rows(partition, decomp.eigenvectors)
     J = B.shape[0]
     kernel = qr(B.T, pivoting=True)[0][:, J:]
     lam = decomp.eigenvalues
@@ -109,8 +105,8 @@ class TestSolveSpline:
         from avgsampling import build_laplacian
 
         for name, g, d, part in small_suite:
-            L = build_laplacian(g).matrix
-            X = xi_matrix(part)
+            L = build_laplacian(g)
+            X = dense_indicators(part)
             rng = np.random.Generator(np.random.PCG64(37))
             for _ in range(2):
                 targets = rng.standard_normal(part.num_clusters)
@@ -148,6 +144,22 @@ class TestSolveSpline:
         repeated = dataclasses.replace(part, clusters=((0, 1), (0, 1), (2, 3)), lambda1s=(2.0,) * 3)
         with pytest.raises(InputError, match=r"rank 2 of 3"):
             solve_spline(d, repeated, SplineProblem(order=1, targets=np.zeros(3), partition=repeated))
+
+    def test_partition_mismatch_refused(self):
+        g = generate_graph("path", 8)
+        d = eigendecompose(build_laplacian(g))
+        pairs = validate_partition(g, pairs_partition(8))
+        blocks = validate_partition(g, blocks_partition(8, 4))
+        with pytest.raises(InputError, match="partition differs"):
+            solve_spline(d, blocks, SplineProblem(order=1, targets=np.zeros(4), partition=pairs))
+        first = validate_partition(g, [(0, 1, 2), (3, 4, 5), (6, 7)])
+        second = validate_partition(g, [(0, 1), (2, 3, 4), (5, 6, 7)])
+        problem = SplineProblem(order=1, targets=np.arange(3.0), partition=first)
+        with pytest.raises(InputError, match="partition differs"):
+            solve_spline(d, second, problem)
+        equal = validate_partition(g, [(2, 1, 0), (3, 4, 5), (7, 6)])
+        assert equal is not first
+        assert np.array_equal(solve_spline(d, equal, problem).signal, solve_spline(d, first, problem).signal)
 
     def test_bad_problem_rejected(self, path4):
         _, d, part = path4
