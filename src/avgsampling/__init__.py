@@ -9,7 +9,6 @@ interpolate the averages.
 """
 from .errors import InputError, NumericalError
 from .graph import (
-    ValidationIssue,
     ValidationReport,
     WeightedGraph,
     as_signal,
@@ -62,7 +61,7 @@ from .splines import (
     zero_average_signal,
 )
 from .generators import GENERATOR_NAME, generate_graph, generate_pw_signal
-from .harness import ExperimentSpec, demo_path, stable_json
+from .harness import demo_path, stable_json
 
 __version__ = "0.1.0"
 
@@ -70,7 +69,6 @@ __all__ = [
     "InputError",
     "NumericalError",
     "WeightedGraph",
-    "ValidationIssue",
     "ValidationReport",
     "validate",
     "as_signal",
@@ -115,7 +113,6 @@ __all__ = [
     "GENERATOR_NAME",
     "generate_graph",
     "generate_pw_signal",
-    "ExperimentSpec",
     "demo_path",
     "stable_json",
 ]

@@ -1,12 +1,13 @@
 """Text file formats: edge lists, signals, cluster partitions.
 
 Edge-list files are UTF-8 text: a header line ``n=<int>``, then one line per
-undirected edge ``u<TAB>v<TAB>w`` with u < v and w > 0. Signal files carry
+undirected edge ``u<TAB>v<TAB>w`` with u < v and finite w > 0. Signal files carry
 one decimal per line, one line per vertex. Partition files carry one line per
 cluster with space-separated vertex indices.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -43,8 +44,8 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
             raise InputError(f"{path}:{line_no}: edge ({u},{v}) out of range for n={n}")
         if u >= v:
             raise InputError(f"{path}:{line_no}: edges must have u < v, got ({u},{v})")
-        if w <= 0:
-            raise InputError(f"{path}:{line_no}: edge weight must be positive, got {w}")
+        if not 0 < w < math.inf:
+            raise InputError(f"{path}:{line_no}: edge weight must be positive and finite, got {w}")
         if (u, v) in seen:
             raise InputError(f"{path}:{line_no}: duplicate edge ({u},{v})")
         seen.add((u, v))

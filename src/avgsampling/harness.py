@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,30 +48,6 @@ def stable_json(payload: dict) -> str:
     return json.dumps(_plain(payload), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Echo of everything needed to reproduce a run bit for bit."""
-
-    kind: str
-    n: int
-    omega: float
-    alpha: float
-    seed: int
-    trials: int
-    k_list: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "omega": self.omega,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "trials": self.trials,
-            "k_list": list(self.k_list),
-        }
-
-
 def demo_path(
     n: int,
     omega: float,
@@ -93,10 +68,7 @@ def demo_path(
         raise InputError(f"demo needs an even n >= 4, got {n}")
     if trials < 1:
         raise InputError(f"trials must be positive, got {trials}")
-    spec = ExperimentSpec(
-        kind="demo-path", n=n, omega=float(omega), alpha=float(alpha),
-        seed=int(seed), trials=int(trials), k_list=tuple(int(k) for k in k_list),
-    )
+    k_list = tuple(int(k) for k in k_list)
 
     graph = path_graph(n)
     decomp = eigendecompose(build_laplacian(graph))
@@ -112,7 +84,8 @@ def demo_path(
     report: dict = {
         "schema": SCHEMA_VERSION,
         "generator": GENERATOR_NAME,
-        "spec": spec.to_dict(),
+        "spec": {"kind": "demo-path", "n": n, "omega": float(omega), "alpha": float(alpha),
+                 "seed": int(seed), "trials": int(trials), "k_list": list(k_list)},
         "lambda_xi": partition.lambda_xi,
         "lambda_xi_matches_pair_value": bool(abs(partition.lambda_xi - 2.0) <= 1e-12),
         "gamma": frame.gamma,
@@ -162,7 +135,7 @@ def demo_path(
             record["reconstruction_failure"] = roundtrip.failure
         if frame.guarantee_active:
             rows = spline_convergence_experiment(
-                decomp, partition, omega, alpha, signal, spec.k_list
+                decomp, partition, omega, alpha, signal, k_list
             )
             record["splines"] = [
                 {

@@ -390,7 +390,7 @@ def bfs_partition(graph: WeightedGraph, radius: int) -> list[tuple[int, ...]]:
     """
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
-    indptr, indices, _ = graph._adjacency
+    indptr, indices = graph._adjacency
     indptr, indices = indptr.tolist(), indices.tolist()  # a ball is too small for numpy calls to pay
     assigned = [False] * graph.n
     clusters: list[tuple[int, ...]] = []

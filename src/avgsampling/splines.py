@@ -16,8 +16,9 @@ and kernel coordinates (lambda = 0) carry no weight at all, entering through
 the constraints only. N comes from one complete QR of B^T per partition, and
 each order is one Householder QR of the scaled kernel ``D^{1/2} N`` and a
 triangular solve. None of this depends on v, so each decomposition memoises
-B, N and every order's QR factors for its last partition (``_basis``); a
-spline then costs matvecs, one Q^T application and one triangular solve.
+B, N and every order's weights, QR factors and scale for its last partition
+(``_basis``); a spline then costs matvecs, one Q^T application and one
+triangular solve.
 
 When a signal of bandwidth omega is interpolated through a partition with
 gamma = (1+alpha)/alpha * omega/Lambda < 1, the spline of order k = 2^l
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack, qr
@@ -88,14 +90,25 @@ class SplineSolution:
     order_is_power_of_two: bool
 
 
+class _OrderFactors(NamedTuple):
+    """One order's condition estimate, weights lambda**(k/2), ``dgeqrf`` factors
+    of the scaled kernel ``weights[:, None] * N`` and its largest column norm."""
+
+    condition: float
+    weights: np.ndarray
+    factored: np.ndarray
+    tau: np.ndarray
+    column_norm: float
+
+
 @dataclass(frozen=True, eq=False)
 class _SplineBasis:
-    """B, N and each order's QR factors so far, all read-only, for one partition; never the decomposition."""
+    """B, N and each order's factors so far, all read-only, for one partition; never the decomposition."""
 
     partition: ClusterPartition
     constraints: np.ndarray
     kernel: np.ndarray
-    factors: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    factors: dict[int, _OrderFactors] = field(default_factory=dict)
 
 
 #: Each live decomposition's basis for the last partition used with it.
@@ -147,28 +160,53 @@ def _condition_estimate(decomp: SpectralDecomposition, k: int) -> float:
     return float((positive[-1] / positive[0]) ** (k / 2.0))
 
 
-def _smoothness_defect(scaled_kernel: np.ndarray, smoothed: np.ndarray) -> tuple[float, float]:
+def _order_factors(decomp: SpectralDecomposition, basis: _SplineBasis, k: int) -> _OrderFactors:
+    """The order-k factors, memoised in ``basis``.
+
+    Refuses an order beyond ``CONDITION_LIMIT`` before factoring its system,
+    and so caches nothing for it.
+    """
+    factors = basis.factors.get(k)
+    if factors is not None:
+        return factors
+    condition = _condition_estimate(decomp, k)
+    if condition > CONDITION_LIMIT:
+        raise NumericalError(
+            f"order-{k} spline system condition ~{condition:.2e} exceeds "
+            f"{CONDITION_LIMIT:.0e}; reduce the order or improve the spectral gap"
+        )
+    weights = _power_weights(decomp, k)
+    scaled = weights[:, None] * basis.kernel
+    column_norms = np.linalg.norm(scaled, axis=0)
+    factored, tau, _, info = lapack.dgeqrf(scaled, overwrite_a=True)
+    if info != 0:
+        raise NumericalError(f"QR factorisation failed (LAPACK info {info})")
+    weights.flags.writeable = factored.flags.writeable = tau.flags.writeable = False
+    factors = basis.factors[k] = _OrderFactors(
+        condition, weights, factored, tau, float(column_norms.max()) if column_norms.size else 0.0)
+    return factors
+
+
+def _smoothness_defect(kernel: np.ndarray, factors: _OrderFactors, smoothed: np.ndarray) -> tuple[float, float]:
     """Largest inner product of a smoothed signal with the smoothed kernel basis, and its scale.
 
     The scale is the product of the factor norms (at least 1), so that
     ``defect / scale`` is a relative orthogonality defect.
     """
-    defect_vec = scaled_kernel.T @ smoothed
+    defect_vec = kernel.T @ (factors.weights * smoothed)
     defect = float(np.max(np.abs(defect_vec))) if defect_vec.size else 0.0
-    col_norms = np.linalg.norm(scaled_kernel, axis=0)
-    scale = max(1.0, float(np.linalg.norm(smoothed)) * float(col_norms.max() if col_norms.size else 0.0))
-    return defect, scale
+    return defect, max(1.0, float(np.linalg.norm(smoothed)) * factors.column_norm)
 
 
-def _least_squares(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+def _least_squares(factors: _OrderFactors, rhs: np.ndarray) -> np.ndarray:
     """Least-squares solution for one right-hand side, from the ``dgeqrf`` factors of the system.
 
     The scaled kernel has full column rank (the constant eigenvector, the
     only one with weight zero, lies in the row space of the constraints), and
-    its condition is at most ``_condition_estimate``, which ``_spline`` bounds
+    its condition is at most ``_condition_estimate``, which ``_order_factors`` bounds
     before factoring it.
     """
-    factored, tau = factors
+    factored, tau = factors.factored, factors.tau
     if tau.size == 0:  # every cluster a singleton: the averages fix the signal
         return np.zeros(0)
     qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, rhs[:, None], 1)
@@ -180,29 +218,12 @@ def _least_squares(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> n
 
 
 def _spline(
-    decomp: SpectralDecomposition, basis: _SplineBasis, k: int, targets: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Condition estimate, eigen-coefficients and signal of the order-k spline.
-
-    Refuses an order beyond ``CONDITION_LIMIT`` before factoring its system.
-    """
-    condition = _condition_estimate(decomp, k)
-    if condition > CONDITION_LIMIT:
-        raise NumericalError(
-            f"order-{k} spline system condition ~{condition:.2e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; reduce the order or improve the spectral gap"
-        )
-    weights, kernel = _power_weights(decomp, k), basis.kernel
-    factors = basis.factors.get(k)
-    if factors is None:
-        factored, tau, _, info = lapack.dgeqrf(weights[:, None] * kernel)
-        if info != 0:
-            raise NumericalError(f"QR factorisation failed (LAPACK info {info})")
-        factored.flags.writeable = tau.flags.writeable = False
-        factors = basis.factors[k] = factored, tau
+    decomp: SpectralDecomposition, basis: _SplineBasis, factors: _OrderFactors, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-coefficients and signal of the spline whose order ``factors`` belong to."""
     feasible = basis.constraints.T @ targets  # minimum-norm feasible point, exact by row orthonormality
-    coeffs = feasible + kernel @ _least_squares(factors, -(weights * feasible))
-    return condition, coeffs, decomp.eigenvectors @ coeffs
+    coeffs = feasible + basis.kernel @ _least_squares(factors, -(factors.weights * feasible))
+    return coeffs, decomp.eigenvectors @ coeffs
 
 
 def solve_spline(
@@ -220,19 +241,18 @@ def solve_spline(
     if not (problem.partition is partition or problem.partition == partition):
         raise InputError("the spline problem's partition differs from the partition given")
     basis = _basis(decomp, partition)
-    k = problem.order
-    condition, coeffs, signal = _spline(decomp, basis, k, problem.targets)
-    weights = _power_weights(decomp, k)
-    smoothed = weights * coeffs
-    defect, scale = _smoothness_defect(weights[:, None] * basis.kernel, smoothed)
+    factors = _order_factors(decomp, basis, problem.order)
+    coeffs, signal = _spline(decomp, basis, factors, problem.targets)
+    smoothed = factors.weights * coeffs
+    defect, scale = _smoothness_defect(basis.kernel, factors, smoothed)
     return SplineSolution(
         signal=signal,
-        order=k,
+        order=problem.order,
         seminorm=float(np.linalg.norm(smoothed)),
         achieved_averages=analyze(partition, signal),
         targets=problem.targets,
         kkt_residual=defect / scale,
-        condition_estimate=condition,
+        condition_estimate=factors.condition,
         order_is_power_of_two=problem.order_is_power_of_two,
     )
 
@@ -273,14 +293,19 @@ def orthogonality_check(
     k: int,
     tol: float = 1e-8,
 ) -> OrthogonalityResult:
+    """Whether u is the order-k spline of its own averages.
+
+    Shares the order's memoised factors with :func:`solve_spline`, so an
+    order beyond ``CONDITION_LIMIT`` raises NumericalError here too.
+    """
     k = _order(k)
     u = np.asarray(u, dtype=float)
     if u.shape != (decomp.n,):
         raise InputError(f"signal shape {u.shape} does not match n={decomp.n}")
-    kernel = _basis(decomp, partition).kernel
-    weights = _power_weights(decomp, k)
-    smoothed = weights * (decomp.eigenvectors.T @ u)
-    defect, scale = _smoothness_defect(weights[:, None] * kernel, smoothed)
+    basis = _basis(decomp, partition)
+    factors = _order_factors(decomp, basis, k)
+    smoothed = factors.weights * (decomp.eigenvectors.T @ u)
+    defect, scale = _smoothness_defect(basis.kernel, factors, smoothed)
     normalized = defect / scale
     return OrthogonalityResult(
         defect=defect,
@@ -356,7 +381,8 @@ def spline_convergence_experiment(
     targets = analyze(partition, f)
     rows = []
     for k in map(_order, k_list):
-        rel = float(np.linalg.norm(f - _spline(decomp, basis, k, targets)[2])) / norm_f
+        factors = _order_factors(decomp, basis, k)
+        rel = float(np.linalg.norm(f - _spline(decomp, basis, factors, targets)[1])) / norm_f
         bound = 2.0 * gamma ** k
         rows.append(
             ConvergenceRow(

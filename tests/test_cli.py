@@ -181,7 +181,7 @@ class TestDemoPath:
 
 
 class TestInputChecksBeforeEigensolve:
-    """Bad partitions and formats exit 1 without paying for the eigensolve."""
+    """Bad graphs, partitions, signals and formats exit 1 without paying for the eigensolve."""
 
     @pytest.fixture
     def no_eigensolve(self, monkeypatch):
@@ -217,6 +217,31 @@ class TestInputChecksBeforeEigensolve:
                                   "--omega", "0.5", *signal, "--format", "csv"], capsys)
         assert code == 1 and out == ""
         assert "emits JSON only" in err
+
+    @pytest.mark.parametrize("command", ["reconstruct", "spline"])
+    @pytest.mark.parametrize("signal, message", [
+        (["--signal", "short"], "signal has 2 values, expected 6"),
+        (["--signal", "unparsable"], "unparsable signal value 'x'"),
+        (["--signal", "good", "--random-seed", "0"], "not both"),
+        ([], "a signal is required"),
+    ])
+    def test_bad_signal(self, command, signal, message, no_eigensolve, tmp_path, capsys):
+        contents = {"short": "1.0\n2.0\n", "unparsable": "0\n1\nx\n3\n4\n5\n", "good": "0\n1\n2\n3\n4\n5\n"}
+        if signal[:1] == ["--signal"]:
+            path = tmp_path / f"{signal[1]}.sig"
+            path.write_text(contents[signal[1]], encoding="utf-8")
+            signal = ["--signal", str(path), *signal[2:]]
+        code, out, err = run_cli([command, "--generate", "path", "--n", "6", "--clusters", "pairs",
+                                  "--omega", "0.5", *signal], capsys)
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_non_finite_weight_file(self, no_eigensolve, tmp_path, capsys):
+        path = tmp_path / "nan.edges"
+        path.write_text("n=3\n0\t1\t1.0\n1\t2\tnan\n", encoding="utf-8")
+        code, out, err = run_cli(["spectrum", "--graph", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert f"{path}:3: edge weight must be positive and finite, got nan" in err
 
     def test_valid_input_reaches_the_eigensolve(self, no_eigensolve, capsys):
         with pytest.raises(AssertionError, match="eigensolve ran"):

@@ -26,8 +26,7 @@ class TestEdgeList:
         path = tmp_path / "g.edges"
         path.write_text("n=3\n0\t1\t1.0\n1\t2\t0.5\n", encoding="utf-8")
         g = read_edge_list(path)
-        assert g.weight(1, 0) == 1.0
-        assert g.weight(2, 1) == 0.5
+        assert g.edges() == [(0, 1, 1.0), (1, 2, 0.5)]
 
     @pytest.mark.parametrize(
         "body, message",
@@ -46,6 +45,14 @@ class TestEdgeList:
         path.write_text(body, encoding="utf-8")
         with pytest.raises(InputError, match=message):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_weight_names_its_line(self, tmp_path, weight):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"n=3\n# comment\n0\t1\t1.0\n1\t2\t{weight}\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}:4: edge weight must be positive and finite, got {float(weight)}"
 
 
 class TestSignalFile:

@@ -1,5 +1,6 @@
-"""Graph construction, validation, connectivity, gradient seminorm."""
+"""Graph construction, connectivity, gradient seminorm."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,68 +19,12 @@ from avgsampling import (
     quadratic_form,
     validate,
 )
-from avgsampling.graph import ValidationIssue
-
-
-def raw_weights(graph):
-    """The stored weight entries, in storage order, as a dict."""
-    return dict(zip(map(tuple, graph._keys.tolist()), graph._values.tolist()))
-
-
-def reference_issues(raw):
-    """Validation as a loop over the raw entries in sorted (u, v) order."""
-    issues = []
-    for (u, v), w in sorted(raw.items()):
-        if not math.isfinite(w):
-            issues.append(ValidationIssue("non-finite", u, v, f"w({u},{v})={w}"))
-        if w < 0:
-            issues.append(ValidationIssue("negative", u, v, f"w({u},{v})={w}"))
-        if u == v and w != 0.0:
-            issues.append(ValidationIssue("loop", u, v, f"w({u},{u})={w} must be 0"))
-        if u < v:
-            other = raw.get((v, u), 0.0)
-            if other != w:
-                issues.append(
-                    ValidationIssue("asymmetric", u, v, f"w({u},{v})={w} but w({v},{u})={other}")
-                )
-    return issues
 
 
 class TestValidate:
     def test_single_edge_is_valid(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         assert validate(g).ok
-
-    def test_asymmetric_weights_reported(self):
-        g = WeightedGraph(2, {(0, 1): 1.0, (1, 0): 2.0})
-        report = validate(g)
-        assert not report.ok
-        assert any(issue.kind == "asymmetric" for issue in report.issues)
-
-    def test_loop_reported(self):
-        g = WeightedGraph(2, {(0, 0): 1.0})
-        report = validate(g)
-        assert any(issue.kind == "loop" for issue in report.issues)
-
-    def test_negative_weight_reported(self):
-        g = WeightedGraph(2, {(0, 1): -1.0, (1, 0): -1.0})
-        report = validate(g)
-        assert any(issue.kind == "negative" for issue in report.issues)
-
-    @given(n=st.integers(1, 12), data=st.data())
-    def test_matches_loop_reference(self, n, data):
-        """Malformed dicts: one-sided, asymmetric, negative, zero, loop and non-finite entries."""
-        keys = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                                  max_size=60, unique=True))
-        values = data.draw(st.lists(
-            st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0, 1e-300, np.inf, -np.inf, np.nan])
-            | st.floats(allow_nan=True, allow_infinity=True),
-            min_size=len(keys), max_size=len(keys)))
-        raw = dict(zip(keys, values))
-        report = validate(WeightedGraph(n, raw))
-        expected = reference_issues(raw)
-        assert list(report.issues) == expected
-        assert report.ok == (not expected)
 
     def test_from_edges_rejects_duplicates_and_loops(self):
         with pytest.raises(InputError):
@@ -95,10 +40,10 @@ class TestConnectivity:
         assert is_connected(generate_graph("path", 3))
 
     def test_isolated_pair_disconnected(self):
-        assert not is_connected(WeightedGraph(2, {}))
+        assert not is_connected(WeightedGraph.from_edges(2, []))
 
     def test_single_vertex_connected(self):
-        assert is_connected(WeightedGraph(1, {}))
+        assert is_connected(WeightedGraph.from_edges(1, []))
 
     def test_components(self):
         g = WeightedGraph.from_edges(5, [(0, 1, 1.0), (3, 4, 2.0)])
@@ -108,6 +53,10 @@ class TestConnectivity:
     def test_components_match_traversal(self, n, data):
         pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
         g = WeightedGraph.from_edges(n, [(u, v, 1.0) for u, v in {(min(p), max(p)) for p in pairs if p[0] != p[1]}])
+        neighbors = [[] for _ in range(n)]
+        for u, v, _ in g.edges():
+            neighbors[u].append(v)
+            neighbors[v].append(u)
         seen = [False] * n
         expected = []
         for start in range(n):
@@ -115,7 +64,7 @@ class TestConnectivity:
                 continue
             seen[start], comp, stack = True, [start], [start]
             while stack:
-                for v in g.neighbors(stack.pop()):
+                for v in neighbors[stack.pop()]:
                     if not seen[v]:
                         seen[v] = True
                         comp.append(v)
@@ -125,79 +74,52 @@ class TestConnectivity:
         assert is_connected(g) == (len(expected) == 1)
 
 
-def reference_edges(weights):
-    """Edge views as a loop over the raw entries: each unordered pair read
-    through its (min, max) orientation when present, loops and zeros dropped."""
-    out = []
-    for u, v in sorted({(min(u, v), max(u, v)) for (u, v) in weights}):
-        w = weights.get((u, v), weights.get((v, u), 0.0))
-        if u != v and w != 0.0:
-            out.append((u, v, w))
-    return out
-
-
 class TestEdgeViews:
-    @given(n=st.integers(1, 12), data=st.data())
-    def test_edges_match_loop_reference(self, n, data):
-        """Asymmetric, one-sided, zero and loop entries included."""
-        keys = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=50, unique=True))
-        values = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 1e-300]),
-                                    min_size=len(keys), max_size=len(keys)))
-        weights = dict(zip(keys, values))
-        g = WeightedGraph(n, weights)
-        expected = reference_edges(weights)
-        assert g.edges() == expected
-        assert g.num_edges == len(expected)
-        for v in range(n):
-            assert g.neighbors(v) == sorted({b for a, b, _ in expected if a == v} | {a for a, b, _ in expected if b == v})
-
     def test_generated_graph_edges_sorted(self):
         g = generate_graph("random-geometric", 200, seed=3)
         edges = g.edges()
         assert edges == sorted(edges)
-        assert edges == reference_edges(raw_weights(g))
-
-
-def reference_init(n, weights):
-    """``WeightedGraph(n, weights)`` as a dict comprehension with a range check per entry."""
-    if n < 1:
-        raise InputError(f"graph needs at least one vertex, got n={n}")
-    raw = {(int(u), int(v)): float(w) for (u, v), w in weights.items()}
-    for (u, v) in raw:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"weight entry ({u},{v}) out of range for n={n}")
-    return raw
+        assert all(u < v and w == 1.0 for u, v, w in edges)
+        assert WeightedGraph.from_edges(g.n, reversed(edges)).edges() == edges
 
 
 def reference_from_edges(n, edges):
-    """``WeightedGraph.from_edges`` as a loop over the edges with a set of seen pairs."""
-    weights = {}
-    seen = set()
+    """``WeightedGraph.from_edges`` as a loop over the edges with a set of seen
+    pairs: the stored (u, v, w) with u < v, sorted, zero weights dropped."""
+    if n < 1:
+        raise InputError(f"graph needs at least one vertex, got n={n}")
+    kept, seen = [], set()
     for u, v, w in edges:
         u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise InputError(f"loop edge ({u},{v}) is not allowed")
+        if not math.isfinite(w):
+            raise InputError(f"non-finite weight {w} on edge ({u},{v})")
         if w < 0:
             raise InputError(f"negative weight {w} on edge ({u},{v})")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
             raise InputError(f"duplicate edge ({u},{v})")
-        seen.add(key)
+        seen.add(pair)
         if w != 0.0:
-            weights[(u, v)] = w
-            weights[(v, u)] = w
-    return reference_init(n, weights)
+            kept.append((*pair, w))
+    return sorted(kept)
 
 
-def reference_views(n, raw):
-    """Edges, neighbours and degrees as loops over the raw dict; a degree sums
-    w(v, u) over the neighbours u, reading (v, u) first."""
-    edges = reference_edges(raw)
-    neighbors = [sorted({b for a, b, _ in edges if a == v} | {a for a, b, _ in edges if b == v})
+def reference_views(n, edges):
+    """CSR ``indptr`` and ``indices`` (neighbours ascending) and the dense
+    weight matrix, as loops over the stored edges."""
+    neighbors = [sorted([b for a, b, _ in edges if a == v] + [a for a, b, _ in edges if b == v])
                  for v in range(n)]
-    weight = lambda u, v: raw[(u, v)] if (u, v) in raw else raw.get((v, u), 0.0)
-    degrees = [float(sum(weight(v, u) for u in neighbors[v])) for v in range(n)]
-    return edges, neighbors, degrees
+    indptr = [0]
+    for nbrs in neighbors:
+        indptr.append(indptr[-1] + len(nbrs))
+    matrix = [[0.0] * n for _ in range(n)]
+    for u, v, w in edges:
+        matrix[u][v] = matrix[v][u] = w
+    return indptr, [v for nbrs in neighbors for v in nbrs], matrix
 
 
 def outcome(build, *args):
@@ -207,22 +129,20 @@ def outcome(build, *args):
         return ("InputError", str(err))
 
 
-def assert_matches_reference(graph, n, raw):
-    """Same entries in the same order, and the same views and validation."""
-    if isinstance(raw, tuple):  # the reference raised
-        assert graph == raw
+def assert_matches_reference(graph, n, expected):
+    """Same stored edges in the same order, and the same views."""
+    if isinstance(expected, tuple):  # the reference raised
+        assert graph == expected
         return
     assert not isinstance(graph, tuple), graph
-    assert repr(list(raw_weights(graph).items())) == repr(list(raw.items()))
-    edges, neighbors, degrees = reference_views(n, raw)
-    assert repr(graph.edges()) == repr(edges)
-    assert graph.num_edges == len(edges)
-    assert [graph.neighbors(v) for v in range(n)] == neighbors
-    assert repr([graph.degree(v) for v in range(n)]) == repr(degrees)
-    assert list(validate(graph).issues) == reference_issues(raw)
-    pairs = [(u, v) for u in range(-1, n + 1) for v in range(-1, n + 1)]
-    expected = [raw[(u, v)] if (u, v) in raw else raw.get((v, u), 0.0) for u, v in pairs]
-    assert repr([graph.weight(u, v) for u, v in pairs]) == repr(expected)
+    us, vs, ws = graph._edge_arrays
+    assert (us.dtype, vs.dtype, ws.dtype) == (np.intp, np.intp, np.float64)
+    assert repr(list(zip(us.tolist(), vs.tolist(), ws.tolist()))) == repr(expected)
+    assert repr(graph.edges()) == repr(expected)
+    assert graph.n == n and graph.num_edges == len(expected)
+    indptr, indices, matrix = reference_views(n, expected)
+    assert [arr.tolist() for arr in graph._adjacency] == [indptr, indices]
+    assert repr(graph.weight_matrix().tolist()) == repr(matrix)
 
 
 def vertex_ids(n):
@@ -269,24 +189,35 @@ class TestConstructors:
     @settings(max_examples=300)
     @given(n=st.integers(0, 8), data=st.data())
     def test_from_edges_matches_loop_reference(self, n, data):
-        """Loops, negative, zero, -0.0 and NaN weights, repeats in either
-        orientation, numpy ids, out-of-range ids, and (E, 3) array input."""
+        """Loops, negative, zero, -0.0, NaN and infinite weights, repeats in
+        either orientation, numpy ids, out-of-range ids, and (E, 3) array input."""
         edges = data.draw(faulty_edges(n))
         if data.draw(st.booleans()):
             edges = np.array(edges, dtype=float).reshape(-1, 3)
         expected = outcome(reference_from_edges, n, edges)
         assert_matches_reference(outcome(WeightedGraph.from_edges, n, edges), n, expected)
 
-    @settings(max_examples=200)
-    @given(n=st.integers(0, 8), data=st.data())
-    def test_mapping_matches_loop_reference(self, n, data):
-        """One-sided, asymmetric and loop entries, odd weights, numpy ids, out-of-range ids."""
-        ids = vertex_ids(n)
-        weights = data.draw(st.dictionaries(st.tuples(ids, ids), GOOD_WEIGHTS | ODD_WEIGHTS, max_size=16))
-        if data.draw(st.integers(0, 2)) == 0:
-            weights[(data.draw(ids), data.draw(stray_ids(n)))] = data.draw(GOOD_WEIGHTS)
-        expected = outcome(reference_init, n, weights)
-        assert_matches_reference(outcome(WeightedGraph, n, weights), n, expected)
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(0, 1, 1.0), (1, 0, 1.0)], "duplicate edge (1,0)"),
+        (3, [(0, 1, 1.0), (0, 1, 0.0)], "duplicate edge (0,1)"),
+        (3, [(1, 1, 1.0)], "loop edge (1,1) is not allowed"),
+        (3, [(0, 1, -0.5)], "negative weight -0.5 on edge (0,1)"),
+        (3, [(0, 1, math.nan)], "non-finite weight nan on edge (0,1)"),
+        (3, [(0, 1, math.inf)], "non-finite weight inf on edge (0,1)"),
+        (3, [(1, 2, 1.0), (0, 1, -math.inf)], "non-finite weight -inf on edge (0,1)"),
+        (3, [(0, 3, 1.0)], "edge (0,3) out of range for n=3"),
+        (3, [(-1, 2, 0.0)], "edge (-1,2) out of range for n=3"),
+        (0, [], "graph needs at least one vertex, got n=0"),
+    ])
+    def test_from_edges_rejects(self, n, edges, message):
+        for given_edges in (edges, np.array(edges, dtype=float).reshape(-1, 3)):
+            with pytest.raises(InputError, match=re.escape(message)):
+                WeightedGraph.from_edges(n, given_edges)
+
+    @pytest.mark.parametrize("args", [(2, {}), (2, {(0, 1): 1.0, (1, 0): 2.0}), (2, [(0, 1, -1.0)])])
+    def test_no_constructor_but_from_edges(self, args):
+        with pytest.raises(TypeError, match="from_edges"):
+            WeightedGraph(*args)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_first_repeat_named_among_many(self, seed):
@@ -302,26 +233,15 @@ class TestConstructors:
         edges = [(0, 1, 2), (2, 1, 3), (3, 2, 0)]
         for given_edges in (np.array(edges), iter(edges), tuple(edges)):
             g = WeightedGraph.from_edges(4, given_edges)
-            assert raw_weights(g) == reference_from_edges(4, edges)
+            assert repr(g.edges()) == repr(reference_from_edges(4, edges)) == "[(0, 1, 2.0), (1, 2, 3.0)]"
         assert WeightedGraph.from_edges(3, np.empty((0, 3))).num_edges == 0
 
-    def test_weight_reads_each_edge_both_ways(self):
-        g = generate_graph("random-geometric", 1000, seed=7)
-        assert all(g.weight(u, v) == g.weight(v, u) == w for u, v, w in g.edges())
-        assert sum(g.weight(0, v) for v in range(g.n)) == g.degree(0)
-        path = generate_graph("path", 3)  # (0, 3) and (1, 0) would share the code 3
-        assert path.weight(0, 3) == path.weight(3, 0) == path.weight(-1, 1) == 0.0
-
     def test_stored_and_derived_arrays_are_read_only(self):
-        for g in (WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)]),
-                  WeightedGraph(3, {(0, 1): 1.0, (1, 0): 1.0, (2, 1): 0.5})):
-            g.degree(0)
-            g.weight(0, 1)
-            arrays = (g._keys, g._values, *g._codes, *g._pairs, *g._adjacency)
-            for arr in arrays:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[...] = 0
+        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (2, 1, 2.0)])
+        for arr in (*g._edge_arrays, *g._adjacency):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 class TestGradientNorm:

@@ -437,9 +437,10 @@ class TestMemo:
         spline_convergence_experiment(d, part, 0.5, 1.0, generate_pw_signal(d, 0.5, 11), [1, 2, 8])
         basis = splines._BASES[d]
         assert sorted(basis.factors) == [1, 2, 8]
-        arrays = [basis.constraints, basis.kernel, *(a for pair in basis.factors.values() for a in pair)]
-        assert [a.shape for a in arrays] == [(32, 64), (64, 32)] + [(64, 32), (32,)] * 3
+        arrays = [basis.constraints, basis.kernel,
+                  *(a for f in basis.factors.values() for a in (f.weights, f.factored, f.tau))]
+        assert [a.shape for a in arrays] == [(32, 64), (64, 32)] + [(64,), (64, 32), (32,)] * 3
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
-                a[0, 0] = 1.0
+                a[...] = 1.0
