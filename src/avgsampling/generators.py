@@ -86,7 +86,7 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
         # np.hypot test decides, so the edge set does not depend on how the
         # tree rounds its distances.
         pairs = cKDTree(points).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]  # ids < n, pairs unique
         delta = points[pairs[:, 0]] - points[pairs[:, 1]]
         pairs = pairs[np.hypot(delta[:, 0], delta[:, 1]) <= radius]
         graph = WeightedGraph.from_edges(n, np.column_stack([pairs, np.ones(len(pairs))]))

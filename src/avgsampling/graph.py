@@ -36,10 +36,10 @@ class WeightedGraph:
         """Build a graph from undirected edges.
 
         ``edges`` is an iterable of (u, v, w) triples or an (E, 3) array.
-        Rejects n < 1, out-of-range ids, loops, negative or non-finite
-        weights and pairs repeated in either orientation, naming the first
-        offending edge. Zero-weight edges are dropped (a zero weight means
-        "no edge").
+        Rejects n < 1, non-integer (fractional, NaN or infinite) ids,
+        out-of-range ids, loops, negative or non-finite weights and pairs
+        repeated in either orientation, naming the first offending edge.
+        Zero-weight edges are dropped (a zero weight means "no edge").
         """
         if n < 1:
             raise InputError(f"graph needs at least one vertex, got n={n}")
@@ -47,15 +47,23 @@ class WeightedGraph:
             us, vs, ws = edges.T
         else:
             us, vs, ws = list(zip(*edges)) or ((), (), ())
-        us, vs, ws = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp), np.asarray(ws, dtype=float)
+        raw_us, raw_vs, ws = np.asarray(us), np.asarray(vs), np.asarray(ws, dtype=float)
+        whole = np.ones(len(ws), dtype=bool)
+        for ids in (raw_us, raw_vs):
+            if ids.dtype.kind == "f":
+                whole &= np.isfinite(ids) & (ids == np.floor(ids))
+        # Clipping keeps an out-of-range id out of range and the cast exact.
+        us, vs = (np.where(whole, np.clip(ids, -1, n), 0).astype(np.intp) for ids in (raw_us, raw_vs))
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         order = np.lexsort((hi, lo))  # stable: a repeat sorts after the entry it repeats
         repeated = np.zeros(len(us), dtype=bool)
         repeated[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
-        bad = (lo < 0) | (hi >= n) | (us == vs) | ~np.isfinite(ws) | (ws < 0) | repeated
+        bad = ~whole | (lo < 0) | (hi >= n) | (us == vs) | ~np.isfinite(ws) | (ws < 0) | repeated
         if bad.any():
             i = int(bad.argmax())
-            u, v, w = int(us[i]), int(vs[i]), float(ws[i])
+            if not whole[i]:
+                raise InputError(f"edge ({float(raw_us[i])},{float(raw_vs[i])}) has a non-integer vertex id")
+            u, v, w = int(raw_us[i]), int(raw_vs[i]), float(ws[i])
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -130,17 +138,22 @@ def as_signal(graph: WeightedGraph, values: Sequence[float] | np.ndarray) -> np.
 
 def is_connected(graph: WeightedGraph) -> bool:
     """True iff the nonzero-weight edge relation has a single component."""
-    return len(connected_components(graph)) == 1
+    return _component_labels(graph)[0] == 1
 
 
 def connected_components(graph: WeightedGraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
-    us, vs, _ = graph._edge_arrays
-    count, labels = csgraph.connected_components(
-        coo_matrix((np.ones(len(us)), (us, vs)), shape=(graph.n, graph.n)), directed=False)
+    count, labels = _component_labels(graph)
     order = np.argsort(labels, kind="stable")
     comps = np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
     return sorted((comp.tolist() for comp in comps), key=lambda comp: comp[0])
+
+
+def _component_labels(graph: WeightedGraph) -> tuple[int, np.ndarray]:
+    """Number of connected components and the component index of each vertex."""
+    us, vs, _ = graph._edge_arrays
+    return csgraph.connected_components(
+        coo_matrix((np.ones(len(us)), (us, vs)), shape=(graph.n, graph.n)), directed=False)
 
 
 def gradient_norm_sq(graph: WeightedGraph, f: np.ndarray) -> float:

@@ -121,18 +121,16 @@ def _cluster_gaps(
     """Spectral gap of each cluster's induced subgraph, from one pass over the edges.
 
     ``labels`` and ``sizes`` are the cover's label vector and cluster sizes.
-    The intra-cluster edges are grouped by cluster label; the Laplacian
-    blocks of all clusters of one size are stacked and solved by a single
-    batched eigensolve. Raises InputError for the first cluster whose
-    induced subgraph is disconnected.
+    The intra-cluster edges are sorted once by (cluster size, cluster label);
+    the Laplacian blocks of all clusters of one size, in cluster order, are
+    filled from one contiguous slice and solved by a single batched
+    eigensolve. Raises InputError for the first cluster whose induced
+    subgraph is disconnected.
     """
-    position = np.empty(graph.n, dtype=np.intp)
-    position[np.concatenate(clusters).astype(np.intp)] = (
-        np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes))
-
     us, vs, ws = graph._edge_arrays
-    intra = labels[us] == labels[vs]
-    us, vs, ws = us[intra], vs[intra], ws[intra]
+    edge_cluster = labels[us]
+    intra = edge_cluster == labels[vs]
+    us, vs, ws, edge_cluster = us[intra], vs[intra], ws[intra], edge_cluster[intra]
 
     count, component = connected_components(
         coo_matrix((np.ones(len(us)), (us, vs)), shape=(graph.n, graph.n)), directed=False
@@ -143,20 +141,35 @@ def _cluster_gaps(
         idx = int(np.flatnonzero(per_cluster > 1)[0])
         raise InputError(f"cluster {idx} {clusters[idx]} induces a disconnected subgraph")
 
+    # Each vertex's index inside its (sorted) cluster, from the vertices in
+    # (label, vertex) order.
+    by_cluster = np.argsort(labels, kind="stable")
+    position = np.empty(graph.n, dtype=np.intp)
+    position[by_cluster] = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+    # Clusters ranked by (size, label); an edge sorts by its cluster's rank.
+    by_size = np.argsort(sizes, kind="stable")
+    rank = np.empty(len(clusters), dtype=np.intp)
+    rank[by_size] = np.arange(len(clusters))
+    edge_rank = rank[edge_cluster]
+    order = np.argsort(edge_rank, kind="stable")
+    edge_rank, us, vs, ws = edge_rank[order], us[order], vs[order], ws[order]
+
     gaps = np.full(len(clusters), math.inf)
-    edge_cluster = labels[us]
-    slot = np.empty(len(clusters), dtype=np.intp)  # index of a cluster among those of its size
-    for size in np.unique(sizes[sizes > 1]):
-        members = np.flatnonzero(sizes == size)
-        slot[members] = np.arange(len(members))
-        mine = sizes[edge_cluster] == size
-        c, i, j, w = slot[edge_cluster[mine]], position[us[mine]], position[vs[mine]], ws[mine]
-        blocks = np.zeros((len(members), size, size))
+    ranked_sizes = sizes[by_size]
+    starts = np.flatnonzero(np.diff(ranked_sizes, prepend=0))  # first rank of each size
+    starts = starts[ranked_sizes[starts] > 1]
+    stops = np.append(starts[1:], len(clusters))
+    slices = zip(starts, stops, np.searchsorted(edge_rank, starts), np.searchsorted(edge_rank, stops))
+    for start, stop, lo, hi in slices:
+        size = int(ranked_sizes[start])
+        c, i, j, w = edge_rank[lo:hi] - start, position[us[lo:hi]], position[vs[lo:hi]], ws[lo:hi]
+        blocks = np.zeros((stop - start, size, size))
         blocks[c, i, j] = -w
         blocks[c, j, i] = -w
         diagonal = np.arange(size)
         blocks[:, diagonal, diagonal] = -blocks.sum(axis=2)
-        gaps[members] = np.linalg.eigvalsh(blocks)[:, 1]
+        gaps[by_size[start:stop]] = np.linalg.eigvalsh(blocks)[:, 1]
     return gaps.tolist()
 
 

@@ -166,18 +166,22 @@ class TestDemoPath:
         assert payload["spectrum"]["within_0_4"] is True
 
     def test_bytes_identical_across_blas_thread_counts(self):
-        outputs = []
-        for threads in ("1", "2"):
-            env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                            MKL_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "avgsampling.cli", "demo-path",
-                 "--n", "64", "--omega", "0.5", "--seed", "42"],
-                capture_output=True, env=env,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+        """On the path and on a 10x10 grid, whose spectrum repeats eigenvalues."""
+        commands = [
+            ["demo-path", "--n", "64", "--omega", "0.5", "--seed", "42"],
+            ["reconstruct", "--generate", "grid2d", "--n", "100", "--clusters", "bfs:1",
+             "--omega", "3.22", "--method", "frame-iter", "--random-seed", "5"],
+        ]
+        for command in commands:
+            outputs = []
+            for threads in ("1", "2"):
+                env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                                MKL_NUM_THREADS=threads)
+                proc = subprocess.run([sys.executable, "-m", "avgsampling.cli", *command],
+                                      capture_output=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1], command
 
 
 class TestInputChecksBeforeEigensolve:

@@ -85,11 +85,14 @@ class TestEdgeViews:
 
 def reference_from_edges(n, edges):
     """``WeightedGraph.from_edges`` as a loop over the edges with a set of seen
-    pairs: the stored (u, v, w) with u < v, sorted, zero weights dropped."""
+    pairs: the stored (u, v, w) with u < v, sorted, zero weights dropped.
+    Float ids must be whole numbers; an out-of-range one is compared exactly."""
     if n < 1:
         raise InputError(f"graph needs at least one vertex, got n={n}")
     kept, seen = [], set()
     for u, v, w in edges:
+        if any(isinstance(x, (float, np.floating)) and not float(x).is_integer() for x in (u, v)):
+            raise InputError(f"edge ({float(u)},{float(v)}) has a non-integer vertex id")
         u, v, w = int(u), int(v), float(w)
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u},{v}) out of range for n={n}")
@@ -156,6 +159,12 @@ def stray_ids(n):
     return st.sampled_from([-2, -1, n, n + 3]).flatmap(lambda k: st.sampled_from([k, np.int64(k)]))
 
 
+def fractional_ids(n):
+    """Float vertex ids that are not integers: fractions, NaN and infinities."""
+    return st.sampled_from([0.5, -0.5, n - 0.5, 1.7, np.nan, np.inf, -np.inf]).flatmap(
+        lambda x: st.sampled_from([x, np.float64(x)]))
+
+
 ODD_WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -1e-300, np.nan, np.inf, -np.inf]),
                         st.floats(allow_nan=True, allow_infinity=True))
 GOOD_WEIGHTS = st.sampled_from([0.5, 1.0, 2.5, 1e-300]) | st.floats(0.0, 1e6)
@@ -164,11 +173,11 @@ GOOD_WEIGHTS = st.sampled_from([0.5, 1.0, 2.5, 1e-300]) | st.floats(0.0, 1e6)
 @st.composite
 def faulty_edges(draw, n):
     """Distinct edges u != v, then up to three faults: an odd weight, a loop,
-    an out-of-range id, or a repeat of an edge in either orientation."""
+    an out-of-range or non-integer id, or a repeat of an edge in either orientation."""
     ids = vertex_ids(n)
     edges = draw(st.lists(st.tuples(ids, ids, GOOD_WEIGHTS).filter(lambda e: e[0] != e[1]),
                           max_size=10, unique_by=lambda e: frozenset((int(e[0]), int(e[1])))))
-    for fault in draw(st.lists(st.sampled_from(["weight", "loop", "stray", "repeat"]), max_size=3)):
+    for fault in draw(st.lists(st.sampled_from(["weight", "loop", "stray", "fraction", "repeat"]), max_size=3)):
         if not edges:
             break
         i = draw(st.integers(0, len(edges) - 1))
@@ -177,8 +186,9 @@ def faulty_edges(draw, n):
             edges[i] = (u, v, draw(ODD_WEIGHTS))
         elif fault == "loop":
             edges[i] = (u, u, w)
-        elif fault == "stray":
-            edges[i] = (u, draw(stray_ids(n)), w) if draw(st.booleans()) else (draw(stray_ids(n)), v, w)
+        elif fault in ("stray", "fraction"):
+            odd = stray_ids(n) if fault == "stray" else fractional_ids(n)
+            edges[i] = (u, draw(odd), w) if draw(st.booleans()) else (draw(odd), v, w)
         else:
             repeat = draw(st.sampled_from([(u, v, w), (v, u, w), (v, u, 0.0)]))
             edges.insert(draw(st.integers(0, len(edges))), repeat)
@@ -190,7 +200,8 @@ class TestConstructors:
     @given(n=st.integers(0, 8), data=st.data())
     def test_from_edges_matches_loop_reference(self, n, data):
         """Loops, negative, zero, -0.0, NaN and infinite weights, repeats in
-        either orientation, numpy ids, out-of-range ids, and (E, 3) array input."""
+        either orientation, numpy ids, out-of-range ids, fractional, NaN and
+        infinite ids, and (E, 3) array input."""
         edges = data.draw(faulty_edges(n))
         if data.draw(st.booleans()):
             edges = np.array(edges, dtype=float).reshape(-1, 3)
@@ -208,6 +219,13 @@ class TestConstructors:
         (3, [(0, 3, 1.0)], "edge (0,3) out of range for n=3"),
         (3, [(-1, 2, 0.0)], "edge (-1,2) out of range for n=3"),
         (0, [], "graph needs at least one vertex, got n=0"),
+        (3, [(0.5, 1.7, 1.0), (1.2, 2.9, 2.0)], "edge (0.5,1.7) has a non-integer vertex id"),
+        (3, [(0, 1, 1.0), (1, math.nan, 1.0)], "edge (1.0,nan) has a non-integer vertex id"),
+        (3, [(math.inf, 1, 1.0)], "edge (inf,1.0) has a non-integer vertex id"),
+        (3, [(2, -math.inf, 1.0)], "edge (2.0,-inf) has a non-integer vertex id"),
+        (3, [(0, 5, 1.0), (0.5, 1, 1.0)], "edge (0,5) out of range for n=3"),
+        (3, [(0.5, 1, 1.0), (0, 5, 1.0)], "edge (0.5,1.0) has a non-integer vertex id"),
+        (3, [(0, 1e20, 1.0)], "edge (0,100000000000000000000) out of range for n=3"),
     ])
     def test_from_edges_rejects(self, n, edges, message):
         for given_edges in (edges, np.array(edges, dtype=float).reshape(-1, 3)):

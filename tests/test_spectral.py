@@ -8,17 +8,25 @@ from hypothesis import strategies as st
 
 from avgsampling import (
     InputError,
+    SpectralDecomposition,
     WeightedGraph,
+    analyze,
     apply_power,
+    bfs_partition,
+    build_frame_system,
     build_laplacian,
+    dual_frame_reconstruct,
     eigendecompose,
     generate_graph,
     generate_pw_signal,
     gradient_norm_sq,
     lambda1,
+    pairs_partition,
     pw_project,
     pw_space,
     quadratic_form,
+    spline_convergence_experiment,
+    validate_partition,
 )
 
 
@@ -272,3 +280,58 @@ class TestSpectralInequalities:
             d = eigendecompose(build_laplacian(generate_graph("path", n)))
             assert d.eigenvalues[0] >= -1e-10
             assert d.eigenvalues[-1] <= 4.0 + 1e-10
+
+
+def rotated_within_eigenspaces(decomp, seed):
+    """The same eigenvalues with each group of eigenvectors whose eigenvalues
+    agree within 1e-9 * lambda_max turned by a seeded random orthogonal
+    matrix, and the number of groups turned."""
+    values, vectors = decomp.eigenvalues, decomp.eigenvectors.copy()
+    groups = np.split(np.arange(decomp.n), np.flatnonzero(np.diff(values) > 1e-9 * decomp.lambda_max) + 1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    turned = 0
+    for group in groups:
+        if len(group) > 1:
+            q, r = np.linalg.qr(rng.standard_normal((len(group), len(group))))
+            vectors[:, group] = vectors[:, group] @ (q * np.sign(np.diag(r)))
+            turned += 1
+    return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors), turned
+
+
+class TestSolverIndependence:
+    """What the eigensolver may choose (the basis inside a repeated
+    eigenvalue) must not change a result, and what it must deliver
+    (residuals and orthogonality near roundoff) is checked at n=400."""
+
+    @pytest.mark.parametrize("kind, n, omega, alpha", [
+        ("cycle", 12, 1.0, 2.0),  # pairs; in band: 0 and two double eigenvalues
+        ("grid2d", 100, 0.9, 20.0),  # bfs:1; in band: 11 of 100 eigenvalues, 4 double ones
+    ])
+    def test_results_invariant_under_eigenbasis_rotation(self, kind, n, omega, alpha):
+        graph = generate_graph(kind, n)
+        partition = validate_partition(graph, pairs_partition(n) if kind == "cycle" else bfs_partition(graph, 1))
+        decomp = eigendecompose(build_laplacian(graph))
+        turned, count = rotated_within_eigenspaces(decomp, seed=3)
+        assert count >= 2
+        f = pw_project(decomp, omega, np.random.Generator(np.random.PCG64(1)).standard_normal(n))
+        f /= np.linalg.norm(f)
+
+        assert pw_space(turned, omega).dim == pw_space(decomp, omega).dim
+        assert np.max(np.abs(pw_project(turned, omega, f) - f)) <= 1e-12
+        frames = [build_frame_system(d, partition, omega, alpha) for d in (decomp, turned)]
+        assert frames[0].lower > 0.1
+        assert frames[1].lower == pytest.approx(frames[0].lower, rel=1e-12)
+        assert frames[1].upper == pytest.approx(frames[0].upper, rel=1e-12)
+        recovered = [dual_frame_reconstruct(frame, analyze(partition, f)).signal for frame in frames]
+        assert np.max(np.abs(recovered[0] - f)) <= 1e-12
+        assert np.max(np.abs(recovered[1] - recovered[0])) <= 1e-12
+        rows = [spline_convergence_experiment(d, partition, omega, alpha, f, [1, 2, 4, 8]) for d in (decomp, turned)]
+        assert [row.rel_error for row in rows[1]] == pytest.approx([row.rel_error for row in rows[0]], abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["grid2d", "cycle", "random-geometric"])
+    def test_residual_and_orthogonality_at_n400(self, kind):
+        L = build_laplacian(generate_graph(kind, 400))
+        d = eigendecompose(L)
+        V = d.eigenvectors
+        assert np.max(np.abs(L @ V - V * d.eigenvalues)) <= 1e-13 * np.linalg.norm(L, 2)
+        assert np.max(np.abs(V.T @ V - np.eye(400))) <= 1e-13
