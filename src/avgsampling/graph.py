@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix, csgraph
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InputError
 
@@ -151,9 +151,9 @@ def connected_components(graph: WeightedGraph) -> list[list[int]]:
 
 def _component_labels(graph: WeightedGraph) -> tuple[int, np.ndarray]:
     """Number of connected components and the component index of each vertex."""
-    us, vs, _ = graph._edge_arrays
+    indptr, indices = graph._adjacency
     return csgraph.connected_components(
-        coo_matrix((np.ones(len(us)), (us, vs)), shape=(graph.n, graph.n)), directed=False)
+        csr_matrix((np.ones(len(indices)), indices, indptr), shape=(graph.n, graph.n)), directed=False)
 
 
 def gradient_norm_sq(graph: WeightedGraph, f: np.ndarray) -> float:

@@ -211,7 +211,10 @@ class FrameSystem:
     the Gram matrix ``gram`` (``analysis.T @ analysis``), and the
     ``singular_values`` and right singular vectors ``right_vectors`` (as
     columns, m x min(J, m)) are derived from ``analysis`` by one thin SVD
-    when the system is built.
+    when the system is built. ``_schedules`` memoises the frame iteration's
+    step schedule per ``(mu, tol, max_iter)``: built by the first
+    ``reconstruct.frame_algorithm`` call with that config, it holds at most
+    ``reconstruct._ERROR_LOG_BLOCK`` x m doubles.
     """
 
     omega: float
@@ -228,6 +231,7 @@ class FrameSystem:
     gram: np.ndarray = field(init=False, repr=False)  # m x m
     singular_values: np.ndarray = field(init=False, repr=False)  # min(J, m), descending
     right_vectors: np.ndarray = field(init=False, repr=False)  # m x min(J, m)
+    _schedules: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         J, m = self.analysis.shape
@@ -245,6 +249,7 @@ class FrameSystem:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "singular_values", singular)
         object.__setattr__(self, "right_vectors", right)
+        object.__setattr__(self, "_schedules", {})
 
     @property
     def dim(self) -> int:

@@ -7,10 +7,14 @@ averages form a frame (a > 0). For a fixed frame and ``mu`` the k-th iterate
 is a fixed polynomial in the frame operator, so it is evaluated in closed
 form in the eigenbasis of ``A^T A``: the right singular vectors of the thin
 SVD ``A = U S V^T``, in which mode i contracts by ``1 - mu*sigma_i^2`` per
-step. The step count is the first k whose residual meets the tolerance,
-found by bisection, so a signal costs a few m x m matvecs whatever the
-number of steps. The direct route applies the canonical dual frame, the
-minimum-norm least-squares solve ``c = pinv(A) s``. The singular vectors,
+step. The step count is the first k whose residual meets the tolerance. The
+decay of every mode over the first steps is tabulated once per frame and
+config, in a step schedule memoised on the frame that holds at most
+``_ERROR_LOG_BLOCK`` steps of m doubles each; a signal reads its step count
+off one product with that table, and steps past it are found by bisection.
+A signal thus costs a few m x m matvecs whatever the number of steps. The
+direct route applies the canonical dual frame, the minimum-norm
+least-squares solve ``c = pinv(A) s``. The singular vectors,
 the Gram matrix ``G = A^T A`` and ``pinv(A)`` are all formed once in
 ``build_frame_system``, from the one thin SVD that gives the frame bounds.
 """
@@ -26,8 +30,9 @@ from .graph import WeightedGraph
 from .partitions import ClusterPartition, FrameSystem, analyze, build_frame_system
 from .spectral import SpectralDecomposition, build_laplacian, eigendecompose, pw_project
 
-#: Steps per block when the error log is evaluated, which bounds its memory
-#: to this many band-coefficient vectors at a time.
+#: Steps per block when the error log is evaluated, and steps in a step
+#: schedule's decay table, which bounds each to this many band-coefficient
+#: vectors.
 _ERROR_LOG_BLOCK = 1024
 
 
@@ -70,6 +75,52 @@ def _check_samples(frame: FrameSystem, samples: np.ndarray) -> np.ndarray:
     return s
 
 
+@dataclass(frozen=True)
+class _StepSchedule:
+    """What the frame iteration needs of one frame and config, all read-only.
+
+    Mode i contracts by ``rho[i]`` per step. Row k-1 of ``decay`` is
+    ``rho**(2k)`` for k = 1..min(bracket, _ERROR_LOG_BLOCK), so ``decay``
+    times a signal's mode shares gives its squared closed-form residual after
+    each of those steps. ``bracket`` is a step by which the residual meets
+    ``tol`` (``max_iter`` when eta gives none).
+    """
+
+    eta: float
+    sigma2: np.ndarray
+    rho: np.ndarray
+    positive: np.ndarray
+    log_rho: np.ndarray
+    bracket: int
+    decay: np.ndarray
+
+
+def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> _StepSchedule:
+    """The step schedule of a frame for a checked config, memoised on the frame."""
+    key = (mu, tol, max_iter)
+    schedule = frame._schedules.get(key)
+    if schedule is not None:
+        return schedule
+    eta = max(abs(1.0 - mu * frame.lower), abs(1.0 - mu * frame.upper))
+    sigma2 = frame.singular_values ** 2
+    rho = 1.0 - mu * sigma2
+    rho_squared = rho * rho
+    # 1 - rho**k is -expm1(k * log1p(-mu*sigma^2)) where rho > 0, which keeps
+    # its digits when mu*sigma^2 is tiny; where rho <= 0 nothing cancels.
+    positive = rho > 0.0
+    log_rho = np.log1p(-np.where(positive, mu * sigma2, 0.0))
+    # The residual after k steps is at most eta**k, so that k brackets the
+    # first step within tol; max_iter stands in if roundoff moved it.
+    bracket = max_iter
+    if 0.0 < eta < 1.0:
+        bracket = min(max_iter, max(1, math.ceil(math.log(tol) / math.log(eta))))
+    decay = np.stack([rho_squared ** k for k in range(1, min(bracket, _ERROR_LOG_BLOCK) + 1)])
+    for derived in (sigma2, rho, positive, log_rho, decay):
+        derived.flags.writeable = False
+    schedule = frame._schedules[key] = _StepSchedule(eta, sigma2, rho, positive, log_rho, bracket, decay)
+    return schedule
+
+
 def frame_algorithm(
     frame: FrameSystem,
     samples: np.ndarray,
@@ -83,8 +134,12 @@ def frame_algorithm(
     ``y = V^T A^T s``, mode i contracts by ``rho_i = 1 - mu*sigma_i^2`` per
     step, so after k steps the iterate is ``V ((1 - rho^k)/sigma^2 * y)`` and
     the residual is ``norm(rho^k * y) / norm(y)``. That residual never
-    increases with k, so the first step meeting ``tol`` is found by
-    bisection; the returned residual is recomputed from the iterate. When
+    increases with k. The first call with a given ``(mu, tol, max_iter)``
+    tabulates ``rho^(2k)`` on the frame for every step up to the one by
+    which ``eta^k`` meets ``tol``, capped at ``_ERROR_LOG_BLOCK`` steps, so
+    one table product gives the first step meeting ``tol``; beyond the
+    table it is found by bisection. The returned residual is recomputed
+    from the iterate. When
     ``truth`` (a vertex-space signal assumed to lie in the band) is
     supplied, the per-iteration error ``norm(truth - iterate)`` is logged
     alongside the run.
@@ -100,12 +155,12 @@ def frame_algorithm(
     mu = 2.0 / (a + b) if config.mu is None else float(config.mu)
     if not (0.0 < mu < 2.0 / b):
         raise InputError(f"relaxation parameter mu={mu} outside (0, 2/b)=(0, {2.0 / b})")
-    tol, max_iter = float(config.tol), int(config.max_iter)
+    tol, max_iter = float(config.tol), config.max_iter
     if not (math.isfinite(tol) and tol > 0.0):
         raise InputError(f"tolerance tol={config.tol} must be finite and positive")
-    if max_iter < 1:
-        raise InputError(f"max_iter={config.max_iter} must be at least 1")
-    eta = max(abs(1.0 - mu * a), abs(1.0 - mu * b))
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise InputError(f"max_iter must be a positive integer, got {max_iter!r}")
+    max_iter = int(max_iter)
 
     truth_coeffs = None
     if truth is not None:
@@ -118,6 +173,8 @@ def frame_algorithm(
             raise InputError("truth contains non-finite entries")
         truth_coeffs = frame.basis.T @ truth
 
+    schedule = _step_schedule(frame, mu, tol, max_iter)
+    eta = schedule.eta
     normal_rhs = frame.analysis.T @ s
     denom = float(np.linalg.norm(normal_rhs))
     if denom == 0.0:
@@ -135,48 +192,47 @@ def frame_algorithm(
         )
 
     right = frame.right_vectors
-    sigma2 = frame.singular_values ** 2
+    positive, rho, log_rho = schedule.positive, schedule.rho, schedule.log_rho
     y = right.T @ normal_rhs
-    fixed_point = y / sigma2  # the least-squares solution in the V basis
-    rho = 1.0 - mu * sigma2  # per-step contraction of each mode
-    rho_squared = rho * rho
+    fixed_point = y / schedule.sigma2  # the least-squares solution in the V basis
     share = (y / denom) ** 2  # norm(y) = norm(A^T s), as V is orthogonal
-    # 1 - rho**k is -expm1(k * log1p(-mu*sigma^2)) where rho > 0, which keeps
-    # its digits when mu*sigma^2 is tiny; where rho <= 0 nothing cancels.
-    positive = rho > 0.0
-    log_rho = np.log1p(-np.where(positive, mu * sigma2, 0.0))
 
     def complement(steps) -> np.ndarray:
         return np.where(positive, -np.expm1(steps * log_rho), 1.0 - rho ** steps)
 
     def closed_form_within_tol(steps: int) -> bool:
-        return math.sqrt(float(share @ rho_squared ** steps)) <= tol
+        return math.sqrt(float(share @ (rho * rho) ** steps)) <= tol
 
     def iterate(steps: int) -> tuple[np.ndarray, float]:
         c = right @ (complement(steps) * fixed_point)
         direction = normal_rhs - frame.gram @ c
         return c, math.sqrt(direction @ direction) / denom
 
+    def first_step_within_tol() -> int | None:
+        within = np.sqrt(schedule.decay @ share) <= tol
+        if within.any():
+            return int(within.argmax()) + 1
+        # Past the table, bisect between its end and the first bracket within tol.
+        lo = len(schedule.decay) + 1
+        hi = next((k for k in (schedule.bracket, max_iter) if k >= lo and closed_form_within_tol(k)), None)
+        if hi is None:
+            return None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if closed_form_within_tol(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
     def run() -> tuple[int, np.ndarray, float, bool]:
-        # The residual after k steps is at most eta**k, so that k brackets the
-        # first step within tol; max_iter stands in if roundoff moved it.
-        brackets = [max_iter]
-        if 0.0 < eta < 1.0:
-            brackets.insert(0, min(max_iter, max(1, math.ceil(math.log(tol) / math.log(eta)))))
-        hi = next((k for k in brackets if closed_form_within_tol(k)), None)
-        if hi is not None:
-            lo = 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if closed_form_within_tol(mid):
-                    hi = mid
-                else:
-                    lo = mid + 1
+        first = first_step_within_tol()
+        if first is not None:
             # The closed form has no roundoff floor, the recomputed residual
             # has. One step more covers a closed-form residual that lands
             # within roundoff below tol; a miss beyond that is the floor,
             # where a stepwise run exhausts its budget.
-            for steps in range(lo, min(lo + 1, max_iter) + 1):
+            for steps in range(first, min(first + 1, max_iter) + 1):
                 c, residual = iterate(steps)
                 if residual <= tol:
                     return steps, c, residual, True

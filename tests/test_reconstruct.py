@@ -1,5 +1,6 @@
 """Frame-iteration and dual-frame recovery from cluster averages."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from avgsampling import (
     sample_and_reconstruct_roundtrip,
     validate_partition,
 )
+from avgsampling.reconstruct import _ERROR_LOG_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,64 @@ def richardson_reference(A, s, mu, tol, max_iter=10000, truth_coeffs=None):
         if np.linalg.norm(direction) <= tol * np.linalg.norm(normal_rhs):
             break
     return c, iterations, errors
+
+
+def bisection_reference(frame, samples, config):
+    """The closed-form iteration with its step count bisected afresh for each
+    signal, as before the step schedule was memoised.
+
+    Returns (iterations, coefficients, residual, converged).
+    """
+    a, b = frame.lower, frame.upper
+    mu = 2.0 / (a + b) if config.mu is None else float(config.mu)
+    tol, max_iter = config.tol, config.max_iter
+    eta = max(abs(1.0 - mu * a), abs(1.0 - mu * b))
+    normal_rhs = frame.analysis.T @ samples
+    denom = float(np.linalg.norm(normal_rhs))
+    right = frame.right_vectors
+    sigma2 = frame.singular_values ** 2
+    y = right.T @ normal_rhs
+    fixed_point = y / sigma2
+    rho = 1.0 - mu * sigma2
+    rho_squared = rho * rho
+    share = (y / denom) ** 2
+    positive = rho > 0.0
+    log_rho = np.log1p(-np.where(positive, mu * sigma2, 0.0))
+
+    def within_tol(steps):
+        return math.sqrt(float(share @ rho_squared ** steps)) <= tol
+
+    def iterate(steps):
+        complement = np.where(positive, -np.expm1(steps * log_rho), 1.0 - rho ** steps)
+        c = right @ (complement * fixed_point)
+        direction = normal_rhs - frame.gram @ c
+        return c, math.sqrt(direction @ direction) / denom
+
+    brackets = [max_iter]
+    if 0.0 < eta < 1.0:
+        brackets.insert(0, min(max_iter, max(1, math.ceil(math.log(tol) / math.log(eta)))))
+    hi = next((k for k in brackets if within_tol(k)), None)
+    if hi is not None:
+        lo = 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if within_tol(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        for steps in range(lo, min(lo + 1, max_iter) + 1):
+            c, residual = iterate(steps)
+            if residual <= tol:
+                return steps, c, residual, True
+    return (max_iter, *iterate(max_iter), False)
+
+
+def assert_same_run(result, expected):
+    iterations, coefficients, residual, converged = expected
+    assert result.iterations == iterations
+    assert result.residual == residual
+    assert result.converged == converged
+    assert np.array_equal(result.coefficients, coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +223,8 @@ class TestFrameAlgorithm:
         FrameIterationConfig(tol=float("inf")),
         FrameIterationConfig(max_iter=0),
         FrameIterationConfig(max_iter=-3),
+        FrameIterationConfig(max_iter=2.5),
+        FrameIterationConfig(max_iter=True),
     ])
     def test_bad_tolerance_or_budget_rejected(self, frame64, path64, config):
         samples = analyze(path64[2], generate_pw_signal(path64[1], 0.5, 1))
@@ -245,6 +307,70 @@ class TestFrameAlgorithm:
             frame_algorithm(frame64, bad)
         with pytest.raises(InputError):
             frame_algorithm(frame64, np.zeros(5))
+
+
+CONFIGS = {
+    "default": lambda frame: FrameIterationConfig(),
+    "mu=1/b": lambda frame: FrameIterationConfig(mu=1.0 / frame.upper),
+    "tol=1e-6": lambda frame: FrameIterationConfig(tol=1e-6),
+    "max_iter=5": lambda frame: FrameIterationConfig(max_iter=5),
+}
+
+
+class TestStepSchedule:
+    @pytest.mark.parametrize("make_config", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_matches_bisection(self, both_frames, make_config):
+        for d, part, frame, omega in both_frames:
+            config = make_config(frame)
+            for seed in range(8):
+                samples = analyze(part, generate_pw_signal(d, omega, seed))
+                result = frame_algorithm(frame, samples, config)
+                assert_same_run(result, bisection_reference(frame, samples, config))
+
+    def test_beyond_one_block(self, frame64):
+        # b/a = 204: the bracket, about 2350 steps, exceeds one table block
+        rng = np.random.Generator(np.random.PCG64(41))
+        left, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        frame = dataclasses.replace(
+            frame64, analysis=left @ np.diag([1.0, 0.3, 0.07]) @ right.T, basis=np.eye(3))
+        config = FrameIterationConfig()
+        mu = 2.0 / (frame.lower + frame.upper)
+        for seed in range(3):
+            samples = rng.standard_normal(6)
+            result = frame_algorithm(frame, samples, config)
+            assert result.converged and result.iterations > _ERROR_LOG_BLOCK
+            assert_same_run(result, bisection_reference(frame, samples, config))
+            expected, iterations, _ = richardson_reference(frame.analysis, samples, mu, config.tol)
+            assert abs(result.iterations - iterations) <= 1
+            assert np.linalg.norm(result.coefficients - expected) <= 1e-10 * np.linalg.norm(expected)
+        (schedule,) = frame._schedules.values()
+        assert schedule.bracket > _ERROR_LOG_BLOCK
+        assert schedule.decay.shape == (_ERROR_LOG_BLOCK, frame.dim)
+
+    def test_configs_do_not_interfere(self, grid_frame):
+        d, part, frame = grid_frame
+        shared = dataclasses.replace(frame)
+        configs = [make_config(frame) for make_config in CONFIGS.values()]
+        for seed in range(3):
+            samples = analyze(part, generate_pw_signal(d, 3.22, seed))
+            for config in configs:
+                fresh = frame_algorithm(dataclasses.replace(frame), samples, config)
+                result = frame_algorithm(shared, samples, config)
+                assert_same_run(result, (fresh.iterations, fresh.coefficients, fresh.residual, fresh.converged))
+        assert len(shared._schedules) == len(configs)
+
+    def test_arrays_read_only(self, grid_frame):
+        d, part, frame = grid_frame
+        frame_algorithm(frame, analyze(part, generate_pw_signal(d, 3.22, 0)))
+        assert frame._schedules
+        for schedule in frame._schedules.values():
+            arrays = [value for value in vars(schedule).values() if isinstance(value, np.ndarray)]
+            assert len(arrays) == 5
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
 
 
 class TestDualFrame:
