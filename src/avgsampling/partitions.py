@@ -5,9 +5,13 @@ connected subgraph. Each cluster carries the spectral gap of its induced
 subgraph; the partition constant is the smallest of those gaps. Sampling a
 signal means recording, per cluster, the scaled average
 ``sum(f over cluster) / sqrt(cluster size)`` - the inner product against the
-normalized indicator of the cluster. The label vector is the only stored form
-of a partition; averages, the frame's analysis matrix and the spline
-constraint rows are all computed from it.
+normalized indicator of the cluster.
+
+A partition is valid by construction: :func:`validate_partition`, its only
+constructor, checks the cover and stores the sorted clusters with their gaps,
+the label vector and the cluster sizes, each built once. Averages, the
+frame's analysis matrix and the spline constraint rows are all computed from
+the label vector and sizes.
 
 For signals of bandwidth omega, those averages form a frame whenever
 ``gamma = (1 + alpha)/alpha * omega / Lambda < 1`` for some alpha > 0, with
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,83 +39,86 @@ RANK_CUTOFF = 1e-10
 PINV_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClusterPartition:
-    """Disjoint cover of the vertex set by connected clusters.
+    """Disjoint cover of the vertex set by connected clusters, valid by construction.
 
-    ``lambda1s[j]`` is the spectral gap of the induced subgraph of cluster j
-    (+inf for singletons, whose within-cluster deviation is identically
-    zero). ``lambda_xi`` is the minimum over clusters, +inf if every cluster
-    is a singleton.
+    Build one with :func:`validate_partition`, which checks the cover; direct
+    construction and ``dataclasses.replace`` raise TypeError, so no partition
+    carries an unchecked cluster or gap.
+
+    ``clusters[j]`` lists cluster j's vertices ascending. ``lambda1s[j]`` is
+    the spectral gap of its induced subgraph (+inf for singletons, whose
+    within-cluster deviation is identically zero). ``lambda_xi`` is the
+    minimum over clusters, +inf if every cluster is a singleton. ``labels``
+    (the cluster index of each vertex) and ``sizes`` (each cluster's vertex
+    count, as floats) are read-only arrays left out of comparisons.
     """
 
     n: int
     clusters: tuple[tuple[int, ...], ...]
     lambda1s: tuple[float, ...]
     lambda_xi: float
+    labels: np.ndarray = field(compare=False, repr=False)
+    sizes: np.ndarray = field(compare=False, repr=False)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a ClusterPartition with validate_partition")
 
     @property
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        out = np.array([len(c) for c in self.clusters], dtype=float)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Cluster index of each vertex."""
-        out = _label_vector(self.n, self.clusters)
-        out.flags.writeable = False
-        return out
-
-
-def _label_vector(n: int, clusters: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Cluster index of each vertex of a disjoint cover of 0..n-1."""
-    labels = np.empty(n, dtype=np.intp)
-    labels[np.concatenate(clusters).astype(np.intp)] = np.repeat(
-        np.arange(len(clusters)), [len(c) for c in clusters])
-    return labels
-
 
 def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) -> ClusterPartition:
     """Check a cluster list and compute the per-cluster spectral gaps.
 
-    Raises InputError for overlapping clusters, uncovered vertices, empty
-    clusters, out-of-range indices, or a cluster whose induced subgraph is
-    disconnected.
+    Raises InputError, naming the first offending cluster, for a non-integer
+    (fractional, NaN or infinite) vertex id, an empty cluster, repeated or
+    out-of-range vertices, a vertex in more than one cluster; then for
+    uncovered vertices or a cluster whose induced subgraph is disconnected.
     """
-    norm_clusters: list[tuple[int, ...]] = []
-    seen = np.zeros(graph.n, dtype=bool)
-    for idx, cluster in enumerate(clusters):
-        verts = sorted(int(v) for v in cluster)
-        if not verts:
+    n, clusters = graph.n, list(clusters)
+    sizes = np.fromiter(map(len, clusters), dtype=np.intp, count=len(clusters))
+    raw = np.array([v for cluster in clusters for v in cluster], dtype=float)
+    whole = np.isfinite(raw) & (raw == np.floor(raw))
+    # Clipping keeps an out-of-range id out of range and the cast exact.
+    ids = np.where(whole, np.clip(raw, -1, n), 0).astype(np.intp)
+    order = np.argsort(ids, kind="stable")  # an id's first entry sorts first
+    again = np.zeros(len(ids), dtype=bool)
+    again[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    bad = ~whole | (ids < 0) | (ids >= n) | again
+    owner = np.repeat(np.arange(len(clusters)), sizes)
+    faulty = (sizes == 0) | (np.bincount(owner[bad], minlength=len(clusters)) > 0)
+    if faulty.any():
+        idx = int(faulty.argmax())
+        entries = slice(int(sizes[:idx].sum()), int(sizes[: idx + 1].sum()))
+        values, verts = raw[entries], ids[entries]
+        if not whole[entries].all():
+            raise InputError(f"cluster {idx} has a non-integer vertex id {float(values[~whole[entries]][0])}")
+        if not verts.size:
             raise InputError(f"cluster {idx} is empty")
-        if len(set(verts)) != len(verts):
+        if np.unique(values).size < values.size:
             raise InputError(f"cluster {idx} has repeated vertices")
-        if verts[0] < 0 or verts[-1] >= graph.n:
-            raise InputError(f"cluster {idx} has out-of-range vertices for n={graph.n}")
-        for v in verts:
-            if seen[v]:
-                raise InputError(f"vertex {v} appears in more than one cluster")
-            seen[v] = True
-        norm_clusters.append(tuple(verts))
-    uncovered = np.flatnonzero(~seen)
+        if verts.min() < 0 or verts.max() >= n:
+            raise InputError(f"cluster {idx} has out-of-range vertices for n={n}")
+        raise InputError(f"vertex {int(verts[again[entries]].min())} appears in more than one cluster")
+    labels = np.full(n, -1, dtype=np.intp)
+    labels[ids] = owner
+    uncovered = np.flatnonzero(labels < 0)
     if uncovered.size:
         raise InputError(f"vertices not covered by any cluster: {uncovered[:8].tolist()}")
 
-    sizes = np.fromiter(map(len, norm_clusters), dtype=np.intp, count=len(norm_clusters))
-    gaps = _cluster_gaps(graph, norm_clusters, _label_vector(graph.n, norm_clusters), sizes)
+    grouped, stops = np.argsort(labels, kind="stable").tolist(), np.cumsum(sizes).tolist()
+    norm_clusters = tuple(tuple(grouped[stop - size:stop]) for stop, size in zip(stops, sizes.tolist()))
+    gaps = _cluster_gaps(graph, norm_clusters, labels, sizes)
     finite = [g for g in gaps if math.isfinite(g)]
-    lam_xi = min(finite) if finite else math.inf
-    return ClusterPartition(
-        n=graph.n,
-        clusters=tuple(norm_clusters),
-        lambda1s=tuple(gaps),
-        lambda_xi=lam_xi,
-    )
+    partition = object.__new__(ClusterPartition)
+    float_sizes = sizes.astype(float)
+    labels.flags.writeable = float_sizes.flags.writeable = False
+    vars(partition).update(n=n, clusters=norm_clusters, lambda1s=tuple(gaps),
+                           lambda_xi=min(finite) if finite else math.inf, labels=labels, sizes=float_sizes)
+    return partition
 
 
 def _cluster_gaps(
@@ -178,8 +184,7 @@ def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray
 
     Row j is the sum of the rows of cluster j divided by sqrt(size j), the
     normalized indicators applied to every column. The indicators are built
-    sparse from the label vector (n nonzeros), never as a dense J x n array;
-    a cluster index that no vertex carries gets a zero row.
+    sparse from the label vector (n nonzeros), never as a dense J x n array.
     """
     labels = partition.labels
     indicators = csr_matrix((1.0 / np.sqrt(partition.sizes)[labels], (labels, np.arange(partition.n))),
@@ -386,6 +391,13 @@ def optimal_alpha(omega: float, lambda_xi: float) -> tuple[float, float]:
     return root / complement, complement * complement
 
 
+def _integer(value, name: str, least: int = 1) -> int:
+    """``value`` as an int; InputError unless it is an integer (not a bool) >= ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
+    return int(value)
+
+
 def pairs_partition(n: int) -> list[tuple[int, int]]:
     """Consecutive pairs {0,1}, {2,3}, ...; n must be even."""
     if n % 2 != 0:
@@ -395,8 +407,7 @@ def pairs_partition(n: int) -> list[tuple[int, int]]:
 
 def blocks_partition(n: int, size: int) -> list[tuple[int, ...]]:
     """Consecutive index blocks of a given size; the last block may be shorter."""
-    if size < 1:
-        raise InputError(f"block size must be at least 1, got {size}")
+    size = _integer(size, "block size")
     return [tuple(range(start, min(start + size, n))) for start in range(0, n, size)]
 
 
@@ -406,8 +417,7 @@ def bfs_partition(graph: WeightedGraph, radius: int) -> list[tuple[int, ...]]:
     Repeatedly grows a ball from the smallest unassigned vertex, restricted
     to unassigned vertices, so every cluster induces a connected subgraph.
     """
-    if radius < 0:
-        raise InputError(f"radius must be nonnegative, got {radius}")
+    radius = _integer(radius, "radius", least=0)
     indptr, indices = graph._adjacency
     indptr, indices = indptr.tolist(), indices.tolist()  # a ball is too small for numpy calls to pay
     assigned = [False] * graph.n

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graph import WeightedGraph
-from .partitions import ClusterPartition, FrameSystem, analyze, build_frame_system
+from .partitions import ClusterPartition, FrameSystem, _integer, analyze, build_frame_system
 from .spectral import SpectralDecomposition, build_laplacian, eigendecompose, pw_project
 
 #: Steps per block when the error log is evaluated, and steps in a step
@@ -155,12 +155,9 @@ def frame_algorithm(
     mu = 2.0 / (a + b) if config.mu is None else float(config.mu)
     if not (0.0 < mu < 2.0 / b):
         raise InputError(f"relaxation parameter mu={mu} outside (0, 2/b)=(0, {2.0 / b})")
-    tol, max_iter = float(config.tol), config.max_iter
+    tol, max_iter = float(config.tol), _integer(config.max_iter, "max_iter")
     if not (math.isfinite(tol) and tol > 0.0):
         raise InputError(f"tolerance tol={config.tol} must be finite and positive")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise InputError(f"max_iter must be a positive integer, got {max_iter!r}")
-    max_iter = int(max_iter)
 
     truth_coeffs = None
     if truth is not None:

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import lapack, qr
 
 from .errors import InputError, NumericalError
-from .partitions import ClusterPartition, _cluster_rows, _gamma, analyze
+from .partitions import ClusterPartition, _cluster_rows, _gamma, _integer, analyze
 from .spectral import SpectralDecomposition, pw_project
 
 #: Refuse spline solves whose equilibrated system is estimated worse than this.
@@ -55,7 +55,7 @@ class SplineProblem:
     partition: ClusterPartition
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _order(self.order))
+        object.__setattr__(self, "order", _integer(self.order, "spline order"))
         targets = np.asarray(self.targets, dtype=float)
         if targets.shape != (self.partition.num_clusters,):
             raise InputError(
@@ -69,13 +69,6 @@ class SplineProblem:
     @property
     def order_is_power_of_two(self) -> bool:
         return self.order & (self.order - 1) == 0
-
-
-def _order(order) -> int:
-    """A spline order as an int; InputError unless it is an integer (not a bool) >= 1."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
-        raise InputError(f"spline order must be a positive integer, got {order!r}")
-    return int(order)
 
 
 @dataclass(frozen=True)
@@ -119,8 +112,9 @@ def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _Splin
     """The constraint matrix B in eigen-coordinates and an orthonormal basis N of its kernel.
 
     Row j of B holds the scaled averages over cluster j of every eigenvector
-    (J x n); N is n x (n - J). Memoised per decomposition and replaced when
-    the partition changes; a rank-deficient partition raises and stores nothing.
+    (J x n); N is n x (n - J). A partition is a valid cover by construction,
+    so B has orthonormal rows and one complete QR of B^T gives N. Memoised
+    per decomposition and replaced when the partition changes.
     """
     basis = _BASES.get(decomp)
     if basis is not None and (basis.partition is partition or basis.partition == partition):
@@ -128,18 +122,8 @@ def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _Splin
     if partition.n != decomp.n:
         raise InputError("partition and decomposition sizes differ")
     B = _cluster_rows(partition, decomp.eigenvectors)
-    J = B.shape[0]
-    # Column pivoting orders |diag R| decreasingly, so counting the large
-    # pivots gives the numerical rank; the pivoting leaves the span unchanged.
-    q, r, _ = qr(B.T, pivoting=True, check_finite=False)
-    pivots = np.abs(np.diag(r))
-    rank = int(np.sum(pivots > 1e-10 * pivots[0])) if pivots.size else 0
-    if rank < J:
-        raise InputError(
-            f"average constraints are rank-deficient (rank {rank} of {J}); "
-            "the partition does not define an interpolation problem"
-        )
-    kernel = q[:, J:].copy(order="F")  # not all of q; q's layout, so products keep their digits
+    q = qr(B.T, check_finite=False)[0]
+    kernel = q[:, B.shape[0]:].copy(order="F")  # not all of q; q's layout, so products keep their digits
     B.flags.writeable = kernel.flags.writeable = False
     basis = _BASES[decomp] = _SplineBasis(partition, B, kernel)
     return basis
@@ -298,7 +282,7 @@ def orthogonality_check(
     Shares the order's memoised factors with :func:`solve_spline`, so an
     order beyond ``CONDITION_LIMIT`` raises NumericalError here too.
     """
-    k = _order(k)
+    k = _integer(k, "spline order")
     u = np.asarray(u, dtype=float)
     if u.shape != (decomp.n,):
         raise InputError(f"signal shape {u.shape} does not match n={decomp.n}")
@@ -380,7 +364,8 @@ def spline_convergence_experiment(
     basis = _basis(decomp, partition)
     targets = analyze(partition, f)
     rows = []
-    for k in map(_order, k_list):
+    for k in k_list:
+        k = _integer(k, "spline order")
         factors = _order_factors(decomp, basis, k)
         rel = float(np.linalg.norm(f - _spline(decomp, basis, factors, targets)[1])) / norm_f
         bound = 2.0 * gamma ** k

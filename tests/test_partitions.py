@@ -6,10 +6,11 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgsampling import (
+    ClusterPartition,
     FrameSystem,
     InputError,
     analyze,
@@ -23,11 +24,10 @@ from avgsampling import (
     global_poincare_check,
     optimal_alpha,
     pairs_partition,
-    spline_convergence_experiment,
     validate_partition,
 )
 
-from avgsampling.partitions import _cluster_rows
+from avgsampling.partitions import _cluster_rows, _gamma
 
 from conftest import cluster_laplacian, complete_graph, dense_indicators
 
@@ -57,6 +57,66 @@ class TestValidatePartition:
         g = generate_graph("path", 4)
         with pytest.raises(InputError, match="empty"):
             validate_partition(g, [(0, 1), (), (2, 3)])
+
+    @pytest.mark.parametrize("bad", [1.7, 3.9, math.nan, math.inf, -math.inf])
+    def test_non_integer_vertex_id_rejected(self, bad):
+        # once truncated: (0, 1.7) became (0, 1) and (2, 3.9) became (2, 3)
+        g = generate_graph("path", 4)
+        for idx, clusters in enumerate(([(0, bad), (2, 3)], [(0, 1), (2, bad)])):
+            with pytest.raises(InputError, match=f"cluster {idx} has a non-integer vertex id"):
+                validate_partition(g, clusters)
+        assert validate_partition(g, [(0.0, 1.0), (np.int64(3), 2)]) == validate_partition(g, pairs_partition(4))
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_refusals_match_a_sequential_check(self, data):
+        # the first offending cluster, and its first fault, as a loop over the clusters finds them
+        n = data.draw(st.integers(1, 6), label="n")
+        ids = st.one_of(st.integers(-1, n + 1), st.sampled_from([0.5, 2.0, math.nan, math.inf]))
+        clusters = data.draw(st.lists(st.lists(ids, max_size=4), max_size=5), label="clusters")
+        expected, seen = None, set()
+        for idx, cluster in enumerate(clusters):
+            if not all(math.isfinite(v) and v == int(v) for v in cluster):
+                expected = f"cluster {idx} has a non-integer vertex id"
+            elif not cluster:
+                expected = f"cluster {idx} is empty"
+            elif len(set(cluster)) < len(cluster):
+                expected = f"cluster {idx} has repeated vertices"
+            elif min(cluster) < 0 or max(cluster) >= n:
+                expected = f"cluster {idx} has out-of-range vertices"
+            elif seen & set(cluster):
+                expected = f"vertex {min(seen & set(cluster))} appears in more than one cluster"
+            if expected:
+                break
+            seen |= {int(v) for v in cluster}
+        if expected is None and len(seen) < n:
+            expected = "not covered"
+        if expected is None:
+            part = validate_partition(complete_graph(n), clusters)
+            assert part.clusters == tuple(tuple(sorted(int(v) for v in c)) for c in clusters)
+        else:
+            with pytest.raises(InputError, match=expected):
+                validate_partition(complete_graph(n), clusters)
+
+    def test_valid_by_construction(self, path4):
+        g, _, part = path4
+        given_fields = {f.name: getattr(part, f.name) for f in dataclasses.fields(ClusterPartition)}
+        with pytest.raises(TypeError):
+            ClusterPartition(**given_fields)
+        with pytest.raises(TypeError):
+            ClusterPartition(n=4, clusters=((0, 1), (2, 3)), lambda1s=(5.0, 5.0), lambda_xi=123.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(part, lambda_xi=123.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(part)
+        assert part.labels.dtype == np.intp and part.labels.tolist() == [0, 0, 1, 1]
+        assert part.sizes.dtype == float and part.sizes.tolist() == [2.0, 2.0]
+        for array in (part.labels, part.sizes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        rebuilt = validate_partition(g, [(1, 0), (3, 2)])
+        assert rebuilt == part and hash(rebuilt) == hash(part)
 
     def test_singletons_get_infinite_gap(self):
         g = generate_graph("path", 3)
@@ -154,14 +214,6 @@ class TestAverageFunctionals:
             assert _cluster_rows(p, M).shape == (p.num_clusters, m)
             assert (np.abs(_cluster_rows(p, M) - xi @ M) <= scale).all()
 
-    def test_cluster_rows_give_a_vertexless_label_a_zero_row(self, path4):
-        # a repeated cluster loses its vertices to the later copy
-        _, _, part = path4
-        repeated = dataclasses.replace(part, clusters=((0, 1), (0, 1), (2, 3)), lambda1s=(2.0,) * 3)
-        rows = _cluster_rows(repeated, np.eye(4))
-        assert np.array_equal(rows[0], np.zeros(4))
-        assert rows[1:] == pytest.approx(dense_indicators(part), abs=1e-15)
-
 
 class TestFrameSystem:
     def test_bounds_dual_and_gram_are_derived(self, path64):
@@ -184,14 +236,10 @@ class TestFrameSystem:
             with pytest.raises(TypeError):
                 FrameSystem(**given_fields, **{name: getattr(frame, name)})
 
-    def test_gamma_without_positive_gap_has_no_guarantee(self, path4):
+    def test_gamma_without_positive_gap_has_no_guarantee(self):
         # frames once reported gamma = 0 here and splines divided by zero
-        _, d, part = path4
-        degenerate = dataclasses.replace(part, lambda1s=(0.0, 0.0), lambda_xi=0.0)
-        frame = build_frame_system(d, degenerate, omega=0.5, alpha=1.0)
-        assert frame.gamma == math.inf and not frame.guarantee_active
-        with pytest.raises(InputError, match="gamma=inf"):
-            spline_convergence_experiment(d, degenerate, 0.5, 1.0, generate_pw_signal(d, 0.5, 0), [1])
+        assert _gamma(0.5, 1.0, 0.0) == math.inf
+        assert _gamma(0.5, 1.0, -1.0) == math.inf
 
     def test_full_band_has_kernel(self, path4):
         _, d, part = path4
@@ -337,6 +385,16 @@ class TestPartitionGenerators:
     def test_bfs_partition_valid_on_random_graphs(self, er_suite):
         for g, _, part in er_suite[:3]:
             assert sum(len(c) for c in part.clusters) == g.n
+
+    @pytest.mark.parametrize("size", [0, -1, 2.5, True, None])
+    def test_blocks_rejects_bad_size(self, size):
+        with pytest.raises(InputError, match="block size must be a positive integer"):
+            blocks_partition(8, size)
+
+    @pytest.mark.parametrize("radius", [-1, 1.5, True, None])
+    def test_bfs_rejects_bad_radius(self, radius):
+        with pytest.raises(InputError, match="radius must be a nonnegative integer"):
+            bfs_partition(generate_graph("path", 5), radius)
 
     def test_bfs_radius_zero_gives_singletons(self):
         g = generate_graph("path", 5)
