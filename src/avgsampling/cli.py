@@ -82,12 +82,15 @@ def _load_partition(args, graph: WeightedGraph):
         clusters = fileio.read_partition(args.partition)
     elif args.clusters:
         spec = args.clusters
+        kind, colon, value = spec.partition(":")
         if spec == "pairs":
             clusters = pairs_partition(graph.n)
-        elif spec.startswith("blocks:"):
-            clusters = blocks_partition(graph.n, int(spec.split(":", 1)[1]))
-        elif spec.startswith("bfs:"):
-            clusters = bfs_partition(graph, int(spec.split(":", 1)[1]))
+        elif colon and kind in ("blocks", "bfs"):
+            try:
+                size = int(value)
+            except ValueError:
+                raise InputError(f"bad --clusters spec {spec!r}; blocks:<m> and bfs:<r> take integers") from None
+            clusters = blocks_partition(graph.n, size) if kind == "blocks" else bfs_partition(graph, size)
         else:
             raise InputError(f"bad --clusters spec {spec!r}; use pairs | blocks:<m> | bfs:<r>")
     else:

@@ -51,8 +51,9 @@ class ClusterPartition:
     the spectral gap of its induced subgraph (+inf for singletons, whose
     within-cluster deviation is identically zero). ``lambda_xi`` is the
     minimum over clusters, +inf if every cluster is a singleton. ``labels``
-    (the cluster index of each vertex) and ``sizes`` (each cluster's vertex
-    count, as floats) are read-only arrays left out of comparisons.
+    (the cluster index of each vertex), ``sizes`` (each cluster's vertex
+    count, as floats) and ``_sqrt_sizes`` (their square roots, which scale
+    every average) are read-only arrays left out of comparisons.
     """
 
     n: int
@@ -61,6 +62,7 @@ class ClusterPartition:
     lambda_xi: float
     labels: np.ndarray = field(compare=False, repr=False)
     sizes: np.ndarray = field(compare=False, repr=False)
+    _sqrt_sizes: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a ClusterPartition with validate_partition")
@@ -115,9 +117,11 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     finite = [g for g in gaps if math.isfinite(g)]
     partition = object.__new__(ClusterPartition)
     float_sizes = sizes.astype(float)
-    labels.flags.writeable = float_sizes.flags.writeable = False
+    sqrt_sizes = np.sqrt(float_sizes)
+    labels.flags.writeable = float_sizes.flags.writeable = sqrt_sizes.flags.writeable = False
     vars(partition).update(n=n, clusters=norm_clusters, lambda1s=tuple(gaps),
-                           lambda_xi=min(finite) if finite else math.inf, labels=labels, sizes=float_sizes)
+                           lambda_xi=min(finite) if finite else math.inf, labels=labels, sizes=float_sizes,
+                           _sqrt_sizes=sqrt_sizes)
     return partition
 
 
@@ -187,7 +191,7 @@ def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray
     sparse from the label vector (n nonzeros), never as a dense J x n array.
     """
     labels = partition.labels
-    indicators = csr_matrix((1.0 / np.sqrt(partition.sizes)[labels], (labels, np.arange(partition.n))),
+    indicators = csr_matrix((1.0 / partition._sqrt_sizes[labels], (labels, np.arange(partition.n))),
                             shape=(partition.num_clusters, partition.n))
     return indicators @ matrix
 
@@ -197,7 +201,7 @@ def analyze(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (partition.n,):
         raise InputError(f"signal shape {f.shape} does not match n={partition.n}")
-    return np.bincount(partition.labels, f, minlength=partition.num_clusters) / np.sqrt(partition.sizes)
+    return np.bincount(partition.labels, f, minlength=partition.num_clusters) / partition._sqrt_sizes
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ class FrameSystem:
     when the system is built. ``_schedules`` memoises the frame iteration's
     step schedule per ``(mu, tol, max_iter)``: built by the first
     ``reconstruct.frame_algorithm`` call with that config, it holds at most
-    ``reconstruct._ERROR_LOG_BLOCK`` x m doubles.
+    two ``reconstruct._ERROR_LOG_BLOCK`` x m tables of doubles.
     """
 
     omega: float

@@ -8,12 +8,14 @@ is a fixed polynomial in the frame operator, so it is evaluated in closed
 form in the eigenbasis of ``A^T A``: the right singular vectors of the thin
 SVD ``A = U S V^T``, in which mode i contracts by ``1 - mu*sigma_i^2`` per
 step. The step count is the first k whose residual meets the tolerance. The
-decay of every mode over the first steps is tabulated once per frame and
-config, in a step schedule memoised on the frame that holds at most
+decay of every mode over the first steps, and the share ``1 - rho^k`` of the
+fixed point each mode has reached, are tabulated once per frame and config,
+in a step schedule memoised on the frame that holds two tables of at most
 ``_ERROR_LOG_BLOCK`` steps of m doubles each; a signal reads its step count
-off one product with that table, and steps past it are found by bisection.
-A signal thus costs a few m x m matvecs whatever the number of steps. The
-direct route applies the canonical dual frame, the minimum-norm
+off one product with the first table and its iterate's mode weights off a
+row of the second, and steps past them are found by bisection and evaluated
+afresh. A signal thus costs a few m x m matvecs whatever the number of
+steps. The direct route applies the canonical dual frame, the minimum-norm
 least-squares solve ``c = pinv(A) s``. The singular vectors,
 the Gram matrix ``G = A^T A`` and ``pinv(A)`` are all formed once in
 ``build_frame_system``, from the one thin SVD that gives the frame bounds.
@@ -30,8 +32,8 @@ from .graph import WeightedGraph
 from .partitions import ClusterPartition, FrameSystem, _integer, analyze, build_frame_system
 from .spectral import SpectralDecomposition, build_laplacian, eigendecompose, pw_project
 
-#: Steps per block when the error log is evaluated, and steps in a step
-#: schedule's decay table, which bounds each to this many band-coefficient
+#: Steps per block when the error log is evaluated, and steps in each of a
+#: step schedule's two tables, which bounds each to this many band-coefficient
 #: vectors.
 _ERROR_LOG_BLOCK = 1024
 
@@ -52,6 +54,9 @@ class FrameIterationConfig:
     tol: float = 1e-10
 
 
+_DEFAULT_CONFIG = FrameIterationConfig()
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     method: str
@@ -70,7 +75,7 @@ def _check_samples(frame: FrameSystem, samples: np.ndarray) -> np.ndarray:
         raise InputError(
             f"samples length {s.shape} does not match cluster count {frame.num_clusters}"
         )
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise InputError("samples contain non-finite entries")
     return s
 
@@ -79,11 +84,13 @@ def _check_samples(frame: FrameSystem, samples: np.ndarray) -> np.ndarray:
 class _StepSchedule:
     """What the frame iteration needs of one frame and config, all read-only.
 
-    Mode i contracts by ``rho[i]`` per step. Row k-1 of ``decay`` is
-    ``rho**(2k)`` for k = 1..min(bracket, _ERROR_LOG_BLOCK), so ``decay``
-    times a signal's mode shares gives its squared closed-form residual after
-    each of those steps. ``bracket`` is a step by which the residual meets
-    ``tol`` (``max_iter`` when eta gives none).
+    Mode i contracts by ``rho[i]`` per step. For k = 1..min(bracket,
+    _ERROR_LOG_BLOCK), row k-1 of ``decay`` is ``rho**(2k)`` and row k-1 of
+    ``complement`` is ``1 - rho**k``: ``decay`` times a signal's mode shares
+    gives its squared closed-form residual after each of those steps, and a
+    row of ``complement`` times its fixed point gives the iterate after that
+    many steps in the V basis. ``bracket`` is a step by which the residual
+    meets ``tol`` (``max_iter`` when eta gives none).
     """
 
     eta: float
@@ -93,6 +100,22 @@ class _StepSchedule:
     log_rho: np.ndarray
     bracket: int
     decay: np.ndarray
+    complement: np.ndarray
+
+    def complement_after(self, steps: int) -> np.ndarray:
+        """``1 - rho**steps``: a row of ``complement``, evaluated afresh past the table."""
+        if steps <= len(self.complement):
+            return self.complement[steps - 1]
+        return _complement(self.positive, self.rho, self.log_rho, steps)
+
+
+def _complement(positive: np.ndarray, rho: np.ndarray, log_rho: np.ndarray, steps) -> np.ndarray:
+    """``1 - rho**steps`` per mode, for one step count or a column of them.
+
+    Where rho > 0 it is ``-expm1(steps * log1p(-mu*sigma^2))``, which keeps
+    its digits when mu*sigma^2 is tiny; where rho <= 0 nothing cancels.
+    """
+    return np.where(positive, -np.expm1(steps * log_rho), 1.0 - rho ** steps)
 
 
 def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> _StepSchedule:
@@ -105,8 +128,6 @@ def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> 
     sigma2 = frame.singular_values ** 2
     rho = 1.0 - mu * sigma2
     rho_squared = rho * rho
-    # 1 - rho**k is -expm1(k * log1p(-mu*sigma^2)) where rho > 0, which keeps
-    # its digits when mu*sigma^2 is tiny; where rho <= 0 nothing cancels.
     positive = rho > 0.0
     log_rho = np.log1p(-np.where(positive, mu * sigma2, 0.0))
     # The residual after k steps is at most eta**k, so that k brackets the
@@ -114,11 +135,39 @@ def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> 
     bracket = max_iter
     if 0.0 < eta < 1.0:
         bracket = min(max_iter, max(1, math.ceil(math.log(tol) / math.log(eta))))
-    decay = np.stack([rho_squared ** k for k in range(1, min(bracket, _ERROR_LOG_BLOCK) + 1)])
-    for derived in (sigma2, rho, positive, log_rho, decay):
+    steps = range(1, min(bracket, _ERROR_LOG_BLOCK) + 1)
+    decay = np.stack([rho_squared ** k for k in steps])
+    # Row by row with k a Python int, so that each row has the bits of the
+    # same formula evaluated for that one step (numpy squares for k = 2
+    # rather than calling pow, which may round differently).
+    complement = np.stack([_complement(positive, rho, log_rho, k) for k in steps])
+    for derived in (sigma2, rho, positive, log_rho, decay, complement):
         derived.flags.writeable = False
-    schedule = frame._schedules[key] = _StepSchedule(eta, sigma2, rho, positive, log_rho, bracket, decay)
+    schedule = frame._schedules[key] = _StepSchedule(
+        eta, sigma2, rho, positive, log_rho, bracket, decay, complement)
     return schedule
+
+
+def _first_step_past_table(schedule: _StepSchedule, share: np.ndarray, tol: float, max_iter: int) -> int | None:
+    """The first step past the decay table whose closed-form residual meets tol, by bisection.
+
+    Bisects between the table's end and the first of the bracket and
+    ``max_iter`` that meets tol; None when neither does.
+    """
+    def within_tol(steps: int) -> bool:
+        return math.sqrt(float(share @ (schedule.rho * schedule.rho) ** steps)) <= tol
+
+    lo = len(schedule.decay) + 1
+    hi = next((k for k in (schedule.bracket, max_iter) if k >= lo and within_tol(k)), None)
+    if hi is None:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if within_tol(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def frame_algorithm(
@@ -135,16 +184,17 @@ def frame_algorithm(
     step, so after k steps the iterate is ``V ((1 - rho^k)/sigma^2 * y)`` and
     the residual is ``norm(rho^k * y) / norm(y)``. That residual never
     increases with k. The first call with a given ``(mu, tol, max_iter)``
-    tabulates ``rho^(2k)`` on the frame for every step up to the one by
-    which ``eta^k`` meets ``tol``, capped at ``_ERROR_LOG_BLOCK`` steps, so
-    one table product gives the first step meeting ``tol``; beyond the
-    table it is found by bisection. The returned residual is recomputed
+    tabulates ``rho^(2k)`` and ``1 - rho^k`` on the frame for every step up
+    to the one by which ``eta^k`` meets ``tol``, capped at
+    ``_ERROR_LOG_BLOCK`` steps, so one table product gives the first step
+    meeting ``tol`` and one table row its iterate; beyond the tables the step
+    is found by bisection. The returned residual is recomputed
     from the iterate. When
     ``truth`` (a vertex-space signal assumed to lie in the band) is
     supplied, the per-iteration error ``norm(truth - iterate)`` is logged
     alongside the run.
     """
-    config = config or FrameIterationConfig()
+    config = config or _DEFAULT_CONFIG
     s = _check_samples(frame, samples)
     if not frame.is_frame:
         raise NumericalError(
@@ -166,20 +216,20 @@ def frame_algorithm(
             raise InputError(
                 f"truth shape {truth.shape} does not match n={frame.basis.shape[0]}"
             )
-        if not np.all(np.isfinite(truth)):
+        if not np.isfinite(truth).all():
             raise InputError("truth contains non-finite entries")
         truth_coeffs = frame.basis.T @ truth
 
     schedule = _step_schedule(frame, mu, tol, max_iter)
     eta = schedule.eta
     normal_rhs = frame.analysis.T @ s
-    denom = float(np.linalg.norm(normal_rhs))
+    denom = math.sqrt(normal_rhs @ normal_rhs)
     if denom == 0.0:
         # Zero samples: the zero signal is already the fixed point.
         c = np.zeros(frame.dim)
         return ReconstructionResult(
             method="frame-iter",
-            signal=frame.to_signal(c),
+            signal=frame.basis @ c,
             coefficients=c,
             iterations=0,
             residual=0.0,
@@ -188,54 +238,25 @@ def frame_algorithm(
             error_log=() if truth_coeffs is not None else None,
         )
 
-    right = frame.right_vectors
-    positive, rho, log_rho = schedule.positive, schedule.rho, schedule.log_rho
+    right, gram = frame.right_vectors, frame.gram
     y = right.T @ normal_rhs
     fixed_point = y / schedule.sigma2  # the least-squares solution in the V basis
     share = (y / denom) ** 2  # norm(y) = norm(A^T s), as V is orthogonal
-
-    def complement(steps) -> np.ndarray:
-        return np.where(positive, -np.expm1(steps * log_rho), 1.0 - rho ** steps)
-
-    def closed_form_within_tol(steps: int) -> bool:
-        return math.sqrt(float(share @ (rho * rho) ** steps)) <= tol
-
-    def iterate(steps: int) -> tuple[np.ndarray, float]:
-        c = right @ (complement(steps) * fixed_point)
-        direction = normal_rhs - frame.gram @ c
-        return c, math.sqrt(direction @ direction) / denom
-
-    def first_step_within_tol() -> int | None:
-        within = np.sqrt(schedule.decay @ share) <= tol
-        if within.any():
-            return int(within.argmax()) + 1
-        # Past the table, bisect between its end and the first bracket within tol.
-        lo = len(schedule.decay) + 1
-        hi = next((k for k in (schedule.bracket, max_iter) if k >= lo and closed_form_within_tol(k)), None)
-        if hi is None:
-            return None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if closed_form_within_tol(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def run() -> tuple[int, np.ndarray, float, bool]:
-        first = first_step_within_tol()
-        if first is not None:
-            # The closed form has no roundoff floor, the recomputed residual
-            # has. One step more covers a closed-form residual that lands
-            # within roundoff below tol; a miss beyond that is the floor,
-            # where a stepwise run exhausts its budget.
-            for steps in range(first, min(first + 1, max_iter) + 1):
-                c, residual = iterate(steps)
-                if residual <= tol:
-                    return steps, c, residual, True
-        return (max_iter, *iterate(max_iter), False)
-
-    iterations, c, residual, converged = run()
+    within = np.sqrt(schedule.decay @ share) <= tol
+    row = int(within.argmax())
+    first = row + 1 if within[row] else _first_step_past_table(schedule, share, tol, max_iter)
+    # The closed form has no roundoff floor, the recomputed residual has. One
+    # step more covers a closed-form residual that lands within roundoff
+    # below tol; a miss beyond that is the floor, where a stepwise run
+    # exhausts its budget, so the last try is max_iter, unconverged.
+    tries = () if first is None else tuple(range(first, min(first + 1, max_iter) + 1))
+    for iterations in (*tries, max_iter):
+        c = right @ (schedule.complement_after(iterations) * fixed_point)
+        direction = normal_rhs - gram @ c
+        residual = math.sqrt(direction @ direction) / denom
+        converged = residual <= tol and iterations in tries
+        if converged:
+            break
 
     errors = None
     if truth_coeffs is not None:
@@ -243,12 +264,12 @@ def frame_algorithm(
         errors = []
         for start in range(1, iterations + 1, _ERROR_LOG_BLOCK):
             steps = np.arange(start, min(start + _ERROR_LOG_BLOCK, iterations + 1))
-            iterates = complement(steps[:, None]) * fixed_point
-            errors.extend(np.linalg.norm(target - iterates, axis=1).tolist())
+            complement = _complement(schedule.positive, schedule.rho, schedule.log_rho, steps[:, None])
+            errors.extend(np.linalg.norm(target - complement * fixed_point, axis=1).tolist())
         errors = tuple(errors)
     return ReconstructionResult(
         method="frame-iter",
-        signal=frame.to_signal(c),
+        signal=frame.basis @ c,
         coefficients=c,
         iterations=iterations,
         residual=residual,
@@ -270,14 +291,14 @@ def dual_frame_reconstruct(frame: FrameSystem, samples: np.ndarray) -> Reconstru
     s = _check_samples(frame, samples)
     c = frame.pinv @ s
     normal_rhs = frame.analysis.T @ s
-    denom = float(np.linalg.norm(normal_rhs))
-    residual = float(np.linalg.norm(normal_rhs - frame.gram @ c)) / denom if denom > 0 else 0.0
+    denom = math.sqrt(normal_rhs @ normal_rhs)
+    direction = normal_rhs - frame.gram @ c
     return ReconstructionResult(
         method="dual",
-        signal=frame.to_signal(c),
+        signal=frame.basis @ c,
         coefficients=c,
         iterations=0,
-        residual=residual,
+        residual=math.sqrt(direction @ direction) / denom if denom > 0 else 0.0,
         converged=True,
     )
 

@@ -55,8 +55,12 @@ class SpectralDecomposition:
 
     @property
     def default_zero_tol(self) -> float:
-        """Scale-aware threshold below which an eigenvalue counts as zero."""
-        return 1e-9 * max(1.0, self.lambda_max)
+        """Threshold below which an eigenvalue counts as zero, relative to lambda_max.
+
+        Relative at every scale, so that scaling the weights scales the
+        threshold with the spectrum.
+        """
+        return 1e-9 * abs(self.lambda_max)
 
 
 def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:

@@ -26,6 +26,7 @@ recovers it up to a factor 2*gamma**k of its norm.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -202,10 +203,13 @@ def _least_squares(factors: _OrderFactors, rhs: np.ndarray) -> np.ndarray:
 
 
 def _spline(
-    decomp: SpectralDecomposition, basis: _SplineBasis, factors: _OrderFactors, targets: np.ndarray
+    decomp: SpectralDecomposition, basis: _SplineBasis, factors: _OrderFactors, feasible: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-coefficients and signal of the spline whose order ``factors`` belong to."""
-    feasible = basis.constraints.T @ targets  # minimum-norm feasible point, exact by row orthonormality
+    """Eigen-coefficients and signal of the spline whose order ``factors`` belong to.
+
+    ``feasible`` is ``B^T v`` for the targets v: the minimum-norm point with
+    those averages, exact by row orthonormality, and the same for every order.
+    """
     coeffs = feasible + basis.kernel @ _least_squares(factors, -(factors.weights * feasible))
     return coeffs, decomp.eigenvectors @ coeffs
 
@@ -226,7 +230,7 @@ def solve_spline(
         raise InputError("the spline problem's partition differs from the partition given")
     basis = _basis(decomp, partition)
     factors = _order_factors(decomp, basis, problem.order)
-    coeffs, signal = _spline(decomp, basis, factors, problem.targets)
+    coeffs, signal = _spline(decomp, basis, factors, basis.constraints.T @ problem.targets)
     smoothed = factors.weights * coeffs
     defect, scale = _smoothness_defect(basis.kernel, factors, smoothed)
     return SplineSolution(
@@ -350,24 +354,25 @@ def spline_convergence_experiment(
             f"Lambda={partition.lambda_xi}; no convergence rate applies"
         )
     f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise InputError("signal contains non-finite entries")
-    norm_f = float(np.linalg.norm(f))
+    norm_f = float(np.linalg.norm(f))  # f may be a strided view; the differences below are not
     if norm_f == 0.0:
         raise InputError("signal is zero")
-    in_band = pw_project(decomp, omega, f)
-    if float(np.linalg.norm(f - in_band)) > 1e-9 * norm_f:
+    out_of_band = f - pw_project(decomp, omega, f)
+    if math.sqrt(out_of_band @ out_of_band) > 1e-9 * norm_f:
         raise InputError(
             f"signal has out-of-band content for omega={omega}; "
             "project it first or lower the bandwidth"
         )
     basis = _basis(decomp, partition)
-    targets = analyze(partition, f)
+    feasible = basis.constraints.T @ analyze(partition, f)
     rows = []
     for k in k_list:
         k = _integer(k, "spline order")
         factors = _order_factors(decomp, basis, k)
-        rel = float(np.linalg.norm(f - _spline(decomp, basis, factors, targets)[1])) / norm_f
+        error = f - _spline(decomp, basis, factors, feasible)[1]
+        rel = math.sqrt(error @ error) / norm_f
         bound = 2.0 * gamma ** k
         rows.append(
             ConvergenceRow(

@@ -214,6 +214,13 @@ class TestInputChecksBeforeEigensolve:
         assert code == 1 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("spec", ["blocks:2.5", "bfs:x", "blocks:", "bfs:"])
+    def test_non_integer_cluster_spec(self, spec, no_eigensolve, capsys):
+        code, out, err = run_cli(["frame-check", "--generate", "path", "--n", "8", "--clusters", spec,
+                                  "--omega", "0.5"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: bad --clusters spec {spec!r}; blocks:<m> and bfs:<r> take integers\n"
+
     @pytest.mark.parametrize("command", ["frame-check", "reconstruct"])
     def test_csv_format(self, command, no_eigensolve, capsys):
         signal = [] if command == "frame-check" else ["--random-seed", "0"]

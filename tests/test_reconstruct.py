@@ -112,6 +112,23 @@ def bisection_reference(frame, samples, config):
     return (max_iter, *iterate(max_iter), False)
 
 
+def per_step_complement(schedule, k):
+    """``1 - rho**k`` per mode, evaluated for the one step k."""
+    return np.where(schedule.positive, -np.expm1(k * schedule.log_rho), 1.0 - schedule.rho ** k)
+
+
+def dual_reference(frame, samples):
+    """The dual-frame solve with numpy's norms and ``to_signal``.
+
+    Returns (signal, coefficients, residual).
+    """
+    c = frame.pinv @ samples
+    normal_rhs = frame.analysis.T @ samples
+    denom = float(np.linalg.norm(normal_rhs))
+    residual = float(np.linalg.norm(normal_rhs - frame.gram @ c)) / denom if denom > 0 else 0.0
+    return frame.to_signal(c), c, residual
+
+
 def assert_same_run(result, expected):
     iterations, coefficients, residual, converged = expected
     assert result.iterations == iterations
@@ -348,6 +365,47 @@ class TestStepSchedule:
         assert schedule.bracket > _ERROR_LOG_BLOCK
         assert schedule.decay.shape == (_ERROR_LOG_BLOCK, frame.dim)
 
+    def test_complement_rows_match_per_step_formula(self, both_frames, frame64):
+        # On the synthetic frame, at mu = 1.99/b, evaluating the formula for
+        # a column of steps at once (a broadcast pow) can miss the per-step
+        # bits in row k = 2, where numpy squares instead of calling pow; it
+        # does with numpy 2.4 on an x86-64 CPU with AVX-512.
+        rng = np.random.Generator(np.random.PCG64(78))
+        left, _ = np.linalg.qr(rng.standard_normal((40, 32)))
+        right, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+        synthetic = dataclasses.replace(
+            frame64, analysis=left @ np.diag(rng.uniform(0.2, 1.0, 32)) @ right.T, basis=np.eye(32))
+        # test_beyond_one_block's frame, whose steps run past the table
+        long_rng = np.random.Generator(np.random.PCG64(41))
+        left, _ = np.linalg.qr(long_rng.standard_normal((6, 3)))
+        right, _ = np.linalg.qr(long_rng.standard_normal((3, 3)))
+        long = dataclasses.replace(frame64, analysis=left @ np.diag([1.0, 0.3, 0.07]) @ right.T, basis=np.eye(3))
+        cases = [(frame, analyze(part, generate_pw_signal(d, omega, 0))) for d, part, frame, omega in both_frames]
+        cases += [(synthetic, rng.standard_normal(40)), (long, long_rng.standard_normal(6))]
+        for frame, samples in cases:
+            for mu in (None, 1.99 / frame.upper):
+                frame_algorithm(frame, samples, FrameIterationConfig(mu=mu))
+            for schedule in frame._schedules.values():
+                assert schedule.complement.shape == schedule.decay.shape
+                for k, row in enumerate(schedule.complement, start=1):
+                    assert np.array_equal(row, per_step_complement(schedule, k))
+                    assert np.array_equal(schedule.complement_after(k), row)
+                past = len(schedule.complement)
+                for k in (past + 1, past + 2, max(past + 1, schedule.bracket)):
+                    assert np.array_equal(schedule.complement_after(k), per_step_complement(schedule, k))
+        assert len(long._schedules[(2.0 / (long.lower + long.upper), 1e-10, 10000)].complement) == _ERROR_LOG_BLOCK
+
+    def test_bool_budget_refused_after_a_one_step_schedule(self, frame64, path64):
+        # True == 1 and both hash alike, so a memo keyed on the unchecked
+        # config would hand the max_iter=1 schedule to max_iter=True.
+        _, d, part = path64
+        frame = dataclasses.replace(frame64)
+        samples = analyze(part, generate_pw_signal(d, 0.5, 0))
+        frame_algorithm(frame, samples, FrameIterationConfig(max_iter=1))
+        assert [key[2] for key in frame._schedules] == [1]
+        with pytest.raises(InputError, match="max_iter"):
+            frame_algorithm(frame, samples, FrameIterationConfig(max_iter=True))
+
     def test_configs_do_not_interfere(self, grid_frame):
         d, part, frame = grid_frame
         shared = dataclasses.replace(frame)
@@ -366,11 +424,35 @@ class TestStepSchedule:
         assert frame._schedules
         for schedule in frame._schedules.values():
             arrays = [value for value in vars(schedule).values() if isinstance(value, np.ndarray)]
-            assert len(arrays) == 5
+            assert len(arrays) == 6
             for array in arrays:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
+
+
+class TestPerCallArithmetic:
+    """Samples, recoveries and residuals keep the bits of the per-call arithmetic:
+    the complement evaluated per signal, numpy's norms and ``to_signal``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical(self, both_frames, seed):
+        for d, part, frame, omega in both_frames:
+            f = generate_pw_signal(d, omega, seed)
+            samples = analyze(part, f)
+            expected = np.bincount(part.labels, f, minlength=part.num_clusters) / np.sqrt(part.sizes)
+            assert np.array_equal(samples, expected)
+            for make_config in CONFIGS.values():
+                config = make_config(frame)
+                result = frame_algorithm(frame, samples, config)
+                reference = bisection_reference(frame, samples, config)
+                assert_same_run(result, reference)
+                assert np.array_equal(result.signal, frame.to_signal(reference[1]))
+            result = dual_frame_reconstruct(frame, samples)
+            signal, coefficients, residual = dual_reference(frame, samples)
+            assert np.array_equal(result.signal, signal)
+            assert np.array_equal(result.coefficients, coefficients)
+            assert result.residual == residual
 
 
 class TestDualFrame:

@@ -1,0 +1,105 @@
+"""The weight scale carries no meaning: scaling every weight and omega by c changes no result."""
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from avgsampling import (
+    FrameIterationConfig,
+    WeightedGraph,
+    analyze,
+    bfs_partition,
+    build_frame_system,
+    build_laplacian,
+    dual_frame_reconstruct,
+    eigendecompose,
+    frame_algorithm,
+    generate_pw_signal,
+    interpolate,
+    pw_project,
+    validate_partition,
+)
+
+ORDERS = (1, 2, 4)
+#: Gaps narrower than this fraction of lambda_max are not used as band edges.
+MIN_GAP = 1e-6
+
+
+@st.composite
+def scaled_graphs(draw):
+    """A connected weighted graph, a scale c, and the graph with every weight times c.
+
+    A random tree (each vertex hangs off an earlier one) keeps the graph
+    connected; extra edges close cycles.
+    """
+    n = draw(st.integers(2, 16), label="n")
+    weights = st.floats(0.25, 4.0)
+    edges = {(draw(st.integers(0, v - 1), label="parent"), v): draw(weights, label="weight") for v in range(1, n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    for pair in draw(st.lists(extra, max_size=n, unique=True), label="extra edges"):
+        edges.setdefault(pair, draw(weights, label="weight"))
+    c = draw(st.floats(1e-9, 1e9), label="scale")
+    graph = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()])
+    scaled = WeightedGraph.from_edges(n, [(u, v, c * w) for (u, v), w in edges.items()])
+    return graph, scaled, c
+
+
+def relative_error(truth: np.ndarray, estimate: np.ndarray) -> float:
+    return float(np.linalg.norm(truth - estimate)) / float(np.linalg.norm(truth))
+
+
+@given(scaled_graphs(), st.integers(1, 2), st.integers(0, 100), st.data())
+def test_results_invariant_under_weight_and_bandwidth_scale(graphs, radius, seed, data):
+    graph, scaled, c = graphs
+    clusters = bfs_partition(graph, radius)
+    assert bfs_partition(scaled, radius) == clusters
+    parts = [validate_partition(g, clusters) for g in (graph, scaled)]
+    decomps = [eigendecompose(build_laplacian(g)) for g in (graph, scaled)]
+    lam, scale = decomps[0].eigenvalues, decomps[0].lambda_max
+    assert abs(decomps[1].lambda_max - c * scale) <= 1e-12 * c * scale
+    gaps = [np.array(part.lambda1s) for part in parts]
+    assert np.array_equal(np.isinf(gaps[0]), np.isinf(gaps[1]))
+    finite = np.isfinite(gaps[0])
+    assert np.max(np.abs(gaps[1][finite] - c * gaps[0][finite]), initial=0.0) <= 1e-12 * c * scale
+    lambda_xi = parts[0].lambda_xi
+
+    # omega halfway across a gap of at least MIN_GAP * lambda_max, with at
+    # most as many band dimensions as clusters and a frame on that band, so
+    # roundoff in the scaled spectrum cannot move an eigenvalue across the
+    # band edge. One band dimension (the constants) always qualifies.
+    def frame_band(m):
+        if lam[m] - lam[m - 1] <= MIN_GAP * scale or m > parts[0].num_clusters:
+            return False
+        return build_frame_system(decomps[0], parts[0], 0.5 * (lam[m - 1] + lam[m]), 1.0).is_frame
+
+    m = data.draw(st.sampled_from([m for m in range(1, graph.n) if frame_band(m)]), label="band dimension")
+    gap = lam[m] - lam[m - 1]
+    omega = 0.5 * (lam[m - 1] + lam[m])
+    frames = [build_frame_system(d, part, w, 1.0) for d, part, w in zip(decomps, parts, (omega, c * omega))]
+    assert frames[0].dim == frames[1].dim == m
+    # The band subspace moves by about roundoff * lambda_max / gap.
+    drift = 1e-13 * scale / gap
+    assert abs(frames[1].lower - frames[0].lower) <= drift
+    assert abs(frames[1].upper - frames[0].upper) <= drift
+    assert abs(frames[1].gamma - frames[0].gamma) <= 1e-12 * frames[0].gamma * scale / lambda_xi
+
+    a, config = frames[0].lower, FrameIterationConfig()
+    f = generate_pw_signal(decomps[0], omega, seed)
+    bands = [pw_project(d, w, f) for d, w in zip(decomps, (omega, c * omega))]
+    samples = [analyze(part, band) for part, band in zip(parts, bands)]
+    dual = [relative_error(band, dual_frame_reconstruct(frame, s).signal)
+            for band, frame, s in zip(bands, frames, samples)]
+    assert abs(dual[1] - dual[0]) <= 1e-12 / a
+    iterative = [frame_algorithm(frame, s, config) for frame, s in zip(frames, samples)]
+    assert abs(iterative[1].iterations - iterative[0].iterations) <= 1
+    errors = [relative_error(band, result.signal) for band, result in zip(bands, iterative)]
+    # Each run stops with a normal-equations residual within tol, so its
+    # error is at most tol * b / a.
+    assert abs(errors[1] - errors[0]) <= 2.0 * config.tol * frames[0].upper / a + 1e-12 / a
+
+    for k in ORDERS:
+        splines = [interpolate(d, part, band, k) for d, part, band in zip(decomps, parts, bands)]
+        assert math.isclose(splines[1].condition_estimate, splines[0].condition_estimate, rel_tol=1e-9)
+        rel = [relative_error(band, spline.signal) for band, spline in zip(bands, splines)]
+        assert abs(rel[1] - rel[0]) <= 1e-13 * splines[0].condition_estimate

@@ -13,6 +13,7 @@ from avgsampling import (
     SplineProblem,
     analyze,
     apply_power,
+    bfs_partition,
     blocks_partition,
     build_laplacian,
     eigendecompose,
@@ -21,6 +22,7 @@ from avgsampling import (
     interpolate,
     orthogonality_check,
     pairs_partition,
+    pw_project,
     solve_spline,
     spline_convergence_experiment,
     validate_partition,
@@ -68,6 +70,13 @@ def reference_spline(decomp, partition, targets: np.ndarray, k: int) -> np.ndarr
         qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, -(weights * feasible)[:, None], 1)
         y = lapack.dtrtrs(factored, qt_rhs)[0][: y.size, 0]
     return decomp.eigenvectors @ (feasible + kernel @ y)
+
+
+@pytest.fixture(scope="module")
+def grid100():
+    """The 10x10 grid with radius-1 balls: (decomposition, partition)."""
+    g = generate_graph("grid2d", 100)
+    return eigendecompose(build_laplacian(g)), validate_partition(g, bfs_partition(g, 1))
 
 
 def fresh_path64():
@@ -289,6 +298,19 @@ class TestConvergence:
             rel = np.linalg.norm(f - solution.signal) / np.linalg.norm(f)
             assert row.rel_error == pytest.approx(rel, rel=1e-12, abs=0)
             assert row.proved == solution.order_is_power_of_two
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_bit_identical_to_per_order_route(self, path64, grid100, seed):
+        # The sweep forms the feasible point once and takes norms as
+        # sqrt(x @ x); the per-vector route forms it per order, numpy's norm.
+        orders = [1, 2, 3, 4, 8]
+        for d, part, omega in [(*path64[1:], 0.5), (*grid100, 0.3)]:
+            f = pw_project(d, omega, generate_pw_signal(d, omega, seed))
+            targets = analyze(part, f)
+            rows = spline_convergence_experiment(d, part, omega, 1.0, f, orders)
+            norm = float(np.linalg.norm(f))
+            assert [row.rel_error for row in rows] == [
+                float(np.linalg.norm(f - reference_spline(d, part, targets, k))) / norm for k in orders]
 
     def test_spline_fixed_point_has_zero_error(self, path16):
         _, d, part = path16
