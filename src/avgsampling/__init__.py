@@ -44,10 +44,8 @@ from .partitions import (
 from .reconstruct import (
     FrameIterationConfig,
     ReconstructionResult,
-    RoundtripReport,
     dual_frame_reconstruct,
     frame_algorithm,
-    sample_and_reconstruct_roundtrip,
 )
 from .splines import (
     ConvergenceRow,
@@ -99,8 +97,6 @@ __all__ = [
     "ReconstructionResult",
     "frame_algorithm",
     "dual_frame_reconstruct",
-    "RoundtripReport",
-    "sample_and_reconstruct_roundtrip",
     "SplineProblem",
     "SplineSolution",
     "solve_spline",

@@ -140,7 +140,7 @@ def _cmd_frame_check(args) -> int:
         "omega": frame.omega,
         "alpha": frame.alpha,
         "gamma": frame.gamma,
-        "lambda_Xi": frame.lambda_xi,
+        "lambda_Xi": partition.lambda_xi,
         "a": frame.lower,
         "b": frame.upper,
         "guarantee_active": frame.guarantee_active,
@@ -168,7 +168,7 @@ def _cmd_reconstruct(args) -> int:
     samples = analyze(partition, truth)
     if args.method == "frame-iter":
         config = FrameIterationConfig(mu=args.mu, max_iter=args.max_iter, tol=args.tol)
-        result = frame_algorithm(frame, samples, config, truth=truth)
+        result = frame_algorithm(frame, samples, config)
     else:
         result = dual_frame_reconstruct(frame, samples)
     payload = {

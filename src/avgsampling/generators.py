@@ -41,8 +41,8 @@ def cycle_graph(n: int) -> WeightedGraph:
 
 
 def grid2d_graph(n: int) -> WeightedGraph:
-    side = math.isqrt(n)
-    if side * side != n or side < 1:
+    side = math.isqrt(n) if n >= 1 else 0  # isqrt refuses negative n
+    if side < 1 or side * side != n:
         raise InputError(f"grid2d needs a perfect-square vertex count, got {n}")
     v = np.arange(n).reshape(side, side)
     right = np.column_stack([v[:, :-1].ravel(), v[:, 1:].ravel(), np.ones(side * (side - 1))])
@@ -77,7 +77,7 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if radius is None:
         radius = 1.5 * math.sqrt(math.log(max(n, 2)) / (math.pi * n))
-    if radius <= 0:
+    if not radius > 0:  # NaN included
         raise InputError(f"radius must be positive, got {radius}")
     rng = _rng(seed)
     for _ in range(RETRY_BUDGET):

@@ -209,31 +209,31 @@ class FrameSystem:
     """Cluster-average analysis of a band subspace, with frame bounds.
 
     ``analysis`` has one row per cluster and one column per in-band
-    eigenvector; applied to band coefficients it produces the scaled cluster
-    averages. ``lower``/``upper`` are the extreme squared singular values;
-    ``lower`` is zero when there are more band dimensions than clusters (or
-    the analysis map otherwise loses rank), in which case the averages do not
-    determine the signal.
+    eigenvector (the columns of ``basis``); applied to band coefficients it
+    produces the scaled cluster averages. ``lower``/``upper`` are the extreme
+    squared singular values; ``lower`` is zero when there are more band
+    dimensions than clusters (or the analysis map otherwise loses rank), in
+    which case the averages do not determine the signal.
 
-    The bounds, the pseudoinverse ``pinv`` (the canonical dual frame,
-    singular values at or below ``PINV_CUTOFF`` times the largest dropped),
-    the Gram matrix ``gram`` (``analysis.T @ analysis``), and the
-    ``singular_values`` and right singular vectors ``right_vectors`` (as
-    columns, m x min(J, m)) are derived from ``analysis`` by one thin SVD
-    when the system is built. ``_schedules`` memoises the frame iteration's
-    step schedule per ``(mu, tol, max_iter)``: built by the first
+    Everything but the five init fields is derived when the system is built.
+    ``gamma`` comes from ``omega``, ``alpha`` and the partition constant by
+    the one formula for it, so it cannot disagree with them. The bounds, the
+    pseudoinverse ``pinv`` (the canonical dual frame, singular values at or
+    below ``PINV_CUTOFF`` times the largest dropped), the Gram matrix
+    ``gram`` (``analysis.T @ analysis``), and the ``singular_values`` and
+    right singular vectors ``right_vectors`` (as columns, m x min(J, m)) come
+    from ``analysis`` by one thin SVD. ``_schedules`` memoises the frame
+    iteration's step schedule per ``(mu, tol, max_iter)``: built by the first
     ``reconstruct.frame_algorithm`` call with that config, it holds at most
     two ``reconstruct._ERROR_LOG_BLOCK`` x m tables of doubles.
     """
 
     omega: float
     alpha: float
-    gamma: float
-    lambda_xi: float
     analysis: np.ndarray  # J x m
     basis: np.ndarray  # n x m band eigenvectors
-    band_eigenvalues: np.ndarray
     partition: ClusterPartition
+    gamma: float = field(init=False)
     lower: float = field(init=False)
     upper: float = field(init=False)
     pinv: np.ndarray = field(init=False, repr=False)  # m x J
@@ -252,6 +252,7 @@ class FrameSystem:
         gram = self.analysis.T @ self.analysis
         for derived in (pinv, gram, singular, right):
             derived.flags.writeable = False
+        object.__setattr__(self, "gamma", _gamma(self.omega, self.alpha, self.partition.lambda_xi))
         object.__setattr__(self, "upper", float(singular[0] ** 2))
         object.__setattr__(self, "lower", float(singular[-1] ** 2) if J >= m else 0.0)
         object.__setattr__(self, "pinv", pinv)
@@ -278,9 +279,11 @@ class FrameSystem:
         """True when the lower frame bound is numerically positive."""
         return math.sqrt(self.lower) > RANK_CUTOFF * math.sqrt(self.upper)
 
-    def to_signal(self, coefficients: np.ndarray) -> np.ndarray:
-        """Map band coefficients back to a vertex-space signal."""
-        return self.basis @ np.asarray(coefficients, dtype=float)
+
+def _check_alpha(alpha: float) -> None:
+    """InputError unless alpha is finite and positive (NaN fails both tests)."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InputError(f"alpha must be positive and finite, got {alpha}")
 
 
 def _gamma(omega: float, alpha: float, lambda_xi: float) -> float:
@@ -289,8 +292,7 @@ def _gamma(omega: float, alpha: float, lambda_xi: float) -> float:
     0 when every cluster is a singleton (Lambda = +inf: averages are point
     samples); +inf when Lambda is not positive, so no guarantee applies.
     """
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     if not math.isfinite(lambda_xi):
         return 0.0
     if lambda_xi <= 0:
@@ -310,7 +312,7 @@ def build_frame_system(
     whether the proven bounds are active; the actual bounds are always
     computed from the singular values of the analysis matrix.
     """
-    gamma = _gamma(omega, alpha, partition.lambda_xi)
+    _check_alpha(alpha)
     space = pw_space(decomp, omega)
     if space.dim < 1:
         raise NumericalError(f"band subspace is empty for omega={omega}")
@@ -319,16 +321,8 @@ def build_frame_system(
 
     analysis = _cluster_rows(partition, space.basis)  # J x m
     analysis.flags.writeable = False
-    return FrameSystem(
-        omega=float(omega),
-        alpha=float(alpha),
-        gamma=float(gamma),
-        lambda_xi=partition.lambda_xi,
-        analysis=analysis,
-        basis=space.basis,
-        band_eigenvalues=space.eigenvalues,
-        partition=partition,
-    )
+    return FrameSystem(omega=float(omega), alpha=float(alpha), analysis=analysis, basis=space.basis,
+                       partition=partition)
 
 
 @dataclass(frozen=True)
@@ -353,8 +347,7 @@ def global_poincare_check(
     gradient seminorm, and returns the slack (rhs - lhs). ``holds`` allows a
     small scale-aware negative slack for roundoff.
     """
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     f = np.asarray(f, dtype=float)
     if f.shape != (decomp.n,):
         raise InputError(f"signal shape {f.shape} does not match n={decomp.n}")

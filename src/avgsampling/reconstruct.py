@@ -28,9 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graph import WeightedGraph
-from .partitions import ClusterPartition, FrameSystem, _integer, analyze, build_frame_system
-from .spectral import SpectralDecomposition, build_laplacian, eigendecompose, pw_project
+from .partitions import FrameSystem, _integer
 
 #: Steps per block when the error log is evaluated, and steps in each of a
 #: step schedule's two tables, which bounds each to this many band-coefficient
@@ -300,97 +298,4 @@ def dual_frame_reconstruct(frame: FrameSystem, samples: np.ndarray) -> Reconstru
         iterations=0,
         residual=math.sqrt(direction @ direction) / denom if denom > 0 else 0.0,
         converged=True,
-    )
-
-
-@dataclass(frozen=True)
-class RoundtripReport:
-    """Outcome of sampling a signal's band content and reconstructing it."""
-
-    omega: float
-    alpha: float
-    gamma: float
-    lower: float
-    upper: float
-    eta: float | None
-    frame_ok: bool
-    failure: str | None
-    sampled_raw: bool
-    target_norm: float
-    frame_iter: ReconstructionResult | None
-    dual: ReconstructionResult | None
-    frame_iter_error: float | None
-    dual_error: float | None
-    method_gap: float | None
-
-
-def sample_and_reconstruct_roundtrip(
-    graph: WeightedGraph,
-    partition: ClusterPartition,
-    omega: float,
-    alpha: float,
-    f: np.ndarray,
-    config: FrameIterationConfig | None = None,
-    decomp: SpectralDecomposition | None = None,
-    sample_raw: bool = False,
-) -> RoundtripReport:
-    """Sample a signal by cluster averages and reconstruct, reporting errors.
-
-    The signal is first projected onto the bandwidth-omega subspace and the
-    *projection* is sampled, so the recovery guarantees apply; errors are
-    measured against that projection. With ``sample_raw=True`` the raw signal
-    is sampled instead, demonstrating the bias out-of-band content induces
-    (the report is labeled accordingly).
-    """
-    if decomp is None:
-        decomp = eigendecompose(build_laplacian(graph))
-    projected = pw_project(decomp, omega, np.asarray(f, dtype=float))
-    target_norm = float(np.linalg.norm(projected))
-    frame = build_frame_system(decomp, partition, omega, alpha)
-    samples = analyze(partition, np.asarray(f, dtype=float) if sample_raw else projected)
-
-    if not frame.is_frame:
-        return RoundtripReport(
-            omega=frame.omega,
-            alpha=frame.alpha,
-            gamma=frame.gamma,
-            lower=frame.lower,
-            upper=frame.upper,
-            eta=None,
-            frame_ok=False,
-            failure=(
-                f"analysis map has a kernel (band dimension {frame.dim} vs "
-                f"{frame.num_clusters} clusters, lower bound {frame.lower:.3e}); "
-                "averages do not determine the band content"
-            ),
-            sampled_raw=sample_raw,
-            target_norm=target_norm,
-            frame_iter=None,
-            dual=None,
-            frame_iter_error=None,
-            dual_error=None,
-            method_gap=None,
-        )
-
-    iterative = frame_algorithm(frame, samples, config, truth=projected)
-    direct = dual_frame_reconstruct(frame, samples)
-    iter_err = float(np.linalg.norm(projected - iterative.signal))
-    dual_err = float(np.linalg.norm(projected - direct.signal))
-    gap = float(np.linalg.norm(iterative.signal - direct.signal))
-    return RoundtripReport(
-        omega=frame.omega,
-        alpha=frame.alpha,
-        gamma=frame.gamma,
-        lower=frame.lower,
-        upper=frame.upper,
-        eta=iterative.eta,
-        frame_ok=True,
-        failure=None,
-        sampled_raw=sample_raw,
-        target_norm=target_norm,
-        frame_iter=iterative,
-        dual=direct,
-        frame_iter_error=iter_err,
-        dual_error=dual_err,
-        method_gap=gap,
     )

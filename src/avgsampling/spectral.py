@@ -131,7 +131,7 @@ class PWSpace:
 
 def pw_space(decomp: SpectralDecomposition, omega: float) -> PWSpace:
     """Bandlimited subspace for a given bandwidth."""
-    if omega < 0:
+    if not omega >= 0:  # NaN included
         raise InputError(f"bandwidth must be nonnegative, got {omega}")
     mask = decomp.eigenvalues <= omega + BAND_SLACK * abs(decomp.lambda_max)
     basis = decomp.eigenvectors[:, mask]

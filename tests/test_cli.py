@@ -152,7 +152,7 @@ class TestDemoPath:
         payload = json.loads(out)
         assert payload["guarantee_active"] is False
         assert payload["frame"]["is_frame"] is False
-        assert "reconstruction_failure" in payload["trials"][0]
+        assert "kernel" in payload["trials"][0]["reconstruction_failure"]
 
     def test_small_demo_spectrum_row(self, capsys):
         code, out, _ = run_cli(
@@ -292,6 +292,30 @@ class TestExitCodes:
         )
         assert code == 1 and out == ""
         assert "tol" in err or "max_iter" in err
+
+    @pytest.mark.parametrize("command", ["frame-check", "spline", "demo-path"])
+    @pytest.mark.parametrize("omega, alpha, message", [
+        ("0.5", "nan", "alpha must be positive and finite"),
+        ("0.5", "inf", "alpha must be positive and finite"),
+        ("nan", "1.0", "bandwidth must be nonnegative"),
+    ])
+    def test_non_finite_alpha_or_omega_is_exit_one(self, command, omega, alpha, message, capsys):
+        # these printed "gamma":"nan" with exit 0, or exited 2 for an empty band
+        args = {"frame-check": ["--generate", "path", "--n", "8", "--clusters", "pairs"],
+                "spline": ["--generate", "path", "--n", "8", "--clusters", "pairs", "--random-seed", "1"],
+                "demo-path": ["--n", "8"]}[command]
+        code, out, err = run_cli([command, *args, "--omega", omega, "--alpha", alpha], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--generate", "grid2d", "--n", "-4"], "perfect-square"),
+        (["--generate", "random-geometric", "--n", "20", "--radius", "nan"], "radius must be positive"),
+    ])
+    def test_bad_generator_input_is_exit_one(self, args, message, capsys):
+        code, out, err = run_cli(["spectrum", *args], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
 
     def test_invalid_graph_file_is_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"

@@ -47,6 +47,17 @@ class TestGraphGenerators:
         with pytest.raises(InputError):
             generate_graph("grid2d", 10)
 
+    @pytest.mark.parametrize("n", [-1, -4])
+    def test_grid_refuses_negative_n(self, n):
+        # math.isqrt raised a bare ValueError here
+        with pytest.raises(InputError, match="perfect-square"):
+            generate_graph("grid2d", n)
+
+    def test_random_geometric_refuses_nan_radius(self):
+        # NaN passed the sign test and gave 50 edgeless draws, then a NumericalError
+        with pytest.raises(InputError, match="radius must be positive"):
+            generate_graph("random-geometric", 20, radius=math.nan)
+
     def test_erdos_renyi_deterministic(self):
         g1 = generate_graph("erdos-renyi-weighted", 20, seed=7, p=0.3)
         g2 = generate_graph("erdos-renyi-weighted", 20, seed=7, p=0.3)

@@ -232,9 +232,21 @@ class TestFrameSystem:
         assert (singular[0] ** 2, singular[-1] ** 2) == (frame.upper, frame.lower)
         for name in ("pinv", "gram", "singular_values", "right_vectors"):
             assert not getattr(frame, name).flags.writeable
-        for name in ("lower", "upper", "pinv", "gram", "singular_values", "right_vectors"):
+        assert list(given_fields) == ["omega", "alpha", "analysis", "basis", "partition"]
+        assert rebuilt.gamma == frame.gamma == _gamma(0.5, 1.0, part.lambda_xi)
+        for name in ("gamma", "lower", "upper", "pinv", "gram", "singular_values", "right_vectors"):
             with pytest.raises(TypeError):
                 FrameSystem(**given_fields, **{name: getattr(frame, name)})
+
+    def test_gamma_cannot_be_forged(self, path64):
+        # gamma was once a settable field, so replace() could fake guarantee_active
+        _, d, part = path64
+        frame = build_frame_system(d, part, omega=3.0, alpha=1.0)
+        assert not frame.guarantee_active
+        # replace() refuses an init=False field: ValueError before Python 3.13, TypeError since
+        with pytest.raises((TypeError, ValueError), match="gamma"):
+            dataclasses.replace(frame, gamma=0.1)
+        assert dataclasses.replace(frame, alpha=4.0).gamma == _gamma(3.0, 4.0, part.lambda_xi)
 
     def test_gamma_without_positive_gap_has_no_guarantee(self):
         # frames once reported gamma = 0 here and splines divided by zero
@@ -294,6 +306,26 @@ class TestFrameSystem:
         _, d, part = path4
         with pytest.raises(InputError):
             build_frame_system(d, part, omega=0.5, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, path4, alpha):
+        _, d, part = path4
+        with pytest.raises(InputError, match="alpha must be positive and finite"):
+            build_frame_system(d, part, omega=0.5, alpha=alpha)
+        with pytest.raises(InputError, match="alpha must be positive and finite"):
+            _gamma(0.5, alpha, part.lambda_xi)
+        with pytest.raises(InputError, match="alpha must be positive and finite"):
+            global_poincare_check(d, part, np.ones(4), alpha=alpha)
+
+    def test_bad_alpha_refused_before_the_band(self, path4, monkeypatch):
+        _, d, part = path4
+
+        def refuse(*args):
+            raise AssertionError("band formed before alpha was checked")
+
+        monkeypatch.setattr("avgsampling.partitions.pw_space", refuse)
+        with pytest.raises(InputError, match="alpha"):
+            build_frame_system(d, part, omega=0.5, alpha=math.nan)
 
 
 class TestLocalDeviationBound:

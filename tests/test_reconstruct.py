@@ -20,7 +20,6 @@ from avgsampling import (
     frame_algorithm,
     generate_graph,
     generate_pw_signal,
-    sample_and_reconstruct_roundtrip,
     validate_partition,
 )
 from avgsampling.reconstruct import _ERROR_LOG_BLOCK
@@ -118,7 +117,7 @@ def per_step_complement(schedule, k):
 
 
 def dual_reference(frame, samples):
-    """The dual-frame solve with numpy's norms and ``to_signal``.
+    """The dual-frame solve with numpy's norms and the band basis.
 
     Returns (signal, coefficients, residual).
     """
@@ -126,7 +125,7 @@ def dual_reference(frame, samples):
     normal_rhs = frame.analysis.T @ samples
     denom = float(np.linalg.norm(normal_rhs))
     residual = float(np.linalg.norm(normal_rhs - frame.gram @ c)) / denom if denom > 0 else 0.0
-    return frame.to_signal(c), c, residual
+    return frame.basis @ c, c, residual
 
 
 def assert_same_run(result, expected):
@@ -433,7 +432,7 @@ class TestStepSchedule:
 
 class TestPerCallArithmetic:
     """Samples, recoveries and residuals keep the bits of the per-call arithmetic:
-    the complement evaluated per signal, numpy's norms and ``to_signal``."""
+    the complement evaluated per signal, numpy's norms and the band basis."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bit_identical(self, both_frames, seed):
@@ -447,7 +446,7 @@ class TestPerCallArithmetic:
                 result = frame_algorithm(frame, samples, config)
                 reference = bisection_reference(frame, samples, config)
                 assert_same_run(result, reference)
-                assert np.array_equal(result.signal, frame.to_signal(reference[1]))
+                assert np.array_equal(result.signal, frame.basis @ reference[1])
             result = dual_frame_reconstruct(frame, samples)
             signal, coefficients, residual = dual_reference(frame, samples)
             assert np.array_equal(result.signal, signal)
@@ -502,7 +501,7 @@ class TestDualFrame:
             assert err <= np.linalg.norm(noise) / np.sqrt(frame.lower) + 1e-12, name
             # brute-force least squares agrees with the pseudoinverse route
             coeffs, *_ = np.linalg.lstsq(frame.analysis, samples + noise, rcond=None)
-            assert frame.to_signal(coeffs) == pytest.approx(result.signal, abs=1e-10)
+            assert frame.basis @ coeffs == pytest.approx(result.signal, abs=1e-10)
 
     def test_agreement_with_iterative(self, frame64, path64):
         _, d, part = path64
@@ -546,43 +545,3 @@ class TestNoisySamples:
             assert iterative.converged
             slack = config.tol * np.linalg.norm(f) * frame.upper / frame.lower
             assert np.linalg.norm(f - iterative.signal) <= bound + slack
-
-
-class TestRoundtrip:
-    def test_band_signal_recovered_by_both_methods(self, path64):
-        g, d, part = path64
-        f = generate_pw_signal(d, 0.5, 5)
-        report = sample_and_reconstruct_roundtrip(g, part, 0.5, 1.0, f, decomp=d)
-        assert report.frame_ok
-        assert report.frame_iter_error <= 1e-8 * report.target_norm
-        assert report.dual_error <= 1e-8 * report.target_norm
-        assert report.method_gap <= 1e-7 * report.target_norm
-
-    def test_out_of_band_content_is_projected_away(self, path64):
-        g, d, part = path64
-        rng = np.random.Generator(np.random.PCG64(31))
-        f = rng.standard_normal(64)  # full-band content
-        report = sample_and_reconstruct_roundtrip(g, part, 0.5, 1.0, f, decomp=d)
-        # recovery matches the band projection of f, not f itself
-        assert report.dual_error <= 1e-8 * max(report.target_norm, 1.0)
-        assert report.target_norm < 0.9 * np.linalg.norm(f)
-
-    def test_aliasing_mode_shows_bias(self, path64):
-        g, d, part = path64
-        rng = np.random.Generator(np.random.PCG64(33))
-        f = rng.standard_normal(64)
-        report = sample_and_reconstruct_roundtrip(
-            g, part, 0.5, 1.0, f, decomp=d, sample_raw=True
-        )
-        assert report.sampled_raw
-        # raw averages see out-of-band content, so the band recovery is biased
-        assert report.dual_error > 1e-3 * report.target_norm
-
-    def test_structured_failure_when_not_a_frame(self, path4):
-        g, d, part = path4
-        f = generate_pw_signal(d, 4.0, 0)
-        report = sample_and_reconstruct_roundtrip(g, part, 4.0, 1.0, f, decomp=d)
-        assert not report.frame_ok
-        assert report.lower == 0.0
-        assert "kernel" in report.failure
-        assert report.frame_iter is None and report.dual is None

@@ -208,6 +208,14 @@ class TestBandFilters:
         with pytest.raises(InputError):
             pw_space(d, -0.1)
 
+    def test_nan_bandwidth_rejected(self, path16):
+        # NaN once passed the sign test and gave an empty band, a numerical failure
+        _, d, _ = path16
+        with pytest.raises(InputError, match="bandwidth must be nonnegative"):
+            pw_space(d, math.nan)
+        with pytest.raises(InputError, match="bandwidth must be nonnegative"):
+            pw_project(d, math.nan, np.ones(16))
+
 
 class TestApplyPower:
     def test_identity_at_zero(self, path16):
