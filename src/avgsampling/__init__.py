@@ -50,7 +50,6 @@ from .reconstruct import (
 from .splines import (
     ConvergenceRow,
     OrthogonalityResult,
-    SplineProblem,
     SplineSolution,
     interpolate,
     orthogonality_check,
@@ -97,7 +96,6 @@ __all__ = [
     "ReconstructionResult",
     "frame_algorithm",
     "dual_frame_reconstruct",
-    "SplineProblem",
     "SplineSolution",
     "solve_spline",
     "interpolate",

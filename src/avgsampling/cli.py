@@ -15,7 +15,7 @@ from . import fileio
 from .errors import InputError, NumericalError
 from .generators import GRAPH_KINDS, generate_graph, generate_pw_signal
 from .graph import WeightedGraph
-from .harness import demo_path, stable_json
+from .harness import demo_path, spline_rows, stable_json
 from .partitions import (
     analyze,
     bfs_partition,
@@ -199,15 +199,7 @@ def _cmd_spline(args) -> int:
         decomp, partition, args.omega, args.alpha, signal, k_list
     )
     if args.format == "json":
-        payload = {
-            "schema": 1,
-            "rows": [
-                {"k": r.order, "rel_error": r.rel_error, "bound_2gamma_k": r.bound,
-                 "within_bound": r.within_bound, "proved": r.proved}
-                for r in rows
-            ],
-        }
-        _emit(stable_json(payload), args.out)
+        _emit(stable_json({"schema": 1, "rows": spline_rows(rows)}), args.out)
     else:
         lines = ["k,rel_error,bound_2gamma_k,within_bound"]
         lines += [f"{r.order},{r.rel_error:.15g},{r.bound:.15g},{str(r.within_bound).lower()}"

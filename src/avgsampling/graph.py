@@ -138,22 +138,26 @@ def as_signal(graph: WeightedGraph, values: Sequence[float] | np.ndarray) -> np.
 
 def is_connected(graph: WeightedGraph) -> bool:
     """True iff the nonzero-weight edge relation has a single component."""
-    return _component_labels(graph)[0] == 1
+    return _components(graph.n, *graph._edge_arrays[:2])[0] == 1
 
 
 def connected_components(graph: WeightedGraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
-    count, labels = _component_labels(graph)
+    count, labels = _components(graph.n, *graph._edge_arrays[:2])
     order = np.argsort(labels, kind="stable")
     comps = np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
     return sorted((comp.tolist() for comp in comps), key=lambda comp: comp[0])
 
 
-def _component_labels(graph: WeightedGraph) -> tuple[int, np.ndarray]:
-    """Number of connected components and the component index of each vertex."""
-    indptr, indices = graph._adjacency
+def _components(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, np.ndarray]:
+    """Number of connected components of the edges (us, vs) on n vertices, and each vertex's component index.
+
+    The edges must be sorted by ``us``; each enters once, as a row entry of
+    a triangular CSR matrix, which ``directed=False`` makes enough.
+    """
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(us, minlength=n))])
     return csgraph.connected_components(
-        csr_matrix((np.ones(len(indices)), indices, indptr), shape=(graph.n, graph.n)), directed=False)
+        csr_matrix((np.ones(len(vs)), vs, indptr), shape=(n, n)), directed=False)
 
 
 def gradient_norm_sq(graph: WeightedGraph, f: np.ndarray) -> float:

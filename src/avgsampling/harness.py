@@ -16,7 +16,7 @@ from .generators import GENERATOR_NAME, generate_pw_signal, path_graph
 from .partitions import analyze, build_frame_system, optimal_alpha, pairs_partition, validate_partition
 from .reconstruct import dual_frame_reconstruct, frame_algorithm
 from .spectral import build_laplacian, eigendecompose, pw_project
-from .splines import spline_convergence_experiment
+from .splines import ConvergenceRow, spline_convergence_experiment
 
 SCHEMA_VERSION = 1
 
@@ -46,6 +46,12 @@ def _plain(obj):
 def stable_json(payload: dict) -> str:
     """Deterministic JSON: sorted keys, compact separators, trailing newline."""
     return json.dumps(_plain(payload), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def spline_rows(rows: tuple[ConvergenceRow, ...]) -> list[dict]:
+    """The report entry of each spline sweep row: its order, error, bound and flags."""
+    return [{"k": row.order, "rel_error": row.rel_error, "bound_2gamma_k": row.bound,
+             "within_bound": row.within_bound, "proved": row.proved} for row in rows]
 
 
 def demo_path(
@@ -145,16 +151,7 @@ def demo_path(
             rows = spline_convergence_experiment(
                 decomp, partition, omega, alpha, signal, k_list
             )
-            record["splines"] = [
-                {
-                    "k": row.order,
-                    "rel_error": row.rel_error,
-                    "bound_2gamma_k": row.bound,
-                    "within_bound": row.within_bound,
-                    "proved": row.proved,
-                }
-                for row in rows
-            ]
+            record["splines"] = spline_rows(rows)
             spline_ok_flags.append(all(row.within_bound for row in rows))
         else:
             record["splines_skipped"] = f"gamma={frame.gamma} >= 1"

@@ -24,19 +24,16 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csr_matrix
 
 from .errors import InputError, NumericalError
-from .graph import WeightedGraph
-from .spectral import SpectralDecomposition, pw_space
+from .graph import WeightedGraph, _components
+from .spectral import SpectralDecomposition, _power_weights, pw_space
 
 #: Singular values at or below this fraction of the largest are treated as
-#: zero when deciding whether the analysis map has a kernel.
+#: zero, both in the pseudoinverse and when deciding whether the analysis map
+#: has a kernel.
 RANK_CUTOFF = 1e-10
-#: Relative cutoff under which singular values are treated as zero in the
-#: pseudoinverse, matching the rank test used for the lower frame bound.
-PINV_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True, init=False)
@@ -142,9 +139,7 @@ def _cluster_gaps(
     intra = edge_cluster == labels[vs]
     us, vs, ws, edge_cluster = us[intra], vs[intra], ws[intra], edge_cluster[intra]
 
-    count, component = connected_components(
-        coo_matrix((np.ones(len(us)), (us, vs)), shape=(graph.n, graph.n)), directed=False
-    )
+    count, component = _components(graph.n, us, vs)
     if count > len(clusters):
         per_cluster = np.bincount(labels[np.unique(component, return_index=True)[1]],
                                   minlength=len(clusters))
@@ -219,7 +214,7 @@ class FrameSystem:
     ``gamma`` comes from ``omega``, ``alpha`` and the partition constant by
     the one formula for it, so it cannot disagree with them. The bounds, the
     pseudoinverse ``pinv`` (the canonical dual frame, singular values at or
-    below ``PINV_CUTOFF`` times the largest dropped), the Gram matrix
+    below ``RANK_CUTOFF`` times the largest dropped), the Gram matrix
     ``gram`` (``analysis.T @ analysis``), and the ``singular_values`` and
     right singular vectors ``right_vectors`` (as columns, m x min(J, m)) come
     from ``analysis`` by one thin SVD. ``_schedules`` memoises the frame
@@ -245,7 +240,7 @@ class FrameSystem:
     def __post_init__(self):
         J, m = self.analysis.shape
         u, singular, vt = np.linalg.svd(self.analysis, full_matrices=False)
-        kept = singular > PINV_CUTOFF * singular[0]
+        kept = singular > RANK_CUTOFF * singular[0]
         inverse = np.divide(1.0, singular, where=kept, out=np.zeros_like(singular))
         right = vt.T
         pinv = right @ (inverse[:, None] * u.T)
@@ -352,9 +347,8 @@ def global_poincare_check(
     if f.shape != (decomp.n,):
         raise InputError(f"signal shape {f.shape} does not match n={decomp.n}")
     lhs = float(f @ f)
-    lam = np.maximum(decomp.eigenvalues, 0.0)
     coeffs = decomp.eigenvectors.T @ f
-    grad2 = float(np.sum(lam * coeffs * coeffs))
+    grad2 = float(np.sum(_power_weights(decomp, 2) * coeffs * coeffs))
     averages = analyze(partition, f)
     sampled = float(averages @ averages)
     if math.isfinite(partition.lambda_xi):

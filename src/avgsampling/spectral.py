@@ -153,8 +153,8 @@ def apply_power(decomp: SpectralDecomposition, s: float, f: np.ndarray) -> np.nd
 
     Each eigen-coefficient is multiplied by lambda**(s/2); s=0 is the
     identity, s=2 is the Laplacian itself, s=1 is its square root. Kernel
-    eigenvalues contribute a factor 0 for s > 0 (tiny negative roundoff
-    eigenvalues are clamped to 0 first).
+    eigenvalues, those at or below ``default_zero_tol`` (roundoff included),
+    contribute a factor exactly 0 for s > 0.
     """
     if s < 0:
         raise InputError(f"power must be nonnegative, got s={s}")
@@ -163,9 +163,13 @@ def apply_power(decomp: SpectralDecomposition, s: float, f: np.ndarray) -> np.nd
         raise InputError(f"signal shape {f.shape} does not match n={decomp.n}")
     if s == 0:
         return f.copy()
-    lam = np.maximum(decomp.eigenvalues, 0.0)
-    coeffs = decomp.eigenvectors.T @ f
-    return decomp.eigenvectors @ (lam ** (s / 2.0) * coeffs)
+    return decomp.eigenvectors @ (_power_weights(decomp, s) * (decomp.eigenvectors.T @ f))
+
+
+def _power_weights(decomp: SpectralDecomposition, s: float) -> np.ndarray:
+    """lambda**(s/2) per eigenvalue, each at or below ``default_zero_tol`` (roundoff kernel) pinned to 0."""
+    lam = decomp.eigenvalues
+    return np.where(lam > decomp.default_zero_tol, lam, 0.0) ** (s / 2.0)
 
 
 def quadratic_form(L: np.ndarray, f: np.ndarray) -> float:

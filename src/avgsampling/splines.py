@@ -36,40 +36,10 @@ from scipy.linalg import lapack, qr
 
 from .errors import InputError, NumericalError
 from .partitions import ClusterPartition, _cluster_rows, _gamma, _integer, analyze
-from .spectral import SpectralDecomposition, pw_project
+from .spectral import SpectralDecomposition, _power_weights, pw_project
 
 #: Refuse spline solves whose equilibrated system is estimated worse than this.
 CONDITION_LIMIT = 1e14
-
-
-@dataclass(frozen=True)
-class SplineProblem:
-    """Order, target averages, and the partition they live on.
-
-    The recovery rate 2*gamma**k is proven for orders that are powers of two;
-    other positive integer orders are accepted and solved, but results carry
-    ``order_is_power_of_two=False`` so reports can label them.
-    """
-
-    order: int
-    targets: np.ndarray
-    partition: ClusterPartition
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", _integer(self.order, "spline order"))
-        targets = np.asarray(self.targets, dtype=float)
-        if targets.shape != (self.partition.num_clusters,):
-            raise InputError(
-                f"targets length {targets.shape} does not match "
-                f"{self.partition.num_clusters} clusters"
-            )
-        if not np.all(np.isfinite(targets)):
-            raise InputError("targets contain non-finite entries")
-        object.__setattr__(self, "targets", targets)
-
-    @property
-    def order_is_power_of_two(self) -> bool:
-        return self.order & (self.order - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -130,16 +100,10 @@ def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _Splin
     return basis
 
 
-def _power_weights(decomp: SpectralDecomposition, k: int) -> np.ndarray:
-    """lambda**(k/2) with kernel eigenvalues pinned exactly to zero."""
-    lam = decomp.eigenvalues
-    weights = np.where(lam > decomp.default_zero_tol, np.maximum(lam, 0.0), 0.0)
-    return weights ** (k / 2.0)
-
-
 def _condition_estimate(decomp: SpectralDecomposition, k: int) -> float:
-    lam = decomp.eigenvalues
-    positive = lam[lam > decomp.default_zero_tol]
+    """(lambda_max / lambda_1)**(k/2) over the eigenvalues ``_power_weights`` leaves positive."""
+    lam = _power_weights(decomp, 2)
+    positive = lam[lam > 0.0]
     if positive.size == 0:
         return 1.0
     return float((positive[-1] / positive[0]) ** (k / 2.0))
@@ -217,31 +181,39 @@ def _spline(
 def solve_spline(
     decomp: SpectralDecomposition,
     partition: ClusterPartition,
-    problem: SplineProblem,
+    targets: np.ndarray,
+    k: int,
 ) -> SplineSolution:
-    """Minimize the order-k smoothness seminorm subject to prescribed averages.
+    """Minimize the order-k smoothness seminorm among signals whose scaled cluster averages are ``targets``.
 
-    Raises NumericalError when the estimated condition of the equilibrated
-    system exceeds the double-precision budget, rather than returning digits
-    that cannot be trusted. Raises InputError when ``problem.partition``
-    differs from ``partition``.
+    The recovery rate 2*gamma**k is proven for orders that are powers of two;
+    other positive integer orders are solved too, and their solutions carry
+    ``order_is_power_of_two=False`` so reports can label them. Raises
+    InputError unless k is a positive integer and the targets are one finite
+    value per cluster, and NumericalError when the estimated condition of the
+    equilibrated system exceeds the double-precision budget, rather than
+    returning digits that cannot be trusted.
     """
-    if not (problem.partition is partition or problem.partition == partition):
-        raise InputError("the spline problem's partition differs from the partition given")
+    k = _integer(k, "spline order")
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (partition.num_clusters,):
+        raise InputError(f"targets length {targets.shape} does not match {partition.num_clusters} clusters")
+    if not np.all(np.isfinite(targets)):
+        raise InputError("targets contain non-finite entries")
     basis = _basis(decomp, partition)
-    factors = _order_factors(decomp, basis, problem.order)
-    coeffs, signal = _spline(decomp, basis, factors, basis.constraints.T @ problem.targets)
+    factors = _order_factors(decomp, basis, k)
+    coeffs, signal = _spline(decomp, basis, factors, basis.constraints.T @ targets)
     smoothed = factors.weights * coeffs
     defect, scale = _smoothness_defect(basis.kernel, factors, smoothed)
     return SplineSolution(
         signal=signal,
-        order=problem.order,
+        order=k,
         seminorm=float(np.linalg.norm(smoothed)),
         achieved_averages=analyze(partition, signal),
-        targets=problem.targets,
+        targets=targets,
         kkt_residual=defect / scale,
         condition_estimate=factors.condition,
-        order_is_power_of_two=problem.order_is_power_of_two,
+        order_is_power_of_two=k & (k - 1) == 0,
     )
 
 
@@ -252,8 +224,7 @@ def interpolate(
     k: int,
 ) -> SplineSolution:
     """Spline of order k whose cluster averages match those of the signal."""
-    targets = analyze(partition, np.asarray(f, dtype=float))
-    return solve_spline(decomp, partition, SplineProblem(order=k, targets=targets, partition=partition))
+    return solve_spline(decomp, partition, analyze(partition, f), k)
 
 
 @dataclass(frozen=True)

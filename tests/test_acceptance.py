@@ -11,7 +11,6 @@ import pytest
 
 from avgsampling import (
     FrameIterationConfig,
-    SplineProblem,
     analyze,
     build_frame_system,
     build_laplacian,
@@ -209,7 +208,7 @@ def test_criterion_08_spline_interpolation(er_suite, path16, path64, small_suite
         rng = np.random.Generator(np.random.PCG64(7000 + idx))
         for k in (1, 2, 4, 8):
             targets = rng.standard_normal(part.num_clusters)
-            sol = solve_spline(d, part, SplineProblem(order=k, targets=targets, partition=part))
+            sol = solve_spline(d, part, targets, k)
             gap = np.max(np.abs(sol.achieved_averages - targets))
             worst_avg = max(worst_avg, gap / max(1.0, float(np.linalg.norm(targets))))
     worst_oracle = 0.0
@@ -219,7 +218,7 @@ def test_criterion_08_spline_interpolation(er_suite, path16, path64, small_suite
         rng = np.random.Generator(np.random.PCG64(7100))
         for k in (1, 2, 4, 8):
             targets = rng.standard_normal(part.num_clusters)
-            sol = solve_spline(d, part, SplineProblem(order=k, targets=targets, partition=part))
+            sol = solve_spline(d, part, targets, k)
             oracle = raw_kkt_spline(L, X, targets, k)
             scale = max(1.0, float(np.max(np.abs(oracle))))
             worst_oracle = max(worst_oracle, float(np.max(np.abs(sol.signal - oracle))) / scale)

@@ -122,6 +122,19 @@ class TestSplineCommand:
             assert ok == "true"
             assert float(rel) <= float(bound) + 1e-8
 
+    def test_json_rows_have_the_demo_report_keys(self, capsys):
+        keys = {"k", "rel_error", "bound_2gamma_k", "within_bound", "proved"}
+        code, out, _ = run_cli(
+            ["spline", "--generate", "path", "--n", "16", "--clusters", "pairs",
+             "--omega", "0.5", "--random-seed", "3", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert [set(row) for row in json.loads(out)["rows"]] == [keys] * 4
+        code, out, _ = run_cli(["demo-path", "--n", "16", "--omega", "0.5", "--trials", "1"], capsys)
+        assert code == 0
+        assert [set(row) for row in json.loads(out)["trials"][0]["splines"]] == [keys] * 4
+
 
 class TestDemoPath:
     def test_byte_identical_reports(self, tmp_path):

@@ -236,6 +236,13 @@ class TestApplyPower:
         grad2 = gradient_norm_sq(g, f)
         assert float(half @ half) == pytest.approx(grad2, rel=1e-9)
 
+    @pytest.mark.parametrize("kind,n", [("path", 64), ("cycle", 30), ("path", 7)])
+    def test_constant_is_annihilated(self, kind, n):
+        # roundoff kernel eigenvalues (about 1e-16) are pinned to 0, not raised to a power
+        d = eigendecompose(build_laplacian(generate_graph(kind, n)))
+        for s in (1, 2, 3):
+            assert np.linalg.norm(apply_power(d, s, np.full(n, 1.0 / math.sqrt(n)))) <= 1e-13
+
     def test_negative_power_rejected(self, path16):
         _, d, _ = path16
         with pytest.raises(InputError):

@@ -10,7 +10,6 @@ from scipy.linalg import lapack, qr
 from avgsampling import (
     InputError,
     NumericalError,
-    SplineProblem,
     analyze,
     apply_power,
     bfs_partition,
@@ -90,13 +89,13 @@ class TestSolveSpline:
         _, d, part = path16
         c = 2.75
         targets = analyze(part, np.full(16, c))
-        sol = solve_spline(d, part, SplineProblem(order=3, targets=targets, partition=part))
+        sol = solve_spline(d, part, targets, 3)
         assert sol.signal == pytest.approx(np.full(16, c), abs=1e-10)
         assert sol.seminorm <= 1e-10
 
     def test_zero_targets_give_zero(self, path16):
         _, d, part = path16
-        sol = solve_spline(d, part, SplineProblem(order=2, targets=np.zeros(8), partition=part))
+        sol = solve_spline(d, part, np.zeros(8), 2)
         assert np.max(np.abs(sol.signal)) <= 1e-12
 
     def test_path4_order1_hand_solution(self, path4):
@@ -104,7 +103,7 @@ class TestSolveSpline:
         # u = (2/3, 4/3, 8/3, 10/3), seminorm^2 = 8/3
         _, d, part = path4
         targets = np.array([math.sqrt(2.0) * 1.0, math.sqrt(2.0) * 3.0])
-        sol = solve_spline(d, part, SplineProblem(order=1, targets=targets, partition=part))
+        sol = solve_spline(d, part, targets, 1)
         assert sol.signal == pytest.approx([2 / 3, 4 / 3, 8 / 3, 10 / 3], abs=1e-9)
         assert sol.seminorm ** 2 == pytest.approx(8.0 / 3.0, rel=1e-9)
 
@@ -118,7 +117,7 @@ class TestSolveSpline:
             rng = np.random.Generator(np.random.PCG64(37))
             for _ in range(2):
                 targets = rng.standard_normal(part.num_clusters)
-                sol = solve_spline(d, part, SplineProblem(order=k, targets=targets, partition=part))
+                sol = solve_spline(d, part, targets, k)
                 oracle = raw_kkt_spline(L, X, targets, k)
                 scale = max(1.0, float(np.max(np.abs(oracle))))
                 assert np.max(np.abs(sol.signal - oracle)) <= 1e-8 * scale, (name, k)
@@ -128,7 +127,7 @@ class TestSolveSpline:
         rng = np.random.Generator(np.random.PCG64(41))
         for k in (1, 2, 4, 8):
             targets = rng.standard_normal(32)
-            sol = solve_spline(d, part, SplineProblem(order=k, targets=targets, partition=part))
+            sol = solve_spline(d, part, targets, k)
             tol = 1e-8 * max(1.0, float(np.linalg.norm(targets)))
             assert np.max(np.abs(sol.achieved_averages - targets)) <= tol
             assert sol.kkt_residual <= 1e-9
@@ -136,7 +135,7 @@ class TestSolveSpline:
     def test_condition_refusal(self, path64):
         _, d, part = path64
         with pytest.raises(NumericalError, match="condition"):
-            solve_spline(d, part, SplineProblem(order=16, targets=np.zeros(32), partition=part))
+            solve_spline(d, part, np.zeros(32), 16)
 
     def test_all_singletons_reproduce_the_signal(self, path16):
         # no zero-average signals: the constraints alone fix the spline
@@ -149,34 +148,30 @@ class TestSolveSpline:
     def test_partition_mismatch_refused(self):
         g = generate_graph("path", 8)
         d = eigendecompose(build_laplacian(g))
-        pairs = validate_partition(g, pairs_partition(8))
         blocks = validate_partition(g, blocks_partition(8, 4))
-        with pytest.raises(InputError, match="partition differs"):
-            solve_spline(d, blocks, SplineProblem(order=1, targets=np.zeros(4), partition=pairs))
+        with pytest.raises(InputError, match="does not match 2 clusters"):
+            solve_spline(d, blocks, np.zeros(4), 1)  # targets for the four pairs
         first = validate_partition(g, [(0, 1, 2), (3, 4, 5), (6, 7)])
-        second = validate_partition(g, [(0, 1), (2, 3, 4), (5, 6, 7)])
-        problem = SplineProblem(order=1, targets=np.arange(3.0), partition=first)
-        with pytest.raises(InputError, match="partition differs"):
-            solve_spline(d, second, problem)
         equal = validate_partition(g, [(2, 1, 0), (3, 4, 5), (7, 6)])
         assert equal is not first
-        assert np.array_equal(solve_spline(d, equal, problem).signal, solve_spline(d, first, problem).signal)
+        targets = np.arange(3.0)
+        assert np.array_equal(solve_spline(d, equal, targets, 1).signal, solve_spline(d, first, targets, 1).signal)
 
     def test_bad_problem_rejected(self, path4):
         _, d, part = path4
-        with pytest.raises(InputError):
-            SplineProblem(order=0, targets=np.zeros(2), partition=part)
-        with pytest.raises(InputError):
-            SplineProblem(order=1, targets=np.zeros(3), partition=part)
-        with pytest.raises(InputError):
-            SplineProblem(order=1, targets=np.array([np.nan, 0.0]), partition=part)
+        with pytest.raises(InputError, match="positive integer"):
+            solve_spline(d, part, np.zeros(2), 0)
+        with pytest.raises(InputError, match="does not match 2 clusters"):
+            solve_spline(d, part, np.zeros(3), 1)
+        with pytest.raises(InputError, match="non-finite"):
+            solve_spline(d, part, np.array([np.nan, 0.0]), 1)
 
     @pytest.mark.parametrize("order", [2.5, 2.0, True, np.bool_(True), "2", None, 0, -1, np.int64(0)])
     def test_non_integral_orders_rejected(self, path4, order):
         _, d, part = path4
         f = np.arange(4.0)
         with pytest.raises(InputError, match="positive integer"):
-            SplineProblem(order=order, targets=np.zeros(2), partition=part)
+            solve_spline(d, part, np.zeros(2), order)
         with pytest.raises(InputError, match="positive integer"):
             interpolate(d, part, f, order)
         with pytest.raises(InputError, match="positive integer"):
@@ -194,8 +189,8 @@ class TestSolveSpline:
     def test_numpy_integer_orders_accepted(self, path64):
         _, d, part = path64
         f = generate_pw_signal(d, 0.5, 21)
-        problem = SplineProblem(order=np.int64(4), targets=np.zeros(32), partition=part)
-        assert type(problem.order) is int and problem.order_is_power_of_two
+        sol = solve_spline(d, part, np.zeros(32), np.int64(4))
+        assert type(sol.order) is int and sol.order_is_power_of_two
         rows = spline_convergence_experiment(d, part, 0.5, 1.0, f, np.array([1, 2, 4], dtype=np.int32))
         assert [type(row.order) for row in rows] == [int] * 3
         assert [row.order for row in rows] == [1, 2, 4]
@@ -356,7 +351,7 @@ class TestReferenceRoute:
         rng = np.random.Generator(np.random.PCG64(61))
         targets = [analyze(part, generate_pw_signal(d, 0.5, k))] + [rng.standard_normal(32) for _ in range(3)]
         for v in targets:
-            got = solve_spline(d, part, SplineProblem(order=k, targets=v, partition=part)).signal
+            got = solve_spline(d, part, v, k).signal
             assert np.array_equal(got, reference_spline(d, part, v, k))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
@@ -365,7 +360,7 @@ class TestReferenceRoute:
         for g, d, part in er_suite:
             for _ in range(2):
                 v = rng.standard_normal(part.num_clusters)
-                got = solve_spline(d, part, SplineProblem(order=k, targets=v, partition=part)).signal
+                got = solve_spline(d, part, v, k).signal
                 assert np.array_equal(got, reference_spline(d, part, v, k)), (g.n, k)
 
 
@@ -374,8 +369,7 @@ class TestMemo:
 
     CALLS = {
         "interpolate": lambda d, p, f: interpolate(d, p, f, 4).signal,
-        "solve_spline": lambda d, p, f: solve_spline(
-            d, p, SplineProblem(order=2, targets=analyze(p, f), partition=p)).signal,
+        "solve_spline": lambda d, p, f: solve_spline(d, p, analyze(p, f), 2).signal,
         "sweep": lambda d, p, f: [
             row.rel_error for row in spline_convergence_experiment(d, p, 0.5, 1.0, f, [1, 2, 3, 4, 8])],
         "orthogonality_check": lambda d, p, f: orthogonality_check(d, p, f, 4).defect,
@@ -415,7 +409,7 @@ class TestMemo:
     def test_condition_refusal_caches_no_factors(self):
         _, d, part = fresh_path64()
         with pytest.raises(NumericalError, match="condition"):
-            solve_spline(d, part, SplineProblem(order=16, targets=np.zeros(32), partition=part))
+            solve_spline(d, part, np.zeros(32), 16)
         assert splines._BASES[d].factors == {}
 
     def test_entry_dies_with_its_decomposition(self):
