@@ -12,7 +12,6 @@ from .graph import (
     ValidationReport,
     WeightedGraph,
     as_signal,
-    connected_components,
     gradient_norm_sq,
     is_connected,
     validate,
@@ -70,7 +69,6 @@ __all__ = [
     "validate",
     "as_signal",
     "is_connected",
-    "connected_components",
     "gradient_norm_sq",
     "build_laplacian",
     "SpectralDecomposition",

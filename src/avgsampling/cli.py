@@ -15,7 +15,7 @@ from . import fileio
 from .errors import InputError, NumericalError
 from .generators import GRAPH_KINDS, generate_graph, generate_pw_signal
 from .graph import WeightedGraph
-from .harness import demo_path, spline_rows, stable_json
+from .harness import DEFAULT_SPLINE_ORDERS, SCHEMA_VERSION, demo_path, spline_rows, stable_json
 from .partitions import (
     analyze,
     bfs_partition,
@@ -56,8 +56,6 @@ def _add_partition_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="FILE", help="output file (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format where the command supports both")
 
 
 def _load_graph(args) -> WeightedGraph:
@@ -109,6 +107,20 @@ def _read_signal(args, graph) -> np.ndarray | None:
     return None
 
 
+def _band_signal(args, decomp, signal: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """The band projection of the signal (a seeded band draw when none was read) and its norm.
+
+    Refuses a signal with no in-band content: nothing to recover and no norm to scale errors by.
+    """
+    if signal is None:
+        signal = generate_pw_signal(decomp, args.omega, args.random_seed)
+    band = pw_project(decomp, args.omega, signal)
+    norm = float(np.linalg.norm(band))
+    if norm == 0.0:
+        raise InputError("signal has no content inside the requested band")
+    return band, norm
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -131,12 +143,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_frame_check(args) -> int:
     graph = _load_graph(args)
     partition = _load_partition(args, graph)
-    if args.format == "csv":
-        raise InputError("frame-check emits JSON only")
     decomp = eigendecompose(build_laplacian(graph))
     frame = build_frame_system(decomp, partition, args.omega, args.alpha)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "omega": frame.omega,
         "alpha": frame.alpha,
         "gamma": frame.gamma,
@@ -156,14 +166,9 @@ def _cmd_frame_check(args) -> int:
 def _cmd_reconstruct(args) -> int:
     graph = _load_graph(args)
     partition = _load_partition(args, graph)
-    if args.format == "csv":
-        raise InputError("reconstruct emits JSON only")
     signal = _read_signal(args, graph)
     decomp = eigendecompose(build_laplacian(graph))
-    if signal is None:
-        signal = generate_pw_signal(decomp, args.omega, args.random_seed)
-    truth = pw_project(decomp, args.omega, signal)
-    truth_norm = float(np.linalg.norm(truth))
+    truth, truth_norm = _band_signal(args, decomp, signal)
     frame = build_frame_system(decomp, partition, args.omega, args.alpha)
     samples = analyze(partition, truth)
     if args.method == "frame-iter":
@@ -172,13 +177,13 @@ def _cmd_reconstruct(args) -> int:
     else:
         result = dual_frame_reconstruct(frame, samples)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "method": result.method,
         "iterations": result.iterations,
         "eta": result.eta,
         "residual": result.residual,
         "converged": result.converged,
-        "rel_error": float(np.linalg.norm(truth - result.signal)) / max(truth_norm, 1e-300),
+        "rel_error": float(np.linalg.norm(truth - result.signal)) / truth_norm,
     }
     _emit(stable_json(payload), args.out)
     return 0
@@ -189,17 +194,12 @@ def _cmd_spline(args) -> int:
     partition = _load_partition(args, graph)
     signal = _read_signal(args, graph)
     decomp = eigendecompose(build_laplacian(graph))
-    if signal is None:
-        signal = generate_pw_signal(decomp, args.omega, args.random_seed)
-    signal = pw_project(decomp, args.omega, signal)
-    if float(np.linalg.norm(signal)) == 0.0:
-        raise InputError("signal has no content inside the requested band")
-    k_list = args.k or [1, 2, 4, 8]
+    signal = _band_signal(args, decomp, signal)[0]
     rows = spline_convergence_experiment(
-        decomp, partition, args.omega, args.alpha, signal, k_list
+        decomp, partition, args.omega, args.alpha, signal, args.k or DEFAULT_SPLINE_ORDERS
     )
     if args.format == "json":
-        _emit(stable_json({"schema": 1, "rows": spline_rows(rows)}), args.out)
+        _emit(stable_json({"schema": SCHEMA_VERSION, "rows": spline_rows(rows)}), args.out)
     else:
         lines = ["k,rel_error,bound_2gamma_k,within_bound"]
         lines += [f"{r.order},{r.rel_error:.15g},{r.bound:.15g},{str(r.within_bound).lower()}"
@@ -209,8 +209,6 @@ def _cmd_spline(args) -> int:
 
 
 def _cmd_demo_path(args) -> int:
-    if args.format == "csv":
-        raise InputError("demo-path emits JSON only")
     report = demo_path(args.n, args.omega, args.alpha, seed=args.seed, trials=args.trials)
     _emit(stable_json(report), args.out)
     return 0
@@ -225,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", parents=[], help="Laplacian eigenvalues as CSV")
     _add_graph_options(p_spec)
     _add_output_options(p_spec)
+    p_spec.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_frame = sub.add_parser("frame-check", help="frame bounds of cluster averages on a band")
@@ -258,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spl.add_argument("--signal", metavar="FILE")
     p_spl.add_argument("--random-seed", type=int, default=None)
     _add_output_options(p_spl)
+    p_spl.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
     p_spl.set_defaults(func=_cmd_spline)
 
     p_demo = sub.add_parser("demo-path", help="full pipeline on a path graph with pair clusters")

@@ -60,7 +60,7 @@ def write_edge_list(graph: WeightedGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_signal(path: str | Path, n: int | None = None) -> np.ndarray:
+def read_signal(path: str | Path, n: int) -> np.ndarray:
     values = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
@@ -71,7 +71,7 @@ def read_signal(path: str | Path, n: int | None = None) -> np.ndarray:
         except ValueError:
             raise InputError(f"{path}:{line_no}: unparsable signal value {line!r}") from None
     f = np.array(values, dtype=float)
-    if n is not None and f.shape[0] != n:
+    if f.shape[0] != n:
         raise InputError(f"{path}: signal has {f.shape[0]} values, expected {n}")
     if not np.all(np.isfinite(f)):
         raise InputError(f"{path}: signal contains non-finite values")

@@ -97,8 +97,12 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     )
 
 
-def generate_graph(kind: str, n: int, seed: int = 0, **params) -> WeightedGraph:
-    """Dispatch on kind; all kinds produce a connected graph or raise."""
+def generate_graph(kind: str, n: int, seed: int = 0, p: float = 0.3,
+                   radius: float | None = None) -> WeightedGraph:
+    """Dispatch on kind; all kinds produce a connected graph or raise.
+
+    Only erdos-renyi-weighted reads ``p`` and only random-geometric ``radius``.
+    """
     if kind == "path":
         return path_graph(n)
     if kind == "cycle":
@@ -106,9 +110,9 @@ def generate_graph(kind: str, n: int, seed: int = 0, **params) -> WeightedGraph:
     if kind == "grid2d":
         return grid2d_graph(n)
     if kind == "erdos-renyi-weighted":
-        return erdos_renyi_weighted(n, params.pop("p", 0.3), seed)
+        return erdos_renyi_weighted(n, p, seed)
     if kind == "random-geometric":
-        return random_geometric(n, params.pop("radius", None), seed)
+        return random_geometric(n, radius, seed)
     raise InputError(f"unknown graph kind {kind!r}; choices: {', '.join(GRAPH_KINDS)}")
 
 

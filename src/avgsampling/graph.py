@@ -141,14 +141,6 @@ def is_connected(graph: WeightedGraph) -> bool:
     return _components(graph.n, *graph._edge_arrays[:2])[0] == 1
 
 
-def connected_components(graph: WeightedGraph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
-    count, labels = _components(graph.n, *graph._edge_arrays[:2])
-    order = np.argsort(labels, kind="stable")
-    comps = np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
-    return sorted((comp.tolist() for comp in comps), key=lambda comp: comp[0])
-
-
 def _components(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, np.ndarray]:
     """Number of connected components of the edges (us, vs) on n vertices, and each vertex's component index.
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InputError
 from .generators import GENERATOR_NAME, generate_pw_signal, path_graph
-from .partitions import analyze, build_frame_system, optimal_alpha, pairs_partition, validate_partition
+from .partitions import _integer, analyze, build_frame_system, optimal_alpha, pairs_partition, validate_partition
 from .reconstruct import dual_frame_reconstruct, frame_algorithm
 from .spectral import build_laplacian, eigendecompose, pw_project
 from .splines import ConvergenceRow, spline_convergence_experiment
@@ -54,28 +54,21 @@ def spline_rows(rows: tuple[ConvergenceRow, ...]) -> list[dict]:
              "within_bound": row.within_bound, "proved": row.proved} for row in rows]
 
 
-def demo_path(
-    n: int,
-    omega: float,
-    alpha: float,
-    seed: int = 0,
-    trials: int = 3,
-    k_list: tuple[int, ...] = DEFAULT_SPLINE_ORDERS,
-) -> dict:
+def demo_path(n: int, omega: float, alpha: float, seed: int = 0, trials: int = 3) -> dict:
     """Full pipeline on a path graph with consecutive-pair clusters.
 
     Builds the spectrum, verifies the pair-cluster partition constant, forms
     the frame system once, and per seeded trial recovers a band signal's
-    projection through that frame by both methods and runs the spline order
-    sweep. Returns a report dict ready for :func:`stable_json`. When
-    gamma >= 1 the run still completes, recording empirical bounds and the
-    structured failures instead of guarantees.
+    projection through that frame by both methods and runs the spline sweep
+    over ``DEFAULT_SPLINE_ORDERS``. Returns a report dict ready for
+    :func:`stable_json`. When gamma >= 1 the run still completes, recording
+    empirical bounds and the structured failures instead of guarantees.
+    Raises InputError unless n is an even integer >= 4 and trials a positive
+    integer.
     """
+    n, trials = _integer(n, "n"), _integer(trials, "trials")
     if n < 4 or n % 2 != 0:
         raise InputError(f"demo needs an even n >= 4, got {n}")
-    if trials < 1:
-        raise InputError(f"trials must be positive, got {trials}")
-    k_list = tuple(int(k) for k in k_list)
 
     graph = path_graph(n)
     decomp = eigendecompose(build_laplacian(graph))
@@ -92,7 +85,7 @@ def demo_path(
         "schema": SCHEMA_VERSION,
         "generator": GENERATOR_NAME,
         "spec": {"kind": "demo-path", "n": n, "omega": float(omega), "alpha": float(alpha),
-                 "seed": int(seed), "trials": int(trials), "k_list": list(k_list)},
+                 "seed": int(seed), "trials": trials, "k_list": list(DEFAULT_SPLINE_ORDERS)},
         "lambda_xi": partition.lambda_xi,
         "lambda_xi_matches_pair_value": bool(abs(partition.lambda_xi - 2.0) <= 1e-12),
         "gamma": frame.gamma,
@@ -124,7 +117,7 @@ def demo_path(
         if frame.is_frame:
             # The band projection is sampled and is the target both methods recover.
             projected = pw_project(decomp, omega, signal)
-            target_norm = max(float(np.linalg.norm(projected)), 1e-300)
+            target_norm = float(np.linalg.norm(projected))
             samples = analyze(partition, projected)
             iterative = frame_algorithm(frame, samples)
             direct = dual_frame_reconstruct(frame, samples)
@@ -149,7 +142,7 @@ def demo_path(
             )
         if frame.guarantee_active:
             rows = spline_convergence_experiment(
-                decomp, partition, omega, alpha, signal, k_list
+                decomp, partition, omega, alpha, signal, DEFAULT_SPLINE_ORDERS
             )
             record["splines"] = spline_rows(rows)
             spline_ok_flags.append(all(row.within_bound for row in rows))

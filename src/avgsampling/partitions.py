@@ -9,9 +9,9 @@ normalized indicator of the cluster.
 
 A partition is valid by construction: :func:`validate_partition`, its only
 constructor, checks the cover and stores the sorted clusters with their gaps,
-the label vector and the cluster sizes, each built once. Averages, the
-frame's analysis matrix and the spline constraint rows are all computed from
-the label vector and sizes.
+the label vector and the square roots of the cluster sizes, each built once.
+Averages, the frame's analysis matrix and the spline constraint rows are all
+computed from those two arrays.
 
 For signals of bandwidth omega, those averages form a frame whenever
 ``gamma = (1 + alpha)/alpha * omega / Lambda < 1`` for some alpha > 0, with
@@ -48,9 +48,9 @@ class ClusterPartition:
     the spectral gap of its induced subgraph (+inf for singletons, whose
     within-cluster deviation is identically zero). ``lambda_xi`` is the
     minimum over clusters, +inf if every cluster is a singleton. ``labels``
-    (the cluster index of each vertex), ``sizes`` (each cluster's vertex
-    count, as floats) and ``_sqrt_sizes`` (their square roots, which scale
-    every average) are read-only arrays left out of comparisons.
+    (the cluster index of each vertex) and ``_sqrt_sizes`` (the square root
+    of each cluster's vertex count, which scales every average) are
+    read-only arrays left out of comparisons.
     """
 
     n: int
@@ -58,7 +58,6 @@ class ClusterPartition:
     lambda1s: tuple[float, ...]
     lambda_xi: float
     labels: np.ndarray = field(compare=False, repr=False)
-    sizes: np.ndarray = field(compare=False, repr=False)
     _sqrt_sizes: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, *args, **kwargs):
@@ -113,11 +112,10 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     gaps = _cluster_gaps(graph, norm_clusters, labels, sizes)
     finite = [g for g in gaps if math.isfinite(g)]
     partition = object.__new__(ClusterPartition)
-    float_sizes = sizes.astype(float)
-    sqrt_sizes = np.sqrt(float_sizes)
-    labels.flags.writeable = float_sizes.flags.writeable = sqrt_sizes.flags.writeable = False
+    sqrt_sizes = np.sqrt(sizes.astype(float))
+    labels.flags.writeable = sqrt_sizes.flags.writeable = False
     vars(partition).update(n=n, clusters=norm_clusters, lambda1s=tuple(gaps),
-                           lambda_xi=min(finite) if finite else math.inf, labels=labels, sizes=float_sizes,
+                           lambda_xi=min(finite) if finite else math.inf, labels=labels,
                            _sqrt_sizes=sqrt_sizes)
     return partition
 
@@ -333,14 +331,13 @@ def global_poincare_check(
     partition: ClusterPartition,
     f: np.ndarray,
     alpha: float,
-    tol: float = 1e-9,
 ) -> PoincareCheck:
     """Verify the partition energy inequality for one signal.
 
     Checks ``norm(f)**2 <= (1+alpha)/alpha / Lambda * grad2
     + (1+alpha) * sum of squared scaled averages`` where grad2 is the squared
     gradient seminorm, and returns the slack (rhs - lhs). ``holds`` allows a
-    small scale-aware negative slack for roundoff.
+    negative slack of ``1e-9 * max(1, norm(f)**2)`` for roundoff.
     """
     _check_alpha(alpha)
     f = np.asarray(f, dtype=float)
@@ -357,7 +354,7 @@ def global_poincare_check(
         smooth_term = 0.0
     rhs = smooth_term + (1.0 + alpha) * sampled
     slack = rhs - lhs
-    return PoincareCheck(holds=slack >= -tol * max(1.0, lhs), slack=slack, lhs=lhs, rhs=rhs)
+    return PoincareCheck(holds=slack >= -1e-9 * max(1.0, lhs), slack=slack, lhs=lhs, rhs=rhs)
 
 
 def optimal_alpha(omega: float, lambda_xi: float) -> tuple[float, float]:

@@ -219,42 +219,32 @@ def frame_algorithm(
         truth_coeffs = frame.basis.T @ truth
 
     schedule = _step_schedule(frame, mu, tol, max_iter)
-    eta = schedule.eta
+    right, gram = frame.right_vectors, frame.gram
     normal_rhs = frame.analysis.T @ s
     denom = math.sqrt(normal_rhs @ normal_rhs)
     if denom == 0.0:
         # Zero samples: the zero signal is already the fixed point.
-        c = np.zeros(frame.dim)
-        return ReconstructionResult(
-            method="frame-iter",
-            signal=frame.basis @ c,
-            coefficients=c,
-            iterations=0,
-            residual=0.0,
-            converged=True,
-            eta=eta,
-            error_log=() if truth_coeffs is not None else None,
-        )
-
-    right, gram = frame.right_vectors, frame.gram
-    y = right.T @ normal_rhs
-    fixed_point = y / schedule.sigma2  # the least-squares solution in the V basis
-    share = (y / denom) ** 2  # norm(y) = norm(A^T s), as V is orthogonal
-    within = np.sqrt(schedule.decay @ share) <= tol
-    row = int(within.argmax())
-    first = row + 1 if within[row] else _first_step_past_table(schedule, share, tol, max_iter)
-    # The closed form has no roundoff floor, the recomputed residual has. One
-    # step more covers a closed-form residual that lands within roundoff
-    # below tol; a miss beyond that is the floor, where a stepwise run
-    # exhausts its budget, so the last try is max_iter, unconverged.
-    tries = () if first is None else tuple(range(first, min(first + 1, max_iter) + 1))
-    for iterations in (*tries, max_iter):
-        c = right @ (schedule.complement_after(iterations) * fixed_point)
-        direction = normal_rhs - gram @ c
-        residual = math.sqrt(direction @ direction) / denom
-        converged = residual <= tol and iterations in tries
-        if converged:
-            break
+        c, iterations, residual, converged = np.zeros(frame.dim), 0, 0.0, True
+    else:
+        y = right.T @ normal_rhs
+        fixed_point = y / schedule.sigma2  # the least-squares solution in the V basis
+        share = (y / denom) ** 2  # norm(y) = norm(A^T s), as V is orthogonal
+        within = np.sqrt(schedule.decay @ share) <= tol
+        row = int(within.argmax())
+        first = row + 1 if within[row] else _first_step_past_table(schedule, share, tol, max_iter)
+        # The closed form has no roundoff floor, the recomputed residual has.
+        # One step more covers a closed-form residual that lands within
+        # roundoff below tol; a miss beyond that is the floor, where a
+        # stepwise run exhausts its budget, so the last try is max_iter,
+        # unconverged.
+        tries = () if first is None else tuple(range(first, min(first + 1, max_iter) + 1))
+        for iterations in (*tries, max_iter):
+            c = right @ (schedule.complement_after(iterations) * fixed_point)
+            direction = normal_rhs - gram @ c
+            residual = math.sqrt(direction @ direction) / denom
+            converged = residual <= tol and iterations in tries
+            if converged:
+                break
 
     errors = None
     if truth_coeffs is not None:
@@ -272,7 +262,7 @@ def frame_algorithm(
         iterations=iterations,
         residual=residual,
         converged=converged,
-        eta=eta,
+        eta=schedule.eta,
         error_log=errors,
     )
 

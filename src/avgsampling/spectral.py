@@ -96,17 +96,16 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-def lambda1(decomp: SpectralDecomposition, zero_tol: float | None = None) -> float:
+def lambda1(decomp: SpectralDecomposition) -> float:
     """First nonzero eigenvalue (the spectral gap of a connected graph).
 
-    Requires exactly one eigenvalue below ``zero_tol``: more means the
-    underlying graph is disconnected, none below would mean a non-Laplacian
-    input, and all below means a single-vertex graph. Either case raises.
+    Requires exactly one eigenvalue at or below ``default_zero_tol``: more
+    means the underlying graph is disconnected, none would mean a
+    non-Laplacian input, and all means a single-vertex graph. Either case
+    raises.
     """
-    if zero_tol is None:
-        zero_tol = decomp.default_zero_tol
     values = decomp.eigenvalues
-    kernel = int(np.sum(values <= zero_tol))
+    kernel = int(np.sum(values <= decomp.default_zero_tol))
     if kernel == 0:
         raise InputError("no kernel eigenvalue found; input is not a graph Laplacian")
     if kernel >= decomp.n:

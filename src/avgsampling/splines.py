@@ -235,8 +235,8 @@ class OrthogonalityResult:
     exactly when its smoothed image is orthogonal to the smoothed image of
     every zero-average signal. ``defect`` is the largest such inner product
     over an orthonormal basis of the zero-average space; ``normalized``
-    rescales it by the product of the factor norms, and ``is_spline`` applies
-    the acceptance threshold to that.
+    rescales it by the product of the factor norms, and ``is_spline`` holds
+    when that is at most 1e-8.
     """
 
     defect: float
@@ -250,7 +250,6 @@ def orthogonality_check(
     partition: ClusterPartition,
     u: np.ndarray,
     k: int,
-    tol: float = 1e-8,
 ) -> OrthogonalityResult:
     """Whether u is the order-k spline of its own averages.
 
@@ -270,7 +269,7 @@ def orthogonality_check(
         defect=defect,
         scale=scale,
         normalized=normalized,
-        is_spline=normalized <= tol,
+        is_spline=normalized <= 1e-8,
     )
 
 
@@ -309,12 +308,12 @@ def spline_convergence_experiment(
     alpha: float,
     f: np.ndarray,
     k_list: tuple[int, ...] | list[int],
-    tol: float = 1e-8,
 ) -> tuple[ConvergenceRow, ...]:
     """Interpolate a bandlimited signal at several orders against 2*gamma**k.
 
     Refuses when gamma >= 1 (no rate is guaranteed there) or when the signal
-    has out-of-band content (the bound's hypothesis would be violated).
+    has out-of-band content (the bound's hypothesis would be violated). A
+    row is ``within_bound`` when its error is at most the bound plus 1e-8.
     Rows with ``proved=False`` mark orders that are not powers of two, where
     the bound is reported for reference only.
     """
@@ -350,7 +349,7 @@ def spline_convergence_experiment(
                 order=k,
                 rel_error=rel,
                 bound=bound,
-                within_bound=rel <= bound + tol,
+                within_bound=rel <= bound + 1e-8,
                 proved=k & (k - 1) == 0,
             )
         )

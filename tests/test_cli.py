@@ -11,7 +11,7 @@ import pytest
 import avgsampling
 from avgsampling.cli import main
 from avgsampling.fileio import write_edge_list, write_partition, write_signal
-from avgsampling import generate_graph
+from avgsampling import InputError, demo_path, generate_graph
 
 
 def child_env(**overrides) -> dict:
@@ -105,6 +105,16 @@ class TestReconstructCommand:
         assert code == 0
         assert json.loads(out)["rel_error"] <= 1e-8
 
+    @pytest.mark.parametrize("command", [["reconstruct", "--method", "dual"],
+                                         ["reconstruct", "--method", "frame-iter"], ["spline"]])
+    def test_signal_without_band_content_refused(self, command, tmp_path, capsys):
+        path = tmp_path / "zero.sig"
+        write_signal(np.zeros(8), path)
+        code, out, err = run_cli([*command, "--generate", "path", "--n", "8", "--clusters", "pairs",
+                                  "--omega", "0.5", "--signal", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: signal has no content inside the requested band\n"
+
 
 class TestSplineCommand:
     def test_csv_rows_within_bounds(self, capsys):
@@ -178,6 +188,12 @@ class TestDemoPath:
         assert eigs == pytest.approx(expected, abs=1e-9)
         assert payload["spectrum"]["within_0_4"] is True
 
+    @pytest.mark.parametrize("n, trials, name", [(16, True, "trials"), (16, 1.5, "trials"),
+                                                 (16.0, 3, "n"), (True, 3, "n")])
+    def test_integer_rule(self, n, trials, name):
+        with pytest.raises(InputError, match=f"^{name} must be a positive integer"):
+            demo_path(n, 0.5, 1.0, trials=trials)
+
     def test_bytes_identical_across_blas_thread_counts(self):
         """On the path and on a 10x10 grid, whose spectrum repeats eigenvalues."""
         commands = [
@@ -234,13 +250,16 @@ class TestInputChecksBeforeEigensolve:
         assert code == 1 and out == ""
         assert err == f"error: bad --clusters spec {spec!r}; blocks:<m> and bfs:<r> take integers\n"
 
-    @pytest.mark.parametrize("command", ["frame-check", "reconstruct"])
+    @pytest.mark.parametrize("command", ["frame-check", "reconstruct", "demo-path"])
     def test_csv_format(self, command, no_eigensolve, capsys):
-        signal = [] if command == "frame-check" else ["--random-seed", "0"]
-        code, out, err = run_cli([command, "--generate", "path", "--n", "6", "--clusters", "pairs",
-                                  "--omega", "0.5", *signal, "--format", "csv"], capsys)
-        assert code == 1 and out == ""
-        assert "emits JSON only" in err
+        inputs = {"frame-check": ["--generate", "path", "--clusters", "pairs"],
+                  "reconstruct": ["--generate", "path", "--clusters", "pairs", "--random-seed", "0"],
+                  "demo-path": []}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--n", "6", "--omega", "0.5", *inputs, "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 1 and captured.out == ""
+        assert "unrecognized arguments: --format csv" in captured.err
 
     @pytest.mark.parametrize("command", ["reconstruct", "spline"])
     @pytest.mark.parametrize("signal, message", [

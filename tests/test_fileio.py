@@ -72,7 +72,7 @@ class TestSignalFile:
         path = tmp_path / "f.sig"
         path.write_text("1.0\noops\n", encoding="utf-8")
         with pytest.raises(InputError, match="unparsable"):
-            read_signal(path)
+            read_signal(path, n=2)
 
 
 class TestPartitionFile:

@@ -58,6 +58,12 @@ class TestGraphGenerators:
         with pytest.raises(InputError, match="radius must be positive"):
             generate_graph("random-geometric", 20, radius=math.nan)
 
+    def test_misspelt_parameter_refused(self):
+        # A catch-all keyword dropped prob=0.9 and built the default p=0.3 graph.
+        with pytest.raises(TypeError):
+            generate_graph("erdos-renyi-weighted", 12, seed=1, prob=0.9)
+        assert generate_graph("erdos-renyi-weighted", 12, seed=1, p=0.9).num_edges == 63
+
     def test_erdos_renyi_deterministic(self):
         g1 = generate_graph("erdos-renyi-weighted", 20, seed=7, p=0.3)
         g2 = generate_graph("erdos-renyi-weighted", 20, seed=7, p=0.3)

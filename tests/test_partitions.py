@@ -110,8 +110,8 @@ class TestValidatePartition:
         with pytest.raises(TypeError):
             dataclasses.replace(part)
         assert part.labels.dtype == np.intp and part.labels.tolist() == [0, 0, 1, 1]
-        assert part.sizes.dtype == float and part.sizes.tolist() == [2.0, 2.0]
-        for array in (part.labels, part.sizes):
+        assert part._sqrt_sizes.dtype == float and part._sqrt_sizes.tolist() == [math.sqrt(2.0)] * 2
+        for array in (part.labels, part._sqrt_sizes):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0

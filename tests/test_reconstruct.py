@@ -439,7 +439,7 @@ class TestPerCallArithmetic:
         for d, part, frame, omega in both_frames:
             f = generate_pw_signal(d, omega, seed)
             samples = analyze(part, f)
-            expected = np.bincount(part.labels, f, minlength=part.num_clusters) / np.sqrt(part.sizes)
+            expected = np.bincount(part.labels, f, minlength=part.num_clusters) / np.sqrt(np.bincount(part.labels))
             assert np.array_equal(samples, expected)
             for make_config in CONFIGS.values():
                 config = make_config(frame)
