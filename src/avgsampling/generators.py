@@ -13,6 +13,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InputError, NumericalError
 from .graph import WeightedGraph, is_connected
+from .partitions import _integer
 from .spectral import SpectralDecomposition, pw_space
 
 GENERATOR_NAME = "numpy-PCG64"
@@ -25,7 +26,8 @@ RETRY_BUDGET = 50
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    """PCG64 stream of a seed; InputError unless the seed is a nonnegative integer."""
+    return np.random.Generator(np.random.PCG64(_integer(seed, "seed", least=0)))
 
 
 def path_graph(n: int) -> WeightedGraph:
@@ -86,6 +88,7 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
         # np.hypot test decides, so the edge set does not depend on how the
         # tree rounds its distances.
         pairs = cKDTree(points).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+        # Sorted here, from_edges' stable one-key sort is a near-linear pass.
         pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]  # ids < n, pairs unique
         delta = points[pairs[:, 0]] - points[pairs[:, 1]]
         pairs = pairs[np.hypot(delta[:, 0], delta[:, 1]) <= radius]

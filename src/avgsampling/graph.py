@@ -36,13 +36,19 @@ class WeightedGraph:
         """Build a graph from undirected edges.
 
         ``edges`` is an iterable of (u, v, w) triples or an (E, 3) array.
-        Rejects n < 1, non-integer (fractional, NaN or infinite) ids,
-        out-of-range ids, loops, negative or non-finite weights and pairs
-        repeated in either orientation, naming the first offending edge.
-        Zero-weight edges are dropped (a zero weight means "no edge").
+        Rejects n < 1 or n > 2**31 - 1, non-integer (fractional, NaN or
+        infinite) ids, out-of-range ids, loops, negative or non-finite
+        weights and pairs repeated in either orientation, naming the first
+        offending edge. Zero-weight edges are dropped (a zero weight means
+        "no edge"). One stable sort of the int64 key
+        ``(lo + 1) * (n + 2) + (hi + 1)`` of each pair's ends ``lo <= hi``,
+        clipped to [-1, n], orders the edges by (lo, hi), a repeat after the
+        entry it repeats; the bound on n keeps the key below 2**63.
         """
-        if n < 1:
+        if not n >= 1:  # NaN included
             raise InputError(f"graph needs at least one vertex, got n={n}")
+        if n > 2**31 - 1:
+            raise InputError(f"graph has at most 2**31 - 1 vertices, got n={n}")
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 3:
             us, vs, ws = edges.T
         else:
@@ -55,9 +61,11 @@ class WeightedGraph:
         # Clipping keeps an out-of-range id out of range and the cast exact.
         us, vs = (np.where(whole, np.clip(ids, -1, n), 0).astype(np.intp) for ids in (raw_us, raw_vs))
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        order = np.lexsort((hi, lo))  # stable: a repeat sorts after the entry it repeats
+        key = (lo.astype(np.int64) + 1) * (int(n) + 2) + (hi + 1)
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
         repeated = np.zeros(len(us), dtype=bool)
-        repeated[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+        repeated[order[1:]] = sorted_key[1:] == sorted_key[:-1]
         bad = ~whole | (lo < 0) | (hi >= n) | (us == vs) | ~np.isfinite(ws) | (ws < 0) | repeated
         if bad.any():
             i = int(bad.argmax())

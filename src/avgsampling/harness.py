@@ -63,10 +63,10 @@ def demo_path(n: int, omega: float, alpha: float, seed: int = 0, trials: int = 3
     over ``DEFAULT_SPLINE_ORDERS``. Returns a report dict ready for
     :func:`stable_json`. When gamma >= 1 the run still completes, recording
     empirical bounds and the structured failures instead of guarantees.
-    Raises InputError unless n is an even integer >= 4 and trials a positive
-    integer.
+    Raises InputError unless n is an even integer >= 4, trials a positive
+    integer and seed a nonnegative integer.
     """
-    n, trials = _integer(n, "n"), _integer(trials, "trials")
+    n, trials, seed = _integer(n, "n"), _integer(trials, "trials"), _integer(seed, "seed", least=0)
     if n < 4 or n % 2 != 0:
         raise InputError(f"demo needs an even n >= 4, got {n}")
 
@@ -85,7 +85,7 @@ def demo_path(n: int, omega: float, alpha: float, seed: int = 0, trials: int = 3
         "schema": SCHEMA_VERSION,
         "generator": GENERATOR_NAME,
         "spec": {"kind": "demo-path", "n": n, "omega": float(omega), "alpha": float(alpha),
-                 "seed": int(seed), "trials": trials, "k_list": list(DEFAULT_SPLINE_ORDERS)},
+                 "seed": seed, "trials": trials, "k_list": list(DEFAULT_SPLINE_ORDERS)},
         "lambda_xi": partition.lambda_xi,
         "lambda_xi_matches_pair_value": bool(abs(partition.lambda_xi - 2.0) <= 1e-12),
         "gamma": frame.gamma,

@@ -107,9 +107,10 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     if uncovered.size:
         raise InputError(f"vertices not covered by any cluster: {uncovered[:8].tolist()}")
 
-    grouped, stops = np.argsort(labels, kind="stable").tolist(), np.cumsum(sizes).tolist()
+    by_cluster = np.argsort(labels, kind="stable")  # the vertices in (label, vertex) order
+    grouped, stops = by_cluster.tolist(), np.cumsum(sizes).tolist()
     norm_clusters = tuple(tuple(grouped[stop - size:stop]) for stop, size in zip(stops, sizes.tolist()))
-    gaps = _cluster_gaps(graph, norm_clusters, labels, sizes)
+    gaps = _cluster_gaps(graph, norm_clusters, labels, sizes, by_cluster)
     finite = [g for g in gaps if math.isfinite(g)]
     partition = object.__new__(ClusterPartition)
     sqrt_sizes = np.sqrt(sizes.astype(float))
@@ -121,16 +122,20 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
 
 
 def _cluster_gaps(
-    graph: WeightedGraph, clusters: Sequence[tuple[int, ...]], labels: np.ndarray, sizes: np.ndarray
+    graph: WeightedGraph, clusters: Sequence[tuple[int, ...]], labels: np.ndarray, sizes: np.ndarray,
+    by_cluster: np.ndarray,
 ) -> list[float]:
     """Spectral gap of each cluster's induced subgraph, from one pass over the edges.
 
-    ``labels`` and ``sizes`` are the cover's label vector and cluster sizes.
-    The intra-cluster edges are sorted once by (cluster size, cluster label);
-    the Laplacian blocks of all clusters of one size, in cluster order, are
-    filled from one contiguous slice and solved by a single batched
-    eigensolve. Raises InputError for the first cluster whose induced
-    subgraph is disconnected.
+    ``labels`` and ``sizes`` are the cover's label vector and cluster sizes,
+    ``by_cluster`` its vertices in (label, vertex) order. The clusters are
+    ranked by (size, label), and each s x s Laplacian block has its place,
+    in rank order, in one flat buffer. Two scatter writes put every
+    intra-cluster edge's off-diagonal entries there, with no edge sort. The
+    blocks of one size form a contiguous run of the buffer, which one
+    reshape views as a stack for its diagonal and one batched eigensolve.
+    Raises InputError for the first cluster whose induced subgraph is
+    disconnected.
     """
     us, vs, ws = graph._edge_arrays
     edge_cluster = labels[us]
@@ -144,32 +149,29 @@ def _cluster_gaps(
         idx = int(np.flatnonzero(per_cluster > 1)[0])
         raise InputError(f"cluster {idx} {clusters[idx]} induces a disconnected subgraph")
 
-    # Each vertex's index inside its (sorted) cluster, from the vertices in
-    # (label, vertex) order.
-    by_cluster = np.argsort(labels, kind="stable")
+    # Each vertex's index inside its (sorted) cluster.
     position = np.empty(graph.n, dtype=np.intp)
     position[by_cluster] = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    # Clusters ranked by (size, label); an edge sorts by its cluster's rank.
+    # Clusters ranked by (size, label); the block of rank r starts at ranked_start[r].
     by_size = np.argsort(sizes, kind="stable")
-    rank = np.empty(len(clusters), dtype=np.intp)
-    rank[by_size] = np.arange(len(clusters))
-    edge_rank = rank[edge_cluster]
-    order = np.argsort(edge_rank, kind="stable")
-    edge_rank, us, vs, ws = edge_rank[order], us[order], vs[order], ws[order]
+    ranked_sizes = sizes[by_size]
+    ranked_area = ranked_sizes * ranked_sizes
+    ranked_start = np.cumsum(ranked_area) - ranked_area
+    start_of = np.empty(len(clusters), dtype=np.intp)
+    start_of[by_size] = ranked_start
+    buffer = np.zeros(int(ranked_area.sum()))
+    base, size_of, i, j = start_of[edge_cluster], sizes[edge_cluster], position[us], position[vs]
+    buffer[base + i * size_of + j] = -ws
+    buffer[base + j * size_of + i] = -ws
 
     gaps = np.full(len(clusters), math.inf)
-    ranked_sizes = sizes[by_size]
     starts = np.flatnonzero(np.diff(ranked_sizes, prepend=0))  # first rank of each size
     starts = starts[ranked_sizes[starts] > 1]
     stops = np.append(starts[1:], len(clusters))
-    slices = zip(starts, stops, np.searchsorted(edge_rank, starts), np.searchsorted(edge_rank, stops))
-    for start, stop, lo, hi in slices:
-        size = int(ranked_sizes[start])
-        c, i, j, w = edge_rank[lo:hi] - start, position[us[lo:hi]], position[vs[lo:hi]], ws[lo:hi]
-        blocks = np.zeros((stop - start, size, size))
-        blocks[c, i, j] = -w
-        blocks[c, j, i] = -w
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        size, first = int(ranked_sizes[start]), int(ranked_start[start])
+        blocks = buffer[first:first + (stop - start) * size * size].reshape(stop - start, size, size)
         diagonal = np.arange(size)
         blocks[:, diagonal, diagonal] = -blocks.sum(axis=2)
         gaps[by_size[start:stop]] = np.linalg.eigvalsh(blocks)[:, 1]
@@ -407,7 +409,9 @@ def bfs_partition(graph: WeightedGraph, radius: int) -> list[tuple[int, ...]]:
     """
     radius = _integer(radius, "radius", least=0)
     indptr, indices = graph._adjacency
-    indptr, indices = indptr.tolist(), indices.tolist()  # a ball is too small for numpy calls to pay
+    # A ball is too small for numpy calls to pay; the memoryview turns only
+    # the neighbour slices the frontier reads into Python ints.
+    indptr, indices = indptr.tolist(), memoryview(indices)
     assigned = [False] * graph.n
     clusters: list[tuple[int, ...]] = []
     for start in range(graph.n):

@@ -117,11 +117,15 @@ def lambda1(decomp: SpectralDecomposition) -> float:
 
 @dataclass(frozen=True)
 class PWSpace:
-    """Span of the eigenvectors with eigenvalue at most the bandwidth."""
+    """Span of the eigenvectors with eigenvalue at most the bandwidth.
+
+    The eigenvalues ascend, so the band is a prefix of them: ``basis`` is
+    the leading m eigenvector columns, a view of the decomposition's
+    read-only, column-major eigenvector matrix rather than a copy.
+    """
 
     omega: float
     basis: np.ndarray  # n x m eigenvector columns
-    eigenvalues: np.ndarray  # the m in-band eigenvalues
 
     @property
     def dim(self) -> int:
@@ -132,10 +136,9 @@ def pw_space(decomp: SpectralDecomposition, omega: float) -> PWSpace:
     """Bandlimited subspace for a given bandwidth."""
     if not omega >= 0:  # NaN included
         raise InputError(f"bandwidth must be nonnegative, got {omega}")
-    mask = decomp.eigenvalues <= omega + BAND_SLACK * abs(decomp.lambda_max)
-    basis = decomp.eigenvectors[:, mask]
-    values = decomp.eigenvalues[mask]
-    return PWSpace(omega=float(omega), basis=basis, eigenvalues=values)
+    edge = omega + BAND_SLACK * abs(decomp.lambda_max)
+    m = int(np.searchsorted(decomp.eigenvalues, edge, side="right"))
+    return PWSpace(omega=float(omega), basis=decomp.eigenvectors[:, :m])
 
 
 def pw_project(decomp: SpectralDecomposition, omega: float, f: np.ndarray) -> np.ndarray:

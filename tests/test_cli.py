@@ -194,6 +194,12 @@ class TestDemoPath:
         with pytest.raises(InputError, match=f"^{name} must be a positive integer"):
             demo_path(n, 0.5, 1.0, trials=trials)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, -1, True])
+    def test_seed_integer_rule(self, seed):
+        """A fractional seed is refused, not recorded as one seed and drawn as another."""
+        with pytest.raises(InputError, match="^seed must be a nonnegative integer"):
+            demo_path(16, 0.5, 1.0, seed=seed, trials=1)
+
     def test_bytes_identical_across_blas_thread_counts(self):
         """On the path and on a 10x10 grid, whose spectrum repeats eigenvalues."""
         commands = [
@@ -314,6 +320,19 @@ class TestExitCodes:
         )
         assert code == 2
         assert "not a frame" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["frame-check", "--generate", "random-geometric", "--n", "20", "--seed", "-1",
+         "--clusters", "bfs:1", "--omega", "0.1"],
+        ["reconstruct", "--generate", "path", "--n", "8", "--clusters", "pairs", "--omega", "0.5",
+         "--random-seed", "-1"],
+        ["demo-path", "--n", "8", "--omega", "0.5", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_exit_one(self, argv, capsys):
+        """Refused with one error line, not a traceback from numpy."""
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
 
     @pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "nan"], ["--max-iter", "0"]])
     def test_bad_iteration_settings_are_exit_one(self, flags, capsys):

@@ -102,6 +102,17 @@ class TestGraphGenerators:
         with pytest.raises(InputError):
             generate_graph("torus", 8)
 
+    @pytest.mark.parametrize("kind", ["random-geometric", "erdos-renyi-weighted"])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, -1, True, None, "1"])
+    def test_seed_must_be_a_nonnegative_integer(self, kind, seed):
+        """A fractional seed is not truncated, and a negative one is not left to numpy."""
+        with pytest.raises(InputError, match="^seed must be a nonnegative integer"):
+            generate_graph(kind, 20, seed=seed)
+
+    def test_numpy_integer_seed_is_its_value(self):
+        assert generate_graph("random-geometric", 30, seed=np.int64(4)).edges() == \
+            generate_graph("random-geometric", 30, seed=4).edges()
+
 
 class TestSignalGenerator:
     def test_unit_norm(self, path16):
@@ -119,6 +130,12 @@ class TestSignalGenerator:
         f = generate_pw_signal(d, 0.0, 11)
         assert np.max(np.abs(f - f[0])) <= 1e-12
         assert abs(abs(f[0]) - 1.0 / np.sqrt(8)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [9.5, 9.0, -9, False])
+    def test_seed_must_be_a_nonnegative_integer(self, path16, seed):
+        _, d, _ = path16
+        with pytest.raises(InputError, match="^seed must be a nonnegative integer"):
+            generate_pw_signal(d, 1.0, seed)
 
     def test_deterministic_per_seed(self, path16):
         _, d, _ = path16

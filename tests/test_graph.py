@@ -270,6 +270,78 @@ class TestConstructors:
                 arr[...] = 0
 
 
+def sparse_edges(n, count, seed):
+    """``count`` distinct pairs on n vertices in random orientation, weights in
+    [0.5, 1.5) with about one in ten set to zero."""
+    rng = np.random.default_rng(seed)
+    pairs = {}
+    while len(pairs) < count:
+        u, v = rng.integers(0, n, 2).tolist()
+        if u != v:
+            pairs.setdefault((min(u, v), max(u, v)), (u, v))
+    weights = np.where(rng.random(count) < 0.1, 0.0, rng.uniform(0.5, 1.5, count))
+    return [(u, v, w) for (u, v), w in zip(pairs.values(), weights.tolist())]
+
+
+def with_faults(edges, n, seed, repeats, strays):
+    """``edges`` with repeats of some pairs in either orientation (some weight 0)
+    and stray ids -1 and n, each inserted at a random position."""
+    rng = np.random.default_rng(seed)
+    edges = list(edges)
+    for _ in range(repeats):
+        u, v, w = edges[int(rng.integers(len(edges)))]
+        repeat = (v, u, w) if rng.random() < 0.5 else (u, v, 0.0)
+        edges.insert(int(rng.integers(len(edges) + 1)), repeat)
+    for _ in range(strays):
+        u = int(rng.integers(n))
+        stray = (-1, u, 1.0) if rng.random() < 0.5 else (u, n, 1.0)
+        edges.insert(int(rng.integers(len(edges) + 1)), stray)
+    return edges
+
+
+class TestLargeEdgeLists:
+    """The one-key edge sort against the loop reference at 1e4-1e5 vertices.
+
+    Only ``from_edges`` and the stored edge arrays are read: nothing here
+    allocates an array of length n.
+    """
+
+    @pytest.mark.parametrize("n, count, seed", [(10_000, 4_000, 1), (100_000, 6_000, 2), (100_000, 3_000, 3)])
+    @pytest.mark.parametrize("repeats, strays", [(0, 0), (200, 0), (0, 3), (50, 2)])
+    def test_matches_loop_reference(self, n, count, seed, repeats, strays):
+        edges = with_faults(sparse_edges(n, count, seed), n, seed, repeats, strays)
+        expected = outcome(reference_from_edges, n, edges)
+        if repeats or strays:
+            assert isinstance(expected, tuple)
+        for given_edges in (edges, np.array(edges, dtype=float)):
+            graph = outcome(WeightedGraph.from_edges, n, given_edges)
+            if isinstance(expected, tuple):
+                assert graph == expected
+            else:
+                assert repr(graph.edges()) == repr(expected)
+                assert all(arr.dtype == dtype for arr, dtype in zip(graph._edge_arrays, (np.intp, np.intp, float)))
+
+    def test_vertex_count_bound(self):
+        """The sort key reaches about (n + 2)**2, below 2**63 at the largest n."""
+        n = 2**31 - 1
+        edges = [(n - 1, 0, 1.0), (5, n - 2, 2.0), (n - 1, n - 2, 0.0), (3, 1, 4.0)]
+        graph = WeightedGraph.from_edges(n, edges)
+        assert graph.n == n
+        assert repr(graph.edges()) == repr(reference_from_edges(n, edges))
+        assert graph.edges() == [(0, n - 1, 1.0), (1, 3, 4.0), (5, n - 2, 2.0)]
+        for faulty, message in [([*edges, (n - 2, n - 1, 1.0)], f"duplicate edge ({n - 2},{n - 1})"),
+                                ([*edges, (0, n, 1.0)], f"edge (0,{n}) out of range for n={n}")]:
+            assert outcome(WeightedGraph.from_edges, n, faulty) == ("InputError", message)
+            assert outcome(reference_from_edges, n, faulty) == ("InputError", message)
+        for too_many in (2**31, 2**40):
+            with pytest.raises(InputError, match=re.escape(f"graph has at most 2**31 - 1 vertices, got n={too_many}")):
+                WeightedGraph.from_edges(too_many, [(0, 1, 1.0)])
+
+    def test_nan_vertex_count_refused(self):
+        with pytest.raises(InputError, match="graph needs at least one vertex, got n=nan"):
+            WeightedGraph.from_edges(math.nan, [(0, 1, 1.0)])
+
+
 class TestGradientNorm:
     def test_single_edge(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])

@@ -138,6 +138,20 @@ class TestValidatePartition:
             expected = sla.eigvalsh(cluster_laplacian(g, list(verts)))[1]
             assert gap == pytest.approx(expected, rel=1e-12)
 
+    def test_gaps_equal_one_eigensolve_per_cluster_on_er_suite(self, er_suite):
+        for graph, _, part in er_suite:
+            assert np.array_equal(part.lambda1s, reference_gaps(graph, part))
+
+    @pytest.mark.parametrize("n, seed", [(400, 3), (1000, 4101)])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_gaps_equal_one_eigensolve_per_cluster_on_bfs_covers(self, n, seed, radius):
+        graph = generate_graph("random-geometric", n, seed=seed)
+        part = validate_partition(graph, bfs_partition(graph, radius))
+        assert len({len(c) for c in part.clusters}) > 1  # several block sizes share the buffer
+        gaps = reference_gaps(graph, part)
+        assert np.array_equal(part.lambda1s, gaps)
+        assert part.lambda_xi == gaps.min()
+
     def test_disconnected_cluster_named_after_connected_ones(self):
         g = generate_graph("path", 8)
         with pytest.raises(InputError, match=r"cluster 2 \(4, 6\) induces a disconnected"):
@@ -403,6 +417,58 @@ class TestGlobalPoincare:
             assert np.linalg.norm(f) <= bound + 1e-9
 
 
+def reference_bfs(graph, radius):
+    """Greedy BFS balls as hop distances: each ball holds the unassigned
+    vertices within ``radius`` hops of its start in the subgraph the
+    unassigned vertices induce, the start being the least unassigned vertex."""
+    neighbours = {v: set() for v in range(graph.n)}
+    for u, v, _ in graph.edges():
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    unassigned, clusters = set(range(graph.n)), []
+    while unassigned:
+        start = min(unassigned)
+        distance, queue = {start: 0}, [start]
+        for u in queue:
+            if distance[u] < radius:
+                for v in sorted(neighbours[u] & unassigned):
+                    if v not in distance:
+                        distance[v] = distance[u] + 1
+                        queue.append(v)
+        unassigned -= set(distance)
+        clusters.append(tuple(sorted(distance)))
+    return clusters
+
+
+def reference_gaps(graph, partition):
+    """Each cluster's gap from its own block, built as the partition code
+    builds it (zeros, -w off the diagonal, minus the row sums on it) and
+    solved alone by ``np.linalg.eigvalsh``; inf for a singleton."""
+    index = {v: (j, i) for j, verts in enumerate(partition.clusters) for i, v in enumerate(verts)}
+    blocks = [np.zeros((len(verts), len(verts))) for verts in partition.clusters]
+    for u, v, w in graph.edges():
+        (ju, iu), (jv, iv) = index[u], index[v]
+        if ju == jv:
+            blocks[ju][iu, iv] = blocks[ju][iv, iu] = -w
+    gaps = []
+    for block in blocks:
+        if len(block) == 1:
+            gaps.append(math.inf)
+            continue
+        block[np.diag_indices(len(block))] = -block.sum(axis=1)
+        gaps.append(np.linalg.eigvalsh(block)[1])
+    return np.array(gaps)
+
+
+def cover_graph(kind, size, seed):
+    """An erdos-renyi-weighted, random-geometric or grid2d graph of a drawn size."""
+    if kind == "grid2d":
+        return generate_graph(kind, (size % 15 + 1) ** 2)
+    if kind == "erdos-renyi-weighted":
+        return generate_graph(kind, size % 39 + 2, seed=seed, p=0.3)
+    return generate_graph(kind, size + 20, seed=seed)
+
+
 class TestPartitionGenerators:
     def test_pairs_requires_even(self):
         with pytest.raises(InputError):
@@ -431,6 +497,13 @@ class TestPartitionGenerators:
     def test_bfs_radius_zero_gives_singletons(self):
         g = generate_graph("path", 5)
         assert bfs_partition(g, 0) == [(i,) for i in range(5)]
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(["erdos-renyi-weighted", "random-geometric", "grid2d"]),
+           size=st.integers(0, 280), seed=st.integers(0, 1000), radius=st.integers(0, 4))
+    def test_bfs_matches_hop_distance_reference(self, kind, size, seed, radius):
+        graph = cover_graph(kind, size, seed)
+        assert bfs_partition(graph, radius) == reference_bfs(graph, radius)
 
 
 class TestOptimalAlpha:
