@@ -11,31 +11,24 @@ from .errors import InputError, NumericalError
 from .graph import (
     ValidationReport,
     WeightedGraph,
-    as_signal,
-    gradient_norm_sq,
     is_connected,
     validate,
 )
 from .spectral import (
     PWSpace,
     SpectralDecomposition,
-    apply_power,
     build_laplacian,
     eigendecompose,
-    lambda1,
     pw_project,
     pw_space,
-    quadratic_form,
 )
 from .partitions import (
     ClusterPartition,
     FrameSystem,
-    PoincareCheck,
     analyze,
     bfs_partition,
     blocks_partition,
     build_frame_system,
-    global_poincare_check,
     optimal_alpha,
     pairs_partition,
     validate_partition,
@@ -48,13 +41,10 @@ from .reconstruct import (
 )
 from .splines import (
     ConvergenceRow,
-    OrthogonalityResult,
     SplineSolution,
     interpolate,
-    orthogonality_check,
     solve_spline,
     spline_convergence_experiment,
-    zero_average_signal,
 )
 from .generators import GENERATOR_NAME, generate_graph, generate_pw_signal
 from .harness import demo_path, stable_json
@@ -67,25 +57,18 @@ __all__ = [
     "WeightedGraph",
     "ValidationReport",
     "validate",
-    "as_signal",
     "is_connected",
-    "gradient_norm_sq",
     "build_laplacian",
     "SpectralDecomposition",
     "eigendecompose",
-    "lambda1",
     "PWSpace",
     "pw_space",
     "pw_project",
-    "apply_power",
-    "quadratic_form",
     "ClusterPartition",
     "validate_partition",
     "analyze",
     "FrameSystem",
     "build_frame_system",
-    "PoincareCheck",
-    "global_poincare_check",
     "optimal_alpha",
     "pairs_partition",
     "blocks_partition",
@@ -97,9 +80,6 @@ __all__ = [
     "SplineSolution",
     "solve_spline",
     "interpolate",
-    "OrthogonalityResult",
-    "orthogonality_check",
-    "zero_average_signal",
     "ConvergenceRow",
     "spline_convergence_experiment",
     "GENERATOR_NAME",

@@ -1,4 +1,4 @@
-"""Finite weighted graphs and the weighted gradient seminorm.
+"""Finite weighted graphs and their connected components.
 
 Vertices are dense integer indices 0..n-1. Edges carry positive finite
 symmetric weights; a pair with weight zero is a non-edge. Signals on a graph
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -36,10 +36,10 @@ class WeightedGraph:
         """Build a graph from undirected edges.
 
         ``edges`` is an iterable of (u, v, w) triples or an (E, 3) array.
-        Rejects n < 1 or n > 2**31 - 1, non-integer (fractional, NaN or
-        infinite) ids, out-of-range ids, loops, negative or non-finite
-        weights and pairs repeated in either orientation, naming the first
-        offending edge. Zero-weight edges are dropped (a zero weight means
+        Rejects a fractional n, n < 1 or n > 2**31 - 1, non-integer
+        (fractional, NaN or infinite) ids, out-of-range ids, loops, negative
+        or non-finite weights and pairs repeated in either orientation,
+        naming the first offending edge. Zero-weight edges are dropped (a zero weight means
         "no edge"). One stable sort of the int64 key
         ``(lo + 1) * (n + 2) + (hi + 1)`` of each pair's ends ``lo <= hi``,
         clipped to [-1, n], orders the edges by (lo, hi), a repeat after the
@@ -49,6 +49,8 @@ class WeightedGraph:
             raise InputError(f"graph needs at least one vertex, got n={n}")
         if n > 2**31 - 1:
             raise InputError(f"graph has at most 2**31 - 1 vertices, got n={n}")
+        if n != int(n):
+            raise InputError(f"vertex count must be a whole number, got n={n}")
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 3:
             us, vs, ws = edges.T
         else:
@@ -134,16 +136,6 @@ def validate(graph: WeightedGraph) -> ValidationReport:
     return ValidationReport()
 
 
-def as_signal(graph: WeightedGraph, values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Coerce values to a float vector and check it is a signal on the graph."""
-    f = np.asarray(values, dtype=float)
-    if f.ndim != 1 or f.shape[0] != graph.n:
-        raise InputError(f"signal length {f.shape} does not match n={graph.n}")
-    if not np.all(np.isfinite(f)):
-        raise InputError("signal contains non-finite entries")
-    return f
-
-
 def is_connected(graph: WeightedGraph) -> bool:
     """True iff the nonzero-weight edge relation has a single component."""
     return _components(graph.n, *graph._edge_arrays[:2])[0] == 1
@@ -158,19 +150,3 @@ def _components(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, np.ndarray
     indptr = np.concatenate([[0], np.cumsum(np.bincount(us, minlength=n))])
     return csgraph.connected_components(
         csr_matrix((np.ones(len(vs)), vs, indptr), shape=(n, n)), directed=False)
-
-
-def gradient_norm_sq(graph: WeightedGraph, f: np.ndarray) -> float:
-    """Squared weighted gradient seminorm of a signal.
-
-    Every unordered pair (u, v) contributes w(u,v) * (f(u) - f(v))**2 once,
-    which equals the double sum over ordered pairs with a 1/2 factor. Equals
-    the Laplacian quadratic form f^T L f and vanishes exactly on signals that
-    are constant on each connected component.
-    """
-    f = as_signal(graph, f)
-    us, vs, ws = graph._edge_arrays
-    if len(ws) == 0:
-        return 0.0
-    diffs = f[us] - f[vs]
-    return float(np.sum(ws * diffs * diffs))

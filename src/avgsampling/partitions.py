@@ -28,7 +28,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import InputError, NumericalError
 from .graph import WeightedGraph, _components
-from .spectral import SpectralDecomposition, _power_weights, pw_space
+from .spectral import SpectralDecomposition, pw_space
 
 #: Singular values at or below this fraction of the largest are treated as
 #: zero, both in the pseudoinverse and when deciding whether the analysis map
@@ -318,45 +318,6 @@ def build_frame_system(
     analysis.flags.writeable = False
     return FrameSystem(omega=float(omega), alpha=float(alpha), analysis=analysis, basis=space.basis,
                        partition=partition)
-
-
-@dataclass(frozen=True)
-class PoincareCheck:
-    holds: bool
-    slack: float
-    lhs: float
-    rhs: float
-
-
-def global_poincare_check(
-    decomp: SpectralDecomposition,
-    partition: ClusterPartition,
-    f: np.ndarray,
-    alpha: float,
-) -> PoincareCheck:
-    """Verify the partition energy inequality for one signal.
-
-    Checks ``norm(f)**2 <= (1+alpha)/alpha / Lambda * grad2
-    + (1+alpha) * sum of squared scaled averages`` where grad2 is the squared
-    gradient seminorm, and returns the slack (rhs - lhs). ``holds`` allows a
-    negative slack of ``1e-9 * max(1, norm(f)**2)`` for roundoff.
-    """
-    _check_alpha(alpha)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (decomp.n,):
-        raise InputError(f"signal shape {f.shape} does not match n={decomp.n}")
-    lhs = float(f @ f)
-    coeffs = decomp.eigenvectors.T @ f
-    grad2 = float(np.sum(_power_weights(decomp, 2) * coeffs * coeffs))
-    averages = analyze(partition, f)
-    sampled = float(averages @ averages)
-    if math.isfinite(partition.lambda_xi):
-        smooth_term = (1.0 + alpha) / alpha * grad2 / partition.lambda_xi
-    else:
-        smooth_term = 0.0
-    rhs = smooth_term + (1.0 + alpha) * sampled
-    slack = rhs - lhs
-    return PoincareCheck(holds=slack >= -1e-9 * max(1.0, lhs), slack=slack, lhs=lhs, rhs=rhs)
 
 
 def optimal_alpha(omega: float, lambda_xi: float) -> tuple[float, float]:

@@ -10,9 +10,8 @@ constants on each connected component spanning its kernel.
 
 Bandwidth convention: a signal has bandwidth omega when it lies in the span of
 eigenvectors whose *Laplacian eigenvalue* is at most omega. Under this
-convention the smoothing operator powers satisfy
-``norm(apply_power(s, f)) <= omega**(s/2) * norm(f)`` for every signal of
-bandwidth omega.
+convention the operator powers satisfy ``norm(L^{s/2} f) <= omega**(s/2) *
+norm(f)`` for every signal of bandwidth omega.
 """
 from __future__ import annotations
 
@@ -96,25 +95,6 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-def lambda1(decomp: SpectralDecomposition) -> float:
-    """First nonzero eigenvalue (the spectral gap of a connected graph).
-
-    Requires exactly one eigenvalue at or below ``default_zero_tol``: more
-    means the underlying graph is disconnected, none would mean a
-    non-Laplacian input, and all means a single-vertex graph. Either case
-    raises.
-    """
-    values = decomp.eigenvalues
-    kernel = int(np.sum(values <= decomp.default_zero_tol))
-    if kernel == 0:
-        raise InputError("no kernel eigenvalue found; input is not a graph Laplacian")
-    if kernel >= decomp.n:
-        raise InputError("all eigenvalues are zero (single-vertex or edgeless graph)")
-    if kernel > 1:
-        raise InputError(f"graph is disconnected ({kernel} near-zero eigenvalues)")
-    return float(values[1])
-
-
 @dataclass(frozen=True)
 class PWSpace:
     """Span of the eigenvectors with eigenvalue at most the bandwidth.
@@ -150,35 +130,7 @@ def pw_project(decomp: SpectralDecomposition, omega: float, f: np.ndarray) -> np
     return space.basis @ (space.basis.T @ f)
 
 
-def apply_power(decomp: SpectralDecomposition, s: float, f: np.ndarray) -> np.ndarray:
-    """Apply the s/2-th power of the Laplacian through its eigenvalues.
-
-    Each eigen-coefficient is multiplied by lambda**(s/2); s=0 is the
-    identity, s=2 is the Laplacian itself, s=1 is its square root. Kernel
-    eigenvalues, those at or below ``default_zero_tol`` (roundoff included),
-    contribute a factor exactly 0 for s > 0.
-    """
-    if s < 0:
-        raise InputError(f"power must be nonnegative, got s={s}")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (decomp.n,):
-        raise InputError(f"signal shape {f.shape} does not match n={decomp.n}")
-    if s == 0:
-        return f.copy()
-    return decomp.eigenvectors @ (_power_weights(decomp, s) * (decomp.eigenvectors.T @ f))
-
-
 def _power_weights(decomp: SpectralDecomposition, s: float) -> np.ndarray:
     """lambda**(s/2) per eigenvalue, each at or below ``default_zero_tol`` (roundoff kernel) pinned to 0."""
     lam = decomp.eigenvalues
     return np.where(lam > decomp.default_zero_tol, lam, 0.0) ** (s / 2.0)
-
-
-def quadratic_form(L: np.ndarray, f: np.ndarray) -> float:
-    """The form f^T L f of a Laplacian matrix; equals the squared weighted gradient seminorm."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (L.shape[0],):
-        raise InputError(f"signal shape {f.shape} does not match n={L.shape[0]}")
-    if not np.all(np.isfinite(f)):
-        raise InputError("signal contains non-finite entries")
-    return float(f @ (L @ f))

@@ -44,14 +44,15 @@ CONDITION_LIMIT = 1e14
 
 @dataclass(frozen=True)
 class SplineSolution:
+    """An order-k spline, its seminorm ``norm(L^{k/2} signal)``, its relative
+    orthogonality defect (``_smoothness_defect``; 0 for an exact minimizer)
+    and the order's condition estimate (lambda_max/lambda_1)**(k/2)."""
+
     signal: np.ndarray
     order: int
     seminorm: float
-    achieved_averages: np.ndarray
-    targets: np.ndarray
     kkt_residual: float
     condition_estimate: float
-    order_is_power_of_two: bool
 
 
 class _OrderFactors(NamedTuple):
@@ -186,13 +187,12 @@ def solve_spline(
 ) -> SplineSolution:
     """Minimize the order-k smoothness seminorm among signals whose scaled cluster averages are ``targets``.
 
-    The recovery rate 2*gamma**k is proven for orders that are powers of two;
-    other positive integer orders are solved too, and their solutions carry
-    ``order_is_power_of_two=False`` so reports can label them. Raises
-    InputError unless k is a positive integer and the targets are one finite
-    value per cluster, and NumericalError when the estimated condition of the
-    equilibrated system exceeds the double-precision budget, rather than
-    returning digits that cannot be trusted.
+    The recovery rate 2*gamma**k is proven for orders that are powers of two
+    (``ConvergenceRow.proved``); other positive integer orders are solved
+    too. Raises InputError unless k is a positive integer and the targets are
+    one finite value per cluster, and NumericalError when the estimated
+    condition of the equilibrated system exceeds the double-precision budget,
+    rather than returning digits that cannot be trusted.
     """
     k = _integer(k, "spline order")
     targets = np.asarray(targets, dtype=float)
@@ -209,11 +209,8 @@ def solve_spline(
         signal=signal,
         order=k,
         seminorm=float(np.linalg.norm(smoothed)),
-        achieved_averages=analyze(partition, signal),
-        targets=targets,
         kkt_residual=defect / scale,
         condition_estimate=factors.condition,
-        order_is_power_of_two=k & (k - 1) == 0,
     )
 
 
@@ -225,71 +222,6 @@ def interpolate(
 ) -> SplineSolution:
     """Spline of order k whose cluster averages match those of the signal."""
     return solve_spline(decomp, partition, analyze(partition, f), k)
-
-
-@dataclass(frozen=True)
-class OrthogonalityResult:
-    """Outcome of the spline characterization test.
-
-    A signal minimizes the order-k seminorm among signals with its averages
-    exactly when its smoothed image is orthogonal to the smoothed image of
-    every zero-average signal. ``defect`` is the largest such inner product
-    over an orthonormal basis of the zero-average space; ``normalized``
-    rescales it by the product of the factor norms, and ``is_spline`` holds
-    when that is at most 1e-8.
-    """
-
-    defect: float
-    scale: float
-    normalized: float
-    is_spline: bool
-
-
-def orthogonality_check(
-    decomp: SpectralDecomposition,
-    partition: ClusterPartition,
-    u: np.ndarray,
-    k: int,
-) -> OrthogonalityResult:
-    """Whether u is the order-k spline of its own averages.
-
-    Shares the order's memoised factors with :func:`solve_spline`, so an
-    order beyond ``CONDITION_LIMIT`` raises NumericalError here too.
-    """
-    k = _integer(k, "spline order")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (decomp.n,):
-        raise InputError(f"signal shape {u.shape} does not match n={decomp.n}")
-    basis = _basis(decomp, partition)
-    factors = _order_factors(decomp, basis, k)
-    smoothed = factors.weights * (decomp.eigenvectors.T @ u)
-    defect, scale = _smoothness_defect(basis.kernel, factors, smoothed)
-    normalized = defect / scale
-    return OrthogonalityResult(
-        defect=defect,
-        scale=scale,
-        normalized=normalized,
-        is_spline=normalized <= 1e-8,
-    )
-
-
-def zero_average_signal(
-    decomp: SpectralDecomposition,
-    partition: ClusterPartition,
-    coefficients: np.ndarray,
-) -> np.ndarray:
-    """A vertex-space signal with zero averages, from kernel coordinates.
-
-    Maps arbitrary coefficients through the orthonormal kernel basis of the
-    constraint matrix; useful for building feasible perturbations of a spline.
-    """
-    kernel = _basis(decomp, partition).kernel
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != (kernel.shape[1],):
-        raise InputError(
-            f"expected {kernel.shape[1]} kernel coordinates, got {coefficients.shape}"
-        )
-    return decomp.eigenvectors @ (kernel @ coefficients)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
-"""Shared fixtures: reference graphs, decompositions, and partitions.
+"""Shared fixtures: reference graphs, decompositions, and partitions, and the
+quantities in the paper's inequalities, computed from the package's own
+private formulas.
 
 Session scope keeps the dense eigendecompositions (the expensive part) to one
 run each across the whole suite.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from avgsampling import (
     WeightedGraph,
+    analyze,
     bfs_partition,
     build_laplacian,
     eigendecompose,
@@ -16,6 +21,8 @@ from avgsampling import (
     pairs_partition,
     validate_partition,
 )
+from avgsampling.spectral import _power_weights
+from avgsampling.splines import _basis, _order_factors, _smoothness_defect
 
 settings.register_profile(
     "deterministic",
@@ -59,6 +66,49 @@ def cluster_laplacian(graph: WeightedGraph, verts) -> np.ndarray:
     """Laplacian of the subgraph a vertex list induces, rows in the list's order."""
     W = graph.weight_matrix()[np.ix_(verts, verts)]
     return np.diag(W.sum(axis=1)) - W
+
+
+def gradient_sq(graph: WeightedGraph, f: np.ndarray) -> float:
+    """Squared weighted gradient seminorm: w(u,v) * (f(u) - f(v))**2 summed once per edge."""
+    us, vs, ws = graph._edge_arrays
+    diffs = f[us] - f[vs]
+    return float(np.sum(ws * diffs * diffs))
+
+
+def power(decomp, s, f: np.ndarray) -> np.ndarray:
+    """L^{s/2} f through the eigenvalues, roundoff kernel pinned to 0 (s > 0)."""
+    V = decomp.eigenvectors
+    return V @ (_power_weights(decomp, s) * (V.T @ f))
+
+
+def zero_average(decomp, partition, coefficients: np.ndarray) -> np.ndarray:
+    """The signal with zero cluster averages whose kernel coordinates are ``coefficients``."""
+    return decomp.eigenvectors @ (_basis(decomp, partition).kernel @ coefficients)
+
+
+def energy_slack(decomp, partition, f: np.ndarray, alpha: float) -> float:
+    """rhs - lhs of the partition energy inequality ``norm(f)**2 <= (1+alpha)/alpha
+    / Lambda * norm(L^{1/2} f)**2 + (1+alpha) * sum of squared scaled averages``."""
+    coeffs = decomp.eigenvectors.T @ f
+    grad2 = float(np.sum(_power_weights(decomp, 2) * coeffs * coeffs))
+    averages = analyze(partition, f)
+    sampled = float(averages @ averages)
+    if math.isfinite(partition.lambda_xi):
+        smooth_term = (1.0 + alpha) / alpha * grad2 / partition.lambda_xi
+    else:
+        smooth_term = 0.0
+    return smooth_term + (1.0 + alpha) * sampled - float(f @ f)
+
+
+def orthogonality_defect(decomp, partition, u: np.ndarray, k: int) -> tuple[float, float]:
+    """Largest inner product of L^{k/2} u with L^{k/2} of the zero-average basis, and its scale.
+
+    u is the order-k spline of its own averages exactly when the defect
+    vanishes; ``defect / scale`` is the relative defect ``kkt_residual`` reports.
+    """
+    basis = _basis(decomp, partition)
+    factors = _order_factors(decomp, basis, k)
+    return _smoothness_defect(basis.kernel, factors, factors.weights * (decomp.eigenvectors.T @ u))
 
 
 def _bundle(graph, clusters):

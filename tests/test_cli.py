@@ -1,9 +1,11 @@
-"""CLI subcommands, output formats, exit codes."""
+"""CLI subcommands, output formats, exit codes, and the public names' callers."""
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,3 +385,25 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("index,eigenvalue")
+
+
+def read_names(paths) -> set[str]:
+    """Every name the code in ``paths`` reads, bare or as an attribute; a
+    definition, an import or a docstring reads none."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public name that only the tests read belongs in the tests: each needs
+    a reader in the package, apart from ``__init__.py``, or in the benchmark."""
+    repo = Path(__file__).resolve().parents[1]
+    paths = [p for p in (repo / "src" / "avgsampling").glob("*.py") if p.name != "__init__.py"]
+    paths += (repo / "perfbench").glob("*.py")
+    assert sorted(set(avgsampling.__all__) - read_names(paths)) == []

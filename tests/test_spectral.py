@@ -11,7 +11,6 @@ from avgsampling import (
     SpectralDecomposition,
     WeightedGraph,
     analyze,
-    apply_power,
     bfs_partition,
     build_frame_system,
     build_laplacian,
@@ -19,15 +18,14 @@ from avgsampling import (
     eigendecompose,
     generate_graph,
     generate_pw_signal,
-    gradient_norm_sq,
-    lambda1,
     pairs_partition,
     pw_project,
     pw_space,
-    quadratic_form,
     spline_convergence_experiment,
     validate_partition,
 )
+
+from conftest import gradient_sq, power
 
 
 def path_eigenvalues(n: int) -> np.ndarray:
@@ -59,15 +57,11 @@ class TestBuildLaplacian:
             degree = sum(w for a, b, w in g.edges() if v in (a, b))
             assert L[v, v] == pytest.approx(degree, rel=1e-12)
 
-
     def test_dense_read_only_matrix_and_its_form(self):
         L = build_laplacian(generate_graph("path", 3))
         assert type(L) is np.ndarray and not L.flags.writeable
-        assert quadratic_form(L, [0.0, 1.0, 3.0]) == 5.0
-        with pytest.raises(InputError, match="does not match"):
-            quadratic_form(L, [1.0, 2.0])
-        with pytest.raises(InputError, match="non-finite"):
-            quadratic_form(L, [1.0, np.nan, 2.0])
+        f = np.array([0.0, 1.0, 3.0])
+        assert f @ (L @ f) == 5.0
 
 
 class TestEigendecompose:
@@ -139,30 +133,21 @@ class TestEigendecompose:
 
 
 class TestLambda1:
+    """The spectral gap of a connected graph is its second eigenvalue."""
+
     def test_single_edge(self):
         d = eigendecompose(build_laplacian(WeightedGraph.from_edges(2, [(0, 1, 1.0)])))
-        assert lambda1(d) == pytest.approx(2.0, abs=1e-12)
+        assert d.eigenvalues[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_path4(self):
         d = eigendecompose(build_laplacian(generate_graph("path", 4)))
-        assert lambda1(d) == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-12)
+        assert d.eigenvalues[1] == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-12)
 
     def test_triangle(self):
         # brute-force oracle: eigenvalues of [[2,-1,-1],[-1,2,-1],[-1,-1,2]] are {0, 3, 3}
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
         d = eigendecompose(build_laplacian(g))
-        assert lambda1(d) == pytest.approx(3.0, abs=1e-12)
-
-    def test_disconnected_raises(self):
-        g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        d = eigendecompose(build_laplacian(g))
-        with pytest.raises(InputError):
-            lambda1(d)
-
-    def test_single_vertex_raises(self):
-        d = eigendecompose(build_laplacian(WeightedGraph.from_edges(1, [])))
-        with pytest.raises(InputError):
-            lambda1(d)
+        assert d.eigenvalues[1] == pytest.approx(3.0, abs=1e-12)
 
 
 class TestBandFilters:
@@ -218,22 +203,19 @@ class TestBandFilters:
 
 
 class TestApplyPower:
-    def test_identity_at_zero(self, path16):
-        _, d, _ = path16
-        f = np.random.Generator(np.random.PCG64(3)).standard_normal(16)
-        assert np.array_equal(apply_power(d, 0, f), f)
+    """L^{s/2} applied through the eigenvalue weights ``_power_weights``."""
 
     def test_eigen_relation(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         d = eigendecompose(build_laplacian(g))
         f = d.eigenvectors[:, 1].copy()  # eigenvalue 2
-        assert apply_power(d, 2, f) == pytest.approx(2.0 * f, abs=1e-12)
+        assert power(d, 2, f) == pytest.approx(2.0 * f, abs=1e-12)
 
     def test_half_power_norm_matches_gradient(self, path16):
         g, d, _ = path16
         f = np.random.Generator(np.random.PCG64(4)).standard_normal(16)
-        half = apply_power(d, 1, f)
-        grad2 = gradient_norm_sq(g, f)
+        half = power(d, 1, f)
+        grad2 = gradient_sq(g, f)
         assert float(half @ half) == pytest.approx(grad2, rel=1e-9)
 
     @pytest.mark.parametrize("kind,n", [("path", 64), ("cycle", 30), ("path", 7)])
@@ -241,12 +223,7 @@ class TestApplyPower:
         # roundoff kernel eigenvalues (about 1e-16) are pinned to 0, not raised to a power
         d = eigendecompose(build_laplacian(generate_graph(kind, n)))
         for s in (1, 2, 3):
-            assert np.linalg.norm(apply_power(d, s, np.full(n, 1.0 / math.sqrt(n)))) <= 1e-13
-
-    def test_negative_power_rejected(self, path16):
-        _, d, _ = path16
-        with pytest.raises(InputError):
-            apply_power(d, -1, np.zeros(16))
+            assert np.linalg.norm(power(d, s, np.full(n, 1.0 / math.sqrt(n)))) <= 1e-13
 
 
 class TestSpectralInequalities:
@@ -256,38 +233,38 @@ class TestSpectralInequalities:
         d = eigendecompose(build_laplacian(g))
         omega = 1.0
         f = generate_pw_signal(d, omega, seed)
-        out = apply_power(d, s, f)
+        out = power(d, s, f)
         assert np.linalg.norm(out) <= omega ** (s / 2.0) * np.linalg.norm(f) + 1e-9
 
     def test_mean_deviation_bound(self, path64):
         """Deviation from the mean is controlled by the gradient over the spectral gap."""
         g, d, _ = path64
-        gap = lambda1(d)
+        gap = d.eigenvalues[1]
         rng = np.random.Generator(np.random.PCG64(7))
         for _ in range(20):
             f = rng.standard_normal(64)
             dev = f - f.mean()
             lhs = float(dev @ dev)
-            rhs = gradient_norm_sq(g, f) / gap
+            rhs = gradient_sq(g, f) / gap
             assert lhs <= rhs + 1e-9 * max(1.0, lhs)
 
     def test_mean_deviation_equality_for_gap_eigenvector(self, path64):
         g, d, _ = path64
         f = d.eigenvectors[:, 1].copy()
         lhs = float((f - f.mean()) @ (f - f.mean()))
-        rhs = gradient_norm_sq(g, f) / lambda1(d)
+        rhs = gradient_sq(g, f) / d.eigenvalues[1]
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_operator_power_lower_bound(self, path64, k):
         """Mean-zero signals: norm(f) <= gap**(-k/2) * norm(L^{k/2} f) for k = 2^l."""
         g, d, _ = path64
-        a = lambda1(d) ** -0.5
+        a = d.eigenvalues[1] ** -0.5
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(5):
             f = rng.standard_normal(64)
             f -= f.mean()
-            powered = apply_power(d, k, f)
+            powered = power(d, k, f)
             assert np.linalg.norm(f) <= a ** k * np.linalg.norm(powered) + 1e-9
 
     def test_path_spectrum_inside_0_4(self):

@@ -11,7 +11,6 @@ from avgsampling import (
     InputError,
     NumericalError,
     analyze,
-    apply_power,
     bfs_partition,
     blocks_partition,
     build_laplacian,
@@ -19,17 +18,15 @@ from avgsampling import (
     generate_graph,
     generate_pw_signal,
     interpolate,
-    orthogonality_check,
     pairs_partition,
     pw_project,
     solve_spline,
     spline_convergence_experiment,
     validate_partition,
-    zero_average_signal,
 )
 from avgsampling import partitions, splines
 
-from conftest import dense_indicators
+from conftest import dense_indicators, orthogonality_defect, power, zero_average
 
 
 def raw_kkt_spline(L: np.ndarray, xi_rows: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
@@ -129,7 +126,7 @@ class TestSolveSpline:
             targets = rng.standard_normal(32)
             sol = solve_spline(d, part, targets, k)
             tol = 1e-8 * max(1.0, float(np.linalg.norm(targets)))
-            assert np.max(np.abs(sol.achieved_averages - targets)) <= tol
+            assert np.max(np.abs(analyze(part, sol.signal) - targets)) <= tol
             assert sol.kkt_residual <= 1e-9
 
     def test_condition_refusal(self, path64):
@@ -174,8 +171,6 @@ class TestSolveSpline:
             solve_spline(d, part, np.zeros(2), order)
         with pytest.raises(InputError, match="positive integer"):
             interpolate(d, part, f, order)
-        with pytest.raises(InputError, match="positive integer"):
-            orthogonality_check(d, part, f, order)
 
     def test_sweep_rejects_fractional_order(self, path64):
         # a fractional order is refused, not truncated to an order-2 row
@@ -190,17 +185,17 @@ class TestSolveSpline:
         _, d, part = path64
         f = generate_pw_signal(d, 0.5, 21)
         sol = solve_spline(d, part, np.zeros(32), np.int64(4))
-        assert type(sol.order) is int and sol.order_is_power_of_two
+        assert type(sol.order) is int
         rows = spline_convergence_experiment(d, part, 0.5, 1.0, f, np.array([1, 2, 4], dtype=np.int32))
         assert [type(row.order) for row in rows] == [int] * 3
         assert [row.order for row in rows] == [1, 2, 4]
         assert np.array_equal(interpolate(d, part, f, np.int32(4)).signal, interpolate(d, part, f, 4).signal)
 
-    def test_non_power_of_two_accepted_and_flagged(self, path16):
+    def test_non_power_of_two_accepted(self, path16):
         _, d, part = path16
-        sol = interpolate(d, part, generate_pw_signal(d, 0.5, 0), 3)
-        assert not sol.order_is_power_of_two
-        assert np.max(np.abs(sol.achieved_averages - sol.targets)) <= 1e-8
+        f = generate_pw_signal(d, 0.5, 0)
+        sol = interpolate(d, part, f, 3)
+        assert np.max(np.abs(analyze(part, sol.signal) - analyze(part, f))) <= 1e-8
 
 
 class TestInterpolate:
@@ -214,8 +209,8 @@ class TestInterpolate:
         _, d, part = path16
         f = d.eigenvectors[:, 1].copy()
         sol = interpolate(d, part, f, 2)
-        assert sol.achieved_averages == pytest.approx(analyze(part, f), abs=1e-10)
-        smoothed_f = np.linalg.norm(apply_power(d, 2, f))
+        assert analyze(part, sol.signal) == pytest.approx(analyze(part, f), abs=1e-10)
+        smoothed_f = np.linalg.norm(power(d, 2, f))
         assert sol.seminorm <= smoothed_f + 1e-12
 
     def test_minimality_against_feasible_perturbations(self, path16):
@@ -223,15 +218,16 @@ class TestInterpolate:
         f = generate_pw_signal(d, 1.0, 9)
         k = 2
         sol = interpolate(d, part, f, k)
+        targets = analyze(part, f)
         rng = np.random.Generator(np.random.PCG64(43))
         dim = 16 - part.num_clusters
         for _ in range(100):
-            h = zero_average_signal(d, part, rng.standard_normal(dim))
+            h = zero_average(d, part, rng.standard_normal(dim))
             perturbed = sol.signal + h
-            assert np.max(np.abs(analyze(part, perturbed) - sol.targets)) <= 1e-9
+            assert np.max(np.abs(analyze(part, perturbed) - targets)) <= 1e-9
             assert (
-                np.linalg.norm(apply_power(d, k, perturbed))
-                >= np.linalg.norm(apply_power(d, k, sol.signal)) - 1e-9
+                np.linalg.norm(power(d, k, perturbed))
+                >= np.linalg.norm(power(d, k, sol.signal)) - 1e-9
             )
 
     def test_pythagoras_at_the_solution(self, path16):
@@ -240,9 +236,9 @@ class TestInterpolate:
         k = 2
         sol = interpolate(d, part, f, k)
         rng = np.random.Generator(np.random.PCG64(47))
-        h = zero_average_signal(d, part, rng.standard_normal(16 - part.num_clusters))
-        lhs = np.linalg.norm(apply_power(d, k, sol.signal + h)) ** 2
-        rhs = sol.seminorm ** 2 + np.linalg.norm(apply_power(d, k, h)) ** 2
+        h = zero_average(d, part, rng.standard_normal(16 - part.num_clusters))
+        lhs = np.linalg.norm(power(d, k, sol.signal + h)) ** 2
+        rhs = sol.seminorm ** 2 + np.linalg.norm(power(d, k, h)) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -251,26 +247,24 @@ class TestOrthogonalityCheck:
         _, d, part = path64
         for k in (1, 2, 4, 8):
             sol = interpolate(d, part, generate_pw_signal(d, 0.5, k), k)
-            result = orthogonality_check(d, part, sol.signal, k)
-            assert result.is_spline
-            assert result.normalized <= 1e-8
+            defect, scale = orthogonality_defect(d, part, sol.signal, k)
+            assert defect / scale <= 1e-8
 
     def test_perturbed_solution_fails(self, path64):
         _, d, part = path64
         k = 2
         sol = interpolate(d, part, generate_pw_signal(d, 0.5, 3), k)
         rng = np.random.Generator(np.random.PCG64(53))
-        h = zero_average_signal(d, part, rng.standard_normal(32))
-        h *= 0.1 / np.linalg.norm(apply_power(d, k, h))
-        result = orthogonality_check(d, part, sol.signal + h, k)
-        assert not result.is_spline
-        assert result.normalized > 1e-4
+        h = zero_average(d, part, rng.standard_normal(32))
+        h *= 0.1 / np.linalg.norm(power(d, k, h))
+        defect, scale = orthogonality_defect(d, part, sol.signal + h, k)
+        assert defect / scale > 1e-4
 
     def test_constant_passes_for_any_order(self, path16):
         _, d, part = path16
-        result = orthogonality_check(d, part, np.full(16, 5.0), 6)
-        assert result.is_spline
-        assert result.defect <= 1e-9
+        defect, scale = orthogonality_defect(d, part, np.full(16, 5.0), 6)
+        assert defect / scale <= 1e-8
+        assert defect <= 1e-9
 
 
 class TestConvergence:
@@ -292,7 +286,7 @@ class TestConvergence:
             solution = interpolate(d, part, f, row.order)
             rel = np.linalg.norm(f - solution.signal) / np.linalg.norm(f)
             assert row.rel_error == pytest.approx(rel, rel=1e-12, abs=0)
-            assert row.proved == solution.order_is_power_of_two
+            assert row.proved == (row.order in (1, 2, 4, 8))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rows_bit_identical_to_per_order_route(self, path64, grid100, seed):
@@ -372,8 +366,6 @@ class TestMemo:
         "solve_spline": lambda d, p, f: solve_spline(d, p, analyze(p, f), 2).signal,
         "sweep": lambda d, p, f: [
             row.rel_error for row in spline_convergence_experiment(d, p, 0.5, 1.0, f, [1, 2, 3, 4, 8])],
-        "orthogonality_check": lambda d, p, f: orthogonality_check(d, p, f, 4).defect,
-        "zero_average_signal": lambda d, p, f: zero_average_signal(d, p, np.linspace(-1.0, 1.0, 32)),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
