@@ -15,13 +15,13 @@ from . import fileio
 from .errors import InputError, NumericalError
 from .generators import GRAPH_KINDS, generate_graph, generate_pw_signal
 from .graph import WeightedGraph
-from .harness import DEFAULT_SPLINE_ORDERS, SCHEMA_VERSION, demo_path, spline_rows, stable_json
+from .harness import (DEFAULT_SPLINE_ORDERS, SCHEMA_VERSION, alpha_star_entries, demo_path, recovery_entries,
+                      spline_rows, stable_json)
 from .partitions import (
     analyze,
     bfs_partition,
     blocks_partition,
     build_frame_system,
-    optimal_alpha,
     pairs_partition,
     validate_partition,
 )
@@ -155,10 +155,7 @@ def _cmd_frame_check(args) -> int:
         "b": frame.upper,
         "guarantee_active": frame.guarantee_active,
     }
-    if args.omega < partition.lambda_xi:
-        alpha_star, bound = optimal_alpha(args.omega, partition.lambda_xi)
-        payload["alpha_star"] = alpha_star
-        payload["lower_bound_at_alpha_star"] = bound
+    payload.update(alpha_star_entries(args.omega, partition.lambda_xi))
     _emit(stable_json(payload), args.out)
     return 0
 
@@ -176,15 +173,7 @@ def _cmd_reconstruct(args) -> int:
         result = frame_algorithm(frame, samples, config)
     else:
         result = dual_frame_reconstruct(frame, samples)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "method": result.method,
-        "iterations": result.iterations,
-        "eta": result.eta,
-        "residual": result.residual,
-        "converged": result.converged,
-        "rel_error": float(np.linalg.norm(truth - result.signal)) / truth_norm,
-    }
+    payload = {"schema": SCHEMA_VERSION, "method": args.method, **recovery_entries(result, truth, truth_norm)}
     _emit(stable_json(payload), args.out)
     return 0
 

@@ -17,13 +17,20 @@ from .errors import InputError
 from .graph import WeightedGraph
 
 
+def _records(path: str | Path):
+    """Yield (line number, stripped line) for each line that is neither blank nor a ``#`` comment."""
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def read_edge_list(path: str | Path) -> WeightedGraph:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    stripped = [ln.strip() for ln in lines]
-    rows = [(i + 1, ln) for i, ln in enumerate(stripped) if ln and not ln.startswith("#")]
-    if not rows:
+    """The graph of an edge-list file; :meth:`WeightedGraph.from_edges` refuses repeated pairs."""
+    rows = _records(path)
+    header_no, header = next(rows, (None, None))
+    if header is None:
         raise InputError(f"{path}: empty edge-list file")
-    header_no, header = rows[0]
     if not header.startswith("n="):
         raise InputError(f"{path}:{header_no}: expected header 'n=<int>', got {header!r}")
     try:
@@ -31,8 +38,7 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
     except ValueError:
         raise InputError(f"{path}:{header_no}: bad vertex count in header {header!r}") from None
     edges = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, line in rows[1:]:
+    for line_no, line in rows:
         parts = line.split("\t")
         if len(parts) != 3:
             raise InputError(f"{path}:{line_no}: expected 'u<TAB>v<TAB>w', got {line!r}")
@@ -46,11 +52,11 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
             raise InputError(f"{path}:{line_no}: edges must have u < v, got ({u},{v})")
         if not 0 < w < math.inf:
             raise InputError(f"{path}:{line_no}: edge weight must be positive and finite, got {w}")
-        if (u, v) in seen:
-            raise InputError(f"{path}:{line_no}: duplicate edge ({u},{v})")
-        seen.add((u, v))
         edges.append((u, v, w))
-    return WeightedGraph.from_edges(n, edges)
+    try:
+        return WeightedGraph.from_edges(n, edges)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_edge_list(graph: WeightedGraph, path: str | Path) -> None:
@@ -62,10 +68,7 @@ def write_edge_list(graph: WeightedGraph, path: str | Path) -> None:
 
 def read_signal(path: str | Path, n: int) -> np.ndarray:
     values = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _records(path):
         try:
             values.append(float(line))
         except ValueError:
@@ -87,10 +90,7 @@ def write_signal(values: np.ndarray, path: str | Path) -> None:
 
 def read_partition(path: str | Path) -> list[tuple[int, ...]]:
     clusters = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _records(path):
         try:
             clusters.append(tuple(int(tok) for tok in line.split()))
         except ValueError:

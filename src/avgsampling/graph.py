@@ -110,14 +110,6 @@ class WeightedGraph:
         indptr.flags.writeable = tails.flags.writeable = False
         return indptr, tails
 
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric n-by-n weight matrix."""
-        W = np.zeros((self.n, self.n))
-        us, vs, ws = self._edge_arrays
-        W[us, vs] = ws
-        W[vs, us] = ws
-        return W
-
 
 @dataclass(frozen=True)
 class ValidationReport:

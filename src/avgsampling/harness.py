@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InputError
 from .generators import GENERATOR_NAME, generate_pw_signal, path_graph
 from .partitions import _integer, analyze, build_frame_system, optimal_alpha, pairs_partition, validate_partition
-from .reconstruct import dual_frame_reconstruct, frame_algorithm
+from .reconstruct import ReconstructionResult, dual_frame_reconstruct, frame_algorithm
 from .spectral import build_laplacian, eigendecompose, pw_project
 from .splines import ConvergenceRow, spline_convergence_experiment
 
@@ -52,6 +52,21 @@ def spline_rows(rows: tuple[ConvergenceRow, ...]) -> list[dict]:
     """The report entry of each spline sweep row: its order, error, bound and flags."""
     return [{"k": row.order, "rel_error": row.rel_error, "bound_2gamma_k": row.bound,
              "within_bound": row.within_bound, "proved": row.proved} for row in rows]
+
+
+def alpha_star_entries(omega: float, lambda_xi: float) -> dict:
+    """``alpha_star`` and ``lower_bound_at_alpha_star`` from :func:`optimal_alpha`
+    when some alpha makes gamma < 1 (omega < Lambda), else no entries."""
+    if not omega < lambda_xi:
+        return {}
+    alpha_star, bound = optimal_alpha(omega, lambda_xi)
+    return {"alpha_star": alpha_star, "lower_bound_at_alpha_star": bound}
+
+
+def recovery_entries(result: ReconstructionResult, truth: np.ndarray, truth_norm: float) -> dict:
+    """The report entries of a recovery: its steps, residual, convergence, eta and error relative to the truth."""
+    return {"iterations": result.iterations, "residual": result.residual, "converged": result.converged,
+            "eta": result.eta, "rel_error": float(np.linalg.norm(truth - result.signal)) / truth_norm}
 
 
 def demo_path(n: int, omega: float, alpha: float, seed: int = 0, trials: int = 3) -> dict:
@@ -103,10 +118,7 @@ def demo_path(n: int, omega: float, alpha: float, seed: int = 0, trials: int = 3
             "num_clusters": frame.num_clusters,
         },
     }
-    if frame.guarantee_active:
-        alpha_star, best_bound = optimal_alpha(omega, partition.lambda_xi)
-        report["alpha_star"] = alpha_star
-        report["lower_bound_at_alpha_star"] = best_bound
+    report.update(alpha_star_entries(omega, partition.lambda_xi))
 
     trial_records = []
     iter_errors, dual_errors, spline_ok_flags = [], [], []
@@ -121,13 +133,7 @@ def demo_path(n: int, omega: float, alpha: float, seed: int = 0, trials: int = 3
             samples = analyze(partition, projected)
             iterative = frame_algorithm(frame, samples)
             direct = dual_frame_reconstruct(frame, samples)
-            record["frame_iter"] = {
-                "iterations": iterative.iterations,
-                "residual": iterative.residual,
-                "converged": iterative.converged,
-                "eta": iterative.eta,
-                "rel_error": float(np.linalg.norm(projected - iterative.signal)) / target_norm,
-            }
+            record["frame_iter"] = recovery_entries(iterative, projected, target_norm)
             record["dual"] = {
                 "residual": direct.residual,
                 "rel_error": float(np.linalg.norm(projected - direct.signal)) / target_norm,

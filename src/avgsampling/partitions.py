@@ -8,10 +8,10 @@ signal means recording, per cluster, the scaled average
 normalized indicator of the cluster.
 
 A partition is valid by construction: :func:`validate_partition`, its only
-constructor, checks the cover and stores the sorted clusters with their gaps,
-the label vector and the square roots of the cluster sizes, each built once.
-Averages, the frame's analysis matrix and the spline constraint rows are all
-computed from those two arrays.
+constructor, checks the cover and stores it once, as the label vector (the
+cluster index of each vertex), with the square roots of the cluster sizes and
+the cluster gaps. Averages, the frame's analysis matrix and the spline
+constraint rows are all computed from those two arrays.
 
 For signals of bandwidth omega, those averages form a frame whenever
 ``gamma = (1 + alpha)/alpha * omega / Lambda < 1`` for some alpha > 0, with
@@ -36,36 +36,34 @@ from .spectral import SpectralDecomposition, pw_space
 RANK_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ClusterPartition:
-    """Disjoint cover of the vertex set by connected clusters, valid by construction.
+    """Disjoint cover of the vertex set by connected clusters, valid by construction; equal only to itself.
 
     Build one with :func:`validate_partition`, which checks the cover; direct
     construction and ``dataclasses.replace`` raise TypeError, so no partition
     carries an unchecked cluster or gap.
 
-    ``clusters[j]`` lists cluster j's vertices ascending. ``lambda1s[j]`` is
-    the spectral gap of its induced subgraph (+inf for singletons, whose
-    within-cluster deviation is identically zero). ``lambda_xi`` is the
-    minimum over clusters, +inf if every cluster is a singleton. ``labels``
-    (the cluster index of each vertex) and ``_sqrt_sizes`` (the square root
-    of each cluster's vertex count, which scales every average) are
-    read-only arrays left out of comparisons.
+    ``labels`` is the read-only cluster index of each vertex; cluster j is
+    the vertices labelled j. ``lambda1s[j]`` is the spectral gap of its
+    induced subgraph (+inf for singletons, whose within-cluster deviation is
+    identically zero). ``lambda_xi`` is the minimum over clusters, +inf if
+    every cluster is a singleton. ``_sqrt_sizes`` is the read-only square
+    root of each cluster's vertex count, which scales every average.
     """
 
     n: int
-    clusters: tuple[tuple[int, ...], ...]
     lambda1s: tuple[float, ...]
     lambda_xi: float
-    labels: np.ndarray = field(compare=False, repr=False)
-    _sqrt_sizes: np.ndarray = field(compare=False, repr=False)
+    labels: np.ndarray = field(repr=False)
+    _sqrt_sizes: np.ndarray = field(repr=False)
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a ClusterPartition with validate_partition")
 
     @property
     def num_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self._sqrt_sizes)
 
 
 def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) -> ClusterPartition:
@@ -107,32 +105,24 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     if uncovered.size:
         raise InputError(f"vertices not covered by any cluster: {uncovered[:8].tolist()}")
 
-    by_cluster = np.argsort(labels, kind="stable")  # the vertices in (label, vertex) order
-    grouped, stops = by_cluster.tolist(), np.cumsum(sizes).tolist()
-    norm_clusters = tuple(tuple(grouped[stop - size:stop]) for stop, size in zip(stops, sizes.tolist()))
-    gaps = _cluster_gaps(graph, norm_clusters, labels, sizes, by_cluster)
+    gaps = _cluster_gaps(graph, labels, sizes)
     finite = [g for g in gaps if math.isfinite(g)]
     partition = object.__new__(ClusterPartition)
     sqrt_sizes = np.sqrt(sizes.astype(float))
     labels.flags.writeable = sqrt_sizes.flags.writeable = False
-    vars(partition).update(n=n, clusters=norm_clusters, lambda1s=tuple(gaps),
-                           lambda_xi=min(finite) if finite else math.inf, labels=labels,
-                           _sqrt_sizes=sqrt_sizes)
+    vars(partition).update(n=n, lambda1s=tuple(gaps), lambda_xi=min(finite) if finite else math.inf,
+                           labels=labels, _sqrt_sizes=sqrt_sizes)
     return partition
 
 
-def _cluster_gaps(
-    graph: WeightedGraph, clusters: Sequence[tuple[int, ...]], labels: np.ndarray, sizes: np.ndarray,
-    by_cluster: np.ndarray,
-) -> list[float]:
+def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -> list[float]:
     """Spectral gap of each cluster's induced subgraph, from one pass over the edges.
 
-    ``labels`` and ``sizes`` are the cover's label vector and cluster sizes,
-    ``by_cluster`` its vertices in (label, vertex) order. The clusters are
-    ranked by (size, label), and each s x s Laplacian block has its place,
-    in rank order, in one flat buffer. Two scatter writes put every
-    intra-cluster edge's off-diagonal entries there, with no edge sort. The
-    blocks of one size form a contiguous run of the buffer, which one
+    ``labels`` and ``sizes`` are the cover's label vector and cluster sizes.
+    The clusters are ranked by (size, label), and each s x s Laplacian block
+    has its place, in rank order, in one flat buffer. Two scatter writes put
+    every intra-cluster edge's off-diagonal entries there, with no edge sort.
+    The blocks of one size form a contiguous run of the buffer, which one
     reshape views as a stack for its diagonal and one batched eigensolve.
     Raises InputError for the first cluster whose induced subgraph is
     disconnected.
@@ -143,12 +133,13 @@ def _cluster_gaps(
     us, vs, ws, edge_cluster = us[intra], vs[intra], ws[intra], edge_cluster[intra]
 
     count, component = _components(graph.n, us, vs)
-    if count > len(clusters):
-        per_cluster = np.bincount(labels[np.unique(component, return_index=True)[1]],
-                                  minlength=len(clusters))
+    if count > len(sizes):
+        per_cluster = np.bincount(labels[np.unique(component, return_index=True)[1]], minlength=len(sizes))
         idx = int(np.flatnonzero(per_cluster > 1)[0])
-        raise InputError(f"cluster {idx} {clusters[idx]} induces a disconnected subgraph")
+        members = tuple(np.flatnonzero(labels == idx).tolist())
+        raise InputError(f"cluster {idx} {members} induces a disconnected subgraph")
 
+    by_cluster = np.argsort(labels, kind="stable")  # the vertices in (label, vertex) order
     # Each vertex's index inside its (sorted) cluster.
     position = np.empty(graph.n, dtype=np.intp)
     position[by_cluster] = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -158,17 +149,17 @@ def _cluster_gaps(
     ranked_sizes = sizes[by_size]
     ranked_area = ranked_sizes * ranked_sizes
     ranked_start = np.cumsum(ranked_area) - ranked_area
-    start_of = np.empty(len(clusters), dtype=np.intp)
+    start_of = np.empty(len(sizes), dtype=np.intp)
     start_of[by_size] = ranked_start
     buffer = np.zeros(int(ranked_area.sum()))
     base, size_of, i, j = start_of[edge_cluster], sizes[edge_cluster], position[us], position[vs]
     buffer[base + i * size_of + j] = -ws
     buffer[base + j * size_of + i] = -ws
 
-    gaps = np.full(len(clusters), math.inf)
+    gaps = np.full(len(sizes), math.inf)
     starts = np.flatnonzero(np.diff(ranked_sizes, prepend=0))  # first rank of each size
     starts = starts[ranked_sizes[starts] > 1]
-    stops = np.append(starts[1:], len(clusters))
+    stops = np.append(starts[1:], len(sizes))
     for start, stop in zip(starts.tolist(), stops.tolist()):
         size, first = int(ranked_sizes[start]), int(ranked_start[start])
         blocks = buffer[first:first + (stop - start) * size * size].reshape(stop - start, size, size)

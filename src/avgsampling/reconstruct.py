@@ -57,7 +57,6 @@ _DEFAULT_CONFIG = FrameIterationConfig()
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    method: str
     signal: np.ndarray
     coefficients: np.ndarray
     iterations: int
@@ -256,7 +255,6 @@ def frame_algorithm(
             errors.extend(np.linalg.norm(target - complement * fixed_point, axis=1).tolist())
         errors = tuple(errors)
     return ReconstructionResult(
-        method="frame-iter",
         signal=frame.basis @ c,
         coefficients=c,
         iterations=iterations,
@@ -282,7 +280,6 @@ def dual_frame_reconstruct(frame: FrameSystem, samples: np.ndarray) -> Reconstru
     denom = math.sqrt(normal_rhs @ normal_rhs)
     direction = normal_rhs - frame.gram @ c
     return ReconstructionResult(
-        method="dual",
         signal=frame.basis @ c,
         coefficients=c,
         iterations=0,

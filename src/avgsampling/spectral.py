@@ -30,9 +30,16 @@ BAND_SLACK = 1e-12
 
 
 def build_laplacian(graph: WeightedGraph) -> np.ndarray:
-    """The dense read-only Laplacian matrix: degrees on the diagonal, -w(u,v) off it."""
-    W = graph.weight_matrix()
-    L = np.diag(W.sum(axis=1)) - W
+    """The dense read-only Laplacian matrix: degrees on the diagonal, -w(u,v) off it.
+
+    Scattered from the edge arrays into one n x n array, whose row sums are
+    then negated onto its diagonal; ``0.0 - sum`` keeps an isolated vertex's
+    degree +0.0, as ``np.diag(W.sum(axis=1)) - W`` has it.
+    """
+    us, vs, ws = graph._edge_arrays
+    L = np.zeros((graph.n, graph.n))
+    L[us, vs] = L[vs, us] = -ws
+    np.fill_diagonal(L, 0.0 - L.sum(axis=1))
     L.flags.writeable = False
     return L
 

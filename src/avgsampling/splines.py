@@ -86,10 +86,10 @@ def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _Splin
     Row j of B holds the scaled averages over cluster j of every eigenvector
     (J x n); N is n x (n - J). A partition is a valid cover by construction,
     so B has orthonormal rows and one complete QR of B^T gives N. Memoised
-    per decomposition and replaced when the partition changes.
+    per decomposition and replaced when called with another partition object.
     """
     basis = _BASES.get(decomp)
-    if basis is not None and (basis.partition is partition or basis.partition == partition):
+    if basis is not None and basis.partition is partition:
         return basis
     if partition.n != decomp.n:
         raise InputError("partition and decomposition sizes differ")

@@ -54,17 +54,30 @@ def dense_weighted_graph(n: int, seed: int) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges)
 
 
+def clusters_of(partition) -> tuple[tuple[int, ...], ...]:
+    """Each cluster's vertices ascending, read from the partition's label vector."""
+    return tuple(tuple(np.flatnonzero(partition.labels == j).tolist()) for j in range(partition.num_clusters))
+
+
 def dense_indicators(partition) -> np.ndarray:
     """The J x n normalized cluster indicators, built densely from the cluster tuples."""
     xi = np.zeros((partition.num_clusters, partition.n))
-    for j, verts in enumerate(partition.clusters):
+    for j, verts in enumerate(clusters_of(partition)):
         xi[j, list(verts)] = 1.0 / np.sqrt(len(verts))
     return xi
 
 
+def weight_matrix(graph: WeightedGraph) -> np.ndarray:
+    """The dense symmetric weight matrix, one edge of ``graph.edges()`` at a time."""
+    W = np.zeros((graph.n, graph.n))
+    for u, v, w in graph.edges():
+        W[u, v] = W[v, u] = w
+    return W
+
+
 def cluster_laplacian(graph: WeightedGraph, verts) -> np.ndarray:
     """Laplacian of the subgraph a vertex list induces, rows in the list's order."""
-    W = graph.weight_matrix()[np.ix_(verts, verts)]
+    W = weight_matrix(graph)[np.ix_(verts, verts)]
     return np.diag(W.sum(axis=1)) - W
 
 

@@ -89,7 +89,7 @@ class TestReconstructCommand:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["method"] in ("frame-iter", "dual")
+        assert payload["method"] == method
         assert payload["rel_error"] <= 1e-8
 
     def test_signal_file_roundtrip(self, tmp_path, capsys):
@@ -168,6 +168,23 @@ class TestDemoPath:
         payload = json.loads(out)
         assert payload["gamma"] == pytest.approx(0.9375, abs=1e-15)
         assert payload["guarantee_active"] is True
+
+    @pytest.mark.parametrize("omega", ["0.5", "1.0", "2.5"])
+    def test_alpha_star_reported_as_frame_check_reports_it(self, omega, capsys):
+        # both report the optimal alpha whenever omega < Lambda = 2, also when
+        # gamma = 1 at the given alpha (omega = 1.0)
+        keys = ("alpha_star", "lower_bound_at_alpha_star")
+        reports = []
+        for command in (["demo-path", "--n", "16", "--seed", "3", "--trials", "1"],
+                        ["frame-check", "--generate", "path", "--n", "16", "--clusters", "pairs"]):
+            code, out, _ = run_cli([*command, "--omega", omega], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            reports.append({key: payload[key] for key in keys if key in payload})
+        assert reports[0] == reports[1]
+        assert set(reports[0]) == (set(keys) if float(omega) < 2.0 else set())
+        if omega == "1.0":
+            assert reports[0]["alpha_star"] == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
 
     def test_gamma_above_one_is_empirical_only(self, capsys):
         code, out, _ = run_cli(

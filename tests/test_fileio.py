@@ -54,6 +54,18 @@ class TestEdgeList:
             read_edge_list(path)
         assert str(err.value) == f"{path}:4: edge weight must be positive and finite, got {float(weight)}"
 
+    @pytest.mark.parametrize("body, message", [
+        ("n=3\n0\t1\t1.0\n1\t2\t1.0\n0\t1\t2.0\n", "duplicate edge (0,1)"),
+        ("n=0\n", "graph needs at least one vertex, got n=0"),
+    ])
+    def test_graph_rules_name_the_file(self, tmp_path, body, message):
+        # the graph constructor's own refusals, re-raised with the path
+        path = tmp_path / "bad.edges"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 class TestSignalFile:
     def test_roundtrip_bit_exact(self, tmp_path):

@@ -119,7 +119,7 @@ def reference_from_edges(n, edges):
 
 def reference_views(n, edges):
     """CSR ``indptr`` and ``indices`` (neighbours ascending) and the dense
-    weight matrix, as loops over the stored edges."""
+    weight matrix (nested lists), as loops over the stored edges."""
     neighbors = [sorted([b for a, b, _ in edges if a == v] + [a for a, b, _ in edges if b == v])
                  for v in range(n)]
     indptr = [0]
@@ -139,7 +139,8 @@ def outcome(build, *args):
 
 
 def assert_matches_reference(graph, n, expected):
-    """Same stored edges in the same order, and the same views."""
+    """Same stored edges in the same order, the same views, and the Laplacian
+    of the reference weight matrix W, ``diag(W.sum(axis=1)) - W``, to the bit."""
     if isinstance(expected, tuple):  # the reference raised
         assert graph == expected
         return
@@ -151,7 +152,8 @@ def assert_matches_reference(graph, n, expected):
     assert graph.n == n and graph.num_edges == len(expected)
     indptr, indices, matrix = reference_views(n, expected)
     assert [arr.tolist() for arr in graph._adjacency] == [indptr, indices]
-    assert repr(graph.weight_matrix().tolist()) == repr(matrix)
+    W = np.array(matrix, dtype=float).reshape(n, n)
+    assert repr(build_laplacian(graph).tolist()) == repr((np.diag(W.sum(axis=1)) - W).tolist())
 
 
 def vertex_ids(n):

@@ -1,5 +1,6 @@
 """Laplacian assembly, LAPACK eigendecomposition, band filters, smoothness powers."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from avgsampling import (
     validate_partition,
 )
 
-from conftest import gradient_sq, power
+from conftest import gradient_sq, power, weight_matrix
 
 
 def path_eigenvalues(n: int) -> np.ndarray:
@@ -56,6 +57,32 @@ class TestBuildLaplacian:
         for v in range(g.n):
             degree = sum(w for a, b, w in g.edges() if v in (a, b))
             assert L[v, v] == pytest.approx(degree, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, n, seed, p", [
+        ("erdos-renyi-weighted", 60, 3, 0.3), ("erdos-renyi-weighted", 200, 4, 0.5), ("random-geometric", 1000, 5, None)])
+    def test_bits_of_degrees_minus_weights(self, kind, n, seed, p):
+        g = generate_graph(kind, n, seed=seed, **({"p": p} if p else {}))
+        W = weight_matrix(g)
+        L, expected = build_laplacian(g), np.diag(W.sum(axis=1)) - W
+        assert np.array_equal(L, expected)
+        assert np.array_equal(np.signbit(L), np.signbit(expected))
+
+    def test_isolated_vertex_degree_is_positive_zero(self):
+        g = WeightedGraph.from_edges(4, [(0, 1, 0.3), (1, 2, 1e-300)])
+        W = weight_matrix(g)
+        L = build_laplacian(g)
+        assert repr(L.tolist()) == repr((np.diag(W.sum(axis=1)) - W).tolist())
+        assert not np.signbit(L[3, 3])
+
+    def test_peak_memory_is_one_matrix(self):
+        g = generate_graph("grid2d", 1024)
+        tracemalloc.start()
+        try:
+            build_laplacian(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * g.n ** 2
 
     def test_dense_read_only_matrix_and_its_form(self):
         L = build_laplacian(generate_graph("path", 3))

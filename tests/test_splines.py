@@ -388,15 +388,16 @@ class TestMemo:
                 assert np.array_equal(interpolate(d, part, f, k).signal, interpolate(fresh, part, f, k).signal)
             assert splines._BASES[d].partition is part
 
-    def test_equal_partition_reuses_the_entry(self):
+    def test_rebuilt_partition_gets_its_own_entry_and_the_same_bits(self):
+        # a partition is equal only to itself, so the memo keys on the object
         g, d, part = fresh_path64()
         f = generate_pw_signal(d, 0.5, 8)
-        interpolate(d, part, f, 2)
+        first = interpolate(d, part, f, 2).signal
         basis = splines._BASES[d]
         rebuilt = validate_partition(g, pairs_partition(64))
-        assert rebuilt is not part and rebuilt == part
-        interpolate(d, rebuilt, f, 2)
-        assert splines._BASES[d] is basis
+        assert rebuilt != part
+        assert np.array_equal(interpolate(d, rebuilt, f, 2).signal, first)
+        assert splines._BASES[d] is not basis and splines._BASES[d].partition is rebuilt
 
     def test_condition_refusal_caches_no_factors(self):
         _, d, part = fresh_path64()
