@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InputError, NumericalError
 from .graph import WeightedGraph, is_connected
@@ -75,6 +74,8 @@ def erdos_renyi_weighted(n: int, p: float, seed: int) -> WeightedGraph:
 
 def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     """Unit-weight edges between uniform points in the unit square within radius."""
+    from scipy.spatial import cKDTree  # imported here, its one user, to keep it out of the package import
+
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if radius is None:

@@ -73,6 +73,10 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     (fractional, NaN or infinite) vertex id, an empty cluster, repeated or
     out-of-range vertices, a vertex in more than one cluster; then for
     uncovered vertices or a cluster whose induced subgraph is disconnected.
+    Connectivity is read from the gaps once every cluster's block is solved
+    (see :func:`_cluster_gaps`): a gap above its roundoff floor proves its
+    cluster connected, and an exact component search runs only when some
+    gap is not above it, to name the first disconnected cluster.
     """
     n, clusters = graph.n, list(clusters)
     sizes = np.fromiter(map(len, clusters), dtype=np.intp, count=len(clusters))
@@ -124,20 +128,17 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     every intra-cluster edge's off-diagonal entries there, with no edge sort.
     The blocks of one size form a contiguous run of the buffer, which one
     reshape views as a stack for its diagonal and one batched eigensolve.
-    Raises InputError for the first cluster whose induced subgraph is
-    disconnected.
+
+    The gaps certify connectivity: a cluster is connected when its computed
+    gap clears a roundoff floor that scales with its block (see below). Only
+    when some gap fails to clear it (NaN and inf fail too) does an exact
+    component search over the intra-cluster edges run, which raises
+    InputError for the first cluster whose induced subgraph is disconnected.
     """
     us, vs, ws = graph._edge_arrays
     edge_cluster = labels[us]
     intra = edge_cluster == labels[vs]
     us, vs, ws, edge_cluster = us[intra], vs[intra], ws[intra], edge_cluster[intra]
-
-    count, component = _components(graph.n, us, vs)
-    if count > len(sizes):
-        per_cluster = np.bincount(labels[np.unique(component, return_index=True)[1]], minlength=len(sizes))
-        idx = int(np.flatnonzero(per_cluster > 1)[0])
-        members = tuple(np.flatnonzero(labels == idx).tolist())
-        raise InputError(f"cluster {idx} {members} induces a disconnected subgraph")
 
     by_cluster = np.argsort(labels, kind="stable")  # the vertices in (label, vertex) order
     # Each vertex's index inside its (sorted) cluster.
@@ -157,6 +158,7 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     buffer[base + j * size_of + i] = -ws
 
     gaps = np.full(len(sizes), math.inf)
+    certified = True
     starts = np.flatnonzero(np.diff(ranked_sizes, prepend=0))  # first rank of each size
     starts = starts[ranked_sizes[starts] > 1]
     stops = np.append(starts[1:], len(sizes))
@@ -164,8 +166,31 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
         size, first = int(ranked_sizes[start]), int(ranked_start[start])
         blocks = buffer[first:first + (stop - start) * size * size].reshape(stop - start, size, size)
         diagonal = np.arange(size)
-        blocks[:, diagonal, diagonal] = -blocks.sum(axis=2)
-        gaps[by_size[start:stop]] = np.linalg.eigvalsh(blocks)[:, 1]
+        degrees = -blocks.sum(axis=2)
+        blocks[:, diagonal, diagonal] = degrees
+        block_gaps = np.linalg.eigvalsh(blocks)[:, 1]
+        gaps[by_size[start:stop]] = block_gaps
+        # A disconnected cluster's exact Laplacian L has 0 as a double
+        # eigenvalue, so its exact gap is 0. The assembled block differs from
+        # L only on the diagonal, by the rounding of each degree's sum of at
+        # most s - 1 weights: at most (s - 1)·eps·d_max in the 2-norm, where
+        # d_max is the largest degree in the block. eigvalsh is backward
+        # stable (LAPACK Users' Guide §4.7): each computed eigenvalue is
+        # within p(s)·eps·||block||_2 of the block's own, with
+        # ||block||_2 <= 2·d_max (Gershgorin). By Weyl's inequality a
+        # disconnected cluster's computed gap is thus at most
+        # (s - 1 + 2·p(s))·eps·d_max, below the floor C·s·eps·d_max with
+        # C = 32 for any p(s) <= 15·s. A gap above the floor proves the
+        # cluster connected.
+        floor = 32 * size * np.finfo(float).eps * degrees.max(axis=1)
+        certified &= bool((block_gaps > floor).all())
+    if not certified:
+        count, component = _components(graph.n, us, vs)
+        if count > len(sizes):
+            per_cluster = np.bincount(labels[np.unique(component, return_index=True)[1]], minlength=len(sizes))
+            idx = int(np.flatnonzero(per_cluster > 1)[0])
+            members = tuple(np.flatnonzero(labels == idx).tolist())
+            raise InputError(f"cluster {idx} {members} induces a disconnected subgraph")
     return gaps.tolist()
 
 
@@ -174,11 +199,15 @@ def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray
 
     Row j is the sum of the rows of cluster j divided by sqrt(size j), the
     normalized indicators applied to every column. The indicators are built
-    sparse from the label vector (n nonzeros), never as a dense J x n array.
+    per call, straight as a CSR matrix from the label vector: row j holds
+    the vertices of cluster j ascending (one stable argsort of the labels),
+    each with the value 1/sqrt(size j), so there are n nonzeros and never a
+    dense J x n array. The product sums each row's entries in vertex order.
     """
-    labels = partition.labels
-    indicators = csr_matrix((1.0 / partition._sqrt_sizes[labels], (labels, np.arange(partition.n))),
-                            shape=(partition.num_clusters, partition.n))
+    labels, J = partition.labels, partition.num_clusters
+    sizes = np.bincount(labels, minlength=J)
+    indicators = csr_matrix((np.repeat(1.0 / partition._sqrt_sizes, sizes), np.argsort(labels, kind="stable"),
+                             np.concatenate([[0], np.cumsum(sizes)])), shape=(J, partition.n))
     return indicators @ matrix
 
 

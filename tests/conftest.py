@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.sparse import csr_matrix
 
 from avgsampling import (
     WeightedGraph,
@@ -65,6 +66,16 @@ def dense_indicators(partition) -> np.ndarray:
     for j, verts in enumerate(clusters_of(partition)):
         xi[j, list(verts)] = 1.0 / np.sqrt(len(verts))
     return xi
+
+
+def coo_cluster_rows(partition, matrix: np.ndarray) -> np.ndarray:
+    """The scaled cluster sums of ``matrix``'s rows by the indicator CSR that
+    scipy converts from COO triplets (row label, column vertex, value
+    1/sqrt(size))."""
+    labels = partition.labels
+    indicators = csr_matrix((1.0 / partition._sqrt_sizes[labels], (labels, np.arange(partition.n))),
+                            shape=(partition.num_clusters, partition.n))
+    return indicators @ matrix
 
 
 def weight_matrix(graph: WeightedGraph) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Graph and signal generators: shapes, connectivity, determinism."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import avgsampling
 from avgsampling import (
     InputError,
     WeightedGraph,
@@ -112,6 +116,19 @@ class TestGraphGenerators:
     def test_numpy_integer_seed_is_its_value(self):
         assert generate_graph("random-geometric", 30, seed=np.int64(4)).edges() == \
             generate_graph("random-geometric", 30, seed=4).edges()
+
+    def test_package_import_leaves_the_kd_tree_unloaded(self):
+        """scipy.spatial loads with the first random-geometric graph, not with the package
+        (unless the scipy modules the package imports load it themselves)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(avgsampling.__file__)))
+        probe = ("import sys; import numpy, scipy.linalg, scipy.sparse.csgraph; "
+                 "before = 'scipy.spatial' in sys.modules; import avgsampling; "
+                 "print(before, 'scipy.spatial' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before
 
 
 class TestSignalGenerator:

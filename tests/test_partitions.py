@@ -6,13 +6,14 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgsampling import (
     ClusterPartition,
     FrameSystem,
     InputError,
+    WeightedGraph,
     analyze,
     bfs_partition,
     blocks_partition,
@@ -23,12 +24,22 @@ from avgsampling import (
     generate_pw_signal,
     optimal_alpha,
     pairs_partition,
+    pw_space,
     validate_partition,
 )
 
+from avgsampling import partitions
 from avgsampling.partitions import _cluster_rows, _gamma
 
-from conftest import cluster_laplacian, clusters_of, complete_graph, dense_indicators, energy_slack, power
+from conftest import (
+    cluster_laplacian,
+    clusters_of,
+    complete_graph,
+    coo_cluster_rows,
+    dense_indicators,
+    energy_slack,
+    power,
+)
 
 
 class TestValidatePartition:
@@ -156,6 +167,123 @@ class TestValidatePartition:
             validate_partition(g, [(0, 1), (2, 3), (4, 6), (5, 7)])
 
 
+def first_disconnected(graph, clusters):
+    """The refusal of the first cluster whose induced subgraph a breadth-first
+    search does not span, or None when every cluster is connected."""
+    neighbours = {v: set() for v in range(graph.n)}
+    for u, v, _ in graph.edges():
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    for idx, cluster in enumerate(clusters):
+        members, reached = set(cluster), {cluster[0]}
+        queue = [cluster[0]]
+        for u in queue:
+            for v in neighbours[u] & members - reached:
+                reached.add(v)
+                queue.append(v)
+        if reached != members:
+            return f"cluster {idx} {tuple(sorted(members))} induces a disconnected subgraph"
+    return None
+
+
+def reweighted(graph, scale, dropped=frozenset(), n=None, extra=()):
+    """``graph`` with every weight times ``scale``, the pairs in ``dropped``
+    left out, on ``n`` vertices (default ``graph.n``), plus the ``extra`` edges."""
+    edges = [(u, v, w * scale) for u, v, w in graph.edges() if (u, v) not in dropped]
+    return WeightedGraph.from_edges(graph.n if n is None else n, edges + list(extra))
+
+
+cover_kinds = st.sampled_from(["erdos-renyi-weighted", "random-geometric", "grid2d"])
+
+
+class TestGapCertificate:
+    """A cluster is connected when its computed gap clears a roundoff floor
+    scaled by its size and largest degree; the exact component search runs
+    only when some gap does not clear it."""
+
+    @given(kind=cover_kinds, size=st.integers(0, 200), seed=st.integers(0, 1000), radius=st.integers(1, 3),
+           exponent=st.integers(-150, 150), data=st.data())
+    def test_planted_disconnected_clusters_are_refused(self, kind, size, seed, radius, exponent, data):
+        graph = cover_graph(kind, size, seed)
+        clusters = bfs_partition(graph, radius)
+        candidates = [j for j, cluster in enumerate(clusters) if len(cluster) > 1]
+        assume(candidates)
+        planted = data.draw(st.sets(st.sampled_from(candidates), min_size=1, max_size=3), label="planted")
+        cut = set()
+        for j in planted:
+            verts = clusters[j]
+            side = set(data.draw(st.lists(st.sampled_from(verts), min_size=1, max_size=len(verts) - 1, unique=True),
+                                 label=f"side of cluster {j}"))
+            cut |= {(min(u, v), max(u, v)) for u in side for v in set(verts) - side}
+        planted_graph = reweighted(graph, 10.0 ** exponent, dropped=cut)
+        expected = first_disconnected(planted_graph, clusters)
+        assert expected.startswith(f"cluster {min(planted)} ")
+        with pytest.raises(InputError) as refusal:
+            validate_partition(planted_graph, clusters)
+        assert str(refusal.value) == expected
+
+    @given(kind=cover_kinds, size=st.integers(0, 200), seed=st.integers(0, 1000), radius=st.integers(1, 3),
+           exponent=st.integers(-150, 150))
+    def test_separated_gaps_skip_the_component_search(self, kind, size, seed, radius, exponent):
+        graph = reweighted(cover_graph(kind, size, seed), 10.0 ** exponent)
+        clusters = bfs_partition(graph, radius)
+
+        def no_search(*args):
+            raise AssertionError("the exact component search ran")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(partitions, "_components", no_search)
+            part = validate_partition(graph, clusters)
+        assert np.array_equal(part.lambda1s, reference_gaps(graph, part))
+        # well separated: each gap is far above its floor 32 * s * eps * d_max
+        degrees = np.zeros(graph.n)
+        for u, v, w in graph.edges():
+            if part.labels[u] == part.labels[v]:
+                degrees[u] += w
+                degrees[v] += w
+        for verts, gap in zip(clusters_of(part), part.lambda1s):
+            if len(verts) > 1:
+                assert gap > 1e6 * 32 * len(verts) * np.finfo(float).eps * degrees[list(verts)].max()
+
+    @given(kind=cover_kinds, size=st.integers(0, 200), seed=st.integers(0, 1000), radius=st.integers(1, 3),
+           exponent=st.integers(-150, 150), data=st.data())
+    def test_faint_bridge_takes_the_exact_check(self, kind, size, seed, radius, exponent, data):
+        # A new vertex joins cluster j by one edge of weight 1e-20 of the others,
+        # so the cluster is connected but its gap sits below the floor.
+        graph = cover_graph(kind, size, seed)
+        clusters = bfs_partition(graph, radius)
+        candidates = [j for j, cluster in enumerate(clusters) if len(cluster) > 1]
+        assume(candidates)
+        j = data.draw(st.sampled_from(candidates), label="bridged cluster")
+        anchor = data.draw(st.sampled_from(clusters[j]), label="anchor")
+        scale = 10.0 ** exponent
+        bridged = reweighted(graph, scale, n=graph.n + 1, extra=[(anchor, graph.n, 1e-20 * scale)])
+        clusters[j] = clusters[j] + (graph.n,)
+        components, searches = partitions._components, []
+
+        def counted(*args):
+            searches.append(args)
+            return components(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(partitions, "_components", counted)
+            part = validate_partition(bridged, clusters)
+        assert len(searches) == 1
+        assert np.array_equal(part.lambda1s, reference_gaps(bridged, part))
+
+    def test_overflowing_degree_takes_the_exact_check(self):
+        # Two weights of 1e308 at vertex 0 sum to inf, so the block's gap is NaN:
+        # the connected cluster keeps it, the disconnected one is named.
+        star = [(0, 1, 1e308), (0, 2, 1e308)]
+        graph = WeightedGraph.from_edges(5, star + [(3, 4, 1.0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            connected = validate_partition(WeightedGraph.from_edges(3, star), [(0, 1, 2)])
+            with pytest.raises(InputError) as refusal:
+                validate_partition(graph, [(3,), (0, 1, 2, 4)])
+        assert math.isnan(connected.lambda1s[0])
+        assert str(refusal.value) == "cluster 1 (0, 1, 2, 4) induces a disconnected subgraph"
+
+
 def draw_shuffled_partition(data):
     """Any vertex set of a complete graph is connected, so every split of a
     shuffled vertex order, in shuffled cluster order, is a partition: the
@@ -226,6 +354,36 @@ class TestAverageFunctionals:
             scale = 1e-12 * (1.0 + np.abs(xi) @ np.abs(M))
             assert _cluster_rows(p, M).shape == (p.num_clusters, m)
             assert (np.abs(_cluster_rows(p, M) - xi @ M) <= scale).all()
+
+    @given(st.data())
+    def test_cluster_rows_bits_equal_the_coo_product_on_shuffled_covers(self, data):
+        part = draw_shuffled_partition(data)[1]
+        n = part.n
+        m = data.draw(st.integers(1, 4), label="columns")
+        M = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n * m, max_size=n * m),
+                               label="matrix")).reshape(n, m)
+        assert _cluster_rows(part, M).tobytes() == coo_cluster_rows(part, M).tobytes()
+
+    @pytest.mark.parametrize("kind, n", [("path", 64), ("grid2d", 100), ("random-geometric", 400),
+                                         ("erdos-renyi-weighted", 40)])
+    def test_cluster_rows_bits_equal_the_coo_product(self, kind, n):
+        # The direct CSR must add each cluster's rows in the COO-built CSR's
+        # order, vertex ascending, one at a time. Not every segment sum does:
+        # np.add.reduceat adds a segment's first row to the sum of its tail
+        # (x0 + (x1 + x2) for three rows), so on path 240 in blocks of 3
+        # every row of the full eigenvector matrix's cluster sums differed
+        # from the CSR product's in the last bits.
+        graph = generate_graph(kind, n, seed=7)
+        decomp = eigendecompose(build_laplacian(graph))
+        band = pw_space(decomp, float(np.median(decomp.eigenvalues))).basis
+        # Any vertex set of a complete graph is connected, so pairs and
+        # blocks of 16 are covers there whatever the graph's edges.
+        covers = [validate_partition(complete_graph(n), pairs_partition(n)),
+                  validate_partition(complete_graph(n), blocks_partition(n, 16))]
+        covers += [validate_partition(graph, bfs_partition(graph, radius)) for radius in (1, 2, 3)]
+        for part in covers:
+            for matrix in (band, decomp.eigenvectors):
+                assert _cluster_rows(part, matrix).tobytes() == coo_cluster_rows(part, matrix).tobytes()
 
 
 class TestFrameSystem:
