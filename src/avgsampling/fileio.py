@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -59,13 +58,6 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
         raise InputError(f"{path}: {exc}") from None
 
 
-def write_edge_list(graph: WeightedGraph, path: str | Path) -> None:
-    lines = [f"n={graph.n}"]
-    for u, v, w in graph.edges():
-        lines.append(f"{u}\t{v}\t{w!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def read_signal(path: str | Path, n: int) -> np.ndarray:
     values = []
     for line_no, line in _records(path):
@@ -81,13 +73,6 @@ def read_signal(path: str | Path, n: int) -> np.ndarray:
     return f
 
 
-def write_signal(values: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text(
-        "\n".join(repr(float(x)) for x in np.asarray(values, dtype=float)) + "\n",
-        encoding="utf-8",
-    )
-
-
 def read_partition(path: str | Path) -> list[tuple[int, ...]]:
     clusters = []
     for line_no, line in _records(path):
@@ -98,10 +83,3 @@ def read_partition(path: str | Path) -> list[tuple[int, ...]]:
     if not clusters:
         raise InputError(f"{path}: empty partition file")
     return clusters
-
-
-def write_partition(clusters: Sequence[Sequence[int]], path: str | Path) -> None:
-    Path(path).write_text(
-        "\n".join(" ".join(str(v) for v in cluster) for cluster in clusters) + "\n",
-        encoding="utf-8",
-    )

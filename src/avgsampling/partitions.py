@@ -16,6 +16,8 @@ constraint rows are all computed from those two arrays.
 For signals of bandwidth omega, those averages form a frame whenever
 ``gamma = (1 + alpha)/alpha * omega / Lambda < 1`` for some alpha > 0, with
 lower frame bound at least ``(1 - gamma)/(1 + alpha)`` and upper bound 1.
+A frame system is valid by construction too: :func:`build_frame_system`
+derives every field once, and nothing re-sets omega, alpha or the analysis.
 """
 from __future__ import annotations
 
@@ -76,7 +78,8 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     Connectivity is read from the gaps once every cluster's block is solved
     (see :func:`_cluster_gaps`): a gap above its roundoff floor proves its
     cluster connected, and an exact component search runs only when some
-    gap is not above it, to name the first disconnected cluster.
+    gap is not above it, to name the first disconnected cluster. Then raises
+    NumericalError for a cluster whose gap overflows to a non-finite value.
     """
     n, clusters = graph.n, list(clusters)
     sizes = np.fromiter(map(len, clusters), dtype=np.intp, count=len(clusters))
@@ -134,6 +137,7 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     when some gap fails to clear it (NaN and inf fail too) does an exact
     component search over the intra-cluster edges run, which raises
     InputError for the first cluster whose induced subgraph is disconnected.
+    A non-finite gap left after it (the weights overflow) raises NumericalError.
     """
     us, vs, ws = graph._edge_arrays
     edge_cluster = labels[us]
@@ -166,7 +170,8 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
         size, first = int(ranked_sizes[start]), int(ranked_start[start])
         blocks = buffer[first:first + (stop - start) * size * size].reshape(stop - start, size, size)
         diagonal = np.arange(size)
-        degrees = -blocks.sum(axis=2)
+        with np.errstate(over="ignore"):  # an overflowing degree leaves a non-finite gap, refused below
+            degrees = -blocks.sum(axis=2)
         blocks[:, diagonal, diagonal] = degrees
         block_gaps = np.linalg.eigvalsh(blocks)[:, 1]
         gaps[by_size[start:stop]] = block_gaps
@@ -191,6 +196,10 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
             idx = int(np.flatnonzero(per_cluster > 1)[0])
             members = tuple(np.flatnonzero(labels == idx).tolist())
             raise InputError(f"cluster {idx} {members} induces a disconnected subgraph")
+    broken = ~np.isfinite(gaps) & (sizes > 1)
+    if broken.any():
+        idx = int(broken.argmax())
+        raise NumericalError(f"cluster {idx} has a non-finite spectral gap {gaps[idx]}: its weights overflow")
     return gaps.tolist()
 
 
@@ -219,9 +228,13 @@ def analyze(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
     return np.bincount(partition.labels, f, minlength=partition.num_clusters) / partition._sqrt_sizes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FrameSystem:
-    """Cluster-average analysis of a band subspace, with frame bounds.
+    """Cluster-average analysis of a band subspace, with frame bounds; valid by construction, equal only to itself.
+
+    Build one with :func:`build_frame_system`; direct construction and
+    ``dataclasses.replace`` raise TypeError, so ``omega``, ``alpha`` and the
+    analysis matrix cannot be re-set apart from what is derived from them.
 
     ``analysis`` has one row per cluster and one column per in-band
     eigenvector (the columns of ``basis``); applied to band coefficients it
@@ -230,7 +243,6 @@ class FrameSystem:
     dimensions than clusters (or the analysis map otherwise loses rank), in
     which case the averages do not determine the signal.
 
-    Everything but the five init fields is derived when the system is built.
     ``gamma`` comes from ``omega``, ``alpha`` and the partition constant by
     the one formula for it, so it cannot disagree with them. The bounds, the
     pseudoinverse ``pinv`` (the canonical dual frame, singular values at or
@@ -247,34 +259,17 @@ class FrameSystem:
     alpha: float
     analysis: np.ndarray  # J x m
     basis: np.ndarray  # n x m band eigenvectors
-    partition: ClusterPartition
-    gamma: float = field(init=False)
-    lower: float = field(init=False)
-    upper: float = field(init=False)
-    pinv: np.ndarray = field(init=False, repr=False)  # m x J
-    gram: np.ndarray = field(init=False, repr=False)  # m x m
-    singular_values: np.ndarray = field(init=False, repr=False)  # min(J, m), descending
-    right_vectors: np.ndarray = field(init=False, repr=False)  # m x min(J, m)
-    _schedules: dict = field(init=False, repr=False, compare=False)
+    gamma: float
+    lower: float
+    upper: float
+    pinv: np.ndarray = field(repr=False)  # m x J
+    gram: np.ndarray = field(repr=False)  # m x m
+    singular_values: np.ndarray = field(repr=False)  # min(J, m), descending
+    right_vectors: np.ndarray = field(repr=False)  # m x min(J, m)
+    _schedules: dict = field(repr=False)
 
-    def __post_init__(self):
-        J, m = self.analysis.shape
-        u, singular, vt = np.linalg.svd(self.analysis, full_matrices=False)
-        kept = singular > RANK_CUTOFF * singular[0]
-        inverse = np.divide(1.0, singular, where=kept, out=np.zeros_like(singular))
-        right = vt.T
-        pinv = right @ (inverse[:, None] * u.T)
-        gram = self.analysis.T @ self.analysis
-        for derived in (pinv, gram, singular, right):
-            derived.flags.writeable = False
-        object.__setattr__(self, "gamma", _gamma(self.omega, self.alpha, self.partition.lambda_xi))
-        object.__setattr__(self, "upper", float(singular[0] ** 2))
-        object.__setattr__(self, "lower", float(singular[-1] ** 2) if J >= m else 0.0)
-        object.__setattr__(self, "pinv", pinv)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "singular_values", singular)
-        object.__setattr__(self, "right_vectors", right)
-        object.__setattr__(self, "_schedules", {})
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a FrameSystem with build_frame_system")
 
     @property
     def dim(self) -> int:
@@ -333,11 +328,29 @@ def build_frame_system(
         raise NumericalError(f"band subspace is empty for omega={omega}")
     if partition.n != decomp.n:
         raise InputError("partition and decomposition sizes differ")
+    return _frame(_cluster_rows(partition, space.basis), space.basis, float(omega), float(alpha), partition.lambda_xi)
 
-    analysis = _cluster_rows(partition, space.basis)  # J x m
-    analysis.flags.writeable = False
-    return FrameSystem(omega=float(omega), alpha=float(alpha), analysis=analysis, basis=space.basis,
-                       partition=partition)
+
+def _frame(analysis: np.ndarray, basis: np.ndarray, omega: float, alpha: float, lambda_xi: float) -> FrameSystem:
+    """The frame of a J x m analysis matrix on the band ``basis``, every derived field from one thin SVD.
+
+    Marks ``analysis`` read-only. The one place a FrameSystem is made.
+    """
+    J, m = analysis.shape
+    u, singular, vt = np.linalg.svd(analysis, full_matrices=False)
+    kept = singular > RANK_CUTOFF * singular[0]
+    inverse = np.divide(1.0, singular, where=kept, out=np.zeros_like(singular))
+    right = vt.T
+    pinv = right @ (inverse[:, None] * u.T)
+    gram = analysis.T @ analysis
+    for array in (analysis, pinv, gram, singular, right):
+        array.flags.writeable = False
+    frame = object.__new__(FrameSystem)
+    vars(frame).update(omega=omega, alpha=alpha, analysis=analysis, basis=basis,
+                       gamma=_gamma(omega, alpha, lambda_xi), lower=float(singular[-1] ** 2) if J >= m else 0.0,
+                       upper=float(singular[0] ** 2), pinv=pinv, gram=gram, singular_values=singular,
+                       right_vectors=right, _schedules={})
+    return frame
 
 
 def optimal_alpha(omega: float, lambda_xi: float) -> tuple[float, float]:

@@ -55,8 +55,10 @@ class FrameIterationConfig:
 _DEFAULT_CONFIG = FrameIterationConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
+    """A recovered signal, its band coefficients and how the solve ended; equal only to itself."""
+
     signal: np.ndarray
     coefficients: np.ndarray
     iterations: int

@@ -102,9 +102,9 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PWSpace:
-    """Span of the eigenvectors with eigenvalue at most the bandwidth.
+    """Span of the eigenvectors with eigenvalue at most the bandwidth; equal only to itself.
 
     The eigenvalues ascend, so the band is a prefix of them: ``basis`` is
     the leading m eigenvector columns, a view of the decomposition's

@@ -42,11 +42,12 @@ from .spectral import SpectralDecomposition, _power_weights, pw_project
 CONDITION_LIMIT = 1e14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineSolution:
     """An order-k spline, its seminorm ``norm(L^{k/2} signal)``, its relative
     orthogonality defect (``_smoothness_defect``; 0 for an exact minimizer)
-    and the order's condition estimate (lambda_max/lambda_1)**(k/2)."""
+    and the order's condition estimate (lambda_max/lambda_1)**(k/2); equal
+    only to itself."""
 
     signal: np.ndarray
     order: int

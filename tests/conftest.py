@@ -78,6 +78,15 @@ def coo_cluster_rows(partition, matrix: np.ndarray) -> np.ndarray:
     return indicators @ matrix
 
 
+def write_rows(path, rows, sep=" ", header=None):
+    """Write a fixture file in the package's text formats: the header line, if
+    any, then one line per row, its fields by ``str`` (a float's shortest
+    round-trip digits) joined by ``sep``. Returns ``path``."""
+    lines = [header] * (header is not None) + [sep.join(map(str, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def weight_matrix(graph: WeightedGraph) -> np.ndarray:
     """The dense symmetric weight matrix, one edge of ``graph.edges()`` at a time."""
     W = np.zeros((graph.n, graph.n))

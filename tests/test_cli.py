@@ -1,5 +1,6 @@
 """CLI subcommands, output formats, exit codes, and the public names' callers."""
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import pytest
 
 import avgsampling
 from avgsampling.cli import main
-from avgsampling.fileio import write_edge_list, write_partition, write_signal
 from avgsampling import InputError, demo_path, generate_graph
+
+from conftest import write_rows
 
 
 def child_env(**overrides) -> dict:
@@ -42,8 +44,7 @@ class TestSpectrum:
 
     def test_from_file(self, tmp_path, capsys):
         g = generate_graph("cycle", 5)
-        path = tmp_path / "g.edges"
-        write_edge_list(g, path)
+        path = write_rows(tmp_path / "g.edges", g.edges(), sep="\t", header=f"n={g.n}")
         code, out, _ = run_cli(["spectrum", "--graph", str(path)], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 6
@@ -66,10 +67,8 @@ class TestFrameCheck:
 
     def test_partition_file(self, tmp_path, capsys):
         g = generate_graph("path", 6)
-        gpath = tmp_path / "g.edges"
-        ppath = tmp_path / "p.part"
-        write_edge_list(g, gpath)
-        write_partition([(0, 1, 2), (3, 4, 5)], ppath)
+        gpath = write_rows(tmp_path / "g.edges", g.edges(), sep="\t", header=f"n={g.n}")
+        ppath = write_rows(tmp_path / "p.part", [(0, 1, 2), (3, 4, 5)])
         code, out, _ = run_cli(
             ["frame-check", "--graph", str(gpath), "--partition", str(ppath),
              "--omega", "0.3"],
@@ -95,10 +94,8 @@ class TestReconstructCommand:
     def test_signal_file_roundtrip(self, tmp_path, capsys):
         rng = np.random.Generator(np.random.PCG64(1))
         g = generate_graph("path", 8)
-        gpath = tmp_path / "g.edges"
-        spath = tmp_path / "f.sig"
-        write_edge_list(g, gpath)
-        write_signal(rng.standard_normal(8), spath)
+        gpath = write_rows(tmp_path / "g.edges", g.edges(), sep="\t", header=f"n={g.n}")
+        spath = write_rows(tmp_path / "f.sig", zip(rng.standard_normal(8).tolist()))
         code, out, _ = run_cli(
             ["reconstruct", "--graph", str(gpath), "--clusters", "pairs",
              "--omega", "0.5", "--signal", str(spath)],
@@ -110,8 +107,7 @@ class TestReconstructCommand:
     @pytest.mark.parametrize("command", [["reconstruct", "--method", "dual"],
                                          ["reconstruct", "--method", "frame-iter"], ["spline"]])
     def test_signal_without_band_content_refused(self, command, tmp_path, capsys):
-        path = tmp_path / "zero.sig"
-        write_signal(np.zeros(8), path)
+        path = write_rows(tmp_path / "zero.sig", [[0.0]] * 8)
         code, out, err = run_cli([*command, "--generate", "path", "--n", "8", "--clusters", "pairs",
                                   "--omega", "0.5", "--signal", str(path)], capsys)
         assert code == 1 and out == ""
@@ -340,6 +336,15 @@ class TestExitCodes:
         assert code == 2
         assert "not a frame" in err
 
+    def test_overflowing_degrees_are_exit_two(self, tmp_path, capsys):
+        # the cluster's NaN gap once certified gamma = 0, and the eigensolve then exited 1
+        graph = write_rows(tmp_path / "g.edges", [(0, 1, 1e308), (0, 2, 1e308)], sep="\t", header="n=3")
+        partition = write_rows(tmp_path / "p.part", [(0, 1, 2)])
+        code, out, err = run_cli(["frame-check", "--graph", str(graph), "--partition", str(partition),
+                                  "--omega", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert err == "numerical failure: cluster 0 has a non-finite spectral gap nan: its weights overflow\n"
+
     @pytest.mark.parametrize("argv", [
         ["frame-check", "--generate", "random-geometric", "--n", "20", "--seed", "-1",
          "--clusters", "bfs:1", "--omega", "0.1"],
@@ -424,3 +429,31 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     paths = [p for p in (repo / "src" / "avgsampling").glob("*.py") if p.name != "__init__.py"]
     paths += (repo / "perfbench").glob("*.py")
     assert sorted(set(avgsampling.__all__) - read_names(paths)) == []
+
+
+def test_every_public_dataclass_holding_arrays_is_equal_only_to_itself():
+    """Field-wise ``==`` on arrays raises ValueError and a frozen dataclass
+    hashes its fields, so each public dataclass with an ndarray field compares
+    and hashes by identity: two built alike differ, and each equals itself."""
+    graph = avgsampling.generate_graph("path", 8)
+    decomp = avgsampling.eigendecompose(avgsampling.build_laplacian(graph))
+    partition = avgsampling.validate_partition(graph, avgsampling.pairs_partition(8))
+    frame = avgsampling.build_frame_system(decomp, partition, 0.5, 1.0)
+    samples = avgsampling.analyze(partition, avgsampling.generate_pw_signal(decomp, 0.5, 0))
+    build = {
+        "SpectralDecomposition": lambda: avgsampling.eigendecompose(avgsampling.build_laplacian(graph)),
+        "PWSpace": lambda: avgsampling.pw_space(decomp, 0.5),
+        "ClusterPartition": lambda: avgsampling.validate_partition(graph, avgsampling.pairs_partition(8)),
+        "FrameSystem": lambda: avgsampling.build_frame_system(decomp, partition, 0.5, 1.0),
+        "ReconstructionResult": lambda: avgsampling.dual_frame_reconstruct(frame, samples),
+        "SplineSolution": lambda: avgsampling.solve_spline(decomp, partition, samples, 2),
+    }
+    public = {name: getattr(avgsampling, name) for name in avgsampling.__all__}
+    holders = {name for name, obj in public.items() if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+               and any("ndarray" in str(f.type) for f in dataclasses.fields(obj))}
+    assert holders == set(build)
+    for name, make in build.items():
+        one, other = make(), make()
+        assert type(one) is public[name]
+        assert one == one and one != other, name
+        assert hash(one) == hash(one) and {one: 1, other: 2}[other] == 2, name

@@ -3,21 +3,15 @@ import numpy as np
 import pytest
 
 from avgsampling import InputError, generate_graph
-from avgsampling.fileio import (
-    read_edge_list,
-    read_partition,
-    read_signal,
-    write_edge_list,
-    write_partition,
-    write_signal,
-)
+from avgsampling.fileio import read_edge_list, read_partition, read_signal
+
+from conftest import write_rows
 
 
 class TestEdgeList:
     def test_roundtrip(self, tmp_path):
         g = generate_graph("erdos-renyi-weighted", 12, seed=1, p=0.4)
-        path = tmp_path / "g.edges"
-        write_edge_list(g, path)
+        path = write_rows(tmp_path / "g.edges", g.edges(), sep="\t", header=f"n={g.n}")
         back = read_edge_list(path)
         assert back.n == g.n
         assert back.edges() == g.edges()
@@ -70,13 +64,11 @@ class TestEdgeList:
 class TestSignalFile:
     def test_roundtrip_bit_exact(self, tmp_path):
         f = np.random.Generator(np.random.PCG64(2)).standard_normal(9)
-        path = tmp_path / "f.sig"
-        write_signal(f, path)
+        path = write_rows(tmp_path / "f.sig", zip(f.tolist()))
         assert np.array_equal(read_signal(path, n=9), f)
 
     def test_length_checked(self, tmp_path):
-        path = tmp_path / "f.sig"
-        write_signal(np.zeros(4), path)
+        path = write_rows(tmp_path / "f.sig", [[0.0]] * 4)
         with pytest.raises(InputError, match="expected 5"):
             read_signal(path, n=5)
 
@@ -90,8 +82,7 @@ class TestSignalFile:
 class TestPartitionFile:
     def test_roundtrip(self, tmp_path):
         clusters = [(0, 1), (2,), (3, 4, 5)]
-        path = tmp_path / "p.part"
-        write_partition(clusters, path)
+        path = write_rows(tmp_path / "p.part", clusters)
         assert read_partition(path) == clusters
 
     def test_empty_rejected(self, tmp_path):

@@ -13,6 +13,7 @@ from avgsampling import (
     ClusterPartition,
     FrameSystem,
     InputError,
+    NumericalError,
     WeightedGraph,
     analyze,
     bfs_partition,
@@ -29,7 +30,7 @@ from avgsampling import (
 )
 
 from avgsampling import partitions
-from avgsampling.partitions import _cluster_rows, _gamma
+from avgsampling.partitions import _cluster_rows, _frame, _gamma
 
 from conftest import (
     cluster_laplacian,
@@ -273,15 +274,20 @@ class TestGapCertificate:
 
     def test_overflowing_degree_takes_the_exact_check(self):
         # Two weights of 1e308 at vertex 0 sum to inf, so the block's gap is NaN:
-        # the connected cluster keeps it, the disconnected one is named.
+        # the disconnected cluster is named, and the connected one, whose NaN
+        # gap once left Lambda = inf and certified gamma = 0, is refused. The
+        # suite turns warnings into errors, so no overflow warning leaks.
         star = [(0, 1, 1e308), (0, 2, 1e308)]
         graph = WeightedGraph.from_edges(5, star + [(3, 4, 1.0)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            connected = validate_partition(WeightedGraph.from_edges(3, star), [(0, 1, 2)])
-            with pytest.raises(InputError) as refusal:
-                validate_partition(graph, [(3,), (0, 1, 2, 4)])
-        assert math.isnan(connected.lambda1s[0])
+        with pytest.raises(InputError) as refusal:
+            validate_partition(graph, [(3,), (0, 1, 2, 4)])
         assert str(refusal.value) == "cluster 1 (0, 1, 2, 4) induces a disconnected subgraph"
+        with pytest.raises(NumericalError) as overflow:
+            validate_partition(WeightedGraph.from_edges(3, star), [(0, 1, 2)])
+        assert str(overflow.value) == "cluster 0 has a non-finite spectral gap nan: its weights overflow"
+        # a single 1e308 edge keeps its degree finite, but its gap 2e308 is inf
+        with pytest.raises(NumericalError, match="cluster 1 has a non-finite spectral gap inf"):
+            validate_partition(WeightedGraph.from_edges(3, [(1, 2, 1e308)]), [(0,), (1, 2)])
 
 
 def draw_shuffled_partition(data):
@@ -390,8 +396,7 @@ class TestFrameSystem:
     def test_bounds_dual_and_gram_are_derived(self, path64):
         _, d, part = path64
         frame = build_frame_system(d, part, omega=0.5, alpha=1.0)
-        given_fields = {f.name: getattr(frame, f.name) for f in dataclasses.fields(FrameSystem) if f.init}
-        rebuilt = FrameSystem(**given_fields)
+        rebuilt = _frame(frame.analysis, frame.basis, frame.omega, frame.alpha, part.lambda_xi)
         assert (rebuilt.lower, rebuilt.upper) == (frame.lower, frame.upper)
         assert np.array_equal(rebuilt.pinv, frame.pinv) and np.array_equal(rebuilt.gram, frame.gram)
         assert np.array_equal(frame.gram, frame.analysis.T @ frame.analysis)
@@ -401,23 +406,28 @@ class TestFrameSystem:
         assert np.allclose(right.T @ right, np.eye(frame.dim), atol=1e-13)
         assert np.allclose(right @ (singular[:, None] ** 2 * right.T), frame.gram, atol=1e-13)
         assert (singular[0] ** 2, singular[-1] ** 2) == (frame.upper, frame.lower)
-        for name in ("pinv", "gram", "singular_values", "right_vectors"):
+        for name in ("analysis", "pinv", "gram", "singular_values", "right_vectors"):
             assert not getattr(frame, name).flags.writeable
-        assert list(given_fields) == ["omega", "alpha", "analysis", "basis", "partition"]
         assert rebuilt.gamma == frame.gamma == _gamma(0.5, 1.0, part.lambda_xi)
-        for name in ("gamma", "lower", "upper", "pinv", "gram", "singular_values", "right_vectors"):
+        # no field is given from outside, so none can disagree with the others
+        fields = {f.name: getattr(frame, f.name) for f in dataclasses.fields(FrameSystem)}
+        assert "partition" not in fields and not hasattr(FrameSystem, "__post_init__")
+        with pytest.raises(TypeError):
+            FrameSystem(**fields)
+        for name, value in fields.items():
             with pytest.raises(TypeError):
-                FrameSystem(**given_fields, **{name: getattr(frame, name)})
+                FrameSystem(**{name: value})
 
     def test_gamma_cannot_be_forged(self, path64):
-        # gamma was once a settable field, so replace() could fake guarantee_active
+        # replace() once kept a gamma=3.0 frame's analysis matrix but reported
+        # the gamma and guarantee_active of omega=0.1
         _, d, part = path64
         frame = build_frame_system(d, part, omega=3.0, alpha=1.0)
         assert not frame.guarantee_active
-        # replace() refuses an init=False field: ValueError before Python 3.13, TypeError since
-        with pytest.raises((TypeError, ValueError), match="gamma"):
-            dataclasses.replace(frame, gamma=0.1)
-        assert dataclasses.replace(frame, alpha=4.0).gamma == _gamma(3.0, 4.0, part.lambda_xi)
+        for change in ({"omega": 0.1}, {"alpha": 4.0}, {"gamma": 0.1}, {}):
+            with pytest.raises(TypeError):
+                dataclasses.replace(frame, **change)
+        assert (frame.omega, frame.alpha, frame.gamma) == (3.0, 1.0, _gamma(3.0, 1.0, part.lambda_xi))
 
     def test_gamma_without_positive_gap_has_no_guarantee(self):
         # frames once reported gamma = 0 here and splines divided by zero

@@ -1,5 +1,4 @@
 """Frame-iteration and dual-frame recovery from cluster averages."""
-import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +21,7 @@ from avgsampling import (
     generate_pw_signal,
     validate_partition,
 )
+from avgsampling.partitions import _frame
 from avgsampling.reconstruct import _ERROR_LOG_BLOCK
 
 
@@ -39,6 +39,17 @@ def grid_frame():
     d = eigendecompose(build_laplacian(g))
     part = validate_partition(g, bfs_partition(g, 1))
     return d, part, build_frame_system(d, part, omega=3.22, alpha=1.0)
+
+
+def planted(analysis):
+    """A frame with a planted J x m analysis matrix on the identity band basis;
+    omega, alpha and Lambda set only gamma, which no recovery reads."""
+    return _frame(analysis, np.eye(analysis.shape[1]), 0.5, 1.0, 2.0)
+
+
+def unmemoised(frame, part):
+    """A frame on ``frame``'s analysis matrix and basis with an empty schedule memo."""
+    return _frame(frame.analysis, frame.basis, frame.omega, frame.alpha, part.lambda_xi)
 
 
 def richardson_reference(A, s, mu, tol, max_iter=10000, truth_coeffs=None):
@@ -343,13 +354,12 @@ class TestStepSchedule:
                 result = frame_algorithm(frame, samples, config)
                 assert_same_run(result, bisection_reference(frame, samples, config))
 
-    def test_beyond_one_block(self, frame64):
+    def test_beyond_one_block(self):
         # b/a = 204: the bracket, about 2350 steps, exceeds one table block
         rng = np.random.Generator(np.random.PCG64(41))
         left, _ = np.linalg.qr(rng.standard_normal((6, 3)))
         right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        frame = dataclasses.replace(
-            frame64, analysis=left @ np.diag([1.0, 0.3, 0.07]) @ right.T, basis=np.eye(3))
+        frame = planted(left @ np.diag([1.0, 0.3, 0.07]) @ right.T)
         config = FrameIterationConfig()
         mu = 2.0 / (frame.lower + frame.upper)
         for seed in range(3):
@@ -364,7 +374,7 @@ class TestStepSchedule:
         assert schedule.bracket > _ERROR_LOG_BLOCK
         assert schedule.decay.shape == (_ERROR_LOG_BLOCK, frame.dim)
 
-    def test_complement_rows_match_per_step_formula(self, both_frames, frame64):
+    def test_complement_rows_match_per_step_formula(self, both_frames):
         # On the synthetic frame, at mu = 1.99/b, evaluating the formula for
         # a column of steps at once (a broadcast pow) can miss the per-step
         # bits in row k = 2, where numpy squares instead of calling pow; it
@@ -372,13 +382,12 @@ class TestStepSchedule:
         rng = np.random.Generator(np.random.PCG64(78))
         left, _ = np.linalg.qr(rng.standard_normal((40, 32)))
         right, _ = np.linalg.qr(rng.standard_normal((32, 32)))
-        synthetic = dataclasses.replace(
-            frame64, analysis=left @ np.diag(rng.uniform(0.2, 1.0, 32)) @ right.T, basis=np.eye(32))
+        synthetic = planted(left @ np.diag(rng.uniform(0.2, 1.0, 32)) @ right.T)
         # test_beyond_one_block's frame, whose steps run past the table
         long_rng = np.random.Generator(np.random.PCG64(41))
         left, _ = np.linalg.qr(long_rng.standard_normal((6, 3)))
         right, _ = np.linalg.qr(long_rng.standard_normal((3, 3)))
-        long = dataclasses.replace(frame64, analysis=left @ np.diag([1.0, 0.3, 0.07]) @ right.T, basis=np.eye(3))
+        long = planted(left @ np.diag([1.0, 0.3, 0.07]) @ right.T)
         cases = [(frame, analyze(part, generate_pw_signal(d, omega, 0))) for d, part, frame, omega in both_frames]
         cases += [(synthetic, rng.standard_normal(40)), (long, long_rng.standard_normal(6))]
         for frame, samples in cases:
@@ -398,7 +407,7 @@ class TestStepSchedule:
         # True == 1 and both hash alike, so a memo keyed on the unchecked
         # config would hand the max_iter=1 schedule to max_iter=True.
         _, d, part = path64
-        frame = dataclasses.replace(frame64)
+        frame = unmemoised(frame64, part)
         samples = analyze(part, generate_pw_signal(d, 0.5, 0))
         frame_algorithm(frame, samples, FrameIterationConfig(max_iter=1))
         assert [key[2] for key in frame._schedules] == [1]
@@ -407,12 +416,12 @@ class TestStepSchedule:
 
     def test_configs_do_not_interfere(self, grid_frame):
         d, part, frame = grid_frame
-        shared = dataclasses.replace(frame)
+        shared = unmemoised(frame, part)
         configs = [make_config(frame) for make_config in CONFIGS.values()]
         for seed in range(3):
             samples = analyze(part, generate_pw_signal(d, 3.22, seed))
             for config in configs:
-                fresh = frame_algorithm(dataclasses.replace(frame), samples, config)
+                fresh = frame_algorithm(unmemoised(frame, part), samples, config)
                 result = frame_algorithm(shared, samples, config)
                 assert_same_run(result, (fresh.iterations, fresh.coefficients, fresh.residual, fresh.converged))
         assert len(shared._schedules) == len(configs)
@@ -463,8 +472,7 @@ class TestDualFrame:
         # singular values on either side of the 1e-10 relative cutoff
         left, _ = np.linalg.qr(rng.standard_normal((6, 3)))
         right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        graded = dataclasses.replace(
-            frame64, analysis=left @ np.diag([1.0, 1e-6, 1e-12]) @ right.T, basis=np.eye(3))
+        graded = planted(left @ np.diag([1.0, 1e-6, 1e-12]) @ right.T)
         for frame in (rank_deficient, frame64, grid_frame[2], graded):
             samples = rng.standard_normal(frame.num_clusters)
             expected = np.linalg.pinv(frame.analysis, rcond=1e-10) @ samples
