@@ -3,6 +3,13 @@
 Randomness comes from numpy's PCG64 generator, so a (kind, params, seed)
 triple reproduces the same graph bit for bit; the generator name is embedded
 in experiment reports.
+
+Random-geometric graphs find their close pairs with a numpy cell list
+(``_close_pairs``): the unit square is cut into cells at least one radius
+wide, so only pairs inside one cell or in two neighbouring cells are
+candidates. Squared distances decide every candidate away from the radius,
+and ``np.hypot`` decides the few on a thin band around it, so the edge set
+is exactly the all-pairs ``np.hypot(dx, dy) <= radius`` one.
 """
 from __future__ import annotations
 
@@ -72,10 +79,92 @@ def erdos_renyi_weighted(n: int, p: float, seed: int) -> WeightedGraph:
     )
 
 
-def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
-    """Unit-weight edges between uniform points in the unit square within radius."""
-    from scipy.spatial import cKDTree  # imported here, its one user, to keep it out of the package import
+#: Relative half-width of the band of squared distances around radius**2 on
+#: which ``_close_pairs`` lets ``np.hypot`` decide, and the absolute width
+#: added to it; see the rounding bound there.
+_BAND = 1e-12
+_BAND_FLOOR = 2.0**-1000
 
+#: The cell offsets whose pairs ``_close_pairs`` tests: a point's own cell and
+#: four of its eight neighbours, so each pair of neighbouring cells once.
+_CELL_OFFSETS = ((0, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+def _partner_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with lo[i] <= j < hi[i], as two arrays ordered by i, then j."""
+    lengths = hi - lo
+    owners = np.repeat(np.arange(len(lo)), lengths)
+    return owners, np.arange(len(owners)) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+
+
+def _close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
+    """The pairs u < v with ``np.hypot(*(points[u] - points[v])) <= radius``, as an (E, 2) int64 array sorted by (u, v).
+
+    ``points`` is an (n, 2) float array in the unit square, n >= 1, and
+    ``radius`` is positive. Each side is cut into m cells of side
+    1/m >= radius * (1 + 1e-9), so a close pair lies in one cell or in two
+    neighbouring ones (the cell index ``floor(x * m)`` is monotone in x under
+    rounding, and the widening covers the rounding of m). m is capped at
+    ceil(sqrt(n)): a wider cell is still correct, and the cap keeps the
+    m**2 cells within n + 2 sqrt(n) + 1 however small the radius. One stable
+    sort puts the points in cell order; each offset's candidates are filtered
+    before the next offset's are made, so at most one offset's are held.
+
+    The decision is ``np.hypot``'s. With u = 2**-53, the squared distance
+    ``d2 = dx*dx + dy*dy`` of the computed differences is within 3u of their
+    exact sum of squares, plus 2**-1073 for underflow; the two thresholds
+    below err alike; and the C library's hypot errs by under an ulp (2u),
+    so it can decide differently from the exact distance only within about
+    5u * radius**2 of radius**2. A candidate with ``d2`` at most
+    ``radius**2 * (1 - _BAND) - _BAND_FLOOR`` is therefore close for hypot
+    too, and one above ``radius**2 * (1 + _BAND) + _BAND_FLOOR`` is not: the
+    band is 1e-12 relative (about 4500u) and 2**-1000 absolute. Candidates
+    between the two are decided by ``np.hypot`` itself. A difference taken
+    the other way round changes only its sign, exactly, and neither hypot
+    nor ``d2`` sees a sign.
+    """
+    n = len(points)
+    radius = float(radius)
+    m = max(1, int(min(math.isqrt(n - 1) + 1, 1.0 / (radius * (1.0 + 1e-9)))))
+    cells = np.minimum((points * m).astype(np.intp), m - 1)  # x * m is m at x = 1, and may round up to it below
+    order = np.argsort(cells[:, 0] * m + cells[:, 1], kind="stable")
+    cx, cy = cells[order, 0], cells[order, 1]
+    xs, ys = points[order, 0], points[order, 1]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(cx * m + cy, minlength=m * m))])
+    squared = radius * radius
+    accept_to, reject_above = squared * (1.0 - _BAND) - _BAND_FLOOR, squared * (1.0 + _BAND) + _BAND_FLOOR
+    keys = []
+    for ox, oy in _CELL_OFFSETS:
+        nx, ny = cx + ox, cy + oy
+        inside = (nx >= 0) & (nx < m) & (ny < m)  # oy >= 0, so ny >= 0
+        neighbour = np.where(inside, nx * m + ny, 0)
+        hi = np.where(inside, starts[neighbour + 1], 0)
+        # Within its own cell a point pairs with the points after it.
+        lo = np.arange(1, n + 1) if (ox, oy) == (0, 0) else np.minimum(starts[neighbour], hi)
+        a, b = _partner_ranges(lo, hi)
+        dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+        d2 = dx * dx
+        d2 += dy * dy
+        close = d2 <= accept_to
+        band = np.flatnonzero(~close & (d2 <= reject_above))
+        close[band] = np.hypot(dx[band], dy[band]) <= radius
+        u, v = order[a[close]], order[b[close]]
+        keys.append(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
+    keys = np.sort(np.concatenate(keys))
+    return np.column_stack(np.divmod(keys, n))
+
+
+def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
+    """Unit-weight edges between uniform points in the unit square within radius.
+
+    Each draw is n uniform points; a pair is an edge exactly when
+    ``np.hypot`` of its coordinate differences is at most the radius (the
+    default is 1.5 * sqrt(log n / (pi n)), a little above the connectivity
+    threshold). The close pairs come from ``_close_pairs``, a cell list
+    whose squared-distance shortcut defers to ``np.hypot`` near the radius,
+    so every edge decision is the all-pairs ``np.hypot`` one. A draw whose
+    graph is not connected is redrawn, up to ``RETRY_BUDGET`` draws.
+    """
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if radius is None:
@@ -84,15 +173,7 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
         raise InputError(f"radius must be positive, got {radius}")
     rng = _rng(seed)
     for _ in range(RETRY_BUDGET):
-        points = rng.random((n, 2))
-        # The tree's slightly widened radius only proposes candidates; the
-        # np.hypot test decides, so the edge set does not depend on how the
-        # tree rounds its distances.
-        pairs = cKDTree(points).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
-        # Sorted here, from_edges' stable one-key sort is a near-linear pass.
-        pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]  # ids < n, pairs unique
-        delta = points[pairs[:, 0]] - points[pairs[:, 1]]
-        pairs = pairs[np.hypot(delta[:, 0], delta[:, 1]) <= radius]
+        pairs = _close_pairs(rng.random((n, 2)), radius)
         graph = WeightedGraph.from_edges(n, np.column_stack([pairs, np.ones(len(pairs))]))
         if is_connected(graph):
             return graph

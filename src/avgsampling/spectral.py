@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .graph import WeightedGraph
 
 #: Eigenvalues within this slack of a bandwidth, relative to lambda_max, still
@@ -34,12 +34,20 @@ def build_laplacian(graph: WeightedGraph) -> np.ndarray:
 
     Scattered from the edge arrays into one n x n array, whose row sums are
     then negated onto its diagonal; ``0.0 - sum`` keeps an isolated vertex's
-    degree +0.0, as ``np.diag(W.sum(axis=1)) - W`` has it.
+    degree +0.0, as ``np.diag(W.sum(axis=1)) - W`` has it. Every weight is
+    finite, but a degree can still overflow: raises NumericalError naming the
+    first such vertex, without numpy's overflow warning.
     """
     us, vs, ws = graph._edge_arrays
     L = np.zeros((graph.n, graph.n))
     L[us, vs] = L[vs, us] = -ws
-    np.fill_diagonal(L, 0.0 - L.sum(axis=1))
+    with np.errstate(over="ignore"):
+        degrees = 0.0 - L.sum(axis=1)
+    finite = np.isfinite(degrees)
+    if not finite.all():
+        v = int(finite.argmin())
+        raise NumericalError(f"vertex {v} has a non-finite weighted degree {degrees[v]}: its weights overflow")
+    np.fill_diagonal(L, degrees)
     L.flags.writeable = False
     return L
 

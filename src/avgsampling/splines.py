@@ -44,14 +44,12 @@ CONDITION_LIMIT = 1e14
 
 @dataclass(frozen=True, eq=False)
 class SplineSolution:
-    """An order-k spline, its seminorm ``norm(L^{k/2} signal)``, its relative
-    orthogonality defect (``_smoothness_defect``; 0 for an exact minimizer)
-    and the order's condition estimate (lambda_max/lambda_1)**(k/2); equal
-    only to itself."""
+    """An order-k spline, its relative orthogonality defect
+    (``_smoothness_defect``; 0 for an exact minimizer) and the order's
+    condition estimate (lambda_max/lambda_1)**(k/2); equal only to itself."""
 
     signal: np.ndarray
     order: int
-    seminorm: float
     kkt_residual: float
     condition_estimate: float
 
@@ -204,12 +202,10 @@ def solve_spline(
     basis = _basis(decomp, partition)
     factors = _order_factors(decomp, basis, k)
     coeffs, signal = _spline(decomp, basis, factors, basis.constraints.T @ targets)
-    smoothed = factors.weights * coeffs
-    defect, scale = _smoothness_defect(basis.kernel, factors, smoothed)
+    defect, scale = _smoothness_defect(basis.kernel, factors, factors.weights * coeffs)
     return SplineSolution(
         signal=signal,
         order=k,
-        seminorm=float(np.linalg.norm(smoothed)),
         kkt_residual=defect / scale,
         condition_estimate=factors.condition,
     )

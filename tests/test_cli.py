@@ -345,6 +345,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "numerical failure: cluster 0 has a non-finite spectral gap nan: its weights overflow\n"
 
+    def test_overflowing_degrees_in_spectrum_are_exit_two(self, tmp_path, capsys):
+        # build_laplacian's row sum warned of the overflow, and the eigensolve then exited 1
+        graph = write_rows(tmp_path / "g.edges", [(0, 1, 1e308), (0, 2, 1e308)], sep="\t", header="n=3")
+        code, out, err = run_cli(["spectrum", "--graph", str(graph)], capsys)
+        assert code == 2 and out == ""
+        assert err == "numerical failure: vertex 0 has a non-finite weighted degree inf: its weights overflow\n"
+
     @pytest.mark.parametrize("argv", [
         ["frame-check", "--generate", "random-geometric", "--n", "20", "--seed", "-1",
          "--clusters", "bfs:1", "--omega", "0.1"],

@@ -1,15 +1,20 @@
 """Graph and signal generators: shapes, connectivity, determinism."""
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import avgsampling
 from avgsampling import (
     InputError,
+    NumericalError,
     WeightedGraph,
     build_laplacian,
     eigendecompose,
@@ -18,6 +23,7 @@ from avgsampling import (
     is_connected,
     pw_project,
 )
+from avgsampling import generators
 
 
 def reference_random_geometric(n, seed):
@@ -117,18 +123,123 @@ class TestGraphGenerators:
         assert generate_graph("random-geometric", 30, seed=np.int64(4)).edges() == \
             generate_graph("random-geometric", 30, seed=4).edges()
 
-    def test_package_import_leaves_the_kd_tree_unloaded(self):
-        """scipy.spatial loads with the first random-geometric graph, not with the package
-        (unless the scipy modules the package imports load it themselves)."""
+    def test_random_geometric_graph_leaves_scipy_spatial_unloaded(self):
+        """Neither the package import nor a random-geometric graph loads scipy.spatial."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(avgsampling.__file__)))
-        probe = ("import sys; import numpy, scipy.linalg, scipy.sparse.csgraph; "
-                 "before = 'scipy.spatial' in sys.modules; import avgsampling; "
-                 "print(before, 'scipy.spatial' in sys.modules)")
+        probe = ("import sys; import avgsampling; "
+                 "avgsampling.generate_graph('random-geometric', 300, seed=3); "
+                 "print('scipy.spatial' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        before, after = proc.stdout.split()
-        assert after == before
+        assert proc.stdout.split() == ["False"]
+
+
+def all_close_pairs(points, radius):
+    """Every pair u < v with np.hypot of its coordinate differences at most radius, sorted by (u, v)."""
+    us, vs = np.triu_indices(len(points), 1)
+    delta = points[us] - points[vs]
+    close = np.hypot(delta[:, 0], delta[:, 1]) <= radius
+    return np.column_stack([us[close], vs[close]])
+
+
+#: Points on multiples of 1/q for q up to 20, which include every cell
+#: boundary at n <= 60 (at most 8 cells a side) and pairs exactly 1/q apart.
+lattice = st.integers(1, 20).flatmap(lambda q: st.integers(0, q).map(lambda j: j / q))
+
+
+def either_side(radius):
+    """The radius and the floats just below and above it."""
+    return st.sampled_from([np.nextafter(radius, 0.0), radius, np.nextafter(radius, 2.0)])
+
+
+@st.composite
+def unit_square_points(draw):
+    """2 to 60 points in the unit square, some on the lattice, some within 1e-150
+    of the origin (their squared distances underflow) and some repeated."""
+    coordinate = st.one_of(st.floats(0.0, 1.0), lattice, st.floats(0.0, 1e-150))
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=60))
+    index = st.integers(0, len(points) - 1)
+    for source, target in draw(st.lists(st.tuples(index, index), max_size=10)):
+        points[target] = points[source]
+    return np.array(points)
+
+
+#: (n, seed, radius) -> edge count and SHA-256 of the bytes of ``_edge_arrays``
+#: (us, vs, ws in that order), captured from the KD-tree generator that the
+#: cell list replaced; both decide each pair by np.hypot.
+EDGE_DIGESTS = {
+    (2, 0, None): (1, "846df8c7560685a7285a7ae4a9e0ae8bdbe83082afd224526b5000519303686b"),
+    (2, 1, 1.5): (1, "846df8c7560685a7285a7ae4a9e0ae8bdbe83082afd224526b5000519303686b"),
+    (3, 5, 0.7): (2, "e97dac7e24af6eb9eed9e3521652bda61e5ab64febe0b7dc8f0ec8852d4bdbaa"),
+    (10, 3, None): (17, "21eb016a06f83548b6df6ed96f56d88687bc1687fa42586e9ee399379be55483"),
+    (10, 3, 0.3): (18, "4d289fba9c21d7a042b1d6f9c29377f9b4d118a5836e697182ce1c11d5424632"),
+    (100, 7, None): (413, "7d01195836aa885136c88ed15a68b6bdaa3066ec3f05ca64c62aab19b91d4855"),
+    (100, 7, 0.3): (981, "fe5cdf0317b927e8e19f20ba029d59e94558a395f0ccf7605db345d2b4ea4f30"),
+    (100, 11, 1.5): (4950, "de1e67bf2cf88fba074350c9c5ef622de35c95c43c4fc64a48e1f9ad88253d67"),
+    (1000, 4101, None): (7128, "b83c8e0848319d6d56d2098dfe9f3b8089f12f26bf343d00b02bf3f7a042181e"),
+    (1000, 1, None): (7219, "2313c3a13ec6dfe53bb64c56399ecda7fda88396eb76eb87521011d1e01a241f"),
+    (1000, 2, 0.1): (14364, "ff2536601a5b39aeb8f15ef442d20cc1155f282db980f20002df61ce4b302285"),
+    (4000, 4101, None): (36029, "f37944ee963ac7c3112f1aa36c06709b075402234ddba1c083cca9d764b978a5"),
+    (4000, 9, None): (36210, "b13ee23027f92b32e9af419245820b0752d24482aac161efc9ecf1062ab8ab02"),
+}
+
+
+class TestCloseCellList:
+    @settings(max_examples=400)
+    @given(points=unit_square_points(), radius=st.one_of(
+        st.sampled_from([1e-300, 1e-17, 0.5, 1.0, math.sqrt(2.0), 2.0]),
+        st.integers(1, 20).flatmap(lambda q: either_side(1.0 / q)),
+        st.floats(1e-3, 1.5),
+    ))
+    def test_matches_all_pairs_hypot(self, points, radius):
+        assert np.array_equal(generators._close_pairs(points, radius), all_close_pairs(points, radius))
+
+    @settings(max_examples=400)
+    @given(points=unit_square_points(), data=st.data())
+    def test_matches_all_pairs_hypot_at_a_pair_distance(self, points, data):
+        """At the np.hypot distance of two of the points, a squared-distance test alone
+        decides some pair otherwise in about one case in four."""
+        u = data.draw(st.integers(0, len(points) - 1))
+        v = (u + data.draw(st.integers(1, len(points) - 1))) % len(points)
+        distance = float(np.hypot(*(points[u] - points[v])))
+        radius = data.draw(either_side(distance).filter(lambda r: r > 0))
+        assert np.array_equal(generators._close_pairs(points, radius), all_close_pairs(points, radius))
+
+    @pytest.mark.parametrize(("radius", "a", "b"), [(0.25, 0.25, 0.5), (0.2, 0.4, 0.6), (0.125, 0.125, 0.25)])
+    def test_pair_across_a_cell_one_radius_apart(self, radius, a, b):
+        """x just below a lies in the cell before a's, and b - x rounds to the radius: with
+        cells exactly one radius wide, the pair would sit two cells apart and be missed."""
+        q = round(1 / radius)
+        # q*q far points more, so that the cap on the cell count allows q cells a side
+        points = np.array([(np.nextafter(a, 0.0), 0.5), (b, 0.5)] + [(0.99, 0.99)] * (q * q))
+        pairs = generators._close_pairs(points, radius)
+        assert pairs.dtype == np.int64 and pairs[0].tolist() == [0, 1]
+        assert np.array_equal(pairs, all_close_pairs(points, radius))
+
+    @pytest.mark.parametrize(("n", "seed", "radius"), list(EDGE_DIGESTS))
+    def test_edge_arrays_are_pinned(self, n, seed, radius):
+        graph = generate_graph("random-geometric", n, seed=seed, radius=radius)
+        assert [a.dtype for a in graph._edge_arrays] == [np.intp, np.intp, np.float64]
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in graph._edge_arrays)).hexdigest()
+        assert (graph.num_edges, digest) == EDGE_DIGESTS[n, seed, radius]
+
+    @pytest.mark.parametrize(("n", "seed", "radius"), [(1000, 0, 1e-12), (1000, 5, 1e-300), (100, 2, 1e-3)])
+    def test_tiny_radius_is_refused_after_the_budget_in_capped_cells(self, monkeypatch, n, seed, radius):
+        """Uncapped, radius 1e-12 would ask for 1e24 cells; capped, a draw holds kilobytes."""
+        draws = []
+        close_pairs = generators._close_pairs
+        monkeypatch.setattr(generators, "_close_pairs", lambda *args: draws.append(1) or close_pairs(*args))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError) as refused:
+                generate_graph("random-geometric", n, seed=seed, radius=radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == f"no connected graph in 50 draws for n={n}, radius={radius}, seed={seed}"
+        assert len(draws) == generators.RETRY_BUDGET == 50
+        assert peak <= 2**20
 
 
 class TestSignalGenerator:

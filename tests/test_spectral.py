@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from avgsampling import (
     InputError,
+    NumericalError,
     SpectralDecomposition,
     WeightedGraph,
     analyze,
@@ -73,6 +74,17 @@ class TestBuildLaplacian:
         L = build_laplacian(g)
         assert repr(L.tolist()) == repr((np.diag(W.sum(axis=1)) - W).tolist())
         assert not np.signbit(L[3, 3])
+
+    def test_overflowing_degree_is_a_numerical_failure(self):
+        # The row sum once overflowed with a RuntimeWarning, and the eigensolve then
+        # refused the inf diagonal as an input error. Warnings are errors in this suite.
+        star = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1e308), (1, 3, 1e308)])
+        with pytest.raises(NumericalError) as overflow:
+            build_laplacian(star)
+        assert str(overflow.value) == "vertex 1 has a non-finite weighted degree inf: its weights overflow"
+        # one 1e308 edge per vertex keeps every degree finite
+        L = build_laplacian(WeightedGraph.from_edges(3, [(0, 1, 1e308)]))
+        assert L[0, 0] == L[1, 1] == 1e308 and L[2, 2] == 0.0
 
     def test_peak_memory_is_one_matrix(self):
         g = generate_graph("grid2d", 1024)
