@@ -10,6 +10,13 @@ wide, so only pairs inside one cell or in two neighbouring cells are
 candidates. Squared distances decide every candidate away from the radius,
 and ``np.hypot`` decides the few on a thin band around it, so the edge set
 is exactly the all-pairs ``np.hypot(dx, dy) <= radius`` one.
+
+Each generator builds its edges as integer arrays ``lo < hi`` with positive
+weights, valid by construction, and hands them to the graph's constructor
+for valid pairs (``WeightedGraph._from_pairs``), which sorts them once; the
+per-edge checks of ``WeightedGraph.from_edges`` are for input from outside
+the package. The vertex count is checked first, with the integer rule that
+seeds follow.
 """
 from __future__ import annotations
 
@@ -36,42 +43,57 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_integer(seed, "seed", least=0)))
 
 
+def _count(n: int) -> int:
+    """``n`` as an int; InputError unless it is an integer (not a bool). Below 1
+    it is returned as given, for each kind to refuse by its own rule."""
+    return n if n < 1 else _integer(n, "n")
+
+
 def path_graph(n: int) -> WeightedGraph:
+    n = _count(n)
     if n < 1:
         raise InputError(f"path needs n >= 1, got {n}")
-    return WeightedGraph.from_edges(n, np.column_stack([np.arange(n - 1), np.arange(1, n), np.ones(n - 1)]))
+    lo = np.arange(n - 1, dtype=np.intp)
+    return WeightedGraph._from_pairs(n, lo, lo + 1, np.ones(n - 1))
 
 
 def cycle_graph(n: int) -> WeightedGraph:
+    n = _count(n)
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
-    return WeightedGraph.from_edges(n, np.column_stack([np.arange(n), (np.arange(n) + 1) % n, np.ones(n)]))
+    us = np.arange(n, dtype=np.intp)
+    vs = (us + 1) % n
+    return WeightedGraph._from_pairs(n, np.minimum(us, vs), np.maximum(us, vs), np.ones(n))
 
 
 def grid2d_graph(n: int) -> WeightedGraph:
+    n = _count(n)
     side = math.isqrt(n) if n >= 1 else 0  # isqrt refuses negative n
     if side < 1 or side * side != n:
         raise InputError(f"grid2d needs a perfect-square vertex count, got {n}")
-    v = np.arange(n).reshape(side, side)
-    right = np.column_stack([v[:, :-1].ravel(), v[:, 1:].ravel(), np.ones(side * (side - 1))])
-    down = np.column_stack([v[:-1, :].ravel(), v[1:, :].ravel(), np.ones(side * (side - 1))])
-    return WeightedGraph.from_edges(n, np.concatenate([right, down]))
+    v = np.arange(n, dtype=np.intp).reshape(side, side)
+    lo = np.concatenate([v[:, :-1].ravel(), v[:-1, :].ravel()])  # right, then down
+    hi = np.concatenate([v[:, 1:].ravel(), v[1:, :].ravel()])
+    return WeightedGraph._from_pairs(n, lo, hi, np.ones(len(lo)))
 
 
 def erdos_renyi_weighted(n: int, p: float, seed: int) -> WeightedGraph:
     """G(n, p) with edge weights uniform in [0.5, 1.5]; redrawn until connected."""
+    n = _count(n)
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if not (0.0 < p <= 1.0):
         raise InputError(f"edge probability must be in (0, 1], got {p}")
     rng = _rng(seed)
     for _ in range(RETRY_BUDGET):
-        edges = []
+        us, vs, ws = [], [], []
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < p:
-                    edges.append((u, v, float(rng.uniform(0.5, 1.5))))
-        graph = WeightedGraph.from_edges(n, edges)
+                    us.append(u)
+                    vs.append(v)
+                    ws.append(float(rng.uniform(0.5, 1.5)))
+        graph = WeightedGraph._from_pairs(n, np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp), np.array(ws))
         if is_connected(graph):
             return graph
     raise NumericalError(
@@ -165,6 +187,7 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     so every edge decision is the all-pairs ``np.hypot`` one. A draw whose
     graph is not connected is redrawn, up to ``RETRY_BUDGET`` draws.
     """
+    n = _count(n)
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if radius is None:
@@ -174,7 +197,7 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     rng = _rng(seed)
     for _ in range(RETRY_BUDGET):
         pairs = _close_pairs(rng.random((n, 2)), radius)
-        graph = WeightedGraph.from_edges(n, np.column_stack([pairs, np.ones(len(pairs))]))
+        graph = WeightedGraph._from_pairs(n, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
         if is_connected(graph):
             return graph
     raise NumericalError(

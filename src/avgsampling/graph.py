@@ -20,9 +20,12 @@ from .errors import InputError
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1, valid by construction.
 
-    Build one with :meth:`from_edges`, which checks every edge. Each edge is
-    stored once, in ``_edge_arrays``: read-only arrays ``us < vs``, sorted by
-    (u, v), and their positive finite weights ``ws``.
+    One constructor, ``_from_pairs``, lays out every graph: it takes pairs
+    already known valid and stores each edge once, in ``_edge_arrays``:
+    read-only arrays ``us < vs``, sorted by (u, v), and their positive
+    finite weights ``ws``. Input from outside the package goes through
+    :meth:`from_edges`, which checks every edge before handing the valid
+    pairs on; the generators hand over the pairs they built.
 
     Instances are immutable after construction and safe to share across
     threads.
@@ -43,14 +46,10 @@ class WeightedGraph:
         "no edge"). One stable sort of the int64 key
         ``(lo + 1) * (n + 2) + (hi + 1)`` of each pair's ends ``lo <= hi``,
         clipped to [-1, n], orders the edges by (lo, hi), a repeat after the
-        entry it repeats; the bound on n keeps the key below 2**63.
+        entry it repeats; the bound on n keeps the key below 2**63. The
+        valid nonzero-weight pairs then go to ``_from_pairs``.
         """
-        if not n >= 1:  # NaN included
-            raise InputError(f"graph needs at least one vertex, got n={n}")
-        if n > 2**31 - 1:
-            raise InputError(f"graph has at most 2**31 - 1 vertices, got n={n}")
-        if n != int(n):
-            raise InputError(f"vertex count must be a whole number, got n={n}")
+        _vertex_count(n)
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 3:
             us, vs, ws = edges.T
         else:
@@ -84,9 +83,23 @@ class WeightedGraph:
                 raise InputError(f"negative weight {w} on edge ({u},{v})")
             raise InputError(f"duplicate edge ({u},{v})")
         keep = order[ws[order] != 0.0]
+        return cls._from_pairs(n, lo[keep], hi[keep], ws[keep])
+
+    @classmethod
+    def _from_pairs(cls, n: int, lo: np.ndarray, hi: np.ndarray, ws: np.ndarray) -> "WeightedGraph":
+        """The graph of pairs already known valid, with no per-edge check.
+
+        The caller guarantees ``0 <= lo < hi < n``, no pair twice, and finite
+        positive weights ``ws``. Only the rules on n itself are applied. One
+        stable sort of the int64 key ``lo * n + hi`` orders the edges by
+        (lo, hi); the bound on n keeps the key below 2**62.
+        """
+        n = _vertex_count(n)
+        lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+        order = np.argsort(lo.astype(np.int64) * n + hi, kind="stable")
         graph = cls.__new__(cls)
-        graph.n = int(n)
-        graph._edge_arrays = lo[keep], hi[keep], ws[keep]
+        graph.n = n
+        graph._edge_arrays = lo[order], hi[order], np.asarray(ws, dtype=np.float64)[order]
         for arr in graph._edge_arrays:
             arr.flags.writeable = False
         return graph
@@ -109,6 +122,17 @@ class WeightedGraph:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=self.n))])
         indptr.flags.writeable = tails.flags.writeable = False
         return indptr, tails
+
+
+def _vertex_count(n) -> int:
+    """``n`` as an int; InputError unless it is a whole number from 1 to 2**31 - 1."""
+    if not n >= 1:  # NaN included
+        raise InputError(f"graph needs at least one vertex, got n={n}")
+    if n > 2**31 - 1:
+        raise InputError(f"graph has at most 2**31 - 1 vertices, got n={n}")
+    if n != int(n):
+        raise InputError(f"vertex count must be a whole number, got n={n}")
+    return int(n)
 
 
 @dataclass(frozen=True)

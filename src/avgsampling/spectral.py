@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import InputError, NumericalError
 from .graph import WeightedGraph
@@ -80,10 +80,15 @@ class SpectralDecomposition:
 def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix by LAPACK divide and conquer.
 
-    ``scipy.linalg.eigh`` with ``driver="evd"`` (LAPACK ``syevd``): faster
-    than the default MRRR driver ``syevr`` at every size this package runs,
-    with eigenvectors orthonormal to a few ulps, at the price of about
-    ``2 n**2`` doubles of workspace. Inside a repeated eigenvalue the basis
+    Calls LAPACK ``dsyevd`` directly through ``scipy.linalg.lapack``, on the
+    lower triangle with the wrapper's default workspace of
+    ``1 + 6 n + 2 n**2`` doubles. ``scipy.linalg.eigh(..., driver="evd")``
+    makes the same call after a workspace query, which asks for that size
+    too except at small n, where LAPACK runs unblocked code whatever the
+    workspace; so the bits are eigh's, without its Python set-up. Divide and
+    conquer is faster than the MRRR driver ``syevr`` at every size this
+    package runs, with eigenvectors orthonormal to a few ulps, at the price
+    of that workspace. Inside a repeated eigenvalue the basis
     is whatever orthonormal one the driver returns; frames, projections,
     duals and splines do not depend on that choice beyond roundoff, but a
     seeded ``generate_pw_signal`` draw does.
@@ -91,7 +96,10 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     Eigenvalues come in ascending order. Each eigenvector is signed so that
     its first entry above ``1e-12`` of its largest magnitude is positive, so
     identical input on one platform and BLAS build gives identical output.
-    Raises InputError for a non-square, non-finite or non-symmetric matrix.
+    Raises InputError for a non-square, non-finite or non-symmetric matrix,
+    and NumericalError when LAPACK reports a failure or an eigenvalue
+    overflows (finite entries near the largest double can have an infinite
+    eigenvalue).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -100,7 +108,13 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
         raise InputError("matrix contains non-finite entries")
     if matrix.size and np.max(np.abs(matrix - matrix.T)) > 1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
         raise InputError("matrix is not symmetric")
-    values, vectors = sla.eigh(matrix, driver="evd", check_finite=False)
+    values, vectors, info = lapack.dsyevd(matrix, compute_v=1, lower=1)
+    if info != 0:
+        raise NumericalError(f"LAPACK dsyevd failed (info {info})")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise NumericalError(f"eigenvalue {i} is {values[i]}: the spectrum overflows")
     if vectors.size:
         magnitude = np.abs(vectors)
         lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)

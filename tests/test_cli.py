@@ -352,6 +352,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "numerical failure: vertex 0 has a non-finite weighted degree inf: its weights overflow\n"
 
+    def test_overflowing_spectrum_is_exit_two(self, tmp_path, capsys):
+        # finite degrees of 1e308 and an eigenvalue of 2e308: spectrum printed "1,inf" with exit 0
+        graph = write_rows(tmp_path / "g.edges", [(0, 1, 1e308)], sep="\t", header="n=2")
+        code, out, err = run_cli(["spectrum", "--graph", str(graph)], capsys)
+        assert code == 2 and out == ""
+        assert err == "numerical failure: eigenvalue 1 is inf: the spectrum overflows\n"
+
     @pytest.mark.parametrize("argv", [
         ["frame-check", "--generate", "random-geometric", "--n", "20", "--seed", "-1",
          "--clusters", "bfs:1", "--omega", "0.1"],

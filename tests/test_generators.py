@@ -119,6 +119,42 @@ class TestGraphGenerators:
         with pytest.raises(InputError, match="^seed must be a nonnegative integer"):
             generate_graph(kind, 20, seed=seed)
 
+    @pytest.mark.parametrize("kind", generators.GRAPH_KINDS)
+    @pytest.mark.parametrize("n", [16.5, True])
+    def test_vertex_count_must_be_an_integer(self, kind, n):
+        """A fractional n raised a bare TypeError, and n=True built a one-vertex path."""
+        with pytest.raises(InputError, match="^n must be a positive integer"):
+            generate_graph(kind, n, seed=1)
+
+    @pytest.mark.parametrize(("kind", "n", "seed", "p", "radius"), [
+        *[(kind, n, 0, 0.3, None) for kind, least in (("path", 1), ("cycle", 3), ("grid2d", 1))
+          for n in (least, 2025)],
+        *[("erdos-renyi-weighted", n, seed, p, None) for n in (12, 60) for seed in (0, 7) for p in (0.05, 0.3)],
+        *[("random-geometric", n, seed, 0.3, radius) for n in (2, 3, 100, 1000) for seed in (1, 4101)
+          for radius in (None, 0.05, 0.3, 1.5)],
+        # radius 0.3 or 1.5 at n = 4000 makes millions of edges
+        *[("random-geometric", 4000, seed, 0.3, radius) for seed in (1, 4101) for radius in (None, 0.05)],
+    ])
+    def test_generated_graph_equals_its_validated_construction(self, monkeypatch, kind, n, seed, p, radius):
+        """Every draw a generator builds without per-edge checks is the graph that
+        from_edges builds from its edge list, in bytes, dtypes and read-only flags."""
+        built = []
+        from_pairs = WeightedGraph._from_pairs
+        monkeypatch.setattr(WeightedGraph, "_from_pairs",
+                            classmethod(lambda cls, *args: built.append(from_pairs(*args)) or built[-1]))
+        try:
+            generate_graph(kind, n, seed=seed, p=p, radius=radius)
+        except NumericalError:  # no connected draw: each draw is still compared
+            assert len(built) == generators.RETRY_BUDGET
+        monkeypatch.undo()
+        assert built
+        for graph in built:
+            checked = WeightedGraph.from_edges(n, graph.edges())
+            assert graph.n == checked.n == n
+            for mine, theirs in zip(graph._edge_arrays, checked._edge_arrays, strict=True):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+                assert not mine.flags.writeable and not theirs.flags.writeable
+
     def test_numpy_integer_seed_is_its_value(self):
         assert generate_graph("random-geometric", 30, seed=np.int64(4)).edges() == \
             generate_graph("random-geometric", 30, seed=4).edges()

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -169,6 +170,30 @@ class TestEigendecompose:
         d = eigendecompose(np.diag([3.0, 1.0, 2.0]))
         assert d.eigenvalues.tolist() == [1.0, 2.0, 3.0]
         assert np.array_equal(d.eigenvectors, np.eye(3)[:, [1, 2, 0]])
+
+    def test_overflowing_spectrum_is_a_numerical_failure(self):
+        # every entry and degree is finite, but the eigenvalue 2e308 is not
+        L = build_laplacian(WeightedGraph.from_edges(2, [(0, 1, 1e308)]))
+        with pytest.raises(NumericalError, match="^eigenvalue 1 is inf: the spectrum overflows$"):
+            eigendecompose(L)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 31, 32, 33, 64, 100, 300])
+    def test_bits_of_scipy_eigh(self, n):
+        """The direct dsyevd call gives scipy.linalg.eigh's evd bits, then the sign rule."""
+        dense = np.random.default_rng(n).standard_normal((n, n))
+        matrices = [build_laplacian(generate_graph("path", n)), np.triu(dense) + np.triu(dense, 1).T]
+        if math.isqrt(n) ** 2 == n:
+            matrices.append(build_laplacian(generate_graph("grid2d", n)))
+        if n >= 2:
+            matrices.append(build_laplacian(generate_graph("erdos-renyi-weighted", n, seed=n, p=0.3)))
+        for matrix in matrices:
+            values, vectors = scipy.linalg.eigh(matrix, driver="evd")
+            magnitude = np.abs(vectors)
+            lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
+            vectors *= np.where(vectors[lead, np.arange(n)] < 0, -1.0, 1.0)
+            d = eigendecompose(matrix)
+            assert np.array_equal(d.eigenvalues, values)
+            assert np.array_equal(d.eigenvectors, vectors)
 
 
 class TestLambda1:
