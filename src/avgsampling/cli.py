@@ -37,8 +37,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_graph_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", metavar="FILE", help="edge-list file")
-    parser.add_argument("--generate", metavar="KIND", choices=GRAPH_KINDS,
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", metavar="FILE", help="edge-list file")
+    source.add_argument("--generate", metavar="KIND", choices=GRAPH_KINDS,
                         help=f"generate a graph ({'|'.join(GRAPH_KINDS)})")
     parser.add_argument("--n", type=int, help="vertex count for --generate")
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
@@ -49,9 +50,16 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_partition_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--partition", metavar="FILE", help="partition file")
-    parser.add_argument("--clusters", metavar="SPEC",
-                        help="generate clusters: pairs | blocks:<m> | bfs:<r>")
+    cover = parser.add_mutually_exclusive_group(required=True)
+    cover.add_argument("--partition", metavar="FILE", help="partition file")
+    cover.add_argument("--clusters", metavar="SPEC",
+                       help="generate clusters: pairs | blocks:<m> | bfs:<r>")
+
+
+def _add_signal_options(parser: argparse.ArgumentParser) -> None:
+    signal = parser.add_mutually_exclusive_group(required=True)
+    signal.add_argument("--signal", metavar="FILE", help="signal file")
+    signal.add_argument("--random-seed", metavar="INT", type=int, help="seed of a random band signal")
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -59,52 +67,34 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_graph(args) -> WeightedGraph:
-    if args.graph and args.generate:
-        raise InputError("give either --graph or --generate, not both")
-    if args.graph:
-        graph = fileio.read_edge_list(args.graph)
-    elif args.generate:
-        if args.n is None:
-            raise InputError("--generate requires --n")
-        graph = generate_graph(args.generate, args.n, seed=args.seed,
-                               p=args.p, radius=args.radius)
-    else:
-        raise InputError("a graph is required: --graph FILE or --generate KIND --n INT")
-    return graph
+    if args.graph is not None:
+        return fileio.read_edge_list(args.graph)
+    if args.n is None:
+        raise InputError("--generate requires --n")
+    return generate_graph(args.generate, args.n, seed=args.seed, p=args.p, radius=args.radius)
 
 
 def _load_partition(args, graph: WeightedGraph):
-    if args.partition and args.clusters:
-        raise InputError("give either --partition or --clusters, not both")
-    if args.partition:
-        clusters = fileio.read_partition(args.partition)
-    elif args.clusters:
-        spec = args.clusters
-        kind, colon, value = spec.partition(":")
-        if spec == "pairs":
-            clusters = pairs_partition(graph.n)
-        elif colon and kind in ("blocks", "bfs"):
-            try:
-                size = int(value)
-            except ValueError:
-                raise InputError(f"bad --clusters spec {spec!r}; blocks:<m> and bfs:<r> take integers") from None
-            clusters = blocks_partition(graph.n, size) if kind == "blocks" else bfs_partition(graph, size)
-        else:
-            raise InputError(f"bad --clusters spec {spec!r}; use pairs | blocks:<m> | bfs:<r>")
+    if args.partition is not None:
+        return validate_partition(graph, fileio.read_partition(args.partition))
+    spec = args.clusters
+    kind, colon, value = spec.partition(":")
+    if spec == "pairs":
+        clusters = pairs_partition(graph.n)
+    elif colon and kind in ("blocks", "bfs"):
+        try:
+            size = int(value)
+        except ValueError:
+            raise InputError(f"bad --clusters spec {spec!r}; blocks:<m> and bfs:<r> take integers") from None
+        clusters = blocks_partition(graph.n, size) if kind == "blocks" else bfs_partition(graph, size)
     else:
-        raise InputError("a partition is required: --partition FILE or --clusters SPEC")
+        raise InputError(f"bad --clusters spec {spec!r}; use pairs | blocks:<m> | bfs:<r>")
     return validate_partition(graph, clusters)
 
 
 def _read_signal(args, graph) -> np.ndarray | None:
     """The --signal file's values, or None when --random-seed asks for a band signal."""
-    if args.signal and args.random_seed is not None:
-        raise InputError("give either --signal or --random-seed, not both")
-    if args.signal:
-        return fileio.read_signal(args.signal, n=graph.n)
-    if args.random_seed is None:
-        raise InputError("a signal is required: --signal FILE or --random-seed INT")
-    return None
+    return None if args.signal is None else fileio.read_signal(args.signal, n=graph.n)
 
 
 def _band_signal(args, decomp, signal: np.ndarray | None) -> tuple[np.ndarray, float]:
@@ -166,7 +156,8 @@ def _cmd_reconstruct(args) -> int:
     signal = _read_signal(args, graph)
     decomp = eigendecompose(build_laplacian(graph))
     truth, truth_norm = _band_signal(args, decomp, signal)
-    frame = build_frame_system(decomp, partition, args.omega, args.alpha)
+    # alpha only sets gamma, which recovery neither uses nor reports.
+    frame = build_frame_system(decomp, partition, args.omega, 1.0)
     samples = analyze(partition, truth)
     if args.method == "frame-iter":
         config = FrameIterationConfig(mu=args.mu, max_iter=args.max_iter, tol=args.tol)
@@ -227,13 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_options(p_rec)
     _add_partition_options(p_rec)
     p_rec.add_argument("--omega", type=float, required=True)
-    p_rec.add_argument("--alpha", type=float, default=1.0)
     p_rec.add_argument("--method", choices=("frame-iter", "dual"), default="dual")
     p_rec.add_argument("--mu", type=float, default=None, help="relaxation parameter")
     p_rec.add_argument("--tol", type=float, default=1e-10)
     p_rec.add_argument("--max-iter", type=int, default=10000)
-    p_rec.add_argument("--signal", metavar="FILE")
-    p_rec.add_argument("--random-seed", type=int, default=None)
+    _add_signal_options(p_rec)
     _add_output_options(p_rec)
     p_rec.set_defaults(func=_cmd_reconstruct)
 
@@ -243,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spl.add_argument("--k", type=int, action="append", help="spline order (repeatable)")
     p_spl.add_argument("--omega", type=float, required=True)
     p_spl.add_argument("--alpha", type=float, default=1.0)
-    p_spl.add_argument("--signal", metavar="FILE")
-    p_spl.add_argument("--random-seed", type=int, default=None)
+    _add_signal_options(p_spl)
     _add_output_options(p_spl)
     p_spl.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
     p_spl.set_defaults(func=_cmd_spline)

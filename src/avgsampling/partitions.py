@@ -249,10 +249,7 @@ class FrameSystem:
     below ``RANK_CUTOFF`` times the largest dropped), the Gram matrix
     ``gram`` (``analysis.T @ analysis``), and the ``singular_values`` and
     right singular vectors ``right_vectors`` (as columns, m x min(J, m)) come
-    from ``analysis`` by one thin SVD. ``_schedules`` memoises the frame
-    iteration's step schedule per ``(mu, tol, max_iter)``: built by the first
-    ``reconstruct.frame_algorithm`` call with that config, it holds at most
-    two ``reconstruct._ERROR_LOG_BLOCK`` x m tables of doubles.
+    from ``analysis`` by one thin SVD.
     """
 
     omega: float
@@ -266,7 +263,6 @@ class FrameSystem:
     gram: np.ndarray = field(repr=False)  # m x m
     singular_values: np.ndarray = field(repr=False)  # min(J, m), descending
     right_vectors: np.ndarray = field(repr=False)  # m x min(J, m)
-    _schedules: dict = field(repr=False)
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a FrameSystem with build_frame_system")
@@ -300,12 +296,13 @@ def _gamma(omega: float, alpha: float, lambda_xi: float) -> float:
     """The contraction parameter gamma = (1+alpha)/alpha * omega/Lambda.
 
     0 when every cluster is a singleton (Lambda = +inf: averages are point
-    samples); +inf when Lambda is not positive, so no guarantee applies.
+    samples); +inf when Lambda is not positive (NaN included), so no
+    guarantee applies.
     """
     _check_alpha(alpha)
-    if not math.isfinite(lambda_xi):
+    if lambda_xi == math.inf:
         return 0.0
-    if lambda_xi <= 0:
+    if not lambda_xi > 0:
         return math.inf
     return (1.0 + alpha) / alpha * omega / lambda_xi
 
@@ -349,7 +346,7 @@ def _frame(analysis: np.ndarray, basis: np.ndarray, omega: float, alpha: float, 
     vars(frame).update(omega=omega, alpha=alpha, analysis=analysis, basis=basis,
                        gamma=_gamma(omega, alpha, lambda_xi), lower=float(singular[-1] ** 2) if J >= m else 0.0,
                        upper=float(singular[0] ** 2), pinv=pinv, gram=gram, singular_values=singular,
-                       right_vectors=right, _schedules={})
+                       right_vectors=right)
     return frame
 
 
@@ -359,15 +356,18 @@ def optimal_alpha(omega: float, lambda_xi: float) -> tuple[float, float]:
     With r = omega/Lambda the bound is 1/(1+alpha) - r/alpha, maximal at
     alpha* = sqrt(r)/(1 - sqrt(r)), where it equals (1 - sqrt(r))**2 (and
     gamma = sqrt(r)). Returns (alpha*, bound); omega = 0 gives (0.0, 1.0).
-    Requires 0 <= omega < Lambda, since otherwise no alpha makes gamma < 1.
+    Requires 0 <= omega < Lambda, since otherwise no alpha makes gamma < 1,
+    and refuses a NaN Lambda.
     """
     if not omega >= 0:
         raise InputError(f"omega must be nonnegative, got {omega}")
-    if not math.isfinite(lambda_xi):
+    if lambda_xi == math.inf:
         # Point samples: gamma is 0 for every alpha and the bound 1/(1+alpha)
         # has no interior maximum; report the open-end supremum.
         return 0.0, 1.0
-    if omega >= lambda_xi:
+    if not omega < lambda_xi:
+        if math.isnan(lambda_xi):
+            raise InputError("partition constant Lambda is NaN")
         raise InputError(f"no alpha yields gamma < 1 for omega={omega} >= Lambda={lambda_xi}")
     root = math.sqrt(omega / lambda_xi)
     # 1 - sqrt(r) = (1 - r)/(1 + sqrt(r)) stays positive when r rounds near 1.

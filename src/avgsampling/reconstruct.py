@@ -10,12 +10,12 @@ SVD ``A = U S V^T``, in which mode i contracts by ``1 - mu*sigma_i^2`` per
 step. The step count is the first k whose residual meets the tolerance. The
 decay of every mode over the first steps, and the share ``1 - rho^k`` of the
 fixed point each mode has reached, are tabulated once per frame and config,
-in a step schedule memoised on the frame that holds two tables of at most
-``_ERROR_LOG_BLOCK`` steps of m doubles each; a signal reads its step count
-off one product with the first table and its iterate's mode weights off a
-row of the second, and steps past them are found by bisection and evaluated
-afresh. A signal thus costs a few m x m matvecs whatever the number of
-steps. The direct route applies the canonical dual frame, the minimum-norm
+in a step schedule memoised per frame in ``_SCHEDULES`` that holds two
+tables of at most ``_ERROR_LOG_BLOCK`` steps of m doubles each; a signal
+reads its step count off one product with the first table and its iterate's
+mode weights off a row of the second, and steps past them are found by
+bisection and evaluated afresh. A signal thus costs a few m x m matvecs
+whatever the number of steps. The direct route applies the canonical dual frame, the minimum-norm
 least-squares solve ``c = pinv(A) s``. The singular vectors,
 the Gram matrix ``G = A^T A`` and ``pinv(A)`` are all formed once in
 ``build_frame_system``, from the one thin SVD that gives the frame bounds.
@@ -23,6 +23,7 @@ the Gram matrix ``G = A^T A`` and ``pinv(A)`` are all formed once in
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ from .partitions import FrameSystem, _integer
 #: step schedule's two tables, which bounds each to this many band-coefficient
 #: vectors.
 _ERROR_LOG_BLOCK = 1024
+
+#: Each live frame's step schedules, keyed by ``(mu, tol, max_iter)``.
+_SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,12 @@ def _complement(positive: np.ndarray, rho: np.ndarray, log_rho: np.ndarray, step
 
 
 def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> _StepSchedule:
-    """The step schedule of a frame for a checked config, memoised on the frame."""
+    """The step schedule of a frame for a checked config, memoised in ``_SCHEDULES``."""
     key = (mu, tol, max_iter)
-    schedule = frame._schedules.get(key)
+    schedules = _SCHEDULES.get(frame)
+    if schedules is None:
+        schedules = _SCHEDULES[frame] = {}
+    schedule = schedules.get(key)
     if schedule is not None:
         return schedule
     eta = max(abs(1.0 - mu * frame.lower), abs(1.0 - mu * frame.upper))
@@ -142,7 +149,7 @@ def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> 
     complement = np.stack([_complement(positive, rho, log_rho, k) for k in steps])
     for derived in (sigma2, rho, positive, log_rho, decay, complement):
         derived.flags.writeable = False
-    schedule = frame._schedules[key] = _StepSchedule(
+    schedule = schedules[key] = _StepSchedule(
         eta, sigma2, rho, positive, log_rho, bracket, decay, complement)
     return schedule
 
@@ -183,7 +190,7 @@ def frame_algorithm(
     step, so after k steps the iterate is ``V ((1 - rho^k)/sigma^2 * y)`` and
     the residual is ``norm(rho^k * y) / norm(y)``. That residual never
     increases with k. The first call with a given ``(mu, tol, max_iter)``
-    tabulates ``rho^(2k)`` and ``1 - rho^k`` on the frame for every step up
+    tabulates ``rho^(2k)`` and ``1 - rho^k`` once per frame for every step up
     to the one by which ``eta^k`` meets ``tol``, capped at
     ``_ERROR_LOG_BLOCK`` steps, so one table product gives the first step
     meeting ``tol`` and one table row its iterate; beyond the tables the step

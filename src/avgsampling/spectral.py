@@ -67,15 +67,6 @@ class SpectralDecomposition:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    @property
-    def default_zero_tol(self) -> float:
-        """Threshold below which an eigenvalue counts as zero, relative to lambda_max.
-
-        Relative at every scale, so that scaling the weights scales the
-        threshold with the spectrum.
-        """
-        return 1e-9 * abs(self.lambda_max)
-
 
 def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix by LAPACK divide and conquer.
@@ -106,8 +97,9 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
         raise InputError(f"expected a square matrix, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise InputError("matrix contains non-finite entries")
-    if matrix.size and np.max(np.abs(matrix - matrix.T)) > 1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
-        raise InputError("matrix is not symmetric")
+    with np.errstate(over="ignore"):  # an overflowing difference is infinite, so still refused
+        if matrix.size and np.max(np.abs(matrix - matrix.T)) > 1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
+            raise InputError("matrix is not symmetric")
     values, vectors, info = lapack.dsyevd(matrix, compute_v=1, lower=1)
     if info != 0:
         raise NumericalError(f"LAPACK dsyevd failed (info {info})")
@@ -157,9 +149,3 @@ def pw_project(decomp: SpectralDecomposition, omega: float, f: np.ndarray) -> np
     if f.shape != (decomp.n,):
         raise InputError(f"signal shape {f.shape} does not match n={decomp.n}")
     return space.basis @ (space.basis.T @ f)
-
-
-def _power_weights(decomp: SpectralDecomposition, s: float) -> np.ndarray:
-    """lambda**(s/2) per eigenvalue, each at or below ``default_zero_tol`` (roundoff kernel) pinned to 0."""
-    lam = decomp.eigenvalues
-    return np.where(lam > decomp.default_zero_tol, lam, 0.0) ** (s / 2.0)

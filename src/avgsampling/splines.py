@@ -36,7 +36,7 @@ from scipy.linalg import lapack, qr
 
 from .errors import InputError, NumericalError
 from .partitions import ClusterPartition, _cluster_rows, _gamma, _integer, analyze
-from .spectral import SpectralDecomposition, _power_weights, pw_project
+from .spectral import SpectralDecomposition, pw_project
 
 #: Refuse spline solves whose equilibrated system is estimated worse than this.
 CONDITION_LIMIT = 1e14
@@ -49,7 +49,6 @@ class SplineSolution:
     condition estimate (lambda_max/lambda_1)**(k/2); equal only to itself."""
 
     signal: np.ndarray
-    order: int
     kkt_residual: float
     condition_estimate: float
 
@@ -98,6 +97,12 @@ def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _Splin
     B.flags.writeable = kernel.flags.writeable = False
     basis = _BASES[decomp] = _SplineBasis(partition, B, kernel)
     return basis
+
+
+def _power_weights(decomp: SpectralDecomposition, s: float) -> np.ndarray:
+    """lambda**(s/2) per eigenvalue, the roundoff kernel (at or below ``1e-9 * abs(lambda_max)``) pinned to 0."""
+    lam = decomp.eigenvalues
+    return np.where(lam > 1e-9 * abs(decomp.lambda_max), lam, 0.0) ** (s / 2.0)
 
 
 def _condition_estimate(decomp: SpectralDecomposition, k: int) -> float:
@@ -203,12 +208,7 @@ def solve_spline(
     factors = _order_factors(decomp, basis, k)
     coeffs, signal = _spline(decomp, basis, factors, basis.constraints.T @ targets)
     defect, scale = _smoothness_defect(basis.kernel, factors, factors.weights * coeffs)
-    return SplineSolution(
-        signal=signal,
-        order=k,
-        kkt_residual=defect / scale,
-        condition_estimate=factors.condition,
-    )
+    return SplineSolution(signal=signal, kkt_residual=defect / scale, condition_estimate=factors.condition)
 
 
 def interpolate(

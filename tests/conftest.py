@@ -22,8 +22,7 @@ from avgsampling import (
     pairs_partition,
     validate_partition,
 )
-from avgsampling.spectral import _power_weights
-from avgsampling.splines import _basis, _order_factors, _smoothness_defect
+from avgsampling.splines import _basis, _order_factors, _power_weights, _smoothness_defect
 
 settings.register_profile(
     "deterministic",

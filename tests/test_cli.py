@@ -27,7 +27,11 @@ def child_env(**overrides) -> dict:
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    """Exit code, stdout and stderr of one run; the parser refuses arguments by SystemExit."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -250,7 +254,7 @@ class TestInputChecksBeforeEigensolve:
         (["--clusters", "blocks:0"], "block size"),
         (["--partition", "uncovered"], "not covered"),
         (["--partition", "missing"], "No such file"),
-        ([], "partition is required"),
+        ([], "one of the arguments --partition --clusters is required"),
     ])
     def test_bad_partition(self, command, partition, message, no_eigensolve, tmp_path, capsys):
         if partition[:1] == ["--partition"]:
@@ -286,8 +290,8 @@ class TestInputChecksBeforeEigensolve:
     @pytest.mark.parametrize("signal, message", [
         (["--signal", "short"], "signal has 2 values, expected 6"),
         (["--signal", "unparsable"], "unparsable signal value 'x'"),
-        (["--signal", "good", "--random-seed", "0"], "not both"),
-        ([], "a signal is required"),
+        (["--signal", "good", "--random-seed", "0"], "argument --random-seed: not allowed with argument --signal"),
+        ([], "one of the arguments --signal --random-seed is required"),
     ])
     def test_bad_signal(self, command, signal, message, no_eigensolve, tmp_path, capsys):
         contents = {"short": "1.0\n2.0\n", "unparsable": "0\n1\nx\n3\n4\n5\n", "good": "0\n1\n2\n3\n4\n5\n"}
@@ -317,7 +321,7 @@ class TestExitCodes:
     def test_missing_graph_is_usage_error(self, capsys):
         code, _, err = run_cli(["spectrum"], capsys)
         assert code == 1
-        assert "graph is required" in err
+        assert err.startswith("usage:") and "one of the arguments --graph --generate is required" in err
 
     def test_unknown_flag_is_usage_error(self):
         proc = subprocess.run(
@@ -471,3 +475,32 @@ def test_every_public_dataclass_holding_arrays_is_equal_only_to_itself():
         assert type(one) is public[name]
         assert one == one and one != other, name
         assert hash(one) == hash(one) and {one: 1, other: 2}[other] == 2, name
+
+
+def test_value_types_stay_as_built():
+    """A graph, its decomposition, a band, a partition and a frame hold only
+    what they were built with after every stage has used them: numbers,
+    strings, tuples of those and read-only arrays, so no module keeps a cache
+    on another's value."""
+    graph = avgsampling.generate_graph("grid2d", 100)
+    decomp = avgsampling.eigendecompose(avgsampling.build_laplacian(graph))
+    space = avgsampling.pw_space(decomp, 3.22)
+    partition = avgsampling.validate_partition(graph, avgsampling.bfs_partition(graph, 1))
+    frame = avgsampling.build_frame_system(decomp, partition, 3.22, 1.0)
+    f = avgsampling.generate_pw_signal(decomp, 3.22, 0)
+    samples = avgsampling.analyze(partition, f)
+    for config in (avgsampling.FrameIterationConfig(), avgsampling.FrameIterationConfig(mu=1.0 / frame.upper)):
+        avgsampling.frame_algorithm(frame, samples, config)
+    avgsampling.dual_frame_reconstruct(frame, samples)
+    avgsampling.interpolate(decomp, partition, f, 2)
+
+    def as_built(value) -> bool:
+        if isinstance(value, tuple):
+            return all(map(as_built, value))
+        if isinstance(value, np.ndarray):
+            return not value.flags.writeable
+        return isinstance(value, (int, float, str, np.number))
+
+    for value_object in (graph, decomp, space, partition, frame):
+        for name, value in vars(value_object).items():
+            assert as_built(value), (type(value_object).__name__, name, type(value).__name__)

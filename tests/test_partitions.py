@@ -689,6 +689,17 @@ class TestOptimalAlpha:
         with pytest.raises(InputError, match="nonnegative"):
             optimal_alpha(omega, 2.0)
 
+    @pytest.mark.parametrize("lambda_xi, gamma", [(math.nan, math.inf), (-math.inf, math.inf),
+                                                  (math.inf, 0.0), (0.0, math.inf)])
+    def test_point_samples_only_for_infinite_constant(self, lambda_xi, gamma):
+        # a NaN or -inf constant once certified the point-sample answer (0.0, 1.0)
+        assert _gamma(0.5, 1.0, lambda_xi) == gamma
+        if lambda_xi == math.inf:
+            assert optimal_alpha(0.5, lambda_xi) == (0.0, 1.0)
+        else:
+            with pytest.raises(InputError, match="is NaN" if math.isnan(lambda_xi) else "no alpha yields"):
+                optimal_alpha(0.5, lambda_xi)
+
     def test_zero_omega_matches_point_samples(self):
         assert optimal_alpha(0.0, 2.0) == (0.0, 1.0)
         assert optimal_alpha(0.0, math.inf) == optimal_alpha(0.7, math.inf) == (0.0, 1.0)

@@ -22,7 +22,7 @@ from avgsampling import (
     validate_partition,
 )
 from avgsampling.partitions import _frame
-from avgsampling.reconstruct import _ERROR_LOG_BLOCK
+from avgsampling.reconstruct import _ERROR_LOG_BLOCK, _SCHEDULES
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +370,7 @@ class TestStepSchedule:
             expected, iterations, _ = richardson_reference(frame.analysis, samples, mu, config.tol)
             assert abs(result.iterations - iterations) <= 1
             assert np.linalg.norm(result.coefficients - expected) <= 1e-10 * np.linalg.norm(expected)
-        (schedule,) = frame._schedules.values()
+        (schedule,) = _SCHEDULES[frame].values()
         assert schedule.bracket > _ERROR_LOG_BLOCK
         assert schedule.decay.shape == (_ERROR_LOG_BLOCK, frame.dim)
 
@@ -393,7 +393,7 @@ class TestStepSchedule:
         for frame, samples in cases:
             for mu in (None, 1.99 / frame.upper):
                 frame_algorithm(frame, samples, FrameIterationConfig(mu=mu))
-            for schedule in frame._schedules.values():
+            for schedule in _SCHEDULES[frame].values():
                 assert schedule.complement.shape == schedule.decay.shape
                 for k, row in enumerate(schedule.complement, start=1):
                     assert np.array_equal(row, per_step_complement(schedule, k))
@@ -401,7 +401,7 @@ class TestStepSchedule:
                 past = len(schedule.complement)
                 for k in (past + 1, past + 2, max(past + 1, schedule.bracket)):
                     assert np.array_equal(schedule.complement_after(k), per_step_complement(schedule, k))
-        assert len(long._schedules[(2.0 / (long.lower + long.upper), 1e-10, 10000)].complement) == _ERROR_LOG_BLOCK
+        assert len(_SCHEDULES[long][(2.0 / (long.lower + long.upper), 1e-10, 10000)].complement) == _ERROR_LOG_BLOCK
 
     def test_bool_budget_refused_after_a_one_step_schedule(self, frame64, path64):
         # True == 1 and both hash alike, so a memo keyed on the unchecked
@@ -410,7 +410,7 @@ class TestStepSchedule:
         frame = unmemoised(frame64, part)
         samples = analyze(part, generate_pw_signal(d, 0.5, 0))
         frame_algorithm(frame, samples, FrameIterationConfig(max_iter=1))
-        assert [key[2] for key in frame._schedules] == [1]
+        assert [key[2] for key in _SCHEDULES[frame]] == [1]
         with pytest.raises(InputError, match="max_iter"):
             frame_algorithm(frame, samples, FrameIterationConfig(max_iter=True))
 
@@ -424,13 +424,13 @@ class TestStepSchedule:
                 fresh = frame_algorithm(unmemoised(frame, part), samples, config)
                 result = frame_algorithm(shared, samples, config)
                 assert_same_run(result, (fresh.iterations, fresh.coefficients, fresh.residual, fresh.converged))
-        assert len(shared._schedules) == len(configs)
+        assert len(_SCHEDULES[shared]) == len(configs)
 
     def test_arrays_read_only(self, grid_frame):
         d, part, frame = grid_frame
         frame_algorithm(frame, analyze(part, generate_pw_signal(d, 3.22, 0)))
-        assert frame._schedules
-        for schedule in frame._schedules.values():
+        assert _SCHEDULES[frame]
+        for schedule in _SCHEDULES[frame].values():
             arrays = [value for value in vars(schedule).values() if isinstance(value, np.ndarray)]
             assert len(arrays) == 6
             for array in arrays:

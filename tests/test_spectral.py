@@ -159,6 +159,11 @@ class TestEigendecompose:
         with pytest.raises(InputError):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_nonsymmetric_without_overflow_warning(self):
+        # the difference of 1e308 and -1e308 overflows: refused before with numpy's RuntimeWarning
+        with pytest.raises(InputError, match="matrix is not symmetric"):
+            eigendecompose(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         m = np.eye(3)

@@ -58,7 +58,7 @@ def reference_spline(decomp, partition, targets: np.ndarray, k: int) -> np.ndarr
     J = B.shape[0]
     kernel = qr(B.T)[0][:, J:]
     lam = decomp.eigenvalues
-    weights = np.where(lam > decomp.default_zero_tol, np.maximum(lam, 0.0), 0.0) ** (k / 2.0)
+    weights = np.where(lam > 1e-9 * abs(decomp.lambda_max), np.maximum(lam, 0.0), 0.0) ** (k / 2.0)
     feasible = B.T @ targets
     y = np.zeros(kernel.shape[1])
     if y.size:
@@ -184,8 +184,11 @@ class TestSolveSpline:
     def test_numpy_integer_orders_accepted(self, path64):
         _, d, part = path64
         f = generate_pw_signal(d, 0.5, 21)
-        sol = solve_spline(d, part, np.zeros(32), np.int64(4))
-        assert type(sol.order) is int
+        targets = analyze(part, f)
+        sol = solve_spline(d, part, targets, np.int64(4))
+        assert np.array_equal(sol.signal, solve_spline(d, part, targets, 4).signal)
+        orders = splines._basis(d, part).factors
+        assert 4 in orders and all(type(k) is int for k in orders)
         rows = spline_convergence_experiment(d, part, 0.5, 1.0, f, np.array([1, 2, 4], dtype=np.int32))
         assert [type(row.order) for row in rows] == [int] * 3
         assert [row.order for row in rows] == [1, 2, 4]
