@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -113,19 +112,21 @@ class WeightedGraph:
     def num_edges(self) -> int:
         return len(self._edge_arrays[0])
 
-    @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``indptr`` and ``indices``, each vertex's neighbours ascending."""
-        us, vs, _ = self._edge_arrays
-        heads, tails = np.concatenate([us, vs]), np.concatenate([vs, us])
-        tails = tails[np.argsort(heads * self.n + tails)]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=self.n))])
-        indptr.flags.writeable = tails.flags.writeable = False
-        return indptr, tails
+
+def _adjacency(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``indptr`` and ``indices`` of a graph, each vertex's neighbours ascending."""
+    us, vs, _ = graph._edge_arrays
+    heads, tails = np.concatenate([us, vs]), np.concatenate([vs, us])
+    tails = tails[np.argsort(heads * graph.n + tails)]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=graph.n))])
+    indptr.flags.writeable = tails.flags.writeable = False
+    return indptr, tails
 
 
 def _vertex_count(n) -> int:
-    """``n`` as an int; InputError unless it is a whole number from 1 to 2**31 - 1."""
+    """``n`` as an int; InputError unless it is a whole number (not a bool) from 1 to 2**31 - 1."""
+    if isinstance(n, (bool, np.bool_)):
+        raise InputError(f"vertex count must be a whole number, not a bool, got n={n!r}")
     if not n >= 1:  # NaN included
         raise InputError(f"graph needs at least one vertex, got n={n}")
     if n > 2**31 - 1:

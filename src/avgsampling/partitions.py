@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import InputError, NumericalError
-from .graph import WeightedGraph, _components
+from .graph import WeightedGraph, _adjacency, _components
 from .spectral import SpectralDecomposition, pw_space
 
 #: Singular values at or below this fraction of the largest are treated as
@@ -402,7 +402,7 @@ def bfs_partition(graph: WeightedGraph, radius: int) -> list[tuple[int, ...]]:
     to unassigned vertices, so every cluster induces a connected subgraph.
     """
     radius = _integer(radius, "radius", least=0)
-    indptr, indices = graph._adjacency
+    indptr, indices = _adjacency(graph)
     # A ball is too small for numpy calls to pay; the memoryview turns only
     # the neighbour slices the frontier reads into Python ints.
     indptr, indices = indptr.tolist(), memoryview(indices)

@@ -87,10 +87,10 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     Eigenvalues come in ascending order. Each eigenvector is signed so that
     its first entry above ``1e-12`` of its largest magnitude is positive, so
     identical input on one platform and BLAS build gives identical output.
-    Raises InputError for a non-square, non-finite or non-symmetric matrix,
-    and NumericalError when LAPACK reports a failure or an eigenvalue
-    overflows (finite entries near the largest double can have an infinite
-    eigenvalue).
+    Raises InputError for a non-square or non-finite matrix, or one whose
+    asymmetry exceeds ``1e-10`` of its largest entry, at any scale; and
+    NumericalError when LAPACK reports a failure or an eigenvalue overflows
+    (finite entries near the largest double can have an infinite eigenvalue).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -98,7 +98,7 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     if not np.all(np.isfinite(matrix)):
         raise InputError("matrix contains non-finite entries")
     with np.errstate(over="ignore"):  # an overflowing difference is infinite, so still refused
-        if matrix.size and np.max(np.abs(matrix - matrix.T)) > 1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
+        if matrix.size and np.max(np.abs(matrix - matrix.T)) > 1e-10 * np.max(np.abs(matrix)):
             raise InputError("matrix is not symmetric")
     values, vectors, info = lapack.dsyevd(matrix, compute_v=1, lower=1)
     if info != 0:

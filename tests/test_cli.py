@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import avgsampling
-from avgsampling.cli import main
+from avgsampling.cli import build_parser, main
 from avgsampling import InputError, demo_path, generate_graph
 
 from conftest import write_rows
@@ -304,6 +304,38 @@ class TestInputChecksBeforeEigensolve:
         assert code == 1 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("command", [["spectrum"], ["reconstruct", "--partition", "missing.clusters",
+                                                        "--omega", "0.5", "--signal", "missing.sig"]])
+    @pytest.mark.parametrize("graph, message", [
+        (["--graph", "missing.edges", "--n", "50"], "--n is read only by --generate, not with --graph"),
+        (["--graph", "missing.edges", "--seed", "0"], "--seed is read only by --generate, not with --graph"),
+        (["--graph", "missing.edges", "--p", "0.5"], "--p is read only by --generate, not with --graph"),
+        (["--graph", "missing.edges", "--radius", "0.1"], "--radius is read only by --generate, not with --graph"),
+        (["--generate", "path", "--n", "4", "--p", "0.9"],
+         "--p is read only by --generate erdos-renyi-weighted, not by --generate path"),
+        (["--generate", "random-geometric", "--n", "20", "--p", "0.9"],
+         "--p is read only by --generate erdos-renyi-weighted, not by --generate random-geometric"),
+        (["--generate", "path", "--n", "4", "--radius", "0.1"],
+         "--radius is read only by --generate random-geometric, not by --generate path"),
+        (["--generate", "erdos-renyi-weighted", "--n", "20", "--radius", "0.1"],
+         "--radius is read only by --generate random-geometric, not by --generate erdos-renyi-weighted"),
+    ])
+    def test_unread_generator_option(self, command, graph, message, no_eigensolve, tmp_path, monkeypatch, capsys):
+        """Refused before any file is read: each named file is missing."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([*command, *graph], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("graph", [
+        ["--generate", "path", "--n", "4", "--seed", "3"],
+        ["--generate", "erdos-renyi-weighted", "--n", "20", "--p", "0.5", "--seed", "1"],
+        ["--generate", "random-geometric", "--n", "20", "--radius", "0.6", "--seed", "1"],
+    ])
+    def test_generator_options_read_by_the_kind_reach_the_eigensolve(self, graph, no_eigensolve):
+        with pytest.raises(AssertionError, match="eigensolve ran"):
+            main(["spectrum", *graph])
+
     def test_non_finite_weight_file(self, no_eigensolve, tmp_path, capsys):
         path = tmp_path / "nan.edges"
         path.write_text("n=3\n0\t1\t1.0\n1\t2\tnan\n", encoding="utf-8")
@@ -427,6 +459,41 @@ class TestExitCodes:
         assert proc.stdout.startswith("index,eigenvalue")
 
 
+GRAPH_OPTIONS = {"--graph", "--generate", "--n", "--seed", "--p", "--radius"}
+GRAPH_GROUP = (frozenset({"--graph", "--generate"}), True)
+COVER_GROUP = (frozenset({"--partition", "--clusters"}), True)
+SIGNAL_GROUP = (frozenset({"--signal", "--random-seed"}), True)
+CLI_SURFACE = {
+    "spectrum": (GRAPH_OPTIONS | {"--out", "--format"}, set(), {GRAPH_GROUP}),
+    "frame-check": (GRAPH_OPTIONS | {"--partition", "--clusters", "--omega", "--alpha", "--out"},
+                    {"--omega"}, {GRAPH_GROUP, COVER_GROUP}),
+    "reconstruct": (GRAPH_OPTIONS | {"--partition", "--clusters", "--omega", "--method", "--mu", "--tol",
+                                     "--max-iter", "--signal", "--random-seed", "--out"},
+                    {"--omega"}, {GRAPH_GROUP, COVER_GROUP, SIGNAL_GROUP}),
+    "spline": (GRAPH_OPTIONS | {"--partition", "--clusters", "--k", "--omega", "--alpha", "--signal",
+                                "--random-seed", "--out", "--format"},
+               {"--omega"}, {GRAPH_GROUP, COVER_GROUP, SIGNAL_GROUP}),
+    "demo-path": ({"--n", "--omega", "--alpha", "--seed", "--trials", "--out"}, {"--n", "--omega"}, set()),
+}
+
+
+def test_cli_surface():
+    """Each subcommand's option strings, its required options and its
+    either-or groups (their options and whether one is required)."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.choices and a.dest == "command").choices
+    surface = {}
+    for name, command in commands.items():
+        actions = [a for a in command._actions if a.dest != "help"]
+        surface[name] = (
+            {s for a in actions for s in a.option_strings},
+            {a.option_strings[0] for a in actions if a.required},
+            {(frozenset(s for a in group._group_actions for s in a.option_strings), group.required)
+             for group in command._mutually_exclusive_groups},
+        )
+    assert surface == CLI_SURFACE
+
+
 def read_names(paths) -> set[str]:
     """Every name the code in ``paths`` reads, bare or as an attribute; a
     definition, an import or a docstring reads none."""
@@ -504,3 +571,4 @@ def test_value_types_stay_as_built():
     for value_object in (graph, decomp, space, partition, frame):
         for name, value in vars(value_object).items():
             assert as_built(value), (type(value_object).__name__, name, type(value).__name__)
+    assert set(vars(graph)) == {"n", "_edge_arrays"}

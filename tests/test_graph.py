@@ -15,7 +15,7 @@ from avgsampling import (
     is_connected,
     validate,
 )
-from avgsampling.graph import _components
+from avgsampling.graph import _adjacency, _components
 from conftest import gradient_sq
 
 
@@ -151,7 +151,7 @@ def assert_matches_reference(graph, n, expected):
     assert repr(graph.edges()) == repr(expected)
     assert graph.n == n and graph.num_edges == len(expected)
     indptr, indices, matrix = reference_views(n, expected)
-    assert [arr.tolist() for arr in graph._adjacency] == [indptr, indices]
+    assert [arr.tolist() for arr in _adjacency(graph)] == [indptr, indices]
     W = np.array(matrix, dtype=float).reshape(n, n)
     assert repr(build_laplacian(graph).tolist()) == repr((np.diag(W.sum(axis=1)) - W).tolist())
 
@@ -249,6 +249,13 @@ class TestConstructors:
         assert type(g.n) is int and g.n == 4
         assert g.edges() == [(0, 1, 2.0), (2, 3, 1.0)]
 
+    @pytest.mark.parametrize("n", [True, False, np.True_, np.False_])
+    def test_boolean_vertex_count_refused(self, n):
+        """True once built a 1-vertex graph; generate_graph("path", True) refuses it too."""
+        for edges in ([], np.empty((0, 3))):
+            with pytest.raises(InputError, match="^vertex count must be a whole number, not a bool"):
+                WeightedGraph.from_edges(n, edges)
+
     @pytest.mark.parametrize("args", [(2, {}), (2, {(0, 1): 1.0, (1, 0): 2.0}), (2, [(0, 1, -1.0)])])
     def test_no_constructor_but_from_edges(self, args):
         with pytest.raises(TypeError, match="from_edges"):
@@ -273,7 +280,7 @@ class TestConstructors:
 
     def test_stored_and_derived_arrays_are_read_only(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (2, 1, 2.0)])
-        for arr in (*g._edge_arrays, *g._adjacency):
+        for arr in (*g._edge_arrays, *_adjacency(g)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0

@@ -159,6 +159,17 @@ class TestEigendecompose:
         with pytest.raises(InputError):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_symmetry_check_is_relative_to_the_scale(self, scale):
+        """An asymmetric matrix is refused and a Laplacian with roundoff-sized
+        asymmetry accepted at every scale; 1e-150 once passed the lower triangle on."""
+        with pytest.raises(InputError, match="matrix is not symmetric"):
+            eigendecompose(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        L = scale * build_laplacian(generate_graph("path", 6))
+        L[0, 1] *= 1 + 1e-13
+        values = eigendecompose(L).eigenvalues / scale
+        assert values == pytest.approx(2 - 2 * np.cos(np.arange(6) * np.pi / 6), abs=1e-12)
+
     def test_rejects_nonsymmetric_without_overflow_warning(self):
         # the difference of 1e308 and -1e308 overflows: refused before with numpy's RuntimeWarning
         with pytest.raises(InputError, match="matrix is not symmetric"):
