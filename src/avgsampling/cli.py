@@ -129,13 +129,17 @@ def _cmd_frame_check(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    given = {name: value for name, value in vars(args).items()
+             if name in ("mu", "tol", "max_iter") and value is not None}
+    if given and args.method == "dual":
+        flag = next(iter(given)).replace("_", "-")
+        raise InputError(f"--{flag} is read only by --method frame-iter, not by --method dual")
     decomp, partition, truth = _inputs(args)
     # alpha only sets gamma, which recovery neither uses nor reports.
     frame = build_frame_system(decomp, partition, args.omega, 1.0)
     samples = analyze(partition, truth)
     if args.method == "frame-iter":
-        config = FrameIterationConfig(mu=args.mu, max_iter=args.max_iter, tol=args.tol)
-        result = frame_algorithm(frame, samples, config)
+        result = frame_algorithm(frame, samples, FrameIterationConfig(**given))
     else:
         result = dual_frame_reconstruct(frame, samples)
     entries = recovery_entries(result, truth, float(np.linalg.norm(truth)))
@@ -195,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", parents=[graph, cover, omega, signal, out],
                            help="recover a band signal from its averages")
     p_rec.add_argument("--method", choices=("frame-iter", "dual"), default="dual")
-    p_rec.add_argument("--mu", type=float, default=None, help="relaxation parameter")
-    p_rec.add_argument("--tol", type=float, default=1e-10)
-    p_rec.add_argument("--max-iter", type=int, default=10000)
+    p_rec.add_argument("--mu", type=float, help="relaxation parameter (frame-iter only)")
+    p_rec.add_argument("--tol", type=float, help="stopping threshold (frame-iter only)")
+    p_rec.add_argument("--max-iter", type=int, help="iteration budget (frame-iter only)")
     p_rec.set_defaults(func=_cmd_reconstruct)
 
     p_spl = sub.add_parser("spline", parents=[graph, cover, omega, alpha, signal, out, fmt],

@@ -321,8 +321,6 @@ def build_frame_system(
     """
     _check_alpha(alpha)
     space = pw_space(decomp, omega)
-    if space.dim < 1:
-        raise NumericalError(f"band subspace is empty for omega={omega}")
     if partition.n != decomp.n:
         raise InputError("partition and decomposition sizes differ")
     return _frame(_cluster_rows(partition, space.basis), space.basis, float(omega), float(alpha), partition.lambda_xi)

@@ -11,7 +11,7 @@ step. The step count is the first k whose residual meets the tolerance. The
 decay of every mode over the first steps, and the share ``1 - rho^k`` of the
 fixed point each mode has reached, are tabulated once per frame and config,
 in a step schedule memoised per frame in ``_SCHEDULES`` that holds two
-tables of at most ``_ERROR_LOG_BLOCK`` steps of m doubles each; a signal
+tables of at most ``_TABLE_STEPS`` steps of m doubles each; a signal
 reads its step count off one product with the first table and its iterate's
 mode weights off a row of the second, and steps past them are found by
 bisection and evaluated afresh. A signal thus costs a few m x m matvecs
@@ -31,10 +31,9 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .partitions import FrameSystem, _integer
 
-#: Steps per block when the error log is evaluated, and steps in each of a
-#: step schedule's two tables, which bounds each to this many band-coefficient
-#: vectors.
-_ERROR_LOG_BLOCK = 1024
+#: Steps in each of a step schedule's two tables, which bounds each to this
+#: many band-coefficient vectors.
+_TABLE_STEPS = 1024
 
 #: Each live frame's step schedules, keyed by ``(mu, tol, max_iter)``.
 _SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -88,7 +87,7 @@ class _StepSchedule:
     """What the frame iteration needs of one frame and config, all read-only.
 
     Mode i contracts by ``rho[i]`` per step. For k = 1..min(bracket,
-    _ERROR_LOG_BLOCK), row k-1 of ``decay`` is ``rho**(2k)`` and row k-1 of
+    _TABLE_STEPS), row k-1 of ``decay`` is ``rho**(2k)`` and row k-1 of
     ``complement`` is ``1 - rho**k``: ``decay`` times a signal's mode shares
     gives its squared closed-form residual after each of those steps, and a
     row of ``complement`` times its fixed point gives the iterate after that
@@ -112,8 +111,8 @@ class _StepSchedule:
         return _complement(self.positive, self.rho, self.log_rho, steps)
 
 
-def _complement(positive: np.ndarray, rho: np.ndarray, log_rho: np.ndarray, steps) -> np.ndarray:
-    """``1 - rho**steps`` per mode, for one step count or a column of them.
+def _complement(positive: np.ndarray, rho: np.ndarray, log_rho: np.ndarray, steps: int) -> np.ndarray:
+    """``1 - rho**steps`` per mode, for one step count.
 
     Where rho > 0 it is ``-expm1(steps * log1p(-mu*sigma^2))``, which keeps
     its digits when mu*sigma^2 is tiny; where rho <= 0 nothing cancels.
@@ -141,7 +140,7 @@ def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> 
     bracket = max_iter
     if 0.0 < eta < 1.0:
         bracket = min(max_iter, max(1, math.ceil(math.log(tol) / math.log(eta))))
-    steps = range(1, min(bracket, _ERROR_LOG_BLOCK) + 1)
+    steps = range(1, min(bracket, _TABLE_STEPS) + 1)
     decay = np.stack([rho_squared ** k for k in steps])
     # Row by row with k a Python int, so that each row has the bits of the
     # same formula evaluated for that one step (numpy squares for k = 2
@@ -192,13 +191,14 @@ def frame_algorithm(
     increases with k. The first call with a given ``(mu, tol, max_iter)``
     tabulates ``rho^(2k)`` and ``1 - rho^k`` once per frame for every step up
     to the one by which ``eta^k`` meets ``tol``, capped at
-    ``_ERROR_LOG_BLOCK`` steps, so one table product gives the first step
+    ``_TABLE_STEPS`` steps, so one table product gives the first step
     meeting ``tol`` and one table row its iterate; beyond the tables the step
     is found by bisection. The returned residual is recomputed
     from the iterate. When
     ``truth`` (a vertex-space signal assumed to lie in the band) is
     supplied, the per-iteration error ``norm(truth - iterate)`` is logged
-    alongside the run.
+    alongside the run, step k's from the row ``complement_after(k)`` that
+    its iterate is formed from.
     """
     config = config or _DEFAULT_CONFIG
     s = _check_samples(frame, samples)
@@ -257,12 +257,8 @@ def frame_algorithm(
     errors = None
     if truth_coeffs is not None:
         target = right.T @ truth_coeffs
-        errors = []
-        for start in range(1, iterations + 1, _ERROR_LOG_BLOCK):
-            steps = np.arange(start, min(start + _ERROR_LOG_BLOCK, iterations + 1))
-            complement = _complement(schedule.positive, schedule.rho, schedule.log_rho, steps[:, None])
-            errors.extend(np.linalg.norm(target - complement * fixed_point, axis=1).tolist())
-        errors = tuple(errors)
+        errors = tuple(float(np.linalg.norm(target - schedule.complement_after(k) * fixed_point))
+                       for k in range(1, iterations + 1))
     return ReconstructionResult(
         signal=frame.basis @ c,
         coefficients=c,

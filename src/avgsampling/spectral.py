@@ -134,11 +134,13 @@ class PWSpace:
 
 
 def pw_space(decomp: SpectralDecomposition, omega: float) -> PWSpace:
-    """Bandlimited subspace for a given bandwidth."""
+    """Bandlimited subspace for a given bandwidth; InputError when it is negative, NaN or holds no eigenvalue."""
     if not omega >= 0:  # NaN included
         raise InputError(f"bandwidth must be nonnegative, got {omega}")
     edge = omega + BAND_SLACK * abs(decomp.lambda_max)
     m = int(np.searchsorted(decomp.eigenvalues, edge, side="right"))
+    if m == 0:
+        raise InputError(f"band subspace is empty for omega={omega}")
     return PWSpace(omega=float(omega), basis=decomp.eigenvectors[:, :m])
 
 

@@ -105,31 +105,25 @@ def _power_weights(decomp: SpectralDecomposition, s: float) -> np.ndarray:
     return np.where(lam > 1e-9 * abs(decomp.lambda_max), lam, 0.0) ** (s / 2.0)
 
 
-def _condition_estimate(decomp: SpectralDecomposition, k: int) -> float:
-    """(lambda_max / lambda_1)**(k/2) over the eigenvalues ``_power_weights`` leaves positive."""
-    lam = _power_weights(decomp, 2)
-    positive = lam[lam > 0.0]
-    if positive.size == 0:
-        return 1.0
-    return float((positive[-1] / positive[0]) ** (k / 2.0))
-
-
 def _order_factors(decomp: SpectralDecomposition, basis: _SplineBasis, k: int) -> _OrderFactors:
     """The order-k factors, memoised in ``basis``.
 
-    Refuses an order beyond ``CONDITION_LIMIT`` before factoring its system,
-    and so caches nothing for it.
+    The condition estimate is (lambda_max / lambda_1)**(k/2) over the positive
+    eigenvalues. Refuses an order beyond ``CONDITION_LIMIT`` before factoring
+    its system, and so caches nothing for it.
     """
     factors = basis.factors.get(k)
     if factors is not None:
         return factors
-    condition = _condition_estimate(decomp, k)
+    lam = _power_weights(decomp, 2)  # the pinned eigenvalues exactly: x ** 1.0 == x
+    positive = lam[lam > 0.0]
+    condition = float((positive[-1] / positive[0]) ** (k / 2.0)) if positive.size else 1.0
     if condition > CONDITION_LIMIT:
         raise NumericalError(
             f"order-{k} spline system condition ~{condition:.2e} exceeds "
             f"{CONDITION_LIMIT:.0e}; reduce the order or improve the spectral gap"
         )
-    weights = _power_weights(decomp, k)
+    weights = lam ** (k / 2.0)
     scaled = weights[:, None] * basis.kernel
     column_norms = np.linalg.norm(scaled, axis=0)
     factored, tau, _, info = lapack.dgeqrf(scaled, overwrite_a=True)
@@ -152,25 +146,6 @@ def _smoothness_defect(kernel: np.ndarray, factors: _OrderFactors, smoothed: np.
     return defect, max(1.0, float(np.linalg.norm(smoothed)) * factors.column_norm)
 
 
-def _least_squares(factors: _OrderFactors, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solution for one right-hand side, from the ``dgeqrf`` factors of the system.
-
-    The scaled kernel has full column rank (the constant eigenvector, the
-    only one with weight zero, lies in the row space of the constraints), and
-    its condition is at most ``_condition_estimate``, which ``_order_factors`` bounds
-    before factoring it.
-    """
-    factored, tau = factors.factored, factors.tau
-    if tau.size == 0:  # every cluster a singleton: the averages fix the signal
-        return np.zeros(0)
-    qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, rhs[:, None], 1)
-    if info == 0:
-        solution, info = lapack.dtrtrs(factored, qt_rhs)
-    if info != 0:
-        raise NumericalError(f"QR least-squares solve failed (LAPACK info {info})")
-    return solution[: tau.size, 0]
-
-
 def _spline(
     decomp: SpectralDecomposition, basis: _SplineBasis, factors: _OrderFactors, feasible: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +153,22 @@ def _spline(
 
     ``feasible`` is ``B^T v`` for the targets v: the minimum-norm point with
     those averages, exact by row orthonormality, and the same for every order.
+    The kernel step y solves ``min || weights * (feasible + N y) ||`` from the
+    ``dgeqrf`` factors. The scaled kernel has full column rank (the constant
+    eigenvector, the only one with weight zero, lies in the row space of the
+    constraints), and its condition is at most the order's estimate, which
+    ``_order_factors`` bounds before factoring it.
     """
-    coeffs = feasible + basis.kernel @ _least_squares(factors, -(factors.weights * feasible))
+    factored, tau = factors.factored, factors.tau
+    step = np.zeros(0)  # no kernel when every cluster is a singleton: the averages fix the signal
+    if tau.size:
+        qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, -(factors.weights * feasible)[:, None], 1)
+        if info == 0:
+            solution, info = lapack.dtrtrs(factored, qt_rhs)
+        if info != 0:
+            raise NumericalError(f"QR least-squares solve failed (LAPACK info {info})")
+        step = solution[: tau.size, 0]
+    coeffs = feasible + basis.kernel @ step
     return coeffs, decomp.eigenvectors @ coeffs
 
 

@@ -95,6 +95,13 @@ class TestReconstructCommand:
         assert payload["method"] == method
         assert payload["rel_error"] <= 1e-8
 
+    def test_default_iteration_settings_print_the_same_bytes(self, capsys):
+        argv = ["reconstruct", "--generate", "grid2d", "--n", "100", "--clusters", "bfs:1",
+                "--omega", "3.22", "--random-seed", "5", "--method", "frame-iter"]
+        plain = run_cli(argv, capsys)
+        assert plain[0] == 0 and json.loads(plain[1])["converged"] is True
+        assert run_cli([*argv, "--tol", "1e-10", "--max-iter", "10000"], capsys) == plain
+
     def test_signal_file_roundtrip(self, tmp_path, capsys):
         rng = np.random.Generator(np.random.PCG64(1))
         g = generate_graph("path", 8)
@@ -342,6 +349,13 @@ class TestInputChecksBeforeEigensolve:
         code, out, err = run_cli(["spectrum", "--graph", str(path)], capsys)
         assert code == 1 and out == ""
         assert f"{path}:3: edge weight must be positive and finite, got nan" in err
+
+    @pytest.mark.parametrize("flag, value", [("--mu", "123"), ("--tol", "5"), ("--max-iter", "1")])
+    def test_iteration_setting_with_the_dual_method(self, flag, value, no_eigensolve, capsys):
+        code, out, err = run_cli(["reconstruct", "--generate", "path", "--n", "16", "--clusters", "pairs",
+                                  "--omega", "0.5", "--random-seed", "1", "--method", "dual", flag, value], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} is read only by --method frame-iter, not by --method dual\n"
 
     def test_valid_input_reaches_the_eigensolve(self, no_eigensolve, capsys):
         with pytest.raises(AssertionError, match="eigensolve ran"):

@@ -22,7 +22,7 @@ from avgsampling import (
     validate_partition,
 )
 from avgsampling.partitions import _frame
-from avgsampling.reconstruct import _ERROR_LOG_BLOCK, _SCHEDULES
+from avgsampling.reconstruct import _SCHEDULES, _TABLE_STEPS
 
 
 @pytest.fixture(scope="module")
@@ -365,14 +365,14 @@ class TestStepSchedule:
         for seed in range(3):
             samples = rng.standard_normal(6)
             result = frame_algorithm(frame, samples, config)
-            assert result.converged and result.iterations > _ERROR_LOG_BLOCK
+            assert result.converged and result.iterations > _TABLE_STEPS
             assert_same_run(result, bisection_reference(frame, samples, config))
             expected, iterations, _ = richardson_reference(frame.analysis, samples, mu, config.tol)
             assert abs(result.iterations - iterations) <= 1
             assert np.linalg.norm(result.coefficients - expected) <= 1e-10 * np.linalg.norm(expected)
         (schedule,) = _SCHEDULES[frame].values()
-        assert schedule.bracket > _ERROR_LOG_BLOCK
-        assert schedule.decay.shape == (_ERROR_LOG_BLOCK, frame.dim)
+        assert schedule.bracket > _TABLE_STEPS
+        assert schedule.decay.shape == (_TABLE_STEPS, frame.dim)
 
     def test_complement_rows_match_per_step_formula(self, both_frames):
         # On the synthetic frame, at mu = 1.99/b, evaluating the formula for
@@ -401,7 +401,7 @@ class TestStepSchedule:
                 past = len(schedule.complement)
                 for k in (past + 1, past + 2, max(past + 1, schedule.bracket)):
                     assert np.array_equal(schedule.complement_after(k), per_step_complement(schedule, k))
-        assert len(_SCHEDULES[long][(2.0 / (long.lower + long.upper), 1e-10, 10000)].complement) == _ERROR_LOG_BLOCK
+        assert len(_SCHEDULES[long][(2.0 / (long.lower + long.upper), 1e-10, 10000)].complement) == _TABLE_STEPS
 
     def test_bool_budget_refused_after_a_one_step_schedule(self, frame64, path64):
         # True == 1 and both hash alike, so a memo keyed on the unchecked

@@ -281,6 +281,18 @@ class TestBandFilters:
         with pytest.raises(InputError, match="bandwidth must be nonnegative"):
             pw_project(d, math.nan, np.ones(16))
 
+    @pytest.mark.parametrize("entry", ["pw_space", "pw_project", "generate_pw_signal", "build_frame_system"])
+    def test_every_band_entry_point_refuses_an_empty_band(self, entry):
+        # Spectrum all 2, so no eigenvalue lies within omega = 1: a matrix, not a Laplacian.
+        d = eigendecompose(2.0 * np.eye(4))
+        partition = validate_partition(generate_graph("path", 4), pairs_partition(4))
+        call = {"pw_space": lambda: pw_space(d, 1.0),
+                "pw_project": lambda: pw_project(d, 1.0, np.ones(4)),
+                "generate_pw_signal": lambda: generate_pw_signal(d, 1.0, 0),
+                "build_frame_system": lambda: build_frame_system(d, partition, 1.0, 1.0)}[entry]
+        with pytest.raises(InputError, match="band subspace is empty for omega=1.0"):
+            call()
+
 
 class TestApplyPower:
     """L^{s/2} applied through the eigenvalue weights ``_power_weights``."""

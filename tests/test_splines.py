@@ -304,6 +304,22 @@ class TestConvergence:
             assert [row.rel_error for row in rows] == [
                 float(np.linalg.norm(f - reference_spline(d, part, targets, k))) / norm for k in orders]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_rows_are_the_single_solves(self, path64, grid100, seed):
+        # One order's weights and solve serve both the sweep and interpolate,
+        # so a row's error and an order's condition estimate agree to the bit.
+        orders = (1, 2, 3, 4, 8)
+        for d, part, omega in [(*path64[1:], 0.5), (*grid100, 0.3)]:
+            f = pw_project(d, omega, generate_pw_signal(d, omega, seed))
+            rows = spline_convergence_experiment(d, part, omega, 1.0, f, orders)
+            lam = splines._power_weights(d, 2)
+            positive = lam[lam > 0.0]
+            for row, k in zip(rows, orders, strict=True):
+                solution = interpolate(d, part, f, k)
+                e = f - solution.signal
+                assert row.rel_error == math.sqrt(e @ e) / float(np.linalg.norm(f))
+                assert solution.condition_estimate == (positive[-1] / positive[0]) ** (k / 2)
+
     def test_spline_fixed_point_has_zero_error(self, path16):
         _, d, part = path16
         k = 2
