@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _vector
 from .graph import WeightedGraph
 
 
@@ -65,12 +65,7 @@ def read_signal(path: str | Path, n: int) -> np.ndarray:
             values.append(float(line))
         except ValueError:
             raise InputError(f"{path}:{line_no}: unparsable signal value {line!r}") from None
-    f = np.array(values, dtype=float)
-    if f.shape[0] != n:
-        raise InputError(f"{path}: signal has {f.shape[0]} values, expected {n}")
-    if not np.all(np.isfinite(f)):
-        raise InputError(f"{path}: signal contains non-finite values")
-    return f
+    return _vector(values, n, f"{path}: signal")
 
 
 def read_partition(path: str | Path) -> list[tuple[int, ...]]:

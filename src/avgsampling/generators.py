@@ -24,9 +24,8 @@ import math
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _integer
 from .graph import WeightedGraph, is_connected
-from .partitions import _integer
 from .spectral import SpectralDecomposition, pw_space
 
 GENERATOR_NAME = "numpy-PCG64"
@@ -43,22 +42,14 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_integer(seed, "seed", least=0)))
 
 
-def _count(n: int) -> int:
-    """``n`` as an int; InputError unless it is an integer (not a bool). Below 1
-    it is returned as given, for each kind to refuse by its own rule."""
-    return n if n < 1 else _integer(n, "n")
-
-
 def path_graph(n: int) -> WeightedGraph:
-    n = _count(n)
-    if n < 1:
-        raise InputError(f"path needs n >= 1, got {n}")
+    n = _integer(n, "n")
     lo = np.arange(n - 1, dtype=np.intp)
     return WeightedGraph._from_pairs(n, lo, lo + 1, np.ones(n - 1))
 
 
 def cycle_graph(n: int) -> WeightedGraph:
-    n = _count(n)
+    n = _integer(n, "n")
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
     us = np.arange(n, dtype=np.intp)
@@ -67,9 +58,9 @@ def cycle_graph(n: int) -> WeightedGraph:
 
 
 def grid2d_graph(n: int) -> WeightedGraph:
-    n = _count(n)
-    side = math.isqrt(n) if n >= 1 else 0  # isqrt refuses negative n
-    if side < 1 or side * side != n:
+    n = _integer(n, "n")
+    side = math.isqrt(n)
+    if side * side != n:
         raise InputError(f"grid2d needs a perfect-square vertex count, got {n}")
     v = np.arange(n, dtype=np.intp).reshape(side, side)
     lo = np.concatenate([v[:, :-1].ravel(), v[:-1, :].ravel()])  # right, then down
@@ -79,7 +70,7 @@ def grid2d_graph(n: int) -> WeightedGraph:
 
 def erdos_renyi_weighted(n: int, p: float, seed: int) -> WeightedGraph:
     """G(n, p) with edge weights uniform in [0.5, 1.5]; redrawn until connected."""
-    n = _count(n)
+    n = _integer(n, "n")
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if not (0.0 < p <= 1.0):
@@ -187,7 +178,7 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     so every edge decision is the all-pairs ``np.hypot`` one. A draw whose
     graph is not connected is redrawn, up to ``RETRY_BUDGET`` draws.
     """
-    n = _count(n)
+    n = _integer(n, "n")
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if radius is None:

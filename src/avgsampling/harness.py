@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _integer
 from .generators import GENERATOR_NAME, generate_pw_signal, path_graph
-from .partitions import _integer, analyze, build_frame_system, optimal_alpha, pairs_partition, validate_partition
+from .partitions import analyze, build_frame_system, optimal_alpha, pairs_partition, validate_partition
 from .reconstruct import ReconstructionResult, dual_frame_reconstruct, frame_algorithm
 from .spectral import build_laplacian, eigendecompose, pw_project
 from .splines import ConvergenceRow, spline_convergence_experiment

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _integer
 from .graph import WeightedGraph, _adjacency, _components
 from .spectral import SpectralDecomposition, pw_space
 
@@ -204,7 +204,7 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
 
 
 def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray:
-    """Scaled cluster sums of each column of an n-row matrix (J rows).
+    """Scaled cluster sums of each column of an n-row matrix (J rows); InputError for another row count.
 
     Row j is the sum of the rows of cluster j divided by sqrt(size j), the
     normalized indicators applied to every column. The indicators are built
@@ -213,6 +213,8 @@ def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray
     each with the value 1/sqrt(size j), so there are n nonzeros and never a
     dense J x n array. The product sums each row's entries in vertex order.
     """
+    if matrix.shape[0] != partition.n:
+        raise InputError("partition and decomposition sizes differ")
     labels, J = partition.labels, partition.num_clusters
     sizes = np.bincount(labels, minlength=J)
     indicators = csr_matrix((np.repeat(1.0 / partition._sqrt_sizes, sizes), np.argsort(labels, kind="stable"),
@@ -221,7 +223,12 @@ def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray
 
 
 def analyze(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
-    """Scaled cluster averages: s_j = sum(f over cluster j) / sqrt(size j)."""
+    """Scaled cluster averages: s_j = sum(f over cluster j) / sqrt(size j).
+
+    Checks f's shape only: a finiteness scan would add over half to this hot
+    per-signal call, and a non-finite average is refused where it is used,
+    as samples by the recovery routes or as targets by ``solve_spline``.
+    """
     f = np.asarray(f, dtype=float)
     if f.shape != (partition.n,):
         raise InputError(f"signal shape {f.shape} does not match n={partition.n}")
@@ -321,8 +328,6 @@ def build_frame_system(
     """
     _check_alpha(alpha)
     space = pw_space(decomp, omega)
-    if partition.n != decomp.n:
-        raise InputError("partition and decomposition sizes differ")
     return _frame(_cluster_rows(partition, space.basis), space.basis, float(omega), float(alpha), partition.lambda_xi)
 
 
@@ -373,15 +378,9 @@ def optimal_alpha(omega: float, lambda_xi: float) -> tuple[float, float]:
     return root / complement, complement * complement
 
 
-def _integer(value, name: str, least: int = 1) -> int:
-    """``value`` as an int; InputError unless it is an integer (not a bool) >= ``least`` (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InputError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
-    return int(value)
-
-
 def pairs_partition(n: int) -> list[tuple[int, int]]:
-    """Consecutive pairs {0,1}, {2,3}, ...; n must be even."""
+    """Consecutive pairs {0,1}, {2,3}, ...; n must be an even positive integer."""
+    n = _integer(n, "n")
     if n % 2 != 0:
         raise InputError(f"pairs partition needs an even vertex count, got n={n}")
     return [(2 * j, 2 * j + 1) for j in range(n // 2)]
@@ -389,7 +388,7 @@ def pairs_partition(n: int) -> list[tuple[int, int]]:
 
 def blocks_partition(n: int, size: int) -> list[tuple[int, ...]]:
     """Consecutive index blocks of a given size; the last block may be shorter."""
-    size = _integer(size, "block size")
+    n, size = _integer(n, "n"), _integer(size, "block size")
     return [tuple(range(start, min(start + size, n))) for start in range(0, n, size)]
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .partitions import FrameSystem, _integer
+from .errors import InputError, NumericalError, _integer, _vector
+from .partitions import FrameSystem
 
 #: Steps in each of a step schedule's two tables, which bounds each to this
 #: many band-coefficient vectors.
@@ -69,17 +69,6 @@ class ReconstructionResult:
     converged: bool
     eta: float | None = None
     error_log: tuple[float, ...] | None = None
-
-
-def _check_samples(frame: FrameSystem, samples: np.ndarray) -> np.ndarray:
-    s = np.asarray(samples, dtype=float)
-    if s.shape != (frame.num_clusters,):
-        raise InputError(
-            f"samples length {s.shape} does not match cluster count {frame.num_clusters}"
-        )
-    if not np.isfinite(s).all():
-        raise InputError("samples contain non-finite entries")
-    return s
 
 
 @dataclass(frozen=True)
@@ -201,7 +190,7 @@ def frame_algorithm(
     its iterate is formed from.
     """
     config = config or _DEFAULT_CONFIG
-    s = _check_samples(frame, samples)
+    s = _vector(samples, frame.num_clusters, "samples")
     if not frame.is_frame:
         raise NumericalError(
             f"averages are not a frame for omega={frame.omega} with this partition "
@@ -217,14 +206,7 @@ def frame_algorithm(
 
     truth_coeffs = None
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        if truth.shape != (frame.basis.shape[0],):
-            raise InputError(
-                f"truth shape {truth.shape} does not match n={frame.basis.shape[0]}"
-            )
-        if not np.isfinite(truth).all():
-            raise InputError("truth contains non-finite entries")
-        truth_coeffs = frame.basis.T @ truth
+        truth_coeffs = frame.basis.T @ _vector(truth, frame.basis.shape[0], "truth")
 
     schedule = _step_schedule(frame, mu, tol, max_iter)
     right, gram = frame.right_vectors, frame.gram
@@ -279,7 +261,7 @@ def dual_frame_reconstruct(frame: FrameSystem, samples: np.ndarray) -> Reconstru
     For rank-deficient analysis maps this still returns the least-squares
     signal, with the deficiency reflected in the residual.
     """
-    s = _check_samples(frame, samples)
+    s = _vector(samples, frame.num_clusters, "samples")
     c = frame.pinv @ s
     normal_rhs = frame.analysis.T @ s
     denom = math.sqrt(normal_rhs @ normal_rhs)

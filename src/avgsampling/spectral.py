@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _vector
 from .graph import WeightedGraph
 
 #: Eigenvalues within this slack of a bandwidth, relative to lambda_max, still
@@ -145,9 +145,7 @@ def pw_space(decomp: SpectralDecomposition, omega: float) -> PWSpace:
 
 
 def pw_project(decomp: SpectralDecomposition, omega: float, f: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the bandwidth-omega subspace."""
+    """Orthogonal projection onto the bandwidth-omega subspace; InputError unless f is n finite values."""
     space = pw_space(decomp, omega)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (decomp.n,):
-        raise InputError(f"signal shape {f.shape} does not match n={decomp.n}")
+    f = _vector(f, decomp.n, "signal")
     return space.basis @ (space.basis.T @ f)

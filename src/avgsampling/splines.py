@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack, qr
 
-from .errors import InputError, NumericalError
-from .partitions import ClusterPartition, _cluster_rows, _gamma, _integer, analyze
+from .errors import InputError, NumericalError, _integer, _vector
+from .partitions import ClusterPartition, _cluster_rows, _gamma, analyze
 from .spectral import SpectralDecomposition, pw_project
 
 #: Refuse spline solves whose equilibrated system is estimated worse than this.
@@ -89,8 +89,6 @@ def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _Splin
     basis = _BASES.get(decomp)
     if basis is not None and basis.partition is partition:
         return basis
-    if partition.n != decomp.n:
-        raise InputError("partition and decomposition sizes differ")
     B = _cluster_rows(partition, decomp.eigenvectors)
     q = qr(B.T, check_finite=False)[0]
     kernel = q[:, B.shape[0]:].copy(order="F")  # not all of q; q's layout, so products keep their digits
@@ -188,11 +186,7 @@ def solve_spline(
     rather than returning digits that cannot be trusted.
     """
     k = _integer(k, "spline order")
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != (partition.num_clusters,):
-        raise InputError(f"targets length {targets.shape} does not match {partition.num_clusters} clusters")
-    if not np.all(np.isfinite(targets)):
-        raise InputError("targets contain non-finite entries")
+    targets = _vector(targets, partition.num_clusters, "targets")
     basis = _basis(decomp, partition)
     factors = _order_factors(decomp, basis, k)
     coeffs, signal = _spline(decomp, basis, factors, basis.constraints.T @ targets)
@@ -241,9 +235,7 @@ def spline_convergence_experiment(
             f"gamma={gamma:.4f} >= 1 for omega={omega}, alpha={alpha}, "
             f"Lambda={partition.lambda_xi}; no convergence rate applies"
         )
-    f = np.asarray(f, dtype=float)
-    if not np.isfinite(f).all():
-        raise InputError("signal contains non-finite entries")
+    f = _vector(f, decomp.n, "signal")
     norm_f = float(np.linalg.norm(f))  # f may be a strided view; the differences below are not
     if norm_f == 0.0:
         raise InputError("signal is zero")

@@ -46,6 +46,16 @@ class TestSpectrum:
         expected = [2 - 2 * math.cos(k * math.pi / 4) for k in range(4)]
         assert values == pytest.approx(expected, abs=1e-9)
 
+    def test_json_lists_the_eigenvalues(self, capsys):
+        code, out, _ = run_cli(["spectrum", "--generate", "path", "--n", "4", "--format", "json"], capsys)
+        assert code == 0 and out.endswith("\n") and list(json.loads(out)) == ["eigenvalues"]
+        expected = [2 - 2 * math.cos(k * math.pi / 4) for k in range(4)]
+        assert json.loads(out)["eigenvalues"] == pytest.approx(expected, abs=1e-9)
+
+    def test_generate_without_n_is_refused(self, capsys):
+        code, out, err = run_cli(["spectrum", "--generate", "path"], capsys)
+        assert (code, out, err) == (1, "", "error: --generate requires --n\n")
+
     def test_from_file(self, tmp_path, capsys):
         g = generate_graph("cycle", 5)
         path = write_rows(tmp_path / "g.edges", g.edges(), sep="\t", header=f"n={g.n}")
@@ -80,6 +90,13 @@ class TestFrameCheck:
         )
         assert code == 0
         assert json.loads(out)["lambda_Xi"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_singleton_cover_reports_an_infinite_constant_as_a_string(self, capsys):
+        # JSON has no infinity, so a non-finite float is written as its repr
+        code, out, _ = run_cli(["frame-check", "--generate", "path", "--n", "8", "--clusters", "blocks:1",
+                                "--omega", "0.5"], capsys)
+        assert code == 0
+        assert '"lambda_Xi":"inf"' in out and json.loads(out)["gamma"] == 0.0
 
 
 class TestReconstructCommand:
@@ -220,6 +237,11 @@ class TestDemoPath:
         with pytest.raises(InputError, match=f"^{name} must be a positive integer"):
             demo_path(n, 0.5, 1.0, trials=trials)
 
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_even_n_of_at_least_four(self, n):
+        with pytest.raises(InputError, match=f"^demo needs an even n >= 4, got {n}$"):
+            demo_path(n, 0.5, 1.0, trials=1)
+
     @pytest.mark.parametrize("seed", [1.5, 1.0, -1, True])
     def test_seed_integer_rule(self, seed):
         """A fractional seed is refused, not recorded as one seed and drawn as another."""
@@ -295,7 +317,7 @@ class TestInputChecksBeforeEigensolve:
 
     @pytest.mark.parametrize("command", ["reconstruct", "spline"])
     @pytest.mark.parametrize("signal, message", [
-        (["--signal", "short"], "signal has 2 values, expected 6"),
+        (["--signal", "short"], "signal has shape (2,), expected (6,)"),
         (["--signal", "unparsable"], "unparsable signal value 'x'"),
         (["--signal", "good", "--random-seed", "0"], "argument --random-seed: not allowed with argument --signal"),
         ([], "one of the arguments --signal --random-seed is required"),
@@ -448,7 +470,7 @@ class TestExitCodes:
         assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize("args, message", [
-        (["--generate", "grid2d", "--n", "-4"], "perfect-square"),
+        (["--generate", "grid2d", "--n", "-4"], "n must be a positive integer, got -4"),
         (["--generate", "random-geometric", "--n", "20", "--radius", "nan"], "radius must be positive"),
     ])
     def test_bad_generator_input_is_exit_one(self, args, message, capsys):

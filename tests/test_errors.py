@@ -1,0 +1,75 @@
+"""The package's input rules: every outside vector is refused by one rule, with one of its two messages, wherever it enters."""
+import math
+
+import numpy as np
+import pytest
+
+from avgsampling import (
+    InputError,
+    analyze,
+    build_frame_system,
+    dual_frame_reconstruct,
+    frame_algorithm,
+    generate_pw_signal,
+    pw_project,
+    solve_spline,
+    spline_convergence_experiment,
+)
+from avgsampling.fileio import read_signal
+
+OMEGA, ALPHA = 0.5, 1.0
+
+
+@pytest.fixture(scope="module")
+def setting(path16):
+    """path16's decomposition and pairs cover, their frame at OMEGA, and a band signal."""
+    _, decomp, partition = path16
+    frame = build_frame_system(decomp, partition, OMEGA, ALPHA)
+    return decomp, partition, frame, generate_pw_signal(decomp, OMEGA, 1)
+
+
+#: Each entry point: the name its messages use, whether it takes one value per
+#: cluster or per vertex, and a call passing ``values`` there with every other input valid.
+ENTRY_POINTS = {
+    "frame_algorithm samples": ("samples", "clusters", lambda d, p, fr, f, v: frame_algorithm(fr, v)),
+    "dual_frame_reconstruct samples": ("samples", "clusters", lambda d, p, fr, f, v: dual_frame_reconstruct(fr, v)),
+    "frame_algorithm truth": ("truth", "vertices", lambda d, p, fr, f, v: frame_algorithm(fr, analyze(p, f), truth=v)),
+    "solve_spline targets": ("targets", "clusters", lambda d, p, fr, f, v: solve_spline(d, p, v, 1)),
+    "spline_convergence_experiment signal": (
+        "signal", "vertices", lambda d, p, fr, f, v: spline_convergence_experiment(d, p, OMEGA, ALPHA, v, (1,))),
+    "pw_project signal": ("signal", "vertices", lambda d, p, fr, f, v: pw_project(d, OMEGA, v)),
+}
+
+#: Each bad vector of a given length, and the message it must raise for a given name.
+CASES = {
+    "too short": (lambda n: np.zeros(n - 1), lambda name, n: f"{name} has shape ({n - 1},), expected ({n},)"),
+    "2-D": (lambda n: np.zeros((n, 1)), lambda name, n: f"{name} has shape ({n}, 1), expected ({n},)"),
+    "nan": (lambda n: np.r_[np.ones(n - 1), math.nan], lambda name, n: f"{name} contains non-finite entries"),
+    "inf": (lambda n: np.r_[np.ones(n - 1), math.inf], lambda name, n: f"{name} contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_vector_entry_point_refuses_by_the_one_rule(setting, entry, case):
+    # pw_project returned NaN for a NaN or infinite signal
+    decomp, partition, frame, signal = setting
+    name, per, call = ENTRY_POINTS[entry]
+    make, message = CASES[case]
+    length = partition.num_clusters if per == "clusters" else decomp.n
+    with pytest.raises(InputError) as err:
+        call(decomp, partition, frame, signal, make(length))
+    assert str(err.value) == message(name, length)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0\n0\n", "signal has shape (2,), expected (16,)"),
+    ("0\n" * 15 + "nan\n", "signal contains non-finite entries"),
+    ("0\n" * 15 + "inf\n", "signal contains non-finite entries"),
+], ids=["too short", "nan", "inf"])
+def test_signal_file_refuses_by_the_one_rule_and_names_its_path(tmp_path, body, message):
+    path = tmp_path / "f.sig"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        read_signal(path, 16)
+    assert str(err.value) == f"{path}: {message}"

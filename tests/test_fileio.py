@@ -40,6 +40,18 @@ class TestEdgeList:
         with pytest.raises(InputError, match=message):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("", ": empty edge-list file"),
+        ("# only a comment\n\n", ": empty edge-list file"),
+        ("n=3\n0\tx\t1.0\n", ":2: unparsable edge line '0\\tx\\t1.0'"),
+    ], ids=["empty", "comment only", "unparsable"])
+    def test_empty_file_and_unparsable_line_are_refused(self, tmp_path, body, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}{message}"
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "Infinity"])
     def test_non_finite_weight_names_its_line(self, tmp_path, weight):
         path = tmp_path / "bad.edges"
@@ -69,7 +81,7 @@ class TestSignalFile:
 
     def test_length_checked(self, tmp_path):
         path = write_rows(tmp_path / "f.sig", [[0.0]] * 4)
-        with pytest.raises(InputError, match="expected 5"):
+        with pytest.raises(InputError, match=r"signal has shape \(4,\), expected \(5,\)$"):
             read_signal(path, n=5)
 
     def test_bad_value(self, tmp_path):
@@ -84,6 +96,13 @@ class TestPartitionFile:
         clusters = [(0, 1), (2,), (3, 4, 5)]
         path = write_rows(tmp_path / "p.part", clusters)
         assert read_partition(path) == clusters
+
+    def test_unparsable_line_names_it(self, tmp_path):
+        path = tmp_path / "p.part"
+        path.write_text("0 1\n# comment\n2 x\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_partition(path)
+        assert str(err.value) == f"{path}:3: unparsable cluster line '2 x'"
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "p.part"

@@ -60,7 +60,7 @@ class TestGraphGenerators:
     @pytest.mark.parametrize("n", [-1, -4])
     def test_grid_refuses_negative_n(self, n):
         # math.isqrt raised a bare ValueError here
-        with pytest.raises(InputError, match="perfect-square"):
+        with pytest.raises(InputError, match="^n must be a positive integer"):
             generate_graph("grid2d", n)
 
     def test_random_geometric_refuses_nan_radius(self):
@@ -118,6 +118,29 @@ class TestGraphGenerators:
         """A fractional seed is not truncated, and a negative one is not left to numpy."""
         with pytest.raises(InputError, match="^seed must be a nonnegative integer"):
             generate_graph(kind, 20, seed=seed)
+
+    @pytest.mark.parametrize("kind", generators.GRAPH_KINDS)
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_vertex_count_below_one_has_one_message(self, kind, n):
+        """Each kind had its own message for n <= 0."""
+        with pytest.raises(InputError, match=f"^n must be a positive integer, got {n}$"):
+            generate_graph(kind, n, seed=1)
+
+    @pytest.mark.parametrize("kind, n, message", [
+        ("cycle", 2, "cycle needs n >= 3, got 2"),
+        ("random-geometric", 1, "random graph needs n >= 2, got 1"),
+        ("erdos-renyi-weighted", 1, "random graph needs n >= 2, got 1"),
+    ])
+    def test_each_kind_refuses_a_count_below_its_own_least(self, kind, n, message):
+        with pytest.raises(InputError) as err:
+            generate_graph(kind, n, seed=1)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("p", [0.0, 1.5, math.nan])
+    def test_edge_probability_outside_zero_one_refused(self, p):
+        with pytest.raises(InputError) as err:
+            generate_graph("erdos-renyi-weighted", 8, seed=1, p=p)
+        assert str(err.value) == f"edge probability must be in (0, 1], got {p}"
 
     @pytest.mark.parametrize("kind", generators.GRAPH_KINDS)
     @pytest.mark.parametrize("n", [16.5, True])

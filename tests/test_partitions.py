@@ -23,6 +23,7 @@ from avgsampling import (
     eigendecompose,
     generate_graph,
     generate_pw_signal,
+    interpolate,
     optimal_alpha,
     pairs_partition,
     pw_space,
@@ -393,6 +394,19 @@ class TestAverageFunctionals:
 
 
 class TestFrameSystem:
+    def test_size_rule_refuses_frames_and_splines_after_alpha_and_band(self):
+        graph8 = generate_graph("path", 8)
+        partition8 = validate_partition(graph8, pairs_partition(8))
+        decomp6 = eigendecompose(build_laplacian(generate_graph("path", 6)))
+        for refused in (lambda: build_frame_system(decomp6, partition8, 0.5, 1.0),
+                        lambda: interpolate(decomp6, partition8, np.ones(8), 1)):
+            with pytest.raises(InputError, match="^partition and decomposition sizes differ$"):
+                refused()
+        with pytest.raises(InputError, match="^alpha must be positive"):
+            build_frame_system(decomp6, partition8, -1.0, 0.0)
+        with pytest.raises(InputError, match="^bandwidth must be nonnegative"):
+            build_frame_system(decomp6, partition8, -1.0, 1.0)
+
     def test_bounds_dual_and_gram_are_derived(self, path64):
         _, d, part = path64
         frame = build_frame_system(d, part, omega=0.5, alpha=1.0)
@@ -650,6 +664,13 @@ class TestPartitionGenerators:
     def test_blocks_rejects_bad_size(self, size):
         with pytest.raises(InputError, match="block size must be a positive integer"):
             blocks_partition(8, size)
+
+    @pytest.mark.parametrize("make", [pairs_partition, lambda n: blocks_partition(n, 2)], ids=["pairs", "blocks"])
+    @pytest.mark.parametrize("n", [4.0, True, 0, -2])
+    def test_cover_makers_refuse_a_bad_vertex_count(self, make, n):
+        # 4.0 raised a bare TypeError, True gave one block, and 0 or -2 gave no clusters
+        with pytest.raises(InputError, match="^n must be a positive integer"):
+            make(n)
 
     @pytest.mark.parametrize("radius", [-1, 1.5, True, None])
     def test_bfs_rejects_bad_radius(self, radius):

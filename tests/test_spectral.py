@@ -175,6 +175,10 @@ class TestEigendecompose:
         with pytest.raises(InputError, match="matrix is not symmetric"):
             eigendecompose(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(InputError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            eigendecompose(np.ones((2, 3)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         m = np.eye(3)

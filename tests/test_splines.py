@@ -146,7 +146,7 @@ class TestSolveSpline:
         g = generate_graph("path", 8)
         d = eigendecompose(build_laplacian(g))
         blocks = validate_partition(g, blocks_partition(8, 4))
-        with pytest.raises(InputError, match="does not match 2 clusters"):
+        with pytest.raises(InputError, match=r"^targets has shape \(4,\), expected \(2,\)$"):
             solve_spline(d, blocks, np.zeros(4), 1)  # targets for the four pairs
         first = validate_partition(g, [(0, 1, 2), (3, 4, 5), (6, 7)])
         equal = validate_partition(g, [(2, 1, 0), (3, 4, 5), (7, 6)])
@@ -158,7 +158,7 @@ class TestSolveSpline:
         _, d, part = path4
         with pytest.raises(InputError, match="positive integer"):
             solve_spline(d, part, np.zeros(2), 0)
-        with pytest.raises(InputError, match="does not match 2 clusters"):
+        with pytest.raises(InputError, match=r"^targets has shape \(3,\), expected \(2,\)$"):
             solve_spline(d, part, np.zeros(3), 1)
         with pytest.raises(InputError, match="non-finite"):
             solve_spline(d, part, np.array([np.nan, 0.0]), 1)
@@ -338,6 +338,11 @@ class TestConvergence:
         rng = np.random.Generator(np.random.PCG64(59))
         with pytest.raises(InputError, match="out-of-band"):
             spline_convergence_experiment(d, part, 0.5, 1.0, rng.standard_normal(64), [1])
+
+    def test_zero_signal_refused(self, path64):
+        _, d, part = path64
+        with pytest.raises(InputError, match="^signal is zero$"):
+            spline_convergence_experiment(d, part, 0.5, 1.0, np.zeros(64), [1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_signal_refused(self, path64, bad):
