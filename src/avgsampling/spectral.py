@@ -1,8 +1,8 @@
 """Graph Laplacian assembly, dense LAPACK eigendecomposition, and band filters.
 
-Every band subspace, frame, dual and spline is built from one full
-eigendecomposition of the Laplacian, computed by LAPACK's divide-and-conquer
-driver ``syevd``.
+Every band subspace, frame and dual is built from one full eigendecomposition
+of the Laplacian, computed by LAPACK's divide-and-conquer driver ``syevd``;
+splines read the Laplacian that the decomposition keeps.
 
 The Laplacian acts as (L f)(v) = sum_u (f(v) - f(u)) w(v,u); as a matrix it is
 diag(degrees) minus the weight matrix, symmetric positive semidefinite, with
@@ -15,7 +15,7 @@ norm(f)`` for every signal of bandwidth omega.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -54,10 +54,11 @@ def build_laplacian(graph: WeightedGraph) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors of a Laplacian; equal only to itself."""
+    """Ascending eigenvalues and orthonormal eigenvectors of a Laplacian, and that matrix; equal only to itself."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    matrix: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -81,8 +82,11 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     package runs, with eigenvectors orthonormal to a few ulps, at the price
     of that workspace. Inside a repeated eigenvalue the basis
     is whatever orthonormal one the driver returns; frames, projections,
-    duals and splines do not depend on that choice beyond roundoff, but a
+    duals do not depend on that choice beyond roundoff, splines not at all, but a
     seeded ``generate_pw_signal`` draw does.
+
+    The decomposition keeps a read-only view of the matrix it decomposed, not
+    a copy; splines read the operator from it, not from the eigenvectors.
 
     Eigenvalues come in ascending order. Each eigenvector is signed so that
     its first entry above ``1e-12`` of its largest magnitude is positive, so
@@ -111,9 +115,9 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
         magnitude = np.abs(vectors)
         lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
         vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
-    values.flags.writeable = False
-    vectors.flags.writeable = False
-    return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
+    matrix = matrix.view()
+    values.flags.writeable = vectors.flags.writeable = matrix.flags.writeable = False
+    return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors, matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)

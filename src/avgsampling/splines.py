@@ -2,23 +2,31 @@
 
 The order-k spline for targets v is the unique signal minimizing the
 smoothness seminorm ``norm(L^{k/2} u)`` among all signals whose scaled
-cluster averages equal v. On a connected graph with a full disjoint cover the
-minimizer exists and is unique for every k >= 1: the only constant signal
-with all-zero averages is zero.
+cluster averages equal v. With a full disjoint cover by connected clusters
+the minimizer exists and is unique for every k >= 1, as the bound below shows.
 
-Solved in eigen-coordinates. Writing B for the averages-of-eigenvectors
-matrix (which has exactly orthonormal rows, so B^T v is a feasible point) and
-N for an orthonormal basis of its kernel, the spline is ``B^T v + N y`` with
-y the least-squares solution of ``min || D^{1/2} (B^T v + N y) ||`` where
-D^{1/2} scales each eigen-coordinate by lambda**(k/2). The scaling keeps the
-solve's condition near (lambda_max/lambda_1)**(k/2) instead of its square,
-and kernel coordinates (lambda = 0) carry no weight at all, entering through
-the constraints only. N comes from one complete QR of B^T per partition, and
-each order is one Householder QR of the scaled kernel ``D^{1/2} N`` and a
-triangular solve. None of this depends on v, so each decomposition memoises
-B, N and every order's weights, QR factors and scale for its last partition
-(``_basis``); a spline then costs matvecs, one Q^T application and one
-triangular solve.
+Solved on the null space of the averages (Benzi, Golub and Liesen, Acta
+Numerica 14, 2005, section 6), with no eigenvector. Xi^T holds the normalized
+cluster indicators (n x J) and H the Helmert contrasts within each cluster
+(s - 1 per cluster of size s); together their columns are an orthonormal
+basis of R^n, and the signals with zero averages are exactly those Hy. So the
+spline is ``Xi^T v + H y`` with ``A_k y = -H^T Lhat^k Xi^T v``, where
+``A_k = H^T Lhat^k H`` and Lhat = L / lambda_max; that division leaves the
+spline unchanged and keeps every entry within [-1, 1] at any weight scale.
+None of this depends on v, so each order's A_k is Cholesky-factored once and
+its J cardinal splines ``S_k = Xi^T - H A_k^{-1} H^T Lhat^k Xi^T`` (column j
+has targets e_j) are memoised: n*J doubles per order, for each decomposition
+and its last partition (``_CARDINALS``). A spline then costs one product
+``S_k @ v``.
+
+The partition constant Lambda certifies the solve. For u = Hy:
+  1. each cluster's Poincare inequality, summed, gives <L u, u> >= Lambda |u|^2
+     (u has zero average on every cluster, and edges between clusters only add);
+  2. the moment inequality <L^k u, u> >= <L u, u>^k for unit u then gives
+     <L^k u, u> >= Lambda^k |u|^2, so y^T A_k y >= (Lambda/lambda_max)^k |y|^2;
+  3. |Lhat| <= 1 and |H| = 1 give A_k <= I, so cond(A_k) <= (lambda_max/Lambda)^k.
+An order whose bound exceeds ``CONDITION_LIMIT`` is refused before anything
+is factored.
 
 When a signal of bandwidth omega is interpolated through a partition with
 gamma = (1+alpha)/alpha * omega/Lambda < 1, the spline of order k = 2^l
@@ -32,142 +40,133 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack, qr
+from scipy.linalg import lapack
+from scipy.sparse import csr_matrix, identity, issparse, spmatrix
 
 from .errors import InputError, NumericalError, _integer, _vector
 from .partitions import ClusterPartition, _cluster_rows, _gamma, analyze
 from .spectral import SpectralDecomposition, pw_project
 
-#: Refuse spline solves whose equilibrated system is estimated worse than this.
+#: Refuse spline orders whose certified condition bound (lambda_max/Lambda)**k exceeds this.
 CONDITION_LIMIT = 1e14
 
 
 @dataclass(frozen=True, eq=False)
 class SplineSolution:
-    """An order-k spline, its relative orthogonality defect
-    (``_smoothness_defect``; 0 for an exact minimizer) and the order's
-    condition estimate (lambda_max/lambda_1)**(k/2); equal only to itself."""
+    """An order-k spline, its stationarity residual and its order's certified condition bound; equal only to itself.
+
+    ``kkt_residual`` is ``max |H^T Lhat^k u|`` over the contrasts, divided by
+    ``norm(u)`` (0 for u = 0): 0 for an exact minimizer, about a rounding
+    error for a computed one, at most 1 always. ``condition_estimate`` is the
+    bound (lambda_max/Lambda)**k on the condition of the order's system, read
+    off the inputs before solving (1 when every cluster is a singleton and
+    there is no system).
+    """
 
     signal: np.ndarray
     kkt_residual: float
     condition_estimate: float
 
 
-class _OrderFactors(NamedTuple):
-    """One order's condition estimate, weights lambda**(k/2), ``dgeqrf`` factors
-    of the scaled kernel ``weights[:, None] * N`` and its largest column norm."""
+class _Order(NamedTuple):
+    """One order's n x J cardinal splines and its sparse stationarity map ``H^T Lhat^k``."""
 
-    condition: float
-    weights: np.ndarray
-    factored: np.ndarray
-    tau: np.ndarray
-    column_norm: float
+    splines: np.ndarray
+    stationarity: spmatrix
 
 
 @dataclass(frozen=True, eq=False)
-class _SplineBasis:
-    """B, N and each order's factors so far, all read-only, for one partition; never the decomposition."""
+class _Cardinals:
+    """Lhat, the indicators Xi, the contrasts H and each order so far, all read-only, for one partition."""
 
     partition: ClusterPartition
-    constraints: np.ndarray
-    kernel: np.ndarray
-    factors: dict[int, _OrderFactors] = field(default_factory=dict)
+    laplacian: csr_matrix
+    indicators: csr_matrix
+    contrasts: csr_matrix
+    orders: dict[int, _Order] = field(default_factory=dict)
 
 
-#: Each live decomposition's basis for the last partition used with it.
-_BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: Each live decomposition's cardinal splines for the last partition used with it.
+_CARDINALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _basis(decomp: SpectralDecomposition, partition: ClusterPartition) -> _SplineBasis:
-    """The constraint matrix B in eigen-coordinates and an orthonormal basis N of its kernel.
+def _read_only(*matrices) -> None:
+    """Marks each dense array, and the three arrays behind each sparse matrix, read-only."""
+    for m in matrices:
+        for a in (m.data, m.indices, m.indptr) if issparse(m) else (m,):
+            a.flags.writeable = False
 
-    Row j of B holds the scaled averages over cluster j of every eigenvector
-    (J x n); N is n x (n - J). A partition is a valid cover by construction,
-    so B has orthonormal rows and one complete QR of B^T gives N. Memoised
-    per decomposition and replaced when called with another partition object.
+
+def _helmert(partition: ClusterPartition) -> csr_matrix:
+    """The n x (n - J) Helmert contrasts: orthonormal, zero-sum within each cluster, from the label vector.
+
+    With a cluster's vertices ascending as v_0 < ... < v_{s-1}, contrast
+    i = 1 .. s-1 is ``(e_{v_0} + ... + e_{v_{i-1}} - i e_{v_i}) / sqrt(i (i+1))``.
     """
-    basis = _BASES.get(decomp)
-    if basis is not None and basis.partition is partition:
-        return basis
-    B = _cluster_rows(partition, decomp.eigenvectors)
-    q = qr(B.T, check_finite=False)[0]
-    kernel = q[:, B.shape[0]:].copy(order="F")  # not all of q; q's layout, so products keep their digits
-    B.flags.writeable = kernel.flags.writeable = False
-    basis = _BASES[decomp] = _SplineBasis(partition, B, kernel)
-    return basis
+    labels = partition.labels
+    order = np.argsort(labels, kind="stable")  # the clusters one after another, each ascending
+    sizes = np.bincount(labels, minlength=partition.num_clusters)
+    rank = np.arange(partition.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # of order[p] in its cluster
+    head = np.flatnonzero(rank > 0)  # one column each: contrast i = rank[head], entries at positions head-i .. head
+    count = rank[head] + 1
+    column = np.repeat(np.arange(head.size), count)
+    back = np.repeat(np.cumsum(count), count) - 1 - np.arange(column.size)  # i .. 0 within each column
+    i = np.repeat(rank[head], count).astype(float)
+    values = np.where(back > 0, 1.0, -i) / np.sqrt(i * (i + 1.0))
+    return csr_matrix((values, (order[head[column] - back], column)), shape=(partition.n, head.size))
 
 
-def _power_weights(decomp: SpectralDecomposition, s: float) -> np.ndarray:
-    """lambda**(s/2) per eigenvalue, the roundoff kernel (at or below ``1e-9 * abs(lambda_max)``) pinned to 0."""
-    lam = decomp.eigenvalues
-    return np.where(lam > 1e-9 * abs(decomp.lambda_max), lam, 0.0) ** (s / 2.0)
-
-
-def _order_factors(decomp: SpectralDecomposition, basis: _SplineBasis, k: int) -> _OrderFactors:
-    """The order-k factors, memoised in ``basis``.
-
-    The condition estimate is (lambda_max / lambda_1)**(k/2) over the positive
-    eigenvalues. Refuses an order beyond ``CONDITION_LIMIT`` before factoring
-    its system, and so caches nothing for it.
-    """
-    factors = basis.factors.get(k)
-    if factors is not None:
-        return factors
-    lam = _power_weights(decomp, 2)  # the pinned eigenvalues exactly: x ** 1.0 == x
-    positive = lam[lam > 0.0]
-    condition = float((positive[-1] / positive[0]) ** (k / 2.0)) if positive.size else 1.0
+def _condition(decomp: SpectralDecomposition, partition: ClusterPartition, k: int) -> float:
+    """(lambda_max/Lambda)**k, at least 1, inf past the largest double; NumericalError beyond ``CONDITION_LIMIT``."""
+    try:
+        condition = max(1.0, (decomp.lambda_max / partition.lambda_xi) ** k)
+    except OverflowError:
+        condition = math.inf
     if condition > CONDITION_LIMIT:
         raise NumericalError(
-            f"order-{k} spline system condition ~{condition:.2e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; reduce the order or improve the spectral gap"
+            f"order-{k} spline system condition bound (lambda_max/Lambda)^k ~{condition:.2e} exceeds "
+            f"{CONDITION_LIMIT:.0e}; reduce the order or use clusters with larger spectral gaps"
         )
-    weights = lam ** (k / 2.0)
-    scaled = weights[:, None] * basis.kernel
-    column_norms = np.linalg.norm(scaled, axis=0)
-    factored, tau, _, info = lapack.dgeqrf(scaled, overwrite_a=True)
-    if info != 0:
-        raise NumericalError(f"QR factorisation failed (LAPACK info {info})")
-    weights.flags.writeable = factored.flags.writeable = tau.flags.writeable = False
-    factors = basis.factors[k] = _OrderFactors(
-        condition, weights, factored, tau, float(column_norms.max()) if column_norms.size else 0.0)
-    return factors
+    return condition
 
 
-def _smoothness_defect(kernel: np.ndarray, factors: _OrderFactors, smoothed: np.ndarray) -> tuple[float, float]:
-    """Largest inner product of a smoothed signal with the smoothed kernel basis, and its scale.
+def _orders(decomp: SpectralDecomposition, partition: ClusterPartition, k_list) -> list[tuple[int, float, _Order]]:
+    """Each order with its condition bound and memoised cardinal splines, in ``k_list``'s order.
 
-    The scale is the product of the factor norms (at least 1), so that
-    ``defect / scale`` is a relative orthogonality defect.
+    Checks every order and its bound first, so a refused order caches
+    nothing. The missing orders are then built in ascending order, each
+    from ``Lhat^k H`` by sparse products that reuse the last one's power.
+    The memo (``_CARDINALS``) is replaced when called with another
+    partition object; NumericalError when a Cholesky factorisation fails.
     """
-    defect_vec = kernel.T @ (factors.weights * smoothed)
-    defect = float(np.max(np.abs(defect_vec))) if defect_vec.size else 0.0
-    return defect, max(1.0, float(np.linalg.norm(smoothed)) * factors.column_norm)
-
-
-def _spline(
-    decomp: SpectralDecomposition, basis: _SplineBasis, factors: _OrderFactors, feasible: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-coefficients and signal of the spline whose order ``factors`` belong to.
-
-    ``feasible`` is ``B^T v`` for the targets v: the minimum-norm point with
-    those averages, exact by row orthonormality, and the same for every order.
-    The kernel step y solves ``min || weights * (feasible + N y) ||`` from the
-    ``dgeqrf`` factors. The scaled kernel has full column rank (the constant
-    eigenvector, the only one with weight zero, lies in the row space of the
-    constraints), and its condition is at most the order's estimate, which
-    ``_order_factors`` bounds before factoring it.
-    """
-    factored, tau = factors.factored, factors.tau
-    step = np.zeros(0)  # no kernel when every cluster is a singleton: the averages fix the signal
-    if tau.size:
-        qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, -(factors.weights * feasible)[:, None], 1)
-        if info == 0:
-            solution, info = lapack.dtrtrs(factored, qt_rhs)
+    ks = [_integer(k, "spline order") for k in k_list]
+    conditions = {k: _condition(decomp, partition, k) for k in ks}
+    memo = _CARDINALS.get(decomp)
+    if memo is None or memo.partition is not partition:
+        # Xi from the one maker of cluster sums, which refuses a partition of another size
+        indicators = _cluster_rows(partition, identity(decomp.n, format="csr"))
+        laplacian = csr_matrix(decomp.matrix)
+        laplacian.data /= decomp.lambda_max
+        contrasts = _helmert(partition)
+        _read_only(indicators, laplacian, contrasts)
+        memo = _CARDINALS[decomp] = _Cardinals(partition, laplacian, indicators, contrasts)
+    H, power, j = memo.contrasts, memo.contrasts, 0
+    for k in sorted(conditions.keys() - memo.orders.keys()):
+        while j < k:
+            power, j = memo.laplacian @ power, j + 1
+        stationarity = power.T  # H^T Lhat^k, as Lhat is symmetric
+        factor, info = lapack.dpotrf((H.T @ power).toarray(order="F"), lower=1, overwrite_a=1, clean=0)
+        solved = (stationarity @ memo.indicators.T).toarray(order="F")
+        if info == 0 and solved.size:  # empty when every cluster is a singleton
+            solved, info = lapack.dpotrs(factor, solved, lower=1, overwrite_b=1)
         if info != 0:
-            raise NumericalError(f"QR least-squares solve failed (LAPACK info {info})")
-        step = solution[: tau.size, 0]
-    coeffs = feasible + basis.kernel @ step
-    return coeffs, decomp.eigenvectors @ coeffs
+            raise NumericalError(f"order-{k} Cholesky factorisation failed (LAPACK info {info})")
+        splines = H @ solved  # S_k = Xi^T - H A_k^{-1} H^T Lhat^k Xi^T
+        np.negative(splines, out=splines)
+        splines[np.arange(decomp.n), partition.labels] += 1.0 / partition._sqrt_sizes[partition.labels]
+        _read_only(splines, stationarity)
+        memo.orders[k] = _Order(splines, stationarity)
+    return [(k, conditions[k], memo.orders[k]) for k in ks]
 
 
 def solve_spline(
@@ -181,17 +180,16 @@ def solve_spline(
     The recovery rate 2*gamma**k is proven for orders that are powers of two
     (``ConvergenceRow.proved``); other positive integer orders are solved
     too. Raises InputError unless k is a positive integer and the targets are
-    one finite value per cluster, and NumericalError when the estimated
-    condition of the equilibrated system exceeds the double-precision budget,
-    rather than returning digits that cannot be trusted.
+    one finite value per cluster, and NumericalError when the order's
+    certified condition bound exceeds the double-precision budget, rather
+    than returning digits that cannot be trusted.
     """
-    k = _integer(k, "spline order")
     targets = _vector(targets, partition.num_clusters, "targets")
-    basis = _basis(decomp, partition)
-    factors = _order_factors(decomp, basis, k)
-    coeffs, signal = _spline(decomp, basis, factors, basis.constraints.T @ targets)
-    defect, scale = _smoothness_defect(basis.kernel, factors, factors.weights * coeffs)
-    return SplineSolution(signal=signal, kkt_residual=defect / scale, condition_estimate=factors.condition)
+    (_, condition, order), = _orders(decomp, partition, [k])
+    signal = order.splines @ targets
+    residual, norm = order.stationarity @ signal, math.sqrt(signal @ signal)
+    kkt = float(np.abs(residual).max()) / norm if norm and residual.size else 0.0
+    return SplineSolution(signal=signal, kkt_residual=kkt, condition_estimate=condition)
 
 
 def interpolate(
@@ -245,13 +243,10 @@ def spline_convergence_experiment(
             f"signal has out-of-band content for omega={omega}; "
             "project it first or lower the bandwidth"
         )
-    basis = _basis(decomp, partition)
-    feasible = basis.constraints.T @ analyze(partition, f)
+    targets = analyze(partition, f)
     rows = []
-    for k in k_list:
-        k = _integer(k, "spline order")
-        factors = _order_factors(decomp, basis, k)
-        error = f - _spline(decomp, basis, factors, feasible)[1]
+    for k, _, order in _orders(decomp, partition, k_list):
+        error = f - order.splines @ targets
         rel = math.sqrt(error @ error) / norm_f
         bound = 2.0 * gamma ** k
         rows.append(

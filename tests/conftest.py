@@ -1,6 +1,6 @@
-"""Shared fixtures: reference graphs, decompositions, and partitions, and the
-quantities in the paper's inequalities, computed from the package's own
-private formulas.
+"""Shared fixtures: reference graphs, decompositions, and partitions, the
+quantities in the paper's inequalities, and the eigen-coordinate spline route
+that the package's null-space splines are checked against.
 
 Session scope keeps the dense eigendecompositions (the expensive part) to one
 run each across the whole suite.
@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.linalg import qr
 from scipy.sparse import csr_matrix
 
 from avgsampling import (
@@ -22,7 +23,7 @@ from avgsampling import (
     pairs_partition,
     validate_partition,
 )
-from avgsampling.splines import _basis, _order_factors, _power_weights, _smoothness_defect
+from avgsampling.partitions import _cluster_rows
 
 settings.register_profile(
     "deterministic",
@@ -107,22 +108,35 @@ def gradient_sq(graph: WeightedGraph, f: np.ndarray) -> float:
     return float(np.sum(ws * diffs * diffs))
 
 
+def power_weights(decomp, s: float) -> np.ndarray:
+    """lambda**(s/2) per eigenvalue, the roundoff kernel (at or below ``1e-9 * abs(lambda_max)``) pinned to 0."""
+    lam = decomp.eigenvalues
+    return np.where(lam > 1e-9 * abs(decomp.lambda_max), lam, 0.0) ** (s / 2.0)
+
+
 def power(decomp, s, f: np.ndarray) -> np.ndarray:
     """L^{s/2} f through the eigenvalues, roundoff kernel pinned to 0 (s > 0)."""
     V = decomp.eigenvectors
-    return V @ (_power_weights(decomp, s) * (V.T @ f))
+    return V @ (power_weights(decomp, s) * (V.T @ f))
+
+
+def eigen_kernel(decomp, partition) -> tuple[np.ndarray, np.ndarray]:
+    """B, the scaled cluster averages of every eigenvector (J x n), and an
+    orthonormal basis N of its kernel (n x (n - J)) from one complete QR of B^T."""
+    B = _cluster_rows(partition, decomp.eigenvectors)
+    return B, qr(B.T)[0][:, B.shape[0]:]
 
 
 def zero_average(decomp, partition, coefficients: np.ndarray) -> np.ndarray:
     """The signal with zero cluster averages whose kernel coordinates are ``coefficients``."""
-    return decomp.eigenvectors @ (_basis(decomp, partition).kernel @ coefficients)
+    return decomp.eigenvectors @ (eigen_kernel(decomp, partition)[1] @ coefficients)
 
 
 def energy_slack(decomp, partition, f: np.ndarray, alpha: float) -> float:
     """rhs - lhs of the partition energy inequality ``norm(f)**2 <= (1+alpha)/alpha
     / Lambda * norm(L^{1/2} f)**2 + (1+alpha) * sum of squared scaled averages``."""
     coeffs = decomp.eigenvectors.T @ f
-    grad2 = float(np.sum(_power_weights(decomp, 2) * coeffs * coeffs))
+    grad2 = float(np.sum(power_weights(decomp, 2) * coeffs * coeffs))
     averages = analyze(partition, f)
     sampled = float(averages @ averages)
     if math.isfinite(partition.lambda_xi):
@@ -136,11 +150,15 @@ def orthogonality_defect(decomp, partition, u: np.ndarray, k: int) -> tuple[floa
     """Largest inner product of L^{k/2} u with L^{k/2} of the zero-average basis, and its scale.
 
     u is the order-k spline of its own averages exactly when the defect
-    vanishes; ``defect / scale`` is the relative defect ``kkt_residual`` reports.
+    vanishes. The scale is the product of the factor norms, at least 1, so that
+    ``defect / scale`` is a relative orthogonality defect.
     """
-    basis = _basis(decomp, partition)
-    factors = _order_factors(decomp, basis, k)
-    return _smoothness_defect(basis.kernel, factors, factors.weights * (decomp.eigenvectors.T @ u))
+    kernel = eigen_kernel(decomp, partition)[1]
+    weights = power_weights(decomp, k)
+    smoothed = weights * (decomp.eigenvectors.T @ u)
+    defect = float(np.max(np.abs(kernel.T @ (weights * smoothed)), initial=0.0))
+    column_norm = float(np.max(np.linalg.norm(weights[:, None] * kernel, axis=0), initial=0.0))
+    return defect, max(1.0, float(np.linalg.norm(smoothed)) * column_norm)
 
 
 def _bundle(graph, clusters):

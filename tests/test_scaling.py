@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,18 +18,23 @@ from avgsampling import (
     frame_algorithm,
     generate_pw_signal,
     interpolate,
+    pairs_partition,
     pw_project,
+    spline_convergence_experiment,
     validate_partition,
 )
 
 ORDERS = (1, 2, 4)
 #: Gaps narrower than this fraction of lambda_max are not used as band edges.
 MIN_GAP = 1e-6
+#: Splines of the two scales differ by at most this many units of roundoff
+#: times the order's certified condition bound, relative to their norm.
+ROUNDOFF_UNITS = 16
 
 
 @st.composite
-def scaled_graphs(draw):
-    """A connected weighted graph, a scale c, and the graph with every weight times c.
+def scaled_graphs(draw, low=1e-9, high=1e9):
+    """A connected weighted graph, a scale c in [low, high], and the graph with every weight times c.
 
     A random tree (each vertex hangs off an earlier one) keeps the graph
     connected; extra edges close cycles.
@@ -39,7 +45,7 @@ def scaled_graphs(draw):
     extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
     for pair in draw(st.lists(extra, max_size=n, unique=True), label="extra edges"):
         edges.setdefault(pair, draw(weights, label="weight"))
-    c = draw(st.floats(1e-9, 1e9), label="scale")
+    c = draw(st.floats(low, high), label="scale")
     graph = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()])
     scaled = WeightedGraph.from_edges(n, [(u, v, c * w) for (u, v), w in edges.items()])
     return graph, scaled, c
@@ -98,8 +104,40 @@ def test_results_invariant_under_weight_and_bandwidth_scale(graphs, radius, seed
     # error is at most tol * b / a.
     assert abs(errors[1] - errors[0]) <= 2.0 * config.tol * frames[0].upper / a + 1e-12 / a
 
+
+@given(scaled_graphs(1e-150, 1e150), st.integers(1, 2), st.integers(0, 100))
+def test_splines_invariant_over_the_double_range(graphs, radius, seed):
+    # splines see only L / lambda_max, so no weight scale can overflow or underflow them
+    graph, scaled, c = graphs
+    clusters = bfs_partition(graph, radius)
+    parts = [validate_partition(g, clusters) for g in (graph, scaled)]
+    decomps = [eigendecompose(build_laplacian(g)) for g in (graph, scaled)]
+    f = np.random.Generator(np.random.PCG64(seed)).standard_normal(graph.n)
     for k in ORDERS:
-        splines = [interpolate(d, part, band, k) for d, part, band in zip(decomps, parts, bands)]
-        assert math.isclose(splines[1].condition_estimate, splines[0].condition_estimate, rel_tol=1e-9)
-        rel = [relative_error(band, spline.signal) for band, spline in zip(bands, splines)]
-        assert abs(rel[1] - rel[0]) <= 1e-13 * splines[0].condition_estimate
+        splines = [interpolate(d, part, f, k) for d, part in zip(decomps, parts)]
+        condition = splines[0].condition_estimate
+        assert math.isclose(splines[1].condition_estimate, condition, rel_tol=1e-9)
+        assert all(math.isfinite(spline.kkt_residual) for spline in splines)
+        tol = ROUNDOFF_UNITS * np.finfo(float).eps * condition
+        assert relative_error(splines[0].signal, splines[1].signal) <= tol
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-100, 1e-60, 1e60, 1e100, 1e150])
+def test_path64_splines_at_extreme_weight_scales(c):
+    # path64 pairs at omega = 0.5 c: every order's bound is below 256, so the
+    # rows and the splines match the unscaled run to 1e-12 of the signal's norm
+    runs = []
+    for scale in (1.0, c):
+        graph = WeightedGraph.from_edges(64, [(v, v + 1, scale) for v in range(63)])
+        d, part = eigendecompose(build_laplacian(graph)), validate_partition(graph, pairs_partition(64))
+        runs.append((d, part, 0.5 * scale))
+    f = generate_pw_signal(runs[0][0], 0.5, 7)
+    rows = [spline_convergence_experiment(d, part, omega, 1.0, f, [1, 2, 4, 8]) for d, part, omega in runs]
+    for row0, row1 in zip(*rows, strict=True):
+        assert abs(row1.rel_error - row0.rel_error) <= 1e-12
+        assert row1.bound == pytest.approx(row0.bound, rel=1e-12)
+        assert (row1.order, row1.within_bound, row1.proved) == (row0.order, row0.within_bound, row0.proved)
+    for k in (1, 2, 4, 8):
+        splines = [interpolate(d, part, f, k) for d, part, _ in runs]
+        assert relative_error(splines[0].signal, splines[1].signal) <= 1e-12
+        assert all(math.isfinite(spline.kkt_residual) for spline in splines)

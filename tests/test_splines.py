@@ -5,11 +5,12 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack, qr
+from scipy.linalg import lapack
 
 from avgsampling import (
     InputError,
     NumericalError,
+    WeightedGraph,
     analyze,
     bfs_partition,
     blocks_partition,
@@ -24,9 +25,14 @@ from avgsampling import (
     spline_convergence_experiment,
     validate_partition,
 )
-from avgsampling import partitions, splines
+from avgsampling import splines
 
-from conftest import dense_indicators, orthogonality_defect, power, zero_average
+from conftest import dense_indicators, eigen_kernel, orthogonality_defect, power, power_weights, zero_average
+
+#: Cross-route agreement: a spline and an independent solve of it differ by at
+#: most this many units of roundoff times the order's certified condition
+#: bound (lambda_max/Lambda)**k, relative to the spline's norm.
+ROUNDOFF_UNITS = 16
 
 
 def raw_kkt_spline(L: np.ndarray, xi_rows: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
@@ -48,17 +54,15 @@ def raw_kkt_spline(L: np.ndarray, xi_rows: np.ndarray, targets: np.ndarray, k: i
 
 
 def reference_spline(decomp, partition, targets: np.ndarray, k: int) -> np.ndarray:
-    """The per-vector route, factoring every system afresh for each target vector.
+    """The eigen-coordinate route, factoring every system afresh for each target vector.
 
-    One complete QR of the constraint rows gives the kernel basis N;
+    One complete QR of the constraint rows B gives the kernel basis N;
     the spline is ``V (B^T v + N y)`` with y from one Householder QR solve of
-    ``min || D^{1/2} (B^T v + N y) ||`` for this target vector alone.
+    ``min || D^{1/2} (B^T v + N y) ||`` for this target vector alone, where
+    D^{1/2} scales each eigen-coordinate by lambda**(k/2).
     """
-    B = partitions._cluster_rows(partition, decomp.eigenvectors)
-    J = B.shape[0]
-    kernel = qr(B.T)[0][:, J:]
-    lam = decomp.eigenvalues
-    weights = np.where(lam > 1e-9 * abs(decomp.lambda_max), np.maximum(lam, 0.0), 0.0) ** (k / 2.0)
+    B, kernel = eigen_kernel(decomp, partition)
+    weights = power_weights(decomp, k)
     feasible = B.T @ targets
     y = np.zeros(kernel.shape[1])
     if y.size:
@@ -66,6 +70,38 @@ def reference_spline(decomp, partition, targets: np.ndarray, k: int) -> np.ndarr
         qt_rhs, _, info = lapack.dormqr("L", "T", factored, tau, -(weights * feasible)[:, None], 1)
         y = lapack.dtrtrs(factored, qt_rhs)[0][: y.size, 0]
     return decomp.eigenvectors @ (feasible + kernel @ y)
+
+
+def mp_spline(decomp, partition, targets: np.ndarray, k: int, digits: int = 50) -> np.ndarray:
+    """Independent oracle at ``digits`` digits: the stationarity system
+    [[L^k, X^T], [X, 0]] [u; nu] = [0; targets] on the decomposition's own
+    matrix, with X's entries 1/sqrt(size) and the solve in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    n, J = partition.n, partition.num_clusters
+    sizes = np.bincount(partition.labels)
+    with mpmath.workdps(digits):
+        Lk = mpmath.matrix(decomp.matrix.tolist()) ** k
+        system = mpmath.zeros(n + J)
+        for u in range(n):
+            for v in range(n):
+                system[u, v] = Lk[u, v]
+            j = int(partition.labels[u])
+            system[u, n + j] = system[n + j, u] = 1 / mpmath.sqrt(int(sizes[j]))
+        solution = mpmath.lu_solve(system, mpmath.matrix([0] * n + [mpmath.mpf(float(t)) for t in targets]))
+        return np.array([float(solution[u]) for u in range(n)])
+
+
+def assert_agrees(solution, oracle: np.ndarray) -> None:
+    """``solution`` is within ``ROUNDOFF_UNITS`` eps times its certified condition bound of ``oracle``."""
+    tol = ROUNDOFF_UNITS * np.finfo(float).eps * solution.condition_estimate
+    assert np.linalg.norm(solution.signal - oracle) <= tol * np.linalg.norm(oracle)
+
+
+def weak_pair_path64():
+    """path64 ``pairs`` whose first pair is joined by weight 1e-9: Lambda = 2e-9,
+    so the certified bound (lambda_max/Lambda)**k is about 2e9 at k=1 and 4e18 at k=2."""
+    g = WeightedGraph.from_edges(64, [(v, v + 1, 1e-9 if v == 0 else 1.0) for v in range(63)])
+    return g, eigendecompose(build_laplacian(g)), validate_partition(g, pairs_partition(64))
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +165,23 @@ class TestSolveSpline:
             assert np.max(np.abs(analyze(part, sol.signal) - targets)) <= tol
             assert sol.kkt_residual <= 1e-9
 
-    def test_condition_refusal(self, path64):
-        _, d, part = path64
-        with pytest.raises(NumericalError, match="condition"):
-            solve_spline(d, part, np.zeros(32), 16)
+    def test_condition_refusal(self):
+        # refused from the certified bound alone, order by order
+        _, d, part = weak_pair_path64()
+        assert part.lambda_xi == pytest.approx(2e-9, rel=1e-6)
+        assert solve_spline(d, part, np.ones(32), 1).condition_estimate == d.lambda_max / part.lambda_xi
+        for k in (2, 4, 8, 16):
+            with pytest.raises(NumericalError, match=r"condition bound .* exceeds 1e\+14"):
+                solve_spline(d, part, np.ones(32), k)
+
+    def test_path128_order8_is_solved(self):
+        # the certified bound on path pairs is (lambda_max/2)**k, 256 at most for k=8
+        g = generate_graph("path", 128)
+        d, part = eigendecompose(build_laplacian(g)), validate_partition(g, pairs_partition(128))
+        f = generate_pw_signal(d, 0.5, 7)
+        rows = spline_convergence_experiment(d, part, 0.5, 1.0, f, [1, 2, 4, 8])
+        assert all(row.within_bound for row in rows)
+        assert interpolate(d, part, f, 8).condition_estimate == (d.lambda_max / 2.0) ** 8 <= 256.0
 
     def test_all_singletons_reproduce_the_signal(self, path16):
         # no zero-average signals: the constraints alone fix the spline
@@ -187,7 +236,7 @@ class TestSolveSpline:
         targets = analyze(part, f)
         sol = solve_spline(d, part, targets, np.int64(4))
         assert np.array_equal(sol.signal, solve_spline(d, part, targets, 4).signal)
-        orders = splines._basis(d, part).factors
+        orders = splines._CARDINALS[d].orders
         assert 4 in orders and all(type(k) is int for k in orders)
         rows = spline_convergence_experiment(d, part, 0.5, 1.0, f, np.array([1, 2, 4], dtype=np.int32))
         assert [type(row.order) for row in rows] == [int] * 3
@@ -292,33 +341,32 @@ class TestConvergence:
             assert row.proved == (row.order in (1, 2, 4, 8))
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_rows_bit_identical_to_per_order_route(self, path64, grid100, seed):
-        # The sweep forms the feasible point once and takes norms as
-        # sqrt(x @ x); the per-vector route forms it per order, numpy's norm.
+    def test_rows_agree_with_the_eigen_route(self, path64, grid100, seed):
+        # a row's error moves by at most the distance between the two splines
         orders = [1, 2, 3, 4, 8]
         for d, part, omega in [(*path64[1:], 0.5), (*grid100, 0.3)]:
             f = pw_project(d, omega, generate_pw_signal(d, omega, seed))
             targets = analyze(part, f)
             rows = spline_convergence_experiment(d, part, omega, 1.0, f, orders)
             norm = float(np.linalg.norm(f))
-            assert [row.rel_error for row in rows] == [
-                float(np.linalg.norm(f - reference_spline(d, part, targets, k))) / norm for k in orders]
+            for row, k in zip(rows, orders, strict=True):
+                tol = ROUNDOFF_UNITS * np.finfo(float).eps * (d.lambda_max / part.lambda_xi) ** k
+                oracle = float(np.linalg.norm(f - reference_spline(d, part, targets, k))) / norm
+                assert abs(row.rel_error - oracle) <= tol
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sweep_rows_are_the_single_solves(self, path64, grid100, seed):
-        # One order's weights and solve serve both the sweep and interpolate,
-        # so a row's error and an order's condition estimate agree to the bit.
+        # One order's cardinal splines serve both the sweep and interpolate,
+        # so a row's error and an order's condition bound agree to the bit.
         orders = (1, 2, 3, 4, 8)
         for d, part, omega in [(*path64[1:], 0.5), (*grid100, 0.3)]:
             f = pw_project(d, omega, generate_pw_signal(d, omega, seed))
             rows = spline_convergence_experiment(d, part, omega, 1.0, f, orders)
-            lam = splines._power_weights(d, 2)
-            positive = lam[lam > 0.0]
             for row, k in zip(rows, orders, strict=True):
                 solution = interpolate(d, part, f, k)
                 e = f - solution.signal
                 assert row.rel_error == math.sqrt(e @ e) / float(np.linalg.norm(f))
-                assert solution.condition_estimate == (positive[-1] / positive[0]) ** (k / 2)
+                assert solution.condition_estimate == (d.lambda_max / part.lambda_xi) ** k
 
     def test_spline_fixed_point_has_zero_error(self, path16):
         _, d, part = path16
@@ -361,7 +409,8 @@ class TestConvergence:
 
 
 class TestReferenceRoute:
-    """The memo keeps factorisations, not products of them, so every spline is the per-vector route, bit for bit."""
+    """The null-space splines agree with the eigen-coordinate route and with a
+    50-digit KKT solve, within ``ROUNDOFF_UNITS`` eps times the certified bound."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
     def test_matches_per_vector_route_on_path64(self, path64, k):
@@ -369,8 +418,7 @@ class TestReferenceRoute:
         rng = np.random.Generator(np.random.PCG64(61))
         targets = [analyze(part, generate_pw_signal(d, 0.5, k))] + [rng.standard_normal(32) for _ in range(3)]
         for v in targets:
-            got = solve_spline(d, part, v, k).signal
-            assert np.array_equal(got, reference_spline(d, part, v, k))
+            assert_agrees(solve_spline(d, part, v, k), reference_spline(d, part, v, k))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
     def test_matches_per_vector_route_on_er_suite(self, er_suite, k):
@@ -378,12 +426,26 @@ class TestReferenceRoute:
         for g, d, part in er_suite:
             for _ in range(2):
                 v = rng.standard_normal(part.num_clusters)
-                got = solve_spline(d, part, v, k).signal
-                assert np.array_equal(got, reference_spline(d, part, v, k)), (g.n, k)
+                assert_agrees(solve_spline(d, part, v, k), reference_spline(d, part, v, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    @pytest.mark.parametrize("case", ["path8-pairs", "er10-3-clusters"])
+    def test_matches_50_digit_kkt_solve(self, case, k):
+        if case == "path8-pairs":
+            g = generate_graph("path", 8)
+            clusters = pairs_partition(8)
+        else:
+            g = generate_graph("erdos-renyi-weighted", 10, seed=3, p=0.3)
+            clusters = bfs_partition(g, 1)
+        d, part = eigendecompose(build_laplacian(g)), validate_partition(g, clusters)
+        assert part.num_clusters == (4 if case == "path8-pairs" else 3)
+        rng = np.random.Generator(np.random.PCG64(71))
+        for v in [rng.standard_normal(part.num_clusters) for _ in range(2)]:
+            assert_agrees(solve_spline(d, part, v, k), mp_spline(d, part, v, k))
 
 
 class TestMemo:
-    """Factorisations are memoised per decomposition; results must not depend on it."""
+    """Cardinal splines are memoised per decomposition; results must not depend on it."""
 
     CALLS = {
         "interpolate": lambda d, p, f: interpolate(d, p, f, 4).signal,
@@ -396,9 +458,9 @@ class TestMemo:
     def test_cold_and_warm_are_bit_identical(self, name):
         _, d, part = fresh_path64()
         f = generate_pw_signal(d, 0.5, 5)
-        assert d not in splines._BASES
+        assert d not in splines._CARDINALS
         cold = self.CALLS[name](d, part, f)
-        assert d in splines._BASES
+        assert d in splines._CARDINALS
         warm = self.CALLS[name](d, part, f)
         assert np.array_equal(cold, warm)
 
@@ -410,44 +472,58 @@ class TestMemo:
             for k in (1, 4):
                 fresh = eigendecompose(build_laplacian(g))
                 assert np.array_equal(interpolate(d, part, f, k).signal, interpolate(fresh, part, f, k).signal)
-            assert splines._BASES[d].partition is part
+            assert splines._CARDINALS[d].partition is part
 
     def test_rebuilt_partition_gets_its_own_entry_and_the_same_bits(self):
         # a partition is equal only to itself, so the memo keys on the object
         g, d, part = fresh_path64()
         f = generate_pw_signal(d, 0.5, 8)
         first = interpolate(d, part, f, 2).signal
-        basis = splines._BASES[d]
+        memo = splines._CARDINALS[d]
         rebuilt = validate_partition(g, pairs_partition(64))
         assert rebuilt != part
         assert np.array_equal(interpolate(d, rebuilt, f, 2).signal, first)
-        assert splines._BASES[d] is not basis and splines._BASES[d].partition is rebuilt
+        assert splines._CARDINALS[d] is not memo and splines._CARDINALS[d].partition is rebuilt
 
     def test_condition_refusal_caches_no_factors(self):
-        _, d, part = fresh_path64()
+        # every order's bound is checked before anything is built
+        _, d, part = weak_pair_path64()
+        f = generate_pw_signal(d, 1e-10, 0)
         with pytest.raises(NumericalError, match="condition"):
-            solve_spline(d, part, np.zeros(32), 16)
-        assert splines._BASES[d].factors == {}
+            spline_convergence_experiment(d, part, 1e-10, 1.0, f, [1, 2])
+        assert d not in splines._CARDINALS
+        solve_spline(d, part, np.ones(32), 1)
+        with pytest.raises(NumericalError, match="condition"):
+            solve_spline(d, part, np.ones(32), 2)
+        assert sorted(splines._CARDINALS[d].orders) == [1]
+
+    def test_indicators_and_contrasts_are_an_orthonormal_basis(self, er_suite):
+        for g, d, part in er_suite:
+            solve_spline(d, part, np.ones(part.num_clusters), 1)
+            memo = splines._CARDINALS[d]
+            basis = np.vstack([memo.indicators.toarray(), memo.contrasts.T.toarray()])
+            assert np.max(np.abs(basis @ basis.T - np.eye(g.n))) <= 4 * g.n * np.finfo(float).eps
 
     def test_entry_dies_with_its_decomposition(self):
         _, d, part = fresh_path64()
         interpolate(d, part, generate_pw_signal(d, 0.5, 9), 8)
         ref = weakref.ref(d)
-        entries = len(splines._BASES)
+        entries = len(splines._CARDINALS)
         del d
         gc.collect()
         assert ref() is None
-        assert len(splines._BASES) == entries - 1
+        assert len(splines._CARDINALS) == entries - 1
 
     def test_cached_arrays_are_read_only(self):
         _, d, part = fresh_path64()
         spline_convergence_experiment(d, part, 0.5, 1.0, generate_pw_signal(d, 0.5, 11), [1, 2, 8])
-        basis = splines._BASES[d]
-        assert sorted(basis.factors) == [1, 2, 8]
-        arrays = [basis.constraints, basis.kernel,
-                  *(a for f in basis.factors.values() for a in (f.weights, f.factored, f.tau))]
-        assert [a.shape for a in arrays] == [(32, 64), (64, 32)] + [(64,), (64, 32), (32,)] * 3
+        memo = splines._CARDINALS[d]
+        assert sorted(memo.orders) == [1, 2, 8]
+        matrices = [memo.laplacian, memo.indicators, memo.contrasts,
+                    *(m for order in memo.orders.values() for m in (order.splines, order.stationarity))]
+        assert [m.shape for m in matrices] == [(64, 64), (32, 64), (64, 32)] + [(64, 32), (32, 64)] * 3
+        arrays = [a for m in matrices for a in ((m,) if isinstance(m, np.ndarray) else (m.data, m.indices, m.indptr))]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
-                a[...] = 1.0
+                a[...] = 1
