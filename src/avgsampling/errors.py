@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer and vector rules that raise them for its input."""
+"""Exception types shared across the package, and the integer and vector rules that raise them for its input.
+
+A graph's vertex count is an integer from 1 to ``graph.MAX_VERTICES`` = 2**31 - 1."""
 import numpy as np
 
 
@@ -10,10 +12,12 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed: no convergence, rank collapse, ill-conditioning."""
 
 
-def _integer(value, name: str, least: int = 1) -> int:
-    """``value`` as an int; InputError unless it is an integer (not a bool) >= ``least`` (0 or 1)."""
+def _integer(value, name: str, least: int = 1, most: int | None = None) -> int:
+    """``value`` as an int; InputError unless it is an integer (not a bool) >= ``least`` (0 or 1) and <= ``most``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise InputError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
+    if most is not None and value > most:
+        raise InputError(f"{name} must be at most {most}, got {value!r}")
     return int(value)
 
 

@@ -15,8 +15,8 @@ Each generator builds its edges as integer arrays ``lo < hi`` with positive
 weights, valid by construction, and hands them to the graph's constructor
 for valid pairs (``WeightedGraph._from_pairs``), which sorts them once; the
 per-edge checks of ``WeightedGraph.from_edges`` are for input from outside
-the package. The vertex count is checked first, with the integer rule that
-seeds follow.
+the package. The vertex count is checked first, with the integer rule and
+cap of ``from_edges``.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import InputError, NumericalError, _integer
-from .graph import WeightedGraph, is_connected
+from .graph import MAX_VERTICES, WeightedGraph, is_connected
 from .spectral import SpectralDecomposition, pw_space
 
 GENERATOR_NAME = "numpy-PCG64"
@@ -43,13 +43,13 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def path_graph(n: int) -> WeightedGraph:
-    n = _integer(n, "n")
+    n = _integer(n, "n", most=MAX_VERTICES)
     lo = np.arange(n - 1, dtype=np.intp)
     return WeightedGraph._from_pairs(n, lo, lo + 1, np.ones(n - 1))
 
 
 def cycle_graph(n: int) -> WeightedGraph:
-    n = _integer(n, "n")
+    n = _integer(n, "n", most=MAX_VERTICES)
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
     us = np.arange(n, dtype=np.intp)
@@ -58,7 +58,7 @@ def cycle_graph(n: int) -> WeightedGraph:
 
 
 def grid2d_graph(n: int) -> WeightedGraph:
-    n = _integer(n, "n")
+    n = _integer(n, "n", most=MAX_VERTICES)
     side = math.isqrt(n)
     if side * side != n:
         raise InputError(f"grid2d needs a perfect-square vertex count, got {n}")
@@ -70,7 +70,7 @@ def grid2d_graph(n: int) -> WeightedGraph:
 
 def erdos_renyi_weighted(n: int, p: float, seed: int) -> WeightedGraph:
     """G(n, p) with edge weights uniform in [0.5, 1.5]; redrawn until connected."""
-    n = _integer(n, "n")
+    n = _integer(n, "n", most=MAX_VERTICES)
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if not (0.0 < p <= 1.0):
@@ -178,7 +178,7 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     so every edge decision is the all-pairs ``np.hypot`` one. A draw whose
     graph is not connected is redrawn, up to ``RETRY_BUDGET`` draws.
     """
-    n = _integer(n, "n")
+    n = _integer(n, "n", most=MAX_VERTICES)
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if radius is None:

@@ -13,7 +13,11 @@ from typing import Iterable
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .errors import InputError
+from .errors import InputError, _integer
+
+#: The most vertices a graph may have. It keeps the int64 sort keys below
+#: 2**63: ``from_edges``'s reaches about (n + 2)**2, ``_from_pairs``'s n**2.
+MAX_VERTICES = 2**31 - 1
 
 
 class WeightedGraph:
@@ -38,17 +42,17 @@ class WeightedGraph:
         """Build a graph from undirected edges.
 
         ``edges`` is an iterable of (u, v, w) triples or an (E, 3) array.
-        Rejects a fractional n, n < 1 or n > 2**31 - 1, non-integer
-        (fractional, NaN or infinite) ids, out-of-range ids, loops, negative
-        or non-finite weights and pairs repeated in either orientation,
-        naming the first offending edge. Zero-weight edges are dropped (a zero weight means
+        Rejects an n that is not an integer from 1 to ``MAX_VERTICES``,
+        non-integer (fractional, NaN or infinite) ids, out-of-range ids,
+        loops, negative or non-finite weights and pairs repeated in either
+        orientation, naming the first offending edge. Zero-weight edges are dropped (a zero weight means
         "no edge"). One stable sort of the int64 key
         ``(lo + 1) * (n + 2) + (hi + 1)`` of each pair's ends ``lo <= hi``,
         clipped to [-1, n], orders the edges by (lo, hi), a repeat after the
-        entry it repeats; the bound on n keeps the key below 2**63. The
-        valid nonzero-weight pairs then go to ``_from_pairs``.
+        entry it repeats. The valid nonzero-weight pairs then go to
+        ``_from_pairs``.
         """
-        _vertex_count(n)
+        n = _integer(n, "n", most=MAX_VERTICES)
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 3:
             us, vs, ws = edges.T
         else:
@@ -61,7 +65,7 @@ class WeightedGraph:
         # Clipping keeps an out-of-range id out of range and the cast exact.
         us, vs = (np.where(whole, np.clip(ids, -1, n), 0).astype(np.intp) for ids in (raw_us, raw_vs))
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        key = (lo.astype(np.int64) + 1) * (int(n) + 2) + (hi + 1)
+        key = (lo.astype(np.int64) + 1) * (n + 2) + (hi + 1)
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]
         repeated = np.zeros(len(us), dtype=bool)
@@ -88,12 +92,11 @@ class WeightedGraph:
     def _from_pairs(cls, n: int, lo: np.ndarray, hi: np.ndarray, ws: np.ndarray) -> "WeightedGraph":
         """The graph of pairs already known valid, with no per-edge check.
 
-        The caller guarantees ``0 <= lo < hi < n``, no pair twice, and finite
-        positive weights ``ws``. Only the rules on n itself are applied. One
-        stable sort of the int64 key ``lo * n + hi`` orders the edges by
-        (lo, hi); the bound on n keeps the key below 2**62.
+        The caller guarantees an int n from 1 to ``MAX_VERTICES``,
+        ``0 <= lo < hi < n``, no pair twice, and finite positive weights
+        ``ws``. One stable sort of the int64 key ``lo * n + hi`` orders the
+        edges by (lo, hi).
         """
-        n = _vertex_count(n)
         lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
         order = np.argsort(lo.astype(np.int64) * n + hi, kind="stable")
         graph = cls.__new__(cls)
@@ -121,19 +124,6 @@ def _adjacency(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=graph.n))])
     indptr.flags.writeable = tails.flags.writeable = False
     return indptr, tails
-
-
-def _vertex_count(n) -> int:
-    """``n`` as an int; InputError unless it is a whole number (not a bool) from 1 to 2**31 - 1."""
-    if isinstance(n, (bool, np.bool_)):
-        raise InputError(f"vertex count must be a whole number, not a bool, got n={n!r}")
-    if not n >= 1:  # NaN included
-        raise InputError(f"graph needs at least one vertex, got n={n}")
-    if n > 2**31 - 1:
-        raise InputError(f"graph has at most 2**31 - 1 vertices, got n={n}")
-    if n != int(n):
-        raise InputError(f"vertex count must be a whole number, got n={n}")
-    return int(n)
 
 
 @dataclass(frozen=True)

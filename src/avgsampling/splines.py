@@ -19,14 +19,19 @@ has targets e_j) are memoised: n*J doubles per order, for each decomposition
 and its last partition (``_CARDINALS``). A spline then costs one product
 ``S_k @ v``.
 
-The partition constant Lambda certifies the solve. For u = Hy:
+The smaller of two proven bounds certifies the solve. For u = Hy, |y| = 1:
   1. each cluster's Poincare inequality, summed, gives <L u, u> >= Lambda |u|^2
-     (u has zero average on every cluster, and edges between clusters only add);
-  2. the moment inequality <L^k u, u> >= <L u, u>^k for unit u then gives
-     <L^k u, u> >= Lambda^k |u|^2, so y^T A_k y >= (Lambda/lambda_max)^k |y|^2;
-  3. |Lhat| <= 1 and |H| = 1 give A_k <= I, so cond(A_k) <= (lambda_max/Lambda)^k.
-An order whose bound exceeds ``CONDITION_LIMIT`` is refused before anything
-is factored.
+     (u has zero average on every cluster, and edges between clusters only add),
+     so lambda_min(A_1) >= Lambda/lambda_max;
+  2. the moment inequality (Jensen) <Lhat^k u, u> >= <Lhat u, u>^k for unit u
+     then gives y^T A_k y >= lambda_min(A_1)^k >= (Lambda/lambda_max)^k;
+  3. |Lhat| <= 1 and |H| = 1 give A_k <= I, so
+     cond(A_k) <= lambda_min(A_1)^-k <= (lambda_max/Lambda)^k.
+The bound (lambda_max/Lambda)^k needs only the partition constant. Edges
+between clusters make it loose, so when it exceeds ``CONDITION_LIMIT``,
+lambda_min(A_1)^-k is computed too, from one dense eigensolve of A_1 less its
+roundoff slack (``_Cardinals.floor``). An order whose smaller bound still
+exceeds the limit is refused before anything is factored.
 
 When a signal of bandwidth omega is interpolated through a partition with
 gamma = (1+alpha)/alpha * omega/Lambda < 1, the spline of order k = 2^l
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +53,7 @@ from .errors import InputError, NumericalError, _integer, _vector
 from .partitions import ClusterPartition, _cluster_rows, _gamma, analyze
 from .spectral import SpectralDecomposition, pw_project
 
-#: Refuse spline orders whose certified condition bound (lambda_max/Lambda)**k exceeds this.
+#: Refuse spline orders whose certified condition bound exceeds this.
 CONDITION_LIMIT = 1e14
 
 
@@ -58,9 +64,10 @@ class SplineSolution:
     ``kkt_residual`` is ``max |H^T Lhat^k u|`` over the contrasts, divided by
     ``norm(u)`` (0 for u = 0): 0 for an exact minimizer, about a rounding
     error for a computed one, at most 1 always. ``condition_estimate`` is the
-    bound (lambda_max/Lambda)**k on the condition of the order's system, read
-    off the inputs before solving (1 when every cluster is a singleton and
-    there is no system).
+    certified bound on the condition of the order's system used before
+    solving: (lambda_max/Lambda)**k, or lambda_min(A_1)**-k where that one
+    exceeds ``CONDITION_LIMIT`` and this one is smaller (1 when every cluster
+    is a singleton and there is no system).
     """
 
     signal: np.ndarray
@@ -84,6 +91,35 @@ class _Cardinals:
     indicators: csr_matrix
     contrasts: csr_matrix
     orders: dict[int, _Order] = field(default_factory=dict)
+
+    @cached_property
+    def floor(self) -> float:
+        """A lower bound on lambda_min(A_1), A_1 = H^T Lhat H: its computed least eigenvalue less a roundoff slack.
+
+        With eps = 2**-53, s the largest cluster and d the most nonzeros in a
+        row of L, A_1 is assembled by rounding each entry of Lhat once and by
+        two sparse products whose entries sum at most d and s terms. It thus
+        differs from the exact A_1 entrywise by at most
+        gamma_m |H|^T |Lhat| |H|, m = d + s + 1 and gamma_m = m eps / (1 - m eps)
+        (Higham, Accuracy and Stability of Numerical Algorithms, section 3.5).
+        The 2-norm of ``|Lhat|`` is at most 2 d_max/lambda_max <= 2 (Gershgorin,
+        and lambda_max >= d_max), and that of ``|H|``, squared, at most its
+        largest column sum (under 2) times its largest row sum (under
+        1 + ln s), so the perturbation's is at most 4 (1 + ln s) gamma_m. eigvalsh is backward stable:
+        each computed eigenvalue is within p(N)·eps·||A_1|| of the assembled
+        matrix's, with ||A_1|| <= 1 and p(N) <= 15 N for its N columns, as in
+        ``partitions._cluster_gaps``. By Weyl's inequality the exact
+        lambda_min(A_1) is thus at least the computed one less
+        ``(8 (1 + ln s) m + 16 N) eps``: the first term is twice the
+        perturbation bound with gamma_m taken as m eps, which covers
+        gamma_m <= 2 m eps and a computed lambda_max a little below the true
+        one, and the second exceeds 15 N eps ||A_1|| on the same margin.
+        """
+        H = self.contrasts
+        s = int(np.bincount(self.partition.labels).max())
+        m = int(np.diff(self.laplacian.indptr).max()) + s + 1
+        slack = (8 * (1 + math.log(s)) * m + 16 * H.shape[1]) * np.finfo(float).eps
+        return float(np.linalg.eigvalsh((H.T @ (self.laplacian @ H)).toarray())[0]) - slack
 
 
 #: Each live decomposition's cardinal splines for the last partition used with it.
@@ -116,16 +152,27 @@ def _helmert(partition: ClusterPartition) -> csr_matrix:
     return csr_matrix((values, (order[head[column] - back], column)), shape=(partition.n, head.size))
 
 
-def _condition(decomp: SpectralDecomposition, partition: ClusterPartition, k: int) -> float:
-    """(lambda_max/Lambda)**k, at least 1, inf past the largest double; NumericalError beyond ``CONDITION_LIMIT``."""
+def _power(ratio: float, k: int) -> float:
+    """ratio**k, at least 1, inf past the largest double."""
     try:
-        condition = max(1.0, (decomp.lambda_max / partition.lambda_xi) ** k)
+        return max(1.0, ratio ** k)
     except OverflowError:
-        condition = math.inf
+        return math.inf
+
+
+def _condition(decomp: SpectralDecomposition, memo: _Cardinals, k: int) -> float:
+    """The order's certified condition bound; NumericalError beyond ``CONDITION_LIMIT``.
+
+    (lambda_max/Lambda)**k, or the smaller lambda_min(A_1)**-k when that one
+    is over the limit; the eigensolve for lambda_min(A_1) runs only then.
+    """
+    condition = _power(decomp.lambda_max / memo.partition.lambda_xi, k)
+    if condition > CONDITION_LIMIT:
+        condition = min(condition, _power(1.0 / memo.floor, k) if memo.floor > 0 else math.inf)
     if condition > CONDITION_LIMIT:
         raise NumericalError(
-            f"order-{k} spline system condition bound (lambda_max/Lambda)^k ~{condition:.2e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; reduce the order or use clusters with larger spectral gaps"
+            f"order-{k} spline system condition bound min((lambda_max/Lambda)^k, lambda_min(A_1)^-k) ~{condition:.2e} "
+            f"exceeds {CONDITION_LIMIT:.0e}; reduce the order or use clusters with larger spectral gaps"
         )
     return condition
 
@@ -134,22 +181,26 @@ def _orders(decomp: SpectralDecomposition, partition: ClusterPartition, k_list) 
     """Each order with its condition bound and memoised cardinal splines, in ``k_list``'s order.
 
     Checks every order and its bound first, so a refused order caches
-    nothing. The missing orders are then built in ascending order, each
-    from ``Lhat^k H`` by sparse products that reuse the last one's power.
-    The memo (``_CARDINALS``) is replaced when called with another
-    partition object; NumericalError when a Cholesky factorisation fails.
+    nothing: the memo (``_CARDINALS``) is replaced when called with another
+    partition object, and only once every order passes. The missing orders
+    are then built in ascending order, each from ``Lhat^k H`` by sparse
+    products that reuse the last one's power. NumericalError when a
+    Cholesky factorisation fails.
     """
     ks = [_integer(k, "spline order") for k in k_list]
-    conditions = {k: _condition(decomp, partition, k) for k in ks}
     memo = _CARDINALS.get(decomp)
-    if memo is None or memo.partition is not partition:
+    stale = memo is None or memo.partition is not partition
+    if stale:
         # Xi from the one maker of cluster sums, which refuses a partition of another size
         indicators = _cluster_rows(partition, identity(decomp.n, format="csr"))
         laplacian = csr_matrix(decomp.matrix)
         laplacian.data /= decomp.lambda_max
         contrasts = _helmert(partition)
         _read_only(indicators, laplacian, contrasts)
-        memo = _CARDINALS[decomp] = _Cardinals(partition, laplacian, indicators, contrasts)
+        memo = _Cardinals(partition, laplacian, indicators, contrasts)
+    conditions = {k: _condition(decomp, memo, k) for k in ks}
+    if stale:
+        _CARDINALS[decomp] = memo
     H, power, j = memo.contrasts, memo.contrasts, 0
     for k in sorted(conditions.keys() - memo.orders.keys()):
         while j < k:

@@ -168,13 +168,23 @@ class TestSplineCommand:
         assert all(row["within_bound"] is True for row in rows)
 
     def test_order_over_its_certified_bound_is_exit_two(self, tmp_path, capsys):
-        # path64 pairs with the first pair joined by 1e-9: Lambda = 2e-9, so order 2's bound is ~4e18
-        graph = write_rows(tmp_path / "weak.edges", [(v, v + 1, 1e-9 if v == 0 else 1.0) for v in range(63)],
+        # path64 as one cluster whose halves are joined by 1e-9: both of order 2's bounds are ~4e21
+        graph = write_rows(tmp_path / "bridge.edges", [(v, v + 1, 1e-9 if v == 31 else 1.0) for v in range(63)],
                            sep="\t", header="n=64")
-        code, out, err = run_cli(["spline", "--graph", str(graph), "--clusters", "pairs", "--omega", "1e-10",
+        code, out, err = run_cli(["spline", "--graph", str(graph), "--clusters", "blocks:64", "--omega", "1e-11",
                                   "--random-seed", "7"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("numerical failure: order-2 spline system condition bound")
+
+    def test_rgg200_sweeps_every_default_order(self, capsys):
+        # order 8's bound (lambda_max/Lambda)**8 is ~4.9e15; lambda_min(A_1)**-8 is ~6.3e8
+        code, out, err = run_cli(["spline", "--generate", "random-geometric", "--n", "200", "--seed", "2",
+                                  "--clusters", "bfs:2", "--omega", "0.05", "--random-seed", "7", "--format", "json"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert [row["k"] for row in rows] == [1, 2, 4, 8]
+        assert all(row["within_bound"] is True for row in rows)
 
     def test_json_rows_have_the_demo_report_keys(self, capsys):
         keys = {"k", "rel_error", "bound_2gamma_k", "within_bound", "proved"}

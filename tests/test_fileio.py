@@ -62,7 +62,7 @@ class TestEdgeList:
 
     @pytest.mark.parametrize("body, message", [
         ("n=3\n0\t1\t1.0\n1\t2\t1.0\n0\t1\t2.0\n", "duplicate edge (0,1)"),
-        ("n=0\n", "graph needs at least one vertex, got n=0"),
+        ("n=0\n", "n must be a positive integer, got 0"),
     ])
     def test_graph_rules_name_the_file(self, tmp_path, body, message):
         # the graph constructor's own refusals, re-raised with the path

@@ -15,7 +15,9 @@ from avgsampling import (
     is_connected,
     validate,
 )
-from avgsampling.graph import _adjacency, _components
+from avgsampling import generators
+from avgsampling.fileio import read_edge_list
+from avgsampling.graph import MAX_VERTICES, _adjacency, _components
 from conftest import gradient_sq
 
 
@@ -94,7 +96,7 @@ def reference_from_edges(n, edges):
     pairs: the stored (u, v, w) with u < v, sorted, zero weights dropped.
     Float ids must be whole numbers; an out-of-range one is compared exactly."""
     if n < 1:
-        raise InputError(f"graph needs at least one vertex, got n={n}")
+        raise InputError(f"n must be a positive integer, got {n}")
     kept, seen = [], set()
     for u, v, w in edges:
         if any(isinstance(x, (float, np.floating)) and not float(x).is_integer() for x in (u, v)):
@@ -226,7 +228,7 @@ class TestConstructors:
         (3, [(1, 2, 1.0), (0, 1, -math.inf)], "non-finite weight -inf on edge (0,1)"),
         (3, [(0, 3, 1.0)], "edge (0,3) out of range for n=3"),
         (3, [(-1, 2, 0.0)], "edge (-1,2) out of range for n=3"),
-        (0, [], "graph needs at least one vertex, got n=0"),
+        (0, [], "n must be a positive integer, got 0"),
         (3, [(0.5, 1.7, 1.0), (1.2, 2.9, 2.0)], "edge (0.5,1.7) has a non-integer vertex id"),
         (3, [(0, 1, 1.0), (1, math.nan, 1.0)], "edge (1.0,nan) has a non-integer vertex id"),
         (3, [(math.inf, 1, 1.0)], "edge (inf,1.0) has a non-integer vertex id"),
@@ -234,16 +236,18 @@ class TestConstructors:
         (3, [(0, 5, 1.0), (0.5, 1, 1.0)], "edge (0,5) out of range for n=3"),
         (3, [(0.5, 1, 1.0), (0, 5, 1.0)], "edge (0.5,1.0) has a non-integer vertex id"),
         (3, [(0, 1e20, 1.0)], "edge (0,100000000000000000000) out of range for n=3"),
-        (3.5, [(2, 3, 1.0)], "vertex count must be a whole number, got n=3.5"),
-        (np.float64(3.5), [(0, 1, 1.0)], "vertex count must be a whole number, got n=3.5"),
-        (1.5, [], "vertex count must be a whole number, got n=1.5"),
+        (3.5, [(2, 3, 1.0)], "n must be a positive integer, got 3.5"),
+        (np.float64(3.5), [(0, 1, 1.0)], f"n must be a positive integer, got {np.float64(3.5)!r}"),
+        (1.5, [], "n must be a positive integer, got 1.5"),
+        (4.0, [(2, 3, 1.0)], "n must be a positive integer, got 4.0"),
+        (np.float64(4.0), [(0, 1, 1.0)], f"n must be a positive integer, got {np.float64(4.0)!r}"),
     ])
     def test_from_edges_rejects(self, n, edges, message):
         for given_edges in (edges, np.array(edges, dtype=float).reshape(-1, 3)):
             with pytest.raises(InputError, match=re.escape(message)):
                 WeightedGraph.from_edges(n, given_edges)
 
-    @pytest.mark.parametrize("n", [4, np.int64(4), np.int32(4), 4.0, np.float64(4.0)])
+    @pytest.mark.parametrize("n", [4, np.int64(4), np.int32(4)])
     def test_whole_number_vertex_count_accepted(self, n):
         g = WeightedGraph.from_edges(n, [(2, 3, 1.0), (0, 1, 2.0)])
         assert type(g.n) is int and g.n == 4
@@ -253,7 +257,7 @@ class TestConstructors:
     def test_boolean_vertex_count_refused(self, n):
         """True once built a 1-vertex graph; generate_graph("path", True) refuses it too."""
         for edges in ([], np.empty((0, 3))):
-            with pytest.raises(InputError, match="^vertex count must be a whole number, not a bool"):
+            with pytest.raises(InputError, match=f"^n must be a positive integer, got {re.escape(repr(n))}$"):
                 WeightedGraph.from_edges(n, edges)
 
     @pytest.mark.parametrize("args", [(2, {}), (2, {(0, 1): 1.0, (1, 0): 2.0}), (2, [(0, 1, -1.0)])])
@@ -315,6 +319,53 @@ def with_faults(edges, n, seed, repeats, strays):
     return edges
 
 
+#: Every place a graph's vertex count enters, as a function of n.
+VERTEX_COUNT_ENTRIES = {
+    "from_edges": lambda n, tmp_path: WeightedGraph.from_edges(n, []),
+    **{kind: lambda n, tmp_path, kind=kind: generate_graph(kind, n, seed=1) for kind in generators.GRAPH_KINDS},
+}
+
+
+def edge_list_header(n, tmp_path):
+    path = tmp_path / "header.edges"
+    path.write_text(f"n={n}\n", encoding="utf-8")
+    return read_edge_list(path)
+
+
+class TestVertexCountRule:
+    """One rule and one set of words for a graph's vertex count, wherever it enters."""
+
+    @pytest.mark.parametrize("entry", sorted(VERTEX_COUNT_ENTRIES))
+    @pytest.mark.parametrize("n", [0, -1, 3.5, 4.0, np.float64(4.0), True, np.True_, math.nan],
+                             ids=["0", "-1", "3.5", "4.0", "np.float64(4.0)", "True", "np.True_", "nan"])
+    def test_refuses_all_but_a_positive_integer(self, entry, n, tmp_path):
+        with pytest.raises(InputError) as err:
+            VERTEX_COUNT_ENTRIES[entry](n, tmp_path)
+        assert str(err.value) == f"n must be a positive integer, got {n!r}"
+
+    @pytest.mark.parametrize("entry", sorted(VERTEX_COUNT_ENTRIES))
+    def test_cap_refused_before_anything_is_built(self, entry, tmp_path):
+        # refused before any array of length n is allocated: 2**31 vertices would take gigabytes
+        with pytest.raises(InputError) as err:
+            VERTEX_COUNT_ENTRIES[entry](MAX_VERTICES + 1, tmp_path)
+        assert str(err.value) == "n must be at most 2147483647, got 2147483648"
+
+    @pytest.mark.parametrize("n, message", [(0, "n must be a positive integer, got 0"),
+                                            (-1, "n must be a positive integer, got -1"),
+                                            (2**31, "n must be at most 2147483647, got 2147483648")])
+    def test_edge_list_header(self, n, message, tmp_path):
+        # a header parses as an integer first, so only integers reach the rule
+        with pytest.raises(InputError) as err:
+            edge_list_header(n, tmp_path)
+        assert str(err.value) == f"{tmp_path / 'header.edges'}: {message}"
+
+    @pytest.mark.parametrize("entry", [*sorted(VERTEX_COUNT_ENTRIES), "read_edge_list"])
+    def test_numpy_integer_accepted(self, entry, tmp_path):
+        build = edge_list_header if entry == "read_edge_list" else VERTEX_COUNT_ENTRIES[entry]
+        graph = build(np.int64(4), tmp_path)
+        assert type(graph.n) is int and graph.n == 4
+
+
 class TestLargeEdgeLists:
     """The one-key edge sort against the loop reference at 1e4-1e5 vertices.
 
@@ -350,11 +401,11 @@ class TestLargeEdgeLists:
             assert outcome(WeightedGraph.from_edges, n, faulty) == ("InputError", message)
             assert outcome(reference_from_edges, n, faulty) == ("InputError", message)
         for too_many in (2**31, 2**40):
-            with pytest.raises(InputError, match=re.escape(f"graph has at most 2**31 - 1 vertices, got n={too_many}")):
+            with pytest.raises(InputError, match=re.escape(f"n must be at most 2147483647, got {too_many}")):
                 WeightedGraph.from_edges(too_many, [(0, 1, 1.0)])
 
     def test_nan_vertex_count_refused(self):
-        with pytest.raises(InputError, match="graph needs at least one vertex, got n=nan"):
+        with pytest.raises(InputError, match="^n must be a positive integer, got nan$"):
             WeightedGraph.from_edges(math.nan, [(0, 1, 1.0)])
 
 

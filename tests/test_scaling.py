@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from avgsampling import (
     FrameIterationConfig,
+    NumericalError,
     WeightedGraph,
     analyze,
     bfs_partition,
@@ -24,7 +25,7 @@ from avgsampling import (
     validate_partition,
 )
 
-ORDERS = (1, 2, 4)
+ORDERS = (1, 2, 4, 8)
 #: Gaps narrower than this fraction of lambda_max are not used as band edges.
 MIN_GAP = 1e-6
 #: Splines of the two scales differ by at most this many units of roundoff
@@ -114,7 +115,16 @@ def test_splines_invariant_over_the_double_range(graphs, radius, seed):
     decomps = [eigendecompose(build_laplacian(g)) for g in (graph, scaled)]
     f = np.random.Generator(np.random.PCG64(seed)).standard_normal(graph.n)
     for k in ORDERS:
-        splines = [interpolate(d, part, f, k) for d, part in zip(decomps, parts)]
+        splines = []
+        for d, part in zip(decomps, parts):
+            try:
+                splines.append(interpolate(d, part, f, k))
+            except NumericalError:
+                splines.append(None)
+        # both certified bounds are scale-free, so an order refused at one scale is refused at every scale
+        assert (splines[0] is None) == (splines[1] is None), k
+        if splines[0] is None:
+            continue
         condition = splines[0].condition_estimate
         assert math.isclose(splines[1].condition_estimate, condition, rel_tol=1e-9)
         assert all(math.isfinite(spline.kkt_residual) for spline in splines)

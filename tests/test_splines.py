@@ -5,7 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack, null_space
 
 from avgsampling import (
     InputError,
@@ -31,7 +33,7 @@ from conftest import dense_indicators, eigen_kernel, orthogonality_defect, power
 
 #: Cross-route agreement: a spline and an independent solve of it differ by at
 #: most this many units of roundoff times the order's certified condition
-#: bound (lambda_max/Lambda)**k, relative to the spline's norm.
+#: bound, relative to the spline's norm.
 ROUNDOFF_UNITS = 16
 
 
@@ -99,9 +101,41 @@ def assert_agrees(solution, oracle: np.ndarray) -> None:
 
 def weak_pair_path64():
     """path64 ``pairs`` whose first pair is joined by weight 1e-9: Lambda = 2e-9,
-    so the certified bound (lambda_max/Lambda)**k is about 2e9 at k=1 and 4e18 at k=2."""
+    so (lambda_max/Lambda)**k is about 2e9 at k=1 and 4e18 at k=2, while
+    lambda_min(A_1) is about 0.1 and the true condition of A_k is 30, 200 and
+    5.6e3 at k = 2, 4 and 8."""
     g = WeightedGraph.from_edges(64, [(v, v + 1, 1e-9 if v == 0 else 1.0) for v in range(63)])
     return g, eigendecompose(build_laplacian(g)), validate_partition(g, pairs_partition(64))
+
+
+def bridge_path64():
+    """path64 as one cluster whose halves are joined by the edge 31-32 at weight
+    1e-9: both certified bounds are about 6.4e10 at k=1 and 4.1e21 at k=2, and
+    A_2's least eigenvalue is below its roundoff."""
+    g = WeightedGraph.from_edges(64, [(v, v + 1, 1e-9 if v == 31 else 1.0) for v in range(63)])
+    return g, eigendecompose(build_laplacian(g)), validate_partition(g, blocks_partition(64, 64))
+
+
+def dense_condition(graph, decomp, partition, k: int) -> float:
+    """cond(Q^T Lhat^k Q), Lhat = L/lambda_max, for an orthonormal basis Q of the
+    zero-average signals from scipy's SVD null space of the dense indicators.
+
+    It is the squared ratio of the extreme singular values of
+    ``G^(k mod 2) Lhat^(k // 2) Q``, with G the weighted incidence matrix
+    scaled so that G^T G = Lhat: an SVD resolves the least one to about eps
+    absolute, so the condition to about eps times its square root, where an
+    eigensolve of Q^T Lhat^k Q would give only eps times the condition itself.
+    """
+    Q = null_space(dense_indicators(partition))
+    B = np.linalg.matrix_power(decomp.matrix / decomp.lambda_max, k // 2) @ Q
+    if k % 2:
+        us, vs, ws = graph._edge_arrays
+        G = np.zeros((len(ws), graph.n))
+        rows, scale = np.arange(len(ws)), np.sqrt(ws / decomp.lambda_max)
+        G[rows, us], G[rows, vs] = scale, -scale
+        B = G @ B
+    singular = np.linalg.svd(B, compute_uv=False)
+    return float((singular[0] / singular[-1]) ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -166,13 +200,38 @@ class TestSolveSpline:
             assert sol.kkt_residual <= 1e-9
 
     def test_condition_refusal(self):
-        # refused from the certified bound alone, order by order
-        _, d, part = weak_pair_path64()
-        assert part.lambda_xi == pytest.approx(2e-9, rel=1e-6)
-        assert solve_spline(d, part, np.ones(32), 1).condition_estimate == d.lambda_max / part.lambda_xi
+        # refused from the certified bounds alone, order by order
+        _, d, part = bridge_path64()
+        assert part.lambda_xi == pytest.approx(6.25e-11, rel=1e-3)
+        assert solve_spline(d, part, np.ones(1), 1).condition_estimate == d.lambda_max / part.lambda_xi
         for k in (2, 4, 8, 16):
             with pytest.raises(NumericalError, match=r"condition bound .* exceeds 1e\+14"):
-                solve_spline(d, part, np.ones(32), k)
+                solve_spline(d, part, np.ones(1), k)
+
+    def test_weak_pair_orders_are_solved_by_the_sharper_bound(self):
+        # (lambda_max/Lambda)**k is over the limit from k = 2; lambda_min(A_1)**-k is not until k = 16
+        g, d, part = weak_pair_path64()
+        rng = np.random.Generator(np.random.PCG64(43))
+        for k in (2, 4, 8):
+            assert (d.lambda_max / part.lambda_xi) ** k > splines.CONDITION_LIMIT
+            for v in [np.ones(32), rng.standard_normal(32)]:
+                sol = solve_spline(d, part, v, k)
+                assert dense_condition(g, d, part, k) <= sol.condition_estimate <= splines.CONDITION_LIMIT
+                assert_agrees(sol, reference_spline(d, part, v, k))
+        with pytest.raises(NumericalError, match=r"condition bound .* exceeds 1e\+14"):
+            solve_spline(d, part, np.ones(32), 16)
+
+    def test_rgg200_bfs2_sweep_is_solved(self):
+        # order 8's bound (lambda_max/Lambda)**8 is about 4.9e15, its dense condition about 5.2e7
+        g = generate_graph("random-geometric", 200, seed=2)
+        d, part = eigendecompose(build_laplacian(g)), validate_partition(g, bfs_partition(g, 2))
+        assert (d.lambda_max / part.lambda_xi) ** 8 > splines.CONDITION_LIMIT
+        f = generate_pw_signal(d, 0.05, 7)
+        rows = spline_convergence_experiment(d, part, 0.05, 1.0, f, [1, 2, 4, 8])
+        assert [row.order for row in rows] == [1, 2, 4, 8]
+        assert all(row.within_bound for row in rows)
+        estimate = interpolate(d, part, f, 8).condition_estimate
+        assert dense_condition(g, d, part, 8) <= estimate <= splines.CONDITION_LIMIT
 
     def test_path128_order8_is_solved(self):
         # the certified bound on path pairs is (lambda_max/2)**k, 256 at most for k=8
@@ -444,6 +503,34 @@ class TestReferenceRoute:
             assert_agrees(solve_spline(d, part, v, k), mp_spline(d, part, v, k))
 
 
+class TestCertificate:
+    """The certified bound is at least the dense condition of every order's system it lets through."""
+
+    @staticmethod
+    def assert_bounds_condition(g, d, part, orders=(1, 2, 4, 8)):
+        for k in orders:
+            try:
+                estimate = solve_spline(d, part, np.ones(part.num_clusters), k).condition_estimate
+            except NumericalError:
+                continue
+            assert dense_condition(g, d, part, k) <= estimate * (1 + 1e-6), k
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 16), data=st.data())
+    def test_random_trees(self, n, data):
+        # weights uniform in [0.25, 4] and radius-2 balls, where edges between clusters make the old bound loose
+        parents = [data.draw(st.integers(0, v - 1), label="parent") for v in range(1, n)]
+        weights = data.draw(st.lists(st.floats(0.25, 4.0), min_size=n - 1, max_size=n - 1), label="weights")
+        g = WeightedGraph.from_edges(n, [(u, v, w) for v, (u, w) in enumerate(zip(parents, weights), start=1)])
+        self.assert_bounds_condition(g, eigendecompose(build_laplacian(g)), validate_partition(g, bfs_partition(g, 2)))
+
+    @pytest.mark.parametrize("kind, n, radius", [("path", 64, None), ("grid2d", 100, 1), ("random-geometric", 1000, 1)])
+    def test_bench_covers(self, kind, n, radius):
+        g = generate_graph(kind, n, seed=4101)
+        clusters = pairs_partition(n) if radius is None else bfs_partition(g, radius)
+        self.assert_bounds_condition(g, eigendecompose(build_laplacian(g)), validate_partition(g, clusters))
+
+
 class TestMemo:
     """Cardinal splines are memoised per decomposition; results must not depend on it."""
 
@@ -487,14 +574,14 @@ class TestMemo:
 
     def test_condition_refusal_caches_no_factors(self):
         # every order's bound is checked before anything is built
-        _, d, part = weak_pair_path64()
-        f = generate_pw_signal(d, 1e-10, 0)
+        _, d, part = bridge_path64()
+        f = generate_pw_signal(d, 1e-11, 0)
         with pytest.raises(NumericalError, match="condition"):
-            spline_convergence_experiment(d, part, 1e-10, 1.0, f, [1, 2])
+            spline_convergence_experiment(d, part, 1e-11, 1.0, f, [1, 2])
         assert d not in splines._CARDINALS
-        solve_spline(d, part, np.ones(32), 1)
+        solve_spline(d, part, np.ones(1), 1)
         with pytest.raises(NumericalError, match="condition"):
-            solve_spline(d, part, np.ones(32), 2)
+            solve_spline(d, part, np.ones(1), 2)
         assert sorted(splines._CARDINALS[d].orders) == [1]
 
     def test_indicators_and_contrasts_are_an_orthonormal_basis(self, er_suite):
@@ -508,6 +595,7 @@ class TestMemo:
         _, d, part = fresh_path64()
         interpolate(d, part, generate_pw_signal(d, 0.5, 9), 8)
         ref = weakref.ref(d)
+        gc.collect()  # entries other tests left behind die here, not below
         entries = len(splines._CARDINALS)
         del d
         gc.collect()
