@@ -241,15 +241,10 @@ def frame_algorithm(
         target = right.T @ truth_coeffs
         errors = tuple(float(np.linalg.norm(target - schedule.complement_after(k) * fixed_point))
                        for k in range(1, iterations + 1))
-    return ReconstructionResult(
-        signal=frame.basis @ c,
-        coefficients=c,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        eta=schedule.eta,
-        error_log=errors,
-    )
+    result = object.__new__(ReconstructionResult)
+    vars(result).update(signal=frame.basis @ c, coefficients=c, iterations=iterations, residual=residual,
+                        converged=converged, eta=schedule.eta, error_log=errors)
+    return result
 
 
 def dual_frame_reconstruct(frame: FrameSystem, samples: np.ndarray) -> ReconstructionResult:
@@ -266,10 +261,8 @@ def dual_frame_reconstruct(frame: FrameSystem, samples: np.ndarray) -> Reconstru
     normal_rhs = frame.analysis.T @ s
     denom = math.sqrt(normal_rhs @ normal_rhs)
     direction = normal_rhs - frame.gram @ c
-    return ReconstructionResult(
-        signal=frame.basis @ c,
-        coefficients=c,
-        iterations=0,
-        residual=math.sqrt(direction @ direction) / denom if denom > 0 else 0.0,
-        converged=True,
-    )
+    result = object.__new__(ReconstructionResult)
+    vars(result).update(signal=frame.basis @ c, coefficients=c, iterations=0,
+                        residual=math.sqrt(direction @ direction) / denom if denom > 0 else 0.0,
+                        converged=True, eta=None, error_log=None)
+    return result

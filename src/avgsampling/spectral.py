@@ -142,7 +142,7 @@ def pw_space(decomp: SpectralDecomposition, omega: float) -> PWSpace:
     if not omega >= 0:  # NaN included
         raise InputError(f"bandwidth must be nonnegative, got {omega}")
     edge = omega + BAND_SLACK * abs(decomp.lambda_max)
-    m = int(np.searchsorted(decomp.eigenvalues, edge, side="right"))
+    m = int(decomp.eigenvalues.searchsorted(edge, side="right"))
     if m == 0:
         raise InputError(f"band subspace is empty for omega={omega}")
     return PWSpace(omega=float(omega), basis=decomp.eigenvectors[:, :m])

@@ -15,9 +15,10 @@ spline is ``Xi^T v + H y`` with ``A_k y = -H^T Lhat^k Xi^T v``, where
 spline unchanged and keeps every entry within [-1, 1] at any weight scale.
 None of this depends on v, so each order's A_k is Cholesky-factored once and
 its J cardinal splines ``S_k = Xi^T - H A_k^{-1} H^T Lhat^k Xi^T`` (column j
-has targets e_j) are memoised: n*J doubles per order, for each decomposition
-and its last partition (``_CARDINALS``). A spline then costs one product
-``S_k @ v``.
+has targets e_j) are memoised with the certified bound below that the order
+was built under: n*J doubles per order, for each decomposition and its last
+partition (``_CARDINALS``). A spline then costs one product ``S_k @ v``, and
+no bound is derived again.
 
 The smaller of two proven bounds certifies the solve. For u = Hy, |y| = 1:
   1. each cluster's Poincare inequality, summed, gives <L u, u> >= Lambda |u|^2
@@ -51,7 +52,7 @@ from scipy.sparse import csr_matrix, identity, issparse, spmatrix
 
 from .errors import InputError, NumericalError, _integer, _vector
 from .partitions import ClusterPartition, _cluster_rows, _gamma, analyze
-from .spectral import SpectralDecomposition, pw_project
+from .spectral import SpectralDecomposition, pw_space
 
 #: Refuse spline orders whose certified condition bound exceeds this.
 CONDITION_LIMIT = 1e14
@@ -76,10 +77,11 @@ class SplineSolution:
 
 
 class _Order(NamedTuple):
-    """One order's n x J cardinal splines and its sparse stationarity map ``H^T Lhat^k``."""
+    """One order's n x J cardinal splines, its sparse stationarity map ``H^T Lhat^k`` and its certified bound."""
 
     splines: np.ndarray
     stationarity: spmatrix
+    condition: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,15 +179,16 @@ def _condition(decomp: SpectralDecomposition, memo: _Cardinals, k: int) -> float
     return condition
 
 
-def _orders(decomp: SpectralDecomposition, partition: ClusterPartition, k_list) -> list[tuple[int, float, _Order]]:
-    """Each order with its condition bound and memoised cardinal splines, in ``k_list``'s order.
+def _orders(decomp: SpectralDecomposition, partition: ClusterPartition, k_list) -> list[tuple[int, _Order]]:
+    """Each order with its memoised cardinal splines and condition bound, in ``k_list``'s order.
 
-    Checks every order and its bound first, so a refused order caches
-    nothing: the memo (``_CARDINALS``) is replaced when called with another
-    partition object, and only once every order passes. The missing orders
-    are then built in ascending order, each from ``Lhat^k H`` by sparse
-    products that reuse the last one's power. NumericalError when a
-    Cholesky factorisation fails.
+    Checks every order, and the bound of each order not yet memoised, first,
+    so a refused order caches nothing: the memo (``_CARDINALS``) is replaced
+    when called with another partition object, and only once every order
+    passes. The missing orders are then built in ascending order, each from
+    ``Lhat^k H`` by sparse products that reuse the last one's power, and
+    keep the bound they were built under. NumericalError when a Cholesky
+    factorisation fails.
     """
     ks = [_integer(k, "spline order") for k in k_list]
     memo = _CARDINALS.get(decomp)
@@ -198,11 +201,11 @@ def _orders(decomp: SpectralDecomposition, partition: ClusterPartition, k_list) 
         contrasts = _helmert(partition)
         _read_only(indicators, laplacian, contrasts)
         memo = _Cardinals(partition, laplacian, indicators, contrasts)
-    conditions = {k: _condition(decomp, memo, k) for k in ks}
+    conditions = {k: _condition(decomp, memo, k) for k in ks if k not in memo.orders}
     if stale:
         _CARDINALS[decomp] = memo
     H, power, j = memo.contrasts, memo.contrasts, 0
-    for k in sorted(conditions.keys() - memo.orders.keys()):
+    for k in sorted(conditions):
         while j < k:
             power, j = memo.laplacian @ power, j + 1
         stationarity = power.T  # H^T Lhat^k, as Lhat is symmetric
@@ -216,8 +219,8 @@ def _orders(decomp: SpectralDecomposition, partition: ClusterPartition, k_list) 
         np.negative(splines, out=splines)
         splines[np.arange(decomp.n), partition.labels] += 1.0 / partition._sqrt_sizes[partition.labels]
         _read_only(splines, stationarity)
-        memo.orders[k] = _Order(splines, stationarity)
-    return [(k, conditions[k], memo.orders[k]) for k in ks]
+        memo.orders[k] = _Order(splines, stationarity, conditions[k])
+    return [(k, memo.orders[k]) for k in ks]
 
 
 def solve_spline(
@@ -236,11 +239,13 @@ def solve_spline(
     than returning digits that cannot be trusted.
     """
     targets = _vector(targets, partition.num_clusters, "targets")
-    (_, condition, order), = _orders(decomp, partition, [k])
+    (_, order), = _orders(decomp, partition, [k])
     signal = order.splines @ targets
     residual, norm = order.stationarity @ signal, math.sqrt(signal @ signal)
     kkt = float(np.abs(residual).max()) / norm if norm and residual.size else 0.0
-    return SplineSolution(signal=signal, kkt_residual=kkt, condition_estimate=condition)
+    solution = object.__new__(SplineSolution)
+    vars(solution).update(signal=signal, kkt_residual=kkt, condition_estimate=order.condition)
+    return solution
 
 
 def interpolate(
@@ -288,7 +293,8 @@ def spline_convergence_experiment(
     norm_f = float(np.linalg.norm(f))  # f may be a strided view; the differences below are not
     if norm_f == 0.0:
         raise InputError("signal is zero")
-    out_of_band = f - pw_project(decomp, omega, f)
+    basis = pw_space(decomp, omega).basis
+    out_of_band = f - basis @ (basis.T @ f)
     if math.sqrt(out_of_band @ out_of_band) > 1e-9 * norm_f:
         raise InputError(
             f"signal has out-of-band content for omega={omega}; "
@@ -296,17 +302,11 @@ def spline_convergence_experiment(
         )
     targets = analyze(partition, f)
     rows = []
-    for k, _, order in _orders(decomp, partition, k_list):
+    for k, order in _orders(decomp, partition, k_list):
         error = f - order.splines @ targets
         rel = math.sqrt(error @ error) / norm_f
         bound = 2.0 * gamma ** k
-        rows.append(
-            ConvergenceRow(
-                order=k,
-                rel_error=rel,
-                bound=bound,
-                within_bound=rel <= bound + 1e-8,
-                proved=k & (k - 1) == 0,
-            )
-        )
+        row = object.__new__(ConvergenceRow)
+        vars(row).update(order=k, rel_error=rel, bound=bound, within_bound=rel <= bound + 1e-8, proved=k & (k - 1) == 0)
+        rows.append(row)
     return tuple(rows)

@@ -580,15 +580,21 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(set(avgsampling.__all__) - read_names(paths)) == []
 
 
-def test_every_public_dataclass_holding_arrays_is_equal_only_to_itself():
-    """Field-wise ``==`` on arrays raises ValueError and a frozen dataclass
-    hashes its fields, so each public dataclass with an ndarray field compares
-    and hashes by identity: two built alike differ, and each equals itself."""
+def path8_pipeline():
+    """Path8 with its pairs at omega 0.5: graph, decomposition, partition, frame, a band signal and its averages."""
     graph = avgsampling.generate_graph("path", 8)
     decomp = avgsampling.eigendecompose(avgsampling.build_laplacian(graph))
     partition = avgsampling.validate_partition(graph, avgsampling.pairs_partition(8))
     frame = avgsampling.build_frame_system(decomp, partition, 0.5, 1.0)
-    samples = avgsampling.analyze(partition, avgsampling.generate_pw_signal(decomp, 0.5, 0))
+    signal = avgsampling.generate_pw_signal(decomp, 0.5, 0)
+    return graph, decomp, partition, frame, signal, avgsampling.analyze(partition, signal)
+
+
+def test_every_public_dataclass_holding_arrays_is_equal_only_to_itself():
+    """Field-wise ``==`` on arrays raises ValueError and a frozen dataclass
+    hashes its fields, so each public dataclass with an ndarray field compares
+    and hashes by identity: two built alike differ, and each equals itself."""
+    graph, decomp, partition, frame, _, samples = path8_pipeline()
     build = {
         "SpectralDecomposition": lambda: avgsampling.eigendecompose(avgsampling.build_laplacian(graph)),
         "PWSpace": lambda: avgsampling.pw_space(decomp, 0.5),
@@ -606,6 +612,30 @@ def test_every_public_dataclass_holding_arrays_is_equal_only_to_itself():
         assert type(one) is public[name]
         assert one == one and one != other, name
         assert hash(one) == hash(one) and {one: 1, other: 2}[other] == 2, name
+
+
+@pytest.mark.parametrize("route", ["frame-iter", "frame-iter-truth", "dual", "solve_spline", "sweep-row"])
+def test_results_built_without_init_are_whole_frozen_dataclasses(route):
+    """Results are built by ``object.__new__`` and ``vars().update``: each still
+    holds every field and no other, refuses assignment, and ``replace`` rebuilds it."""
+    _, decomp, partition, frame, signal, samples = path8_pipeline()
+    make = {
+        "frame-iter": lambda: avgsampling.frame_algorithm(frame, samples),
+        "frame-iter-truth": lambda: avgsampling.frame_algorithm(frame, samples, truth=signal),
+        "dual": lambda: avgsampling.dual_frame_reconstruct(frame, samples),
+        "solve_spline": lambda: avgsampling.solve_spline(decomp, partition, samples, 2),
+        "sweep-row": lambda: avgsampling.spline_convergence_experiment(decomp, partition, 0.5, 1.0, signal, [4])[0],
+    }
+    result = make[route]()
+    names = [f.name for f in dataclasses.fields(result)]
+    assert list(vars(result)) == names
+    for name in (names[0], names[-1], "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, name, None)
+    assert list(vars(result)) == names
+    copy = dataclasses.replace(result)
+    assert type(copy) is type(result) and copy is not result
+    assert all(getattr(copy, name) is getattr(result, name) for name in names)
 
 
 def test_value_types_stay_as_built():

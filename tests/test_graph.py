@@ -336,8 +336,8 @@ class TestVertexCountRule:
     """One rule and one set of words for a graph's vertex count, wherever it enters."""
 
     @pytest.mark.parametrize("entry", sorted(VERTEX_COUNT_ENTRIES))
-    @pytest.mark.parametrize("n", [0, -1, 3.5, 4.0, np.float64(4.0), True, np.True_, math.nan],
-                             ids=["0", "-1", "3.5", "4.0", "np.float64(4.0)", "True", "np.True_", "nan"])
+    @pytest.mark.parametrize("n", [0, -1, -3, 3.5, 16.5, 4.0, np.float64(4.0), True, np.True_, math.nan],
+                             ids=["0", "-1", "-3", "3.5", "16.5", "4.0", "np.float64(4.0)", "True", "np.True_", "nan"])
     def test_refuses_all_but_a_positive_integer(self, entry, n, tmp_path):
         with pytest.raises(InputError) as err:
             VERTEX_COUNT_ENTRIES[entry](n, tmp_path)

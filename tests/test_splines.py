@@ -1,5 +1,6 @@
 """Variational splines: exact interpolation, minimality, characterization, rate."""
 import gc
+import itertools
 import math
 import weakref
 
@@ -151,6 +152,13 @@ def fresh_path64():
     return g, eigendecompose(build_laplacian(g)), validate_partition(g, pairs_partition(64))
 
 
+def fresh_rgg200_bfs2():
+    """A random-geometric n=200 decomposition that no spline call has seen yet, with its graph and radius-2
+    cover, whose order-8 bound is lambda_min(A_1)**-8 (``_Cardinals.floor``)."""
+    g = generate_graph("random-geometric", 200, seed=2)
+    return g, eigendecompose(build_laplacian(g)), validate_partition(g, bfs_partition(g, 2))
+
+
 class TestSolveSpline:
     def test_constant_averages_give_constant(self, path16):
         _, d, part = path16
@@ -223,8 +231,7 @@ class TestSolveSpline:
 
     def test_rgg200_bfs2_sweep_is_solved(self):
         # order 8's bound (lambda_max/Lambda)**8 is about 4.9e15, its dense condition about 5.2e7
-        g = generate_graph("random-geometric", 200, seed=2)
-        d, part = eigendecompose(build_laplacian(g)), validate_partition(g, bfs_partition(g, 2))
+        g, d, part = fresh_rgg200_bfs2()
         assert (d.lambda_max / part.lambda_xi) ** 8 > splines.CONDITION_LIMIT
         f = generate_pw_signal(d, 0.05, 7)
         rows = spline_convergence_experiment(d, part, 0.05, 1.0, f, [1, 2, 4, 8])
@@ -539,11 +546,18 @@ class TestMemo:
         "solve_spline": lambda d, p, f: solve_spline(d, p, analyze(p, f), 2).signal,
         "sweep": lambda d, p, f: [
             row.rel_error for row in spline_convergence_experiment(d, p, 0.5, 1.0, f, [1, 2, 3, 4, 8])],
+        # a warm order reads the bound it was built under from the memo
+        "conditions": lambda d, p, f: [
+            solve_spline(d, p, analyze(p, f), k).condition_estimate for k in (1, 2, 4, 8)],
     }
+    COVERS = {"path64": fresh_path64, "rgg200-bfs2": fresh_rgg200_bfs2}
 
-    @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_cold_and_warm_are_bit_identical(self, name):
-        _, d, part = fresh_path64()
+    # the sweep's omega = 0.5 gives gamma >= 1 on rgg200-bfs2
+    @pytest.mark.parametrize("name, cover", [
+        pytest.param(name, cover, id=name if cover == "path64" else f"{name}-{cover}")
+        for name, cover in itertools.product(sorted(CALLS), sorted(COVERS)) if (name, cover) != ("sweep", "rgg200-bfs2")])
+    def test_cold_and_warm_are_bit_identical(self, name, cover):
+        _, d, part = self.COVERS[cover]()
         f = generate_pw_signal(d, 0.5, 5)
         assert d not in splines._CARDINALS
         cold = self.CALLS[name](d, part, f)
@@ -582,6 +596,10 @@ class TestMemo:
         solve_spline(d, part, np.ones(1), 1)
         with pytest.raises(NumericalError, match="condition"):
             solve_spline(d, part, np.ones(1), 2)
+        assert sorted(splines._CARDINALS[d].orders) == [1]
+        # with order 1 memoised, order 2's bound is still checked before anything is built
+        with pytest.raises(NumericalError, match="condition"):
+            spline_convergence_experiment(d, part, 1e-11, 1.0, f, [1, 2])
         assert sorted(splines._CARDINALS[d].orders) == [1]
 
     def test_indicators_and_contrasts_are_an_orthonormal_basis(self, er_suite):
