@@ -67,9 +67,10 @@ def _inputs(args) -> tuple[SpectralDecomposition, ClusterPartition | None, np.nd
             raise InputError(f"--{next(iter(given))} is read only by --generate, not with --graph")
         graph = fileio.read_edge_list(args.graph)
     else:
-        for name, kind in (("p", "erdos-renyi-weighted"), ("radius", "random-geometric")):
-            if name in given and args.generate != kind:
-                raise InputError(f"--{name} is read only by --generate {kind}, not by --generate {args.generate}")
+        for name in given:
+            if name != "n" and name not in GRAPH_KINDS[args.generate][1]:
+                readers = " or ".join(kind for kind, (_, options) in GRAPH_KINDS.items() if name in options)
+                raise InputError(f"--{name} is read only by --generate {readers}, not by --generate {args.generate}")
         if "n" not in given:
             raise InputError("--generate requires --n")
         graph = generate_graph(args.generate, **given)

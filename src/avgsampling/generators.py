@@ -15,8 +15,9 @@ Each generator builds its edges as integer arrays ``lo < hi`` with positive
 weights, valid by construction, and hands them to the graph's constructor
 for valid pairs (``WeightedGraph._from_pairs``), which sorts them once; the
 per-edge checks of ``WeightedGraph.from_edges`` are for input from outside
-the package. The vertex count is checked first, with the integer rule and
-cap of ``from_edges``.
+the package. ``GRAPH_KINDS`` is the one table of graph kinds, and
+``generate_graph`` reads n once, with the integer rule and cap of
+``from_edges``, for every builder.
 """
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ from .spectral import SpectralDecomposition, pw_space
 
 GENERATOR_NAME = "numpy-PCG64"
 
-GRAPH_KINDS = ("path", "cycle", "grid2d", "random-geometric", "erdos-renyi-weighted")
-
 #: How many fresh draws a random generator may take before giving up on
 #: producing a connected graph.
 RETRY_BUDGET = 50
@@ -42,14 +41,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_integer(seed, "seed", least=0)))
 
 
-def path_graph(n: int) -> WeightedGraph:
-    n = _integer(n, "n", most=MAX_VERTICES)
+def _path(n: int) -> WeightedGraph:
     lo = np.arange(n - 1, dtype=np.intp)
     return WeightedGraph._from_pairs(n, lo, lo + 1, np.ones(n - 1))
 
 
-def cycle_graph(n: int) -> WeightedGraph:
-    n = _integer(n, "n", most=MAX_VERTICES)
+def _cycle(n: int) -> WeightedGraph:
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
     us = np.arange(n, dtype=np.intp)
@@ -57,8 +54,7 @@ def cycle_graph(n: int) -> WeightedGraph:
     return WeightedGraph._from_pairs(n, np.minimum(us, vs), np.maximum(us, vs), np.ones(n))
 
 
-def grid2d_graph(n: int) -> WeightedGraph:
-    n = _integer(n, "n", most=MAX_VERTICES)
+def _grid2d(n: int) -> WeightedGraph:
     side = math.isqrt(n)
     if side * side != n:
         raise InputError(f"grid2d needs a perfect-square vertex count, got {n}")
@@ -68,9 +64,8 @@ def grid2d_graph(n: int) -> WeightedGraph:
     return WeightedGraph._from_pairs(n, lo, hi, np.ones(len(lo)))
 
 
-def erdos_renyi_weighted(n: int, p: float, seed: int) -> WeightedGraph:
+def _erdos_renyi_weighted(n: int, p: float, seed: int) -> WeightedGraph:
     """G(n, p) with edge weights uniform in [0.5, 1.5]; redrawn until connected."""
-    n = _integer(n, "n", most=MAX_VERTICES)
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if not (0.0 < p <= 1.0):
@@ -167,7 +162,7 @@ def _close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
     return np.column_stack(np.divmod(keys, n))
 
 
-def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
+def _random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     """Unit-weight edges between uniform points in the unit square within radius.
 
     Each draw is n uniform points; a pair is an edge exactly when
@@ -178,7 +173,6 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     so every edge decision is the all-pairs ``np.hypot`` one. A draw whose
     graph is not connected is redrawn, up to ``RETRY_BUDGET`` draws.
     """
-    n = _integer(n, "n", most=MAX_VERTICES)
     if n < 2:
         raise InputError(f"random graph needs n >= 2, got {n}")
     if radius is None:
@@ -196,23 +190,25 @@ def random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
     )
 
 
+#: Each graph kind, in the order ``--help`` lists them: its builder and the options it reads besides n.
+GRAPH_KINDS = {
+    "path": (_path, ()),
+    "cycle": (_cycle, ()),
+    "grid2d": (_grid2d, ()),
+    "random-geometric": (_random_geometric, ("radius", "seed")),
+    "erdos-renyi-weighted": (_erdos_renyi_weighted, ("p", "seed")),
+}
+
+
 def generate_graph(kind: str, n: int, seed: int = 0, p: float = 0.3,
                    radius: float | None = None) -> WeightedGraph:
-    """Dispatch on kind; all kinds produce a connected graph or raise.
-
-    Only erdos-renyi-weighted reads ``p`` and only random-geometric ``radius``.
-    """
-    if kind == "path":
-        return path_graph(n)
-    if kind == "cycle":
-        return cycle_graph(n)
-    if kind == "grid2d":
-        return grid2d_graph(n)
-    if kind == "erdos-renyi-weighted":
-        return erdos_renyi_weighted(n, p, seed)
-    if kind == "random-geometric":
-        return random_geometric(n, radius, seed)
-    raise InputError(f"unknown graph kind {kind!r}; choices: {', '.join(GRAPH_KINDS)}")
+    """A connected graph of a kind in ``GRAPH_KINDS`` on n vertices, built
+    from only the options that kind's entry lists, or raise."""
+    if not (isinstance(kind, str) and kind in GRAPH_KINDS):
+        raise InputError(f"unknown graph kind {kind!r}; choices: {', '.join(GRAPH_KINDS)}")
+    build, options = GRAPH_KINDS[kind]
+    given = {"seed": seed, "p": p, "radius": radius}
+    return build(_integer(n, "n", most=MAX_VERTICES), **{name: given[name] for name in options})
 
 
 def generate_pw_signal(decomp: SpectralDecomposition, omega: float, seed: int) -> np.ndarray:

@@ -7,7 +7,8 @@ are plain 1-D numpy arrays of length n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import InputError, _integer
 MAX_VERTICES = 2**31 - 1
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1, valid by construction.
 
@@ -30,9 +32,12 @@ class WeightedGraph:
     :meth:`from_edges`, which checks every edge before handing the valid
     pairs on; the generators hand over the pairs they built.
 
-    Instances are immutable after construction and safe to share across
-    threads.
+    Instances are frozen dataclasses, immutable after construction and safe
+    to share across threads; a graph equals only itself.
     """
+
+    n: int
+    _edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a WeightedGraph with WeightedGraph.from_edges")
@@ -42,7 +47,8 @@ class WeightedGraph:
         """Build a graph from undirected edges.
 
         ``edges`` is an iterable of (u, v, w) triples or an (E, 3) array.
-        Rejects an n that is not an integer from 1 to ``MAX_VERTICES``,
+        Rejects an n that is not an integer from 1 to ``MAX_VERTICES``, an
+        edge that is not three real numbers, another array shape,
         non-integer (fractional, NaN or infinite) ids, out-of-range ids,
         loops, negative or non-finite weights and pairs repeated in either
         orientation, naming the first offending edge. Zero-weight edges are dropped (a zero weight means
@@ -53,11 +59,8 @@ class WeightedGraph:
         ``_from_pairs``.
         """
         n = _integer(n, "n", most=MAX_VERTICES)
-        if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 3:
-            us, vs, ws = edges.T
-        else:
-            us, vs, ws = list(zip(*edges)) or ((), (), ())
-        raw_us, raw_vs, ws = np.asarray(us), np.asarray(vs), np.asarray(ws, dtype=float)
+        raw_us, raw_vs, ws = _columns(edges)
+        ws = ws.astype(float, copy=False)
         whole = np.ones(len(ws), dtype=bool)
         for ids in (raw_us, raw_vs):
             if ids.dtype.kind == "f":
@@ -99,11 +102,11 @@ class WeightedGraph:
         """
         lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
         order = np.argsort(lo.astype(np.int64) * n + hi, kind="stable")
-        graph = cls.__new__(cls)
-        graph.n = n
-        graph._edge_arrays = lo[order], hi[order], np.asarray(ws, dtype=np.float64)[order]
-        for arr in graph._edge_arrays:
+        arrays = lo[order], hi[order], np.asarray(ws, dtype=np.float64)[order]
+        for arr in arrays:
             arr.flags.writeable = False
+        graph = object.__new__(cls)
+        vars(graph).update(n=n, _edge_arrays=arrays)
         return graph
 
     def edges(self) -> list[tuple[int, int, float]]:
@@ -114,6 +117,39 @@ class WeightedGraph:
     @property
     def num_edges(self) -> int:
         return len(self._edge_arrays[0])
+
+
+def _columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The u, v and w columns of (u, v, w) triples or of an (E, 3) array.
+
+    InputError for an array of another shape, and otherwise naming the first
+    edge that is not three entries or has an entry that is not a real number.
+    Flat columns of numpy's bool, integer or float kinds are taken as they
+    are; the edges are scanned one by one only when some column is not.
+    """
+    if isinstance(edges, np.ndarray):
+        if edges.ndim != 2 or edges.shape[1] != 3:
+            raise InputError(f"edge array has shape {edges.shape}, expected (E, 3)")
+        columns = list(edges.T)
+    else:
+        edges = list(edges)
+        try:
+            columns = [np.asarray(column) for column in zip(*edges, strict=True)] or [np.empty(0)] * 3
+        except (TypeError, ValueError):  # an edge that is no sequence, edges of unequal lengths or a nested entry
+            columns = []
+    if len(columns) == 3 and all(column.dtype.kind in "biuf" and column.ndim == 1 for column in columns):
+        return tuple(columns)
+    for edge in edges.tolist() if isinstance(edges, np.ndarray) else edges:
+        try:
+            entries = tuple(edge)
+        except TypeError:
+            entries = ()
+        if len(entries) != 3:
+            raise InputError(f"edge {edge!r} is not a (u, v, w) triple")
+        for entry, what in zip(entries, ("vertex id", "vertex id", "weight")):
+            if not isinstance(entry, numbers.Real):
+                raise InputError(f"edge {entries!r} has a non-numeric {what} {entry!r}")
+    return tuple(columns)
 
 
 def _adjacency(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import InputError, _integer
-from .generators import GENERATOR_NAME, generate_pw_signal, path_graph
+from .generators import GENERATOR_NAME, generate_graph, generate_pw_signal
 from .partitions import analyze, build_frame_system, optimal_alpha, pairs_partition, validate_partition
 from .reconstruct import ReconstructionResult, dual_frame_reconstruct, frame_algorithm
 from .spectral import build_laplacian, eigendecompose, pw_project
@@ -85,7 +85,7 @@ def demo_path(n: int, omega: float, alpha: float, seed: int = 0, trials: int = 3
     if n < 4 or n % 2 != 0:
         raise InputError(f"demo needs an even n >= 4, got {n}")
 
-    graph = path_graph(n)
+    graph = generate_graph("path", n)
     decomp = eigendecompose(build_laplacian(graph))
     partition = validate_partition(graph, pairs_partition(n))
 

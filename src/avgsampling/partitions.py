@@ -71,7 +71,8 @@ class ClusterPartition:
 def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) -> ClusterPartition:
     """Check a cluster list and compute the per-cluster spectral gaps.
 
-    Raises InputError, naming the first offending cluster, for a non-integer
+    Raises InputError, naming the first offending cluster, for a cluster
+    that is not a sequence of numbers (a string or nested entry), a non-integer
     (fractional, NaN or infinite) vertex id, an empty cluster, repeated or
     out-of-range vertices, a vertex in more than one cluster; then for
     uncovered vertices or a cluster whose induced subgraph is disconnected.
@@ -82,8 +83,14 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     NumericalError for a cluster whose gap overflows to a non-finite value.
     """
     n, clusters = graph.n, list(clusters)
-    sizes = np.fromiter(map(len, clusters), dtype=np.intp, count=len(clusters))
-    raw = np.array([v for cluster in clusters for v in cluster], dtype=float)
+    try:
+        sizes = np.fromiter(map(len, clusters), dtype=np.intp, count=len(clusters))
+        raw = np.array([v for cluster in clusters for v in cluster], dtype=float)
+    except (TypeError, ValueError):  # a cluster that is no sequence, or an entry that is not one number
+        raw = None
+    if raw is None or raw.ndim != 1:
+        parts = [_cluster_entries(idx, cluster) for idx, cluster in enumerate(clusters)]
+        sizes, raw = np.array(list(map(len, parts)), dtype=np.intp), np.concatenate([np.empty(0), *parts])
     whole = np.isfinite(raw) & (raw == np.floor(raw))
     # Clipping keeps an out-of-range id out of range and the cast exact.
     ids = np.where(whole, np.clip(raw, -1, n), 0).astype(np.intp)
@@ -120,6 +127,17 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     vars(partition).update(n=n, lambda1s=tuple(gaps), lambda_xi=min(finite) if finite else math.inf,
                            labels=labels, _sqrt_sizes=sqrt_sizes)
     return partition
+
+
+def _cluster_entries(idx: int, cluster) -> np.ndarray:
+    """A cluster's entries as a flat float array; InputError unless it is a sequence of single numbers."""
+    try:
+        entries = np.array(list(cluster), dtype=float)
+    except (TypeError, ValueError):
+        entries = None
+    if entries is None or entries.ndim != 1:
+        raise InputError(f"cluster {idx} is not a sequence of numeric vertex ids: {cluster!r}")
+    return entries
 
 
 def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -> list[float]:

@@ -376,6 +376,13 @@ class TestInputChecksBeforeEigensolve:
          "--radius is read only by --generate random-geometric, not by --generate path"),
         (["--generate", "erdos-renyi-weighted", "--n", "20", "--radius", "0.1"],
          "--radius is read only by --generate random-geometric, not by --generate erdos-renyi-weighted"),
+        *[(["--generate", kind, "--n", "4", "--seed", "3"],
+           f"--seed is read only by --generate random-geometric or erdos-renyi-weighted, not by --generate {kind}")
+          for kind in ("path", "cycle", "grid2d")],
+        # the first unread option in the parser's order, whatever the command line's
+        *[(["--generate", "path", "--n", "4", *options],
+           "--p is read only by --generate erdos-renyi-weighted, not by --generate path")
+          for options in (["--p", "0.9", "--radius", "0.1"], ["--radius", "0.1", "--p", "0.9"])],
     ])
     def test_unread_generator_option(self, command, graph, message, no_eigensolve, tmp_path, monkeypatch, capsys):
         """Refused before any file is read: each named file is missing."""
@@ -385,7 +392,7 @@ class TestInputChecksBeforeEigensolve:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("graph", [
-        ["--generate", "path", "--n", "4", "--seed", "3"],
+        ["--generate", "path", "--n", "4"],
         ["--generate", "erdos-renyi-weighted", "--n", "20", "--p", "0.5", "--seed", "1"],
         ["--generate", "random-geometric", "--n", "20", "--radius", "0.6", "--seed", "1"],
     ])
@@ -602,6 +609,7 @@ def test_every_public_dataclass_holding_arrays_is_equal_only_to_itself():
         "FrameSystem": lambda: avgsampling.build_frame_system(decomp, partition, 0.5, 1.0),
         "ReconstructionResult": lambda: avgsampling.dual_frame_reconstruct(frame, samples),
         "SplineSolution": lambda: avgsampling.solve_spline(decomp, partition, samples, 2),
+        "WeightedGraph": lambda: avgsampling.generate_graph("path", 8),
     }
     public = {name: getattr(avgsampling, name) for name in avgsampling.__all__}
     holders = {name for name, obj in public.items() if isinstance(obj, type) and dataclasses.is_dataclass(obj)
@@ -612,6 +620,9 @@ def test_every_public_dataclass_holding_arrays_is_equal_only_to_itself():
         assert type(one) is public[name]
         assert one == one and one != other, name
         assert hash(one) == hash(one) and {one: 1, other: 2}[other] == 2, name
+        for field in dataclasses.fields(one):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(one, field.name, None)
 
 
 @pytest.mark.parametrize("route", ["frame-iter", "frame-iter-truth", "dual", "solve_spline", "sweep-row"])

@@ -1,5 +1,6 @@
 """Graph and signal generators: shapes, connectivity, determinism."""
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -108,9 +109,23 @@ class TestGraphGenerators:
     def test_random_geometric_1000_matches_brute_force(self, seed):
         assert generate_graph("random-geometric", 1000, seed=seed).edges() == reference_random_geometric(1000, seed)
 
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            generate_graph("torus", 8)
+    @pytest.mark.parametrize("kind", ["torus", ["path"], None])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(InputError) as err:
+            generate_graph(kind, 8)
+        assert str(err.value) == (f"unknown graph kind {kind!r}; "
+                                  "choices: path, cycle, grid2d, random-geometric, erdos-renyi-weighted")
+
+    def test_each_kind_is_one_table_entry(self):
+        """Kinds keep the order that ``--help`` and the unknown-kind message print,
+        and each entry's options are keyword parameters of its builder and of generate_graph."""
+        assert list(generators.GRAPH_KINDS) == ["path", "cycle", "grid2d", "random-geometric", "erdos-renyi-weighted"]
+        dispatch = inspect.signature(generate_graph).parameters
+        for kind, (build, options) in generators.GRAPH_KINDS.items():
+            params = inspect.signature(build).parameters
+            assert list(params)[0] == "n" and set(params) == {"n", *options}, kind
+            for name in options:
+                assert params[name].kind is dispatch[name].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, (kind, name)
 
     @pytest.mark.parametrize("kind", ["random-geometric", "erdos-renyi-weighted"])
     @pytest.mark.parametrize("seed", [1.5, 1.0, -1, True, None, "1"])

@@ -247,6 +247,30 @@ class TestConstructors:
             with pytest.raises(InputError, match=re.escape(message)):
                 WeightedGraph.from_edges(n, given_edges)
 
+    @pytest.mark.parametrize("edges, message", [
+        # zip once truncated the first edge to (0, 1, 1.0) and built a graph
+        ([(0, 1, 1.0, 9), (1, 2, 1.0)], "edge (0, 1, 1.0, 9) is not a (u, v, w) triple"),
+        ([(0, 1, 1.0), (1, 2)], "edge (1, 2) is not a (u, v, w) triple"),
+        ([(0, 1)], "edge (0, 1) is not a (u, v, w) triple"),
+        ([(0, 1, 1.0, 9)], "edge (0, 1, 1.0, 9) is not a (u, v, w) triple"),
+        ([(0, 1, 1.0), 2], "edge 2 is not a (u, v, w) triple"),
+        ([("a", 1, 1.0)], "edge ('a', 1, 1.0) has a non-numeric vertex id 'a'"),
+        ([(0, 1, 1.0), (1, None, 1.0)], "edge (1, None, 1.0) has a non-numeric vertex id None"),
+        ([(0, 1, "x")], "edge (0, 1, 'x') has a non-numeric weight 'x'"),
+        ([(0, 1, 1.0), (1, 2, "1.0")], "edge (1, 2, '1.0') has a non-numeric weight '1.0'"),
+        ([(0, 1, 1j)], "edge (0, 1, 1j) has a non-numeric weight 1j"),
+        ([(0, [1], 1.0)], "edge (0, [1], 1.0) has a non-numeric vertex id [1]"),
+        (np.zeros((2, 4)), "edge array has shape (2, 4), expected (E, 3)"),
+        (np.zeros(3), "edge array has shape (3,), expected (E, 3)"),
+        (np.array([["0", "1", "1.0"]]), "edge ('0', '1', '1.0') has a non-numeric vertex id '0'"),
+        (np.array([[0, 1, None]], dtype=object), "edge (0, 1, None) has a non-numeric weight None"),
+    ])
+    def test_from_edges_rejects_what_is_not_three_numbers(self, edges, message):
+        """Malformed rows, once a bare ValueError or TypeError, and cases with no float (E, 3) array."""
+        with pytest.raises(InputError) as err:
+            WeightedGraph.from_edges(3, edges)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("n", [4, np.int64(4), np.int32(4)])
     def test_whole_number_vertex_count_accepted(self, n):
         g = WeightedGraph.from_edges(n, [(2, 3, 1.0), (0, 1, 2.0)])

@@ -80,6 +80,19 @@ class TestValidatePartition:
         whole, pairs = validate_partition(g, [(0.0, 1.0), (np.int64(3), 2)]), validate_partition(g, pairs_partition(4))
         assert whole.labels.tolist() == pairs.labels.tolist() and whole.lambda1s == pairs.lambda1s
 
+    @pytest.mark.parametrize("clusters, idx", [
+        ([["a", 1], [2, 3]], 0),
+        ([[0, 1], [2, [3]]], 1),
+        ([[0, 1], [2, np.array([3])]], 1),
+        ([[[0], [1]], [[2], [3]]], 0),
+        ([[0, 1], 2], 1),
+    ])
+    def test_non_numeric_or_nested_entry_rejected(self, clusters, idx):
+        # once a bare ValueError or TypeError from the array of all entries
+        with pytest.raises(InputError) as err:
+            validate_partition(generate_graph("path", 4), clusters)
+        assert str(err.value) == f"cluster {idx} is not a sequence of numeric vertex ids: {clusters[idx]!r}"
+
     @settings(max_examples=200)
     @given(st.data())
     def test_refusals_match_a_sequential_check(self, data):
