@@ -22,8 +22,9 @@ def _integer(value, name: str, least: int = 1, most: int | None = None) -> int:
 
 
 def _vector(values, length: int, name: str) -> np.ndarray:
-    """``values`` as a float array; InputError unless it has shape ``(length,)`` and finite entries."""
-    values = np.asarray(values, dtype=float)
+    """``values`` as a C-contiguous float array, so no route's bits depend on the caller's memory layout; InputError
+    unless it has shape ``(length,)`` and finite entries (``order="C"`` keeps a scalar 0-d, so one is refused)."""
+    values = np.asarray(values, dtype=float, order="C")
     if values.shape != (length,):
         raise InputError(f"{name} has shape {values.shape}, expected ({length},)")
     if not np.isfinite(values).all():

@@ -215,7 +215,7 @@ def generate_pw_signal(decomp: SpectralDecomposition, omega: float, seed: int) -
     """Unit-norm signal with standard-normal coefficients on the band basis."""
     space = pw_space(decomp, omega)
     coeffs = _rng(seed).standard_normal(space.dim)
-    signal = space.basis @ coeffs
+    signal = space.basis.dot(coeffs)
     norm = float(np.linalg.norm(signal))
     if norm == 0.0:
         raise NumericalError(f"degenerate zero draw for seed={seed}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -49,8 +50,9 @@ class WeightedGraph:
         ``edges`` is an iterable of (u, v, w) triples or an (E, 3) array.
         Rejects an n that is not an integer from 1 to ``MAX_VERTICES``, an
         edge that is not three real numbers, another array shape,
-        non-integer (fractional, NaN or infinite) ids, out-of-range ids,
-        loops, negative or non-finite weights and pairs repeated in either
+        non-integer (fractional, NaN or infinite) ids of any numeric type,
+        out-of-range ids, loops, negative or non-finite weights, weights
+        beyond the largest float and pairs repeated in either
         orientation, naming the first offending edge. Zero-weight edges are dropped (a zero weight means
         "no edge"). One stable sort of the int64 key
         ``(lo + 1) * (n + 2) + (hi + 1)`` of each pair's ends ``lo <= hi``,
@@ -59,14 +61,22 @@ class WeightedGraph:
         ``_from_pairs``.
         """
         n = _integer(n, "n", most=MAX_VERTICES)
-        raw_us, raw_vs, ws = _columns(edges)
-        ws = ws.astype(float, copy=False)
+        raw_us, raw_vs, raw_ws = _columns(edges)
+        huge = None
+        if raw_ws.dtype.kind == "O":  # an int or fraction past the largest float, which float() refuses
+            with np.errstate(invalid="ignore"):  # a NaN entry does not order
+                huge = (abs(raw_ws) > sys.float_info.max) & (abs(raw_ws) != math.inf)
+        ws = (raw_ws if huge is None else np.where(huge, math.inf, raw_ws)).astype(float, copy=False)
         whole = np.ones(len(ws), dtype=bool)
         for ids in (raw_us, raw_vs):
             if ids.dtype.kind == "f":
                 whole &= np.isfinite(ids) & (ids == np.floor(ids))
+            elif ids.dtype.kind == "O":  # ints, fractions and floats; inf and NaN leave a NaN remainder
+                with np.errstate(invalid="ignore"):
+                    whole &= ids % 1 == 0
         # Clipping keeps an out-of-range id out of range and the cast exact.
-        us, vs = (np.where(whole, np.clip(ids, -1, n), 0).astype(np.intp) for ids in (raw_us, raw_vs))
+        with np.errstate(invalid="ignore"):  # an object-kind NaN id does not order
+            us, vs = (np.where(whole, np.clip(ids, -1, n), 0).astype(np.intp) for ids in (raw_us, raw_vs))
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         key = (lo.astype(np.int64) + 1) * (n + 2) + (hi + 1)
         order = np.argsort(key, kind="stable")
@@ -77,12 +87,15 @@ class WeightedGraph:
         if bad.any():
             i = int(bad.argmax())
             if not whole[i]:
-                raise InputError(f"edge ({float(raw_us[i])},{float(raw_vs[i])}) has a non-integer vertex id")
+                u, v = (float(x) if not abs(x) > sys.float_info.max else x for x in (raw_us[i], raw_vs[i]))
+                raise InputError(f"edge ({u},{v}) has a non-integer vertex id")
             u, v, w = int(raw_us[i]), int(raw_vs[i]), float(ws[i])
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"loop edge ({u},{v}) is not allowed")
+            if huge is not None and huge[i]:
+                raise InputError(f"weight {raw_ws[i]} on edge ({u},{v}) is beyond the largest float")
             if not math.isfinite(w):
                 raise InputError(f"non-finite weight {w} on edge ({u},{v})")
             if w < 0:

@@ -72,7 +72,7 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     """Check a cluster list and compute the per-cluster spectral gaps.
 
     Raises InputError, naming the first offending cluster, for a cluster
-    that is not a sequence of numbers (a string or nested entry), a non-integer
+    that is not a sequence of numbers (a string or bytes, or one with a string or nested entry), a non-integer
     (fractional, NaN or infinite) vertex id, an empty cluster, repeated or
     out-of-range vertices, a vertex in more than one cluster; then for
     uncovered vertices or a cluster whose induced subgraph is disconnected.
@@ -85,12 +85,13 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     n, clusters = graph.n, list(clusters)
     try:
         sizes = np.fromiter(map(len, clusters), dtype=np.intp, count=len(clusters))
-        raw = np.array([v for cluster in clusters for v in cluster], dtype=float)
+        raw = np.array([v for cluster in clusters for v in cluster])
     except (TypeError, ValueError):  # a cluster that is no sequence, or an entry that is not one number
         raw = None
-    if raw is None or raw.ndim != 1:
+    if raw is None or raw.ndim != 1 or raw.dtype.kind not in "biuf" or any(isinstance(c, _STRINGS) for c in clusters):
         parts = [_cluster_entries(idx, cluster) for idx, cluster in enumerate(clusters)]
         sizes, raw = np.array(list(map(len, parts)), dtype=np.intp), np.concatenate([np.empty(0), *parts])
+    raw = raw.astype(float, copy=False)
     whole = np.isfinite(raw) & (raw == np.floor(raw))
     # Clipping keeps an out-of-range id out of range and the cast exact.
     ids = np.where(whole, np.clip(raw, -1, n), 0).astype(np.intp)
@@ -129,12 +130,20 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     return partition
 
 
+#: Neither a cluster nor a vertex id, though numpy reads a numeric string as a number and bytes as their values.
+_STRINGS = (str, bytes, bytearray)
+
+
 def _cluster_entries(idx: int, cluster) -> np.ndarray:
-    """A cluster's entries as a flat float array; InputError unless it is a sequence of single numbers."""
-    try:
-        entries = np.array(list(cluster), dtype=float)
-    except (TypeError, ValueError):
-        entries = None
+    """A cluster's entries as a flat float array; InputError unless it is a sequence of single numbers, none a string."""
+    entries = None
+    if not isinstance(cluster, _STRINGS):
+        try:
+            items = list(cluster)
+            if not any(isinstance(v, _STRINGS) for v in items):
+                entries = np.array(items, dtype=float)
+        except (TypeError, ValueError):
+            pass
     if entries is None or entries.ndim != 1:
         raise InputError(f"cluster {idx} is not a sequence of numeric vertex ids: {cluster!r}")
     return entries

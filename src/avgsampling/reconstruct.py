@@ -19,6 +19,8 @@ whatever the number of steps. The direct route applies the canonical dual frame,
 least-squares solve ``c = pinv(A) s``. The singular vectors,
 the Gram matrix ``G = A^T A`` and ``pinv(A)`` are all formed once in
 ``build_frame_system``, from the one thin SVD that gives the frame bounds.
+Each per-signal product is ``ndarray.dot`` on the C-contiguous samples that
+``_vector`` hands over: the same BLAS call as ``@``, without its dispatch.
 """
 from __future__ import annotations
 
@@ -149,7 +151,7 @@ def _first_step_past_table(schedule: _StepSchedule, share: np.ndarray, tol: floa
     ``max_iter`` that meets tol; None when neither does.
     """
     def within_tol(steps: int) -> bool:
-        return math.sqrt(float(share @ (schedule.rho * schedule.rho) ** steps)) <= tol
+        return math.sqrt(float(share.dot((schedule.rho * schedule.rho) ** steps))) <= tol
 
     lo = len(schedule.decay) + 1
     hi = next((k for k in (schedule.bracket, max_iter) if k >= lo and within_tol(k)), None)
@@ -206,20 +208,21 @@ def frame_algorithm(
 
     truth_coeffs = None
     if truth is not None:
-        truth_coeffs = frame.basis.T @ _vector(truth, frame.basis.shape[0], "truth")
+        truth_coeffs = frame.basis.T.dot(_vector(truth, frame.basis.shape[0], "truth"))
 
     schedule = _step_schedule(frame, mu, tol, max_iter)
     right, gram = frame.right_vectors, frame.gram
-    normal_rhs = frame.analysis.T @ s
-    denom = math.sqrt(normal_rhs @ normal_rhs)
+    normal_rhs = frame.analysis.T.dot(s)
+    denom = math.sqrt(normal_rhs.dot(normal_rhs))
     if denom == 0.0:
         # Zero samples: the zero signal is already the fixed point.
         c, iterations, residual, converged = np.zeros(frame.dim), 0, 0.0, True
     else:
-        y = right.T @ normal_rhs
+        y = right.T.dot(normal_rhs)
         fixed_point = y / schedule.sigma2  # the least-squares solution in the V basis
-        share = (y / denom) ** 2  # norm(y) = norm(A^T s), as V is orthogonal
-        within = np.sqrt(schedule.decay @ share) <= tol
+        share = y / denom  # norm(y) = norm(A^T s), as V is orthogonal
+        share *= share
+        within = np.sqrt(schedule.decay.dot(share)) <= tol
         row = int(within.argmax())
         first = row + 1 if within[row] else _first_step_past_table(schedule, share, tol, max_iter)
         # The closed form has no roundoff floor, the recomputed residual has.
@@ -229,20 +232,20 @@ def frame_algorithm(
         # unconverged.
         tries = () if first is None else tuple(range(first, min(first + 1, max_iter) + 1))
         for iterations in (*tries, max_iter):
-            c = right @ (schedule.complement_after(iterations) * fixed_point)
-            direction = normal_rhs - gram @ c
-            residual = math.sqrt(direction @ direction) / denom
+            c = right.dot(schedule.complement_after(iterations) * fixed_point)
+            direction = normal_rhs - gram.dot(c)
+            residual = math.sqrt(direction.dot(direction)) / denom
             converged = residual <= tol and iterations in tries
             if converged:
                 break
 
     errors = None
     if truth_coeffs is not None:
-        target = right.T @ truth_coeffs
+        target = right.T.dot(truth_coeffs)
         errors = tuple(float(np.linalg.norm(target - schedule.complement_after(k) * fixed_point))
                        for k in range(1, iterations + 1))
     result = object.__new__(ReconstructionResult)
-    vars(result).update(signal=frame.basis @ c, coefficients=c, iterations=iterations, residual=residual,
+    vars(result).update(signal=frame.basis.dot(c), coefficients=c, iterations=iterations, residual=residual,
                         converged=converged, eta=schedule.eta, error_log=errors)
     return result
 
@@ -257,12 +260,12 @@ def dual_frame_reconstruct(frame: FrameSystem, samples: np.ndarray) -> Reconstru
     signal, with the deficiency reflected in the residual.
     """
     s = _vector(samples, frame.num_clusters, "samples")
-    c = frame.pinv @ s
-    normal_rhs = frame.analysis.T @ s
-    denom = math.sqrt(normal_rhs @ normal_rhs)
-    direction = normal_rhs - frame.gram @ c
+    c = frame.pinv.dot(s)
+    normal_rhs = frame.analysis.T.dot(s)
+    denom = math.sqrt(normal_rhs.dot(normal_rhs))
+    direction = normal_rhs - frame.gram.dot(c)
     result = object.__new__(ReconstructionResult)
-    vars(result).update(signal=frame.basis @ c, coefficients=c, iterations=0,
-                        residual=math.sqrt(direction @ direction) / denom if denom > 0 else 0.0,
+    vars(result).update(signal=frame.basis.dot(c), coefficients=c, iterations=0,
+                        residual=math.sqrt(direction.dot(direction)) / denom if denom > 0 else 0.0,
                         converged=True, eta=None, error_log=None)
     return result

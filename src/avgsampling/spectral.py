@@ -145,11 +145,13 @@ def pw_space(decomp: SpectralDecomposition, omega: float) -> PWSpace:
     m = int(decomp.eigenvalues.searchsorted(edge, side="right"))
     if m == 0:
         raise InputError(f"band subspace is empty for omega={omega}")
-    return PWSpace(omega=float(omega), basis=decomp.eigenvectors[:, :m])
+    space = object.__new__(PWSpace)
+    vars(space).update(omega=float(omega), basis=decomp.eigenvectors[:, :m])
+    return space
 
 
 def pw_project(decomp: SpectralDecomposition, omega: float, f: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the bandwidth-omega subspace; InputError unless f is n finite values."""
     space = pw_space(decomp, omega)
     f = _vector(f, decomp.n, "signal")
-    return space.basis @ (space.basis.T @ f)
+    return space.basis.dot(space.basis.T.dot(f))

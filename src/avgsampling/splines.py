@@ -240,8 +240,8 @@ def solve_spline(
     """
     targets = _vector(targets, partition.num_clusters, "targets")
     (_, order), = _orders(decomp, partition, [k])
-    signal = order.splines @ targets
-    residual, norm = order.stationarity @ signal, math.sqrt(signal @ signal)
+    signal = order.splines.dot(targets)
+    residual, norm = order.stationarity @ signal, math.sqrt(signal.dot(signal))
     kkt = float(np.abs(residual).max()) / norm if norm and residual.size else 0.0
     solution = object.__new__(SplineSolution)
     vars(solution).update(signal=signal, kkt_residual=kkt, condition_estimate=order.condition)
@@ -290,12 +290,12 @@ def spline_convergence_experiment(
             f"Lambda={partition.lambda_xi}; no convergence rate applies"
         )
     f = _vector(f, decomp.n, "signal")
-    norm_f = float(np.linalg.norm(f))  # f may be a strided view; the differences below are not
+    norm_f = math.sqrt(f.dot(f))
     if norm_f == 0.0:
         raise InputError("signal is zero")
     basis = pw_space(decomp, omega).basis
-    out_of_band = f - basis @ (basis.T @ f)
-    if math.sqrt(out_of_band @ out_of_band) > 1e-9 * norm_f:
+    out_of_band = f - basis.dot(basis.T.dot(f))
+    if math.sqrt(out_of_band.dot(out_of_band)) > 1e-9 * norm_f:
         raise InputError(
             f"signal has out-of-band content for omega={omega}; "
             "project it first or lower the bandwidth"
@@ -303,8 +303,8 @@ def spline_convergence_experiment(
     targets = analyze(partition, f)
     rows = []
     for k, order in _orders(decomp, partition, k_list):
-        error = f - order.splines @ targets
-        rel = math.sqrt(error @ error) / norm_f
+        error = f - order.splines.dot(targets)
+        rel = math.sqrt(error.dot(error)) / norm_f
         bound = 2.0 * gamma ** k
         row = object.__new__(ConvergenceRow)
         vars(row).update(order=k, rel_error=rel, bound=bound, within_bound=rel <= bound + 1e-8, proved=k & (k - 1) == 0)

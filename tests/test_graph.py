@@ -1,6 +1,7 @@
 """Graph construction and connectivity."""
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -264,12 +265,32 @@ class TestConstructors:
         (np.zeros(3), "edge array has shape (3,), expected (E, 3)"),
         (np.array([["0", "1", "1.0"]]), "edge ('0', '1', '1.0') has a non-numeric vertex id '0'"),
         (np.array([[0, 1, None]], dtype=object), "edge (0, 1, None) has a non-numeric weight None"),
+        # object-kind ids were truncated: (1/2, 1) built the edge (0, 1) and 5/2 became 2
+        ([(Fraction(1, 2), 1, 1.0)], "edge (0.5,1.0) has a non-integer vertex id"),
+        ([(Fraction(5, 2), 1, 1.0)], "edge (2.5,1.0) has a non-integer vertex id"),
+        ([(0, 1, 1.0), (1, Fraction(3, 2), 2.0)], "edge (1.0,1.5) has a non-integer vertex id"),
+        ([(0, 1, 1.0), (Fraction(1), 2, 1.0), (math.inf, 2, 1.0)], "edge (inf,2.0) has a non-integer vertex id"),
+        ([(Fraction(1), 2, 1.0), (math.nan, 2, 1.0)], "edge (nan,2.0) has a non-integer vertex id"),
+        ([(Fraction(1, 2), 2**1100, 1.0)], f"edge (0.5,{2**1100}) has a non-integer vertex id"),
+        ([(0, 2**1100, 1.0)], f"edge (0,{2**1100}) out of range for n=3"),
+        # weights past the largest float raised a bare OverflowError
+        ([(0, 1, 2**1100)], f"weight {2**1100} on edge (0,1) is beyond the largest float"),
+        ([(0, 1, 1.0), (1, 2, -(10**400))], f"weight {-(10**400)} on edge (1,2) is beyond the largest float"),
+        ([(0, 1, Fraction(3**700, 2))], f"weight {Fraction(3**700, 2)} on edge (0,1) is beyond the largest float"),
+        ([(1, 1, 2**1100)], "loop edge (1,1) is not allowed"),
+        ([(0, 2, -1), (0, 1, 2**1100)], "negative weight -1.0 on edge (0,2)"),
+        ([(0, 1, Fraction(1)), (1, 2, math.nan)], "non-finite weight nan on edge (1,2)"),
+        ([(0, 1, Fraction(1)), (1, 2, -math.inf)], "non-finite weight -inf on edge (1,2)"),
     ])
     def test_from_edges_rejects_what_is_not_three_numbers(self, edges, message):
         """Malformed rows, once a bare ValueError or TypeError, and cases with no float (E, 3) array."""
         with pytest.raises(InputError) as err:
             WeightedGraph.from_edges(3, edges)
         assert str(err.value) == message
+
+    def test_whole_object_kind_ids_and_large_finite_weights_accepted(self):
+        g = WeightedGraph.from_edges(3, [(Fraction(2), 1, Fraction(1, 2)), (0, 2**0, 10**20), (0, 2, 2**1023)])
+        assert g.edges() == [(0, 1, 1e20), (0, 2, 2.0**1023), (1, 2, 0.5)]
 
     @pytest.mark.parametrize("n", [4, np.int64(4), np.int32(4)])
     def test_whole_number_vertex_count_accepted(self, n):

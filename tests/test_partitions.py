@@ -86,6 +86,16 @@ class TestValidatePartition:
         ([[0, 1], [2, np.array([3])]], 1),
         ([[[0], [1]], [[2], [3]]], 0),
         ([[0, 1], 2], 1),
+        # numeric strings and bytes once built the pairs cover, read as numbers or as their bytes
+        ([["0", "1"], "23"], 0),
+        ([[0, 1], "23"], 1),
+        ([[0, 1], b"\x02\x03"], 1),
+        ([[0, 1], bytearray(b"\x02\x03")], 1),
+        ([[0, 1], [2, "3"]], 1),
+        ([[0, 1], [2, b"3"]], 1),
+        ([[0, 1], np.array(["2", "3"])], 1),
+        ([[0, 1], [2, np.str_("3")]], 1),
+        (["01", "23"], 0),
     ])
     def test_non_numeric_or_nested_entry_rejected(self, clusters, idx):
         # once a bare ValueError or TypeError from the array of all entries

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from avgsampling import (
@@ -17,10 +17,12 @@ from avgsampling import (
     dual_frame_reconstruct,
     eigendecompose,
     frame_algorithm,
+    generate_graph,
     generate_pw_signal,
     interpolate,
     pairs_partition,
     pw_project,
+    solve_spline,
     spline_convergence_experiment,
     validate_partition,
 )
@@ -151,3 +153,42 @@ def test_path64_splines_at_extreme_weight_scales(c):
         splines = [interpolate(d, part, f, k) for d, part, _ in runs]
         assert relative_error(splines[0].signal, splines[1].signal) <= 1e-12
         assert all(math.isfinite(spline.kkt_residual) for spline in splines)
+
+
+@pytest.fixture(scope="module", params=["path64 pairs", "grid100 bfs:1"])
+def signal_scale_setting(request, path64):
+    """A decomposition and cover; their frame at the recovery bandwidth (path64 at 0.5, grid100 near critical at
+    3.22) and a band signal there; the sweep's bandwidth (grid100's Lambda is 1, so 0.3 keeps gamma < 1) and a
+    band signal there."""
+    if request.param == "path64 pairs":
+        (_, decomp, partition), omega, sweep_omega = path64, 0.5, 0.5
+    else:
+        graph, omega, sweep_omega = generate_graph("grid2d", 100), 3.22, 0.3
+        decomp, partition = eigendecompose(build_laplacian(graph)), validate_partition(graph, bfs_partition(graph, 1))
+    frame = build_frame_system(decomp, partition, omega, 1.0)
+    return (decomp, partition, frame, generate_pw_signal(decomp, omega, 5),
+            sweep_omega, generate_pw_signal(decomp, sweep_omega, 5))
+
+
+@given(e=st.integers(-400, 400))
+@example(e=-400)
+@example(e=400)
+def test_per_signal_routes_are_exactly_equivariant_under_signal_scale(signal_scale_setting, e):
+    # A power of two scales every product exactly while no square leaves the normal range, so a signal scaled
+    # by 2**e is recovered, projected and interpolated as the signal itself, times 2**e, with the same steps,
+    # residuals and errors. Below about 2**-475 a squared norm is subnormal, and from 2**512 a squared
+    # norm overflows, so it holds only in between.
+    decomp, partition, frame, signal, sweep_omega, sweep_signal = signal_scale_setting
+    c = 2.0 ** e
+    samples, targets = analyze(partition, signal), analyze(partition, sweep_signal)
+    for route in (frame_algorithm, dual_frame_reconstruct):
+        base, scaled = route(frame, samples), route(frame, samples * c)
+        assert np.array_equal(scaled.signal, base.signal * c) and np.array_equal(scaled.coefficients, base.coefficients * c)
+        assert (scaled.iterations, scaled.residual, scaled.converged) == (base.iterations, base.residual, base.converged)
+    assert np.array_equal(pw_project(decomp, frame.omega, signal * c), pw_project(decomp, frame.omega, signal) * c)
+    for k in ORDERS:
+        base, scaled = solve_spline(decomp, partition, targets, k), solve_spline(decomp, partition, targets * c, k)
+        assert np.array_equal(scaled.signal, base.signal * c)
+        assert (scaled.kkt_residual, scaled.condition_estimate) == (base.kkt_residual, base.condition_estimate)
+    rows = [spline_convergence_experiment(decomp, partition, sweep_omega, 1.0, sweep_signal * x, ORDERS) for x in (1.0, c)]
+    assert rows[1] == rows[0]
