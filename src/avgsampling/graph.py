@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .errors import InputError, _integer
+from .errors import InputError, _ids, _integer, _shown
 
 #: The most vertices a graph may have. It keeps the int64 sort keys below
 #: 2**63: ``from_edges``'s reaches about (n + 2)**2, ``_from_pairs``'s n**2.
@@ -67,16 +67,8 @@ class WeightedGraph:
             with np.errstate(invalid="ignore"):  # a NaN entry does not order
                 huge = (abs(raw_ws) > sys.float_info.max) & (abs(raw_ws) != math.inf)
         ws = (raw_ws if huge is None else np.where(huge, math.inf, raw_ws)).astype(float, copy=False)
-        whole = np.ones(len(ws), dtype=bool)
-        for ids in (raw_us, raw_vs):
-            if ids.dtype.kind == "f":
-                whole &= np.isfinite(ids) & (ids == np.floor(ids))
-            elif ids.dtype.kind == "O":  # ints, fractions and floats; inf and NaN leave a NaN remainder
-                with np.errstate(invalid="ignore"):
-                    whole &= ids % 1 == 0
-        # Clipping keeps an out-of-range id out of range and the cast exact.
-        with np.errstate(invalid="ignore"):  # an object-kind NaN id does not order
-            us, vs = (np.where(whole, np.clip(ids, -1, n), 0).astype(np.intp) for ids in (raw_us, raw_vs))
+        (us, u_whole), (vs, v_whole) = _ids(raw_us, n), _ids(raw_vs, n)
+        whole = u_whole & v_whole
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         key = (lo.astype(np.int64) + 1) * (n + 2) + (hi + 1)
         order = np.argsort(key, kind="stable")
@@ -87,7 +79,7 @@ class WeightedGraph:
         if bad.any():
             i = int(bad.argmax())
             if not whole[i]:
-                u, v = (float(x) if not abs(x) > sys.float_info.max else x for x in (raw_us[i], raw_vs[i]))
+                u, v = _shown(raw_us[i]), _shown(raw_vs[i])
                 raise InputError(f"edge ({u},{v}) has a non-integer vertex id")
             u, v, w = int(raw_us[i]), int(raw_vs[i]), float(ws[i])
             if not (0 <= u < n and 0 <= v < n):

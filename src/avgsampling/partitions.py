@@ -22,13 +22,14 @@ derives every field once, and nothing re-sets omega, alpha or the analysis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import InputError, NumericalError, _integer
+from .errors import InputError, NumericalError, _ids, _integer, _shown
 from .graph import WeightedGraph, _adjacency, _components
 from .spectral import SpectralDecomposition, pw_space
 
@@ -71,8 +72,8 @@ class ClusterPartition:
 def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) -> ClusterPartition:
     """Check a cluster list and compute the per-cluster spectral gaps.
 
-    Raises InputError, naming the first offending cluster, for a cluster
-    that is not a sequence of numbers (a string or bytes, or one with a string or nested entry), a non-integer
+    Raises InputError, naming the first offending cluster, for a cluster that is a string or bytes, or no
+    sequence of ``numbers.Real`` (no string, None, Decimal or list is one), a non-integer
     (fractional, NaN or infinite) vertex id, an empty cluster, repeated or
     out-of-range vertices, a vertex in more than one cluster; then for
     uncovered vertices or a cluster whose induced subgraph is disconnected.
@@ -90,11 +91,8 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
         raw = None
     if raw is None or raw.ndim != 1 or raw.dtype.kind not in "biuf" or any(isinstance(c, _STRINGS) for c in clusters):
         parts = [_cluster_entries(idx, cluster) for idx, cluster in enumerate(clusters)]
-        sizes, raw = np.array(list(map(len, parts)), dtype=np.intp), np.concatenate([np.empty(0), *parts])
-    raw = raw.astype(float, copy=False)
-    whole = np.isfinite(raw) & (raw == np.floor(raw))
-    # Clipping keeps an out-of-range id out of range and the cast exact.
-    ids = np.where(whole, np.clip(raw, -1, n), 0).astype(np.intp)
+        sizes, raw = np.array(list(map(len, parts)), dtype=np.intp), np.array([v for part in parts for v in part])
+    ids, whole = _ids(raw, n)
     order = np.argsort(ids, kind="stable")  # an id's first entry sorts first
     again = np.zeros(len(ids), dtype=bool)
     again[order[1:]] = ids[order[1:]] == ids[order[:-1]]
@@ -106,7 +104,7 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
         entries = slice(int(sizes[:idx].sum()), int(sizes[: idx + 1].sum()))
         values, verts = raw[entries], ids[entries]
         if not whole[entries].all():
-            raise InputError(f"cluster {idx} has a non-integer vertex id {float(values[~whole[entries]][0])}")
+            raise InputError(f"cluster {idx} has a non-integer vertex id {_shown(values[~whole[entries]][0])}")
         if not verts.size:
             raise InputError(f"cluster {idx} is empty")
         if np.unique(values).size < values.size:
@@ -130,21 +128,17 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     return partition
 
 
-#: Neither a cluster nor a vertex id, though numpy reads a numeric string as a number and bytes as their values.
+#: Not a cluster, though numpy reads a numeric string as a number and bytes as their values.
 _STRINGS = (str, bytes, bytearray)
 
 
-def _cluster_entries(idx: int, cluster) -> np.ndarray:
-    """A cluster's entries as a flat float array; InputError unless it is a sequence of single numbers, none a string."""
-    entries = None
-    if not isinstance(cluster, _STRINGS):
-        try:
-            items = list(cluster)
-            if not any(isinstance(v, _STRINGS) for v in items):
-                entries = np.array(items, dtype=float)
-        except (TypeError, ValueError):
-            pass
-    if entries is None or entries.ndim != 1:
+def _cluster_entries(idx: int, cluster) -> list:
+    """A cluster's entries; InputError unless it is a sequence, not a string, of real numbers, as edge ids are."""
+    try:
+        entries = None if isinstance(cluster, _STRINGS) else list(cluster)
+    except TypeError:
+        entries = None
+    if entries is None or not all(isinstance(v, numbers.Real) for v in entries):
         raise InputError(f"cluster {idx} is not a sequence of numeric vertex ids: {cluster!r}")
     return entries
 

@@ -277,9 +277,11 @@ def spline_convergence_experiment(
 ) -> tuple[ConvergenceRow, ...]:
     """Interpolate a bandlimited signal at several orders against 2*gamma**k.
 
-    Refuses when gamma >= 1 (no rate is guaranteed there) or when the signal
-    has out-of-band content (the bound's hypothesis would be violated). A
-    row is ``within_bound`` when its error is at most the bound plus 1e-8.
+    Refuses when gamma >= 1 (no rate is guaranteed there), a zero signal, a
+    nonzero one whose squared norm underflows to 0 (no relative error can be
+    formed), or one with out-of-band content (the bound's hypothesis would be
+    violated). A row is ``within_bound`` when its error is at most the bound
+    plus 1e-8.
     Rows with ``proved=False`` mark orders that are not powers of two, where
     the bound is reported for reference only.
     """
@@ -292,7 +294,7 @@ def spline_convergence_experiment(
     f = _vector(f, decomp.n, "signal")
     norm_f = math.sqrt(f.dot(f))
     if norm_f == 0.0:
-        raise InputError("signal is zero")
+        raise InputError("signal is zero" if not f.any() else "signal is too small: its squared norm underflows to 0")
     basis = pw_space(decomp, omega).basis
     out_of_band = f - basis.dot(basis.T.dot(f))
     if math.sqrt(out_of_band.dot(out_of_band)) > 1e-9 * norm_f:

@@ -452,6 +452,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "numerical failure: cluster 0 has a non-finite spectral gap nan: its weights overflow\n"
 
+    def test_vertex_id_past_the_largest_float_is_exit_one(self, tmp_path, capsys):
+        # validate_partition let an OverflowError escape, and the CLI printed a traceback
+        partition = write_rows(tmp_path / "p.part", [(0, 1), (2, 2**1100)])
+        code, out, err = run_cli(["frame-check", "--generate", "path", "--n", "4", "--partition", str(partition),
+                                  "--omega", "0.5"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: cluster 1 has out-of-range vertices for n=4\n"
+
     def test_overflowing_degrees_in_spectrum_are_exit_two(self, tmp_path, capsys):
         # build_laplacian's row sum warned of the overflow, and the eigensolve then exited 1
         graph = write_rows(tmp_path / "g.edges", [(0, 1, 1e308), (0, 2, 1e308)], sep="\t", header="n=3")

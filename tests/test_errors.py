@@ -1,4 +1,4 @@
-"""The package's input rules: every outside vector is refused by one rule, with one of its two messages, wherever it enters."""
+"""The package's input rules: every outside vector is refused by one rule, with one of its three messages, wherever it enters."""
 import math
 
 import numpy as np
@@ -20,6 +20,7 @@ from avgsampling import (
     spline_convergence_experiment,
     validate_partition,
 )
+from avgsampling.errors import _vector
 from avgsampling.fileio import read_signal
 
 OMEGA, ALPHA = 0.5, 1.0
@@ -46,12 +47,17 @@ ENTRY_POINTS = {
     "pw_project signal": ("signal", "vertices", lambda d, p, fr, f, v: pw_project(d, fr.omega, v)),
 }
 
+PAST_BOUND = "has an entry of magnitude above 2**400, where a squared norm could overflow"
+
 #: Each bad vector of a given length, and the message it must raise for a given name.
 CASES = {
     "too short": (lambda n: np.zeros(n - 1), lambda name, n: f"{name} has shape ({n - 1},), expected ({n},)"),
     "2-D": (lambda n: np.zeros((n, 1)), lambda name, n: f"{name} has shape ({n}, 1), expected ({n},)"),
     "nan": (lambda n: np.r_[np.ones(n - 1), math.nan], lambda name, n: f"{name} contains non-finite entries"),
     "inf": (lambda n: np.r_[np.ones(n - 1), math.inf], lambda name, n: f"{name} contains non-finite entries"),
+    # a constant is a band signal, and a constant per cluster its samples; from 2**512 a squared norm overflowed
+    # and a route returned NaN residuals, errors or splines with no refusal
+    "2**512 x band": (lambda n: np.full(n, 2.0 ** 512), lambda name, n: f"{name} {PAST_BOUND}"),
 }
 
 
@@ -72,13 +78,21 @@ def test_every_vector_entry_point_refuses_by_the_one_rule(setting, entry, case):
     ("0\n0\n", "signal has shape (2,), expected (16,)"),
     ("0\n" * 15 + "nan\n", "signal contains non-finite entries"),
     ("0\n" * 15 + "inf\n", "signal contains non-finite entries"),
-], ids=["too short", "nan", "inf"])
+    (f"{2.0 ** 512!r}\n" * 16, f"signal {PAST_BOUND}"),
+], ids=["too short", "nan", "inf", "2**512 x band"])
 def test_signal_file_refuses_by_the_one_rule_and_names_its_path(tmp_path, body, message):
     path = tmp_path / "f.sig"
     path.write_text(body, encoding="utf-8")
     with pytest.raises(InputError) as err:
         read_signal(path, 16)
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_vector_bound_holds_its_endpoints():
+    assert np.array_equal(_vector([2.0 ** 400, -(2.0 ** 400)], 2, "v"), [2.0 ** 400, -(2.0 ** 400)])
+    for past in (np.nextafter(2.0 ** 400, math.inf), -np.nextafter(2.0 ** 400, math.inf)):
+        with pytest.raises(InputError, match=r"^v has an entry of magnitude above 2\*\*400"):
+            _vector([0.0, past], 2, "v")
 
 
 @pytest.fixture(scope="module", params=["path64 pairs", "grid100 bfs:1"])

@@ -27,6 +27,9 @@ class TestEdgeList:
         [
             ("0\t1\t1.0\n", "header"),
             ("n=three\n", "vertex count"),
+            # int() reads both as 10
+            ("n=1_0\n", "vertex count"),
+            ("n=\u0661\u0660\n", "vertex count"),
             ("n=3\n1\t0\t1.0\n", "u < v"),
             ("n=3\n0\t1\t-2.0\n", "positive"),
             ("n=3\n0\t1\t1.0\n0\t1\t2.0\n", "duplicate"),
@@ -44,7 +47,11 @@ class TestEdgeList:
         ("", ": empty edge-list file"),
         ("# only a comment\n\n", ": empty edge-list file"),
         ("n=3\n0\tx\t1.0\n", ":2: unparsable edge line '0\\tx\\t1.0'"),
-    ], ids=["empty", "comment only", "unparsable"])
+        # read as the edge (0, 10), and as the weight 10.5
+        ("n=11\n0\t1_0\t1.0\n", ":2: unparsable edge line '0\\t1_0\\t1.0'"),
+        ("n=11\n0\t1\t1_0.5\n", ":2: unparsable edge line '0\\t1\\t1_0.5'"),
+        ("n=11\n0\t\u0661\u0660\t1.0\n", ":2: unparsable edge line '0\\t\u0661\u0660\\t1.0'"),
+    ], ids=["empty", "comment only", "unparsable", "underscore id", "underscore weight", "non-ASCII digits"])
     def test_empty_file_and_unparsable_line_are_refused(self, tmp_path, body, message):
         path = tmp_path / "bad.edges"
         path.write_text(body, encoding="utf-8")
@@ -84,6 +91,15 @@ class TestSignalFile:
         with pytest.raises(InputError, match=r"signal has shape \(4,\), expected \(5,\)$"):
             read_signal(path, n=5)
 
+    @pytest.mark.parametrize("line", ["1_0.5", "\u0661.5"], ids=["underscore", "non-ASCII digit"])
+    def test_digits_float_reads_but_the_format_forbids(self, tmp_path, line):
+        # read as 10.5 and as 1.5
+        path = tmp_path / "f.sig"
+        path.write_text(f"1.0\n{line}\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_signal(path, n=2)
+        assert str(err.value) == f"{path}:2: unparsable signal value {line!r}"
+
     def test_bad_value(self, tmp_path):
         path = tmp_path / "f.sig"
         path.write_text("1.0\noops\n", encoding="utf-8")
@@ -103,6 +119,15 @@ class TestPartitionFile:
         with pytest.raises(InputError) as err:
             read_partition(path)
         assert str(err.value) == f"{path}:3: unparsable cluster line '2 x'"
+
+    @pytest.mark.parametrize("line", ["0 1_0", "0 \u0661"], ids=["underscore", "non-ASCII digit"])
+    def test_digits_int_reads_but_the_format_forbids(self, tmp_path, line):
+        # read as the cluster (0, 10) and as (0, 1)
+        path = tmp_path / "p.part"
+        path.write_text(f"2 3\n{line}\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_partition(path)
+        assert str(err.value) == f"{path}:2: unparsable cluster line {line!r}"
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "p.part"

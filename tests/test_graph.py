@@ -273,6 +273,10 @@ class TestConstructors:
         ([(Fraction(1), 2, 1.0), (math.nan, 2, 1.0)], "edge (nan,2.0) has a non-integer vertex id"),
         ([(Fraction(1, 2), 2**1100, 1.0)], f"edge (0.5,{2**1100}) has a non-integer vertex id"),
         ([(0, 2**1100, 1.0)], f"edge (0,{2**1100}) out of range for n=3"),
+        # shown as the whole floats 1.0 and 0.0
+        ([(Fraction(10**400 + 1, 10**400), 2, 1.0)],
+         f"edge ({Fraction(10**400 + 1, 10**400)},2.0) has a non-integer vertex id"),
+        ([(0, Fraction(1, 10**400), 1.0)], f"edge (0.0,{Fraction(1, 10**400)}) has a non-integer vertex id"),
         # weights past the largest float raised a bare OverflowError
         ([(0, 1, 2**1100)], f"weight {2**1100} on edge (0,1) is beyond the largest float"),
         ([(0, 1, 1.0), (1, 2, -(10**400))], f"weight {-(10**400)} on edge (1,2) is beyond the largest float"),

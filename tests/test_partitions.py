@@ -2,6 +2,7 @@
 import dataclasses
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestValidatePartition:
         with pytest.raises(InputError, match="empty"):
             validate_partition(g, [(0, 1), (), (2, 3)])
 
-    @pytest.mark.parametrize("bad", [1.7, 3.9, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [1.7, 3.9, math.nan, math.inf, -math.inf, Fraction(10**400 + 1, 10**400)])
     def test_non_integer_vertex_id_rejected(self, bad):
         # once truncated: (0, 1.7) became (0, 1) and (2, 3.9) became (2, 3)
         g = generate_graph("path", 4)
@@ -96,12 +97,40 @@ class TestValidatePartition:
         ([[0, 1], np.array(["2", "3"])], 1),
         ([[0, 1], [2, np.str_("3")]], 1),
         (["01", "23"], 0),
+        # a Decimal built the cover, and None was read as the non-integer id nan
+        ([[Decimal(1), 0], [2, 3]], 0),
+        ([[None, 0], [2, 3]], 0),
     ])
     def test_non_numeric_or_nested_entry_rejected(self, clusters, idx):
         # once a bare ValueError or TypeError from the array of all entries
         with pytest.raises(InputError) as err:
             validate_partition(generate_graph("path", 4), clusters)
         assert str(err.value) == f"cluster {idx} is not a sequence of numeric vertex ids: {clusters[idx]!r}"
+
+    @pytest.mark.parametrize("vertex_id, vertex", [
+        (2**1100, None), (-(2**1100), None), (Fraction(3**700, 2), None), (Fraction(1, 2), None), (Decimal(1), None),
+        (None, None), ("1", None), (np.float64(2.0), 2), (Fraction(2), 2), (True, 1),
+    ], ids=["2**1100", "-2**1100", "3**700/2", "1/2", "Decimal(1)", "None", "'1'", "float64(2.0)", "Fraction(2)",
+            "True"])
+    def test_outside_ids_follow_the_edge_rule(self, vertex_id, vertex):
+        # an id past the largest float or a huge fraction raised OverflowError here, and a Decimal built the cover,
+        # where from_edges refused each; a cover holding the id beside singletons of the other vertices is accepted
+        # exactly where an edge (id, 3) is, and for the same vertex
+        def accepts(build):
+            try:
+                build()
+            except InputError:
+                return False
+            return True
+
+        g = generate_graph("path", 4)
+        edge = accepts(lambda: WeightedGraph.from_edges(4, [(vertex_id, 3, 1.0)]))
+        assert edge == (vertex is not None)
+        if edge:
+            assert WeightedGraph.from_edges(4, [(vertex_id, 3, 1.0)]).edges() == [(vertex, 3, 1.0)]
+        covered = [u for u in range(4)
+                   if accepts(lambda: validate_partition(g, [[vertex_id], *([v] for v in range(4) if v != u)]))]
+        assert covered == ([] if vertex is None else [vertex])
 
     @settings(max_examples=200)
     @given(st.data())

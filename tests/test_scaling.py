@@ -176,8 +176,8 @@ def signal_scale_setting(request, path64):
 def test_per_signal_routes_are_exactly_equivariant_under_signal_scale(signal_scale_setting, e):
     # A power of two scales every product exactly while no square leaves the normal range, so a signal scaled
     # by 2**e is recovered, projected and interpolated as the signal itself, times 2**e, with the same steps,
-    # residuals and errors. Below about 2**-475 a squared norm is subnormal, and from 2**512 a squared
-    # norm overflows, so it holds only in between.
+    # residuals and errors. Below about 2**-475 a squared norm is subnormal, so it holds only above that; past
+    # 2**400 every route refuses the input (errors._vector), before any squared norm could overflow.
     decomp, partition, frame, signal, sweep_omega, sweep_signal = signal_scale_setting
     c = 2.0 ** e
     samples, targets = analyze(partition, signal), analyze(partition, sweep_signal)

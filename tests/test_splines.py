@@ -458,6 +458,14 @@ class TestConvergence:
         with pytest.raises(InputError, match="^signal is zero$"):
             spline_convergence_experiment(d, part, 0.5, 1.0, np.zeros(64), [1])
 
+    def test_underflowing_signal_refused_as_too_small(self, path64):
+        # its squared norm underflows to 0, and it was refused as zero
+        _, d, part = path64
+        f = generate_pw_signal(d, 0.5, 23) * 2.0 ** -600
+        assert f.any() and f.dot(f) == 0.0
+        with pytest.raises(InputError, match="^signal is too small: its squared norm underflows to 0$"):
+            spline_convergence_experiment(d, part, 0.5, 1.0, f, [1])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_signal_refused(self, path64, bad):
         _, d, part = path64
@@ -530,6 +538,18 @@ class TestCertificate:
         weights = data.draw(st.lists(st.floats(0.25, 4.0), min_size=n - 1, max_size=n - 1), label="weights")
         g = WeightedGraph.from_edges(n, [(u, v, w) for v, (u, w) in enumerate(zip(parents, weights), start=1)])
         self.assert_bounds_condition(g, eigendecompose(build_laplacian(g)), validate_partition(g, bfs_partition(g, 2)))
+
+    @pytest.mark.parametrize("k, condition", [(2, 61.7), (4, 3805.3), (8, 1.448e7)])
+    def test_overflowing_ratio_falls_back_to_the_floor(self, k, condition):
+        # path4 with its first pair joined by 1e-200: lambda_max/Lambda = 1.5e200, whose k-th power overflows
+        g = WeightedGraph.from_edges(4, [(0, 1, 1e-200), (1, 2, 1.0), (2, 3, 1.0)])
+        d, part = eigendecompose(build_laplacian(g)), validate_partition(g, pairs_partition(4))
+        assert splines._power(d.lambda_max / part.lambda_xi, k) == math.inf
+        solution = solve_spline(d, part, np.array([1.0, -2.0]), k)
+        assert solution.condition_estimate == (1.0 / splines._CARDINALS[d].floor) ** k
+        assert solution.condition_estimate == pytest.approx(condition, rel=1e-3)
+        assert solution.kkt_residual < 1e-15
+        self.assert_bounds_condition(g, d, part, orders=(k,))
 
     @pytest.mark.parametrize("kind, n, radius", [("path", 64, None), ("grid2d", 100, 1), ("random-geometric", 1000, 1)])
     def test_bench_covers(self, kind, n, radius):
