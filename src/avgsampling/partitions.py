@@ -10,8 +10,9 @@ normalized indicator of the cluster.
 A partition is valid by construction: :func:`validate_partition`, its only
 constructor, checks the cover and stores it once, as the label vector (the
 cluster index of each vertex), with the square roots of the cluster sizes and
-the cluster gaps. Averages, the frame's analysis matrix and the spline
-constraint rows are all computed from those two arrays.
+the cluster gaps. Averages are per-label sums; the cluster gaps, the
+normalized indicators Xi (the frame's analysis rows) and the splines' Helmert
+contrasts H all read the one layout of the labels that :func:`_layout` derives.
 
 For signals of bandwidth omega, those averages form a frame whenever
 ``gamma = (1 + alpha)/alpha * omega / Lambda < 1`` for some alpha > 0, with
@@ -165,10 +166,9 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     intra = edge_cluster == labels[vs]
     us, vs, ws, edge_cluster = us[intra], vs[intra], ws[intra], edge_cluster[intra]
 
-    by_cluster = np.argsort(labels, kind="stable")  # the vertices in (label, vertex) order
-    # Each vertex's index inside its (sorted) cluster.
-    position = np.empty(graph.n, dtype=np.intp)
-    position[by_cluster] = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    by_cluster, rank = _layout(labels, sizes)
+    position = np.empty(graph.n, dtype=np.intp)  # each vertex's index inside its (sorted) cluster
+    position[by_cluster] = rank
 
     # Clusters ranked by (size, label); the block of rank r starts at ranked_start[r].
     by_size = np.argsort(sizes, kind="stable")
@@ -224,23 +224,39 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     return gaps.tolist()
 
 
-def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray:
-    """Scaled cluster sums of each column of an n-row matrix (J rows); InputError for another row count.
+def _layout(labels: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices in (cluster, vertex) order by one stable argsort, and each one's rank in its cluster."""
+    return np.argsort(labels, kind="stable"), np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    Row j is the sum of the rows of cluster j divided by sqrt(size j), the
-    normalized indicators applied to every column. The indicators are built
-    per call, straight as a CSR matrix from the label vector: row j holds
-    the vertices of cluster j ascending (one stable argsort of the labels),
-    each with the value 1/sqrt(size j), so there are n nonzeros and never a
-    dense J x n array. The product sums each row's entries in vertex order.
-    """
-    if matrix.shape[0] != partition.n:
+
+def _indicators(partition: ClusterPartition, n: int) -> csr_matrix:
+    """Xi, J x n, row j cluster j's vertices ascending, each 1/sqrt(size j); InputError unless n is the partition's."""
+    if n != partition.n:
         raise InputError("partition and decomposition sizes differ")
-    labels, J = partition.labels, partition.num_clusters
-    sizes = np.bincount(labels, minlength=J)
-    indicators = csr_matrix((np.repeat(1.0 / partition._sqrt_sizes, sizes), np.argsort(labels, kind="stable"),
-                             np.concatenate([[0], np.cumsum(sizes)])), shape=(J, partition.n))
-    return indicators @ matrix
+    sizes = np.bincount(partition.labels)
+    return csr_matrix((np.repeat(1.0 / partition._sqrt_sizes, sizes), _layout(partition.labels, sizes)[0],
+                       np.concatenate([[0], np.cumsum(sizes)])), shape=(len(sizes), n))
+
+
+def _contrasts(partition: ClusterPartition) -> csr_matrix:
+    """H, the n x (n - J) Helmert contrasts: with Xi^T's columns an orthonormal basis of R^n, zero-sum in each cluster.
+
+    With a cluster's vertices ascending as v_0 < ... < v_{s-1}, contrast
+    i = 1 .. s-1 is ``(e_{v_0} + ... + e_{v_{i-1}} - i e_{v_i}) / sqrt(i (i+1))``.
+    """
+    order, rank = _layout(partition.labels, np.bincount(partition.labels))
+    head = np.flatnonzero(rank > 0)  # one column each: contrast i = rank[head], entries at positions head-i .. head
+    count = rank[head] + 1
+    column = np.repeat(np.arange(head.size), count)
+    back = np.repeat(np.cumsum(count), count) - 1 - np.arange(column.size)  # i .. 0 within each column
+    i = np.repeat(rank[head], count).astype(float)
+    values = np.where(back > 0, 1.0, -i) / np.sqrt(i * (i + 1.0))
+    return csr_matrix((values, (order[head[column] - back], column)), shape=(partition.n, head.size))
+
+
+def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray:
+    """``Xi @ matrix``: each cluster's rows summed in vertex order over sqrt(size); InputError for another row count."""
+    return _indicators(partition, matrix.shape[0]) @ matrix
 
 
 def analyze(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:

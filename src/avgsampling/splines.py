@@ -8,9 +8,9 @@ the minimizer exists and is unique for every k >= 1, as the bound below shows.
 Solved on the null space of the averages (Benzi, Golub and Liesen, Acta
 Numerica 14, 2005, section 6), with no eigenvector. Xi^T holds the normalized
 cluster indicators (n x J) and H the Helmert contrasts within each cluster
-(s - 1 per cluster of size s); together their columns are an orthonormal
-basis of R^n, and the signals with zero averages are exactly those Hy. So the
-spline is ``Xi^T v + H y`` with ``A_k y = -H^T Lhat^k Xi^T v``, where
+(s - 1 per cluster of size s), both from ``partitions``; together their columns
+are an orthonormal basis of R^n, and the signals with zero averages are exactly
+those Hy. So the spline is ``Xi^T v + H y`` with ``A_k y = -H^T Lhat^k Xi^T v``, where
 ``A_k = H^T Lhat^k H`` and Lhat = L / lambda_max; that division leaves the
 spline unchanged and keeps every entry within [-1, 1] at any weight scale.
 None of this depends on v, so each order's A_k is Cholesky-factored once and
@@ -48,10 +48,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse import csr_matrix, identity, issparse, spmatrix
+from scipy.sparse import csr_matrix, issparse, spmatrix
 
 from .errors import InputError, NumericalError, _integer, _vector
-from .partitions import ClusterPartition, _cluster_rows, _gamma, analyze
+from .partitions import ClusterPartition, _contrasts, _gamma, _indicators, analyze
 from .spectral import SpectralDecomposition, pw_space
 
 #: Refuse spline orders whose certified condition bound exceeds this.
@@ -135,25 +135,6 @@ def _read_only(*matrices) -> None:
             a.flags.writeable = False
 
 
-def _helmert(partition: ClusterPartition) -> csr_matrix:
-    """The n x (n - J) Helmert contrasts: orthonormal, zero-sum within each cluster, from the label vector.
-
-    With a cluster's vertices ascending as v_0 < ... < v_{s-1}, contrast
-    i = 1 .. s-1 is ``(e_{v_0} + ... + e_{v_{i-1}} - i e_{v_i}) / sqrt(i (i+1))``.
-    """
-    labels = partition.labels
-    order = np.argsort(labels, kind="stable")  # the clusters one after another, each ascending
-    sizes = np.bincount(labels, minlength=partition.num_clusters)
-    rank = np.arange(partition.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # of order[p] in its cluster
-    head = np.flatnonzero(rank > 0)  # one column each: contrast i = rank[head], entries at positions head-i .. head
-    count = rank[head] + 1
-    column = np.repeat(np.arange(head.size), count)
-    back = np.repeat(np.cumsum(count), count) - 1 - np.arange(column.size)  # i .. 0 within each column
-    i = np.repeat(rank[head], count).astype(float)
-    values = np.where(back > 0, 1.0, -i) / np.sqrt(i * (i + 1.0))
-    return csr_matrix((values, (order[head[column] - back], column)), shape=(partition.n, head.size))
-
-
 def _power(ratio: float, k: int) -> float:
     """ratio**k, at least 1, inf past the largest double."""
     try:
@@ -187,18 +168,18 @@ def _orders(decomp: SpectralDecomposition, partition: ClusterPartition, k_list) 
     when called with another partition object, and only once every order
     passes. The missing orders are then built in ascending order, each from
     ``Lhat^k H`` by sparse products that reuse the last one's power, and
-    keep the bound they were built under. NumericalError when a Cholesky
-    factorisation fails.
+    keep the bound they were built under (no power when every cluster is a
+    singleton). InputError for a partition and decomposition of different
+    sizes, checked only as the memo is replaced; NumericalError when a
+    Cholesky factorisation fails.
     """
     ks = [_integer(k, "spline order") for k in k_list]
     memo = _CARDINALS.get(decomp)
     stale = memo is None or memo.partition is not partition
     if stale:
-        # Xi from the one maker of cluster sums, which refuses a partition of another size
-        indicators = _cluster_rows(partition, identity(decomp.n, format="csr"))
+        indicators, contrasts = _indicators(partition, decomp.n), _contrasts(partition)
         laplacian = csr_matrix(decomp.matrix)
         laplacian.data /= decomp.lambda_max
-        contrasts = _helmert(partition)
         _read_only(indicators, laplacian, contrasts)
         memo = _Cardinals(partition, laplacian, indicators, contrasts)
     conditions = {k: _condition(decomp, memo, k) for k in ks if k not in memo.orders}
@@ -206,7 +187,7 @@ def _orders(decomp: SpectralDecomposition, partition: ClusterPartition, k_list) 
         _CARDINALS[decomp] = memo
     H, power, j = memo.contrasts, memo.contrasts, 0
     for k in sorted(conditions):
-        while j < k:
+        while j < k and H.shape[1]:  # with no contrasts the spline is Xi^T v at every order
             power, j = memo.laplacian @ power, j + 1
         stationarity = power.T  # H^T Lhat^k, as Lhat is symmetric
         factor, info = lapack.dpotrf((H.T @ power).toarray(order="F"), lower=1, overwrite_a=1, clean=0)
@@ -277,11 +258,12 @@ def spline_convergence_experiment(
 ) -> tuple[ConvergenceRow, ...]:
     """Interpolate a bandlimited signal at several orders against 2*gamma**k.
 
-    Refuses when gamma >= 1 (no rate is guaranteed there), a zero signal, a
-    nonzero one whose squared norm underflows to 0 (no relative error can be
-    formed), or one with out-of-band content (the bound's hypothesis would be
-    violated). A row is ``within_bound`` when its error is at most the bound
-    plus 1e-8.
+    Refuses, in this order, when gamma >= 1 (no rate is guaranteed there),
+    a partition and decomposition of different sizes or an order as
+    ``solve_spline`` does, then a zero signal, a nonzero one whose squared
+    norm underflows to 0 (no relative error can be formed), or one with
+    out-of-band content (the bound's hypothesis would be violated). A row is
+    ``within_bound`` when its error is at most the bound plus 1e-8.
     Rows with ``proved=False`` mark orders that are not powers of two, where
     the bound is reported for reference only.
     """
@@ -291,6 +273,7 @@ def spline_convergence_experiment(
             f"gamma={gamma:.4f} >= 1 for omega={omega}, alpha={alpha}, "
             f"Lambda={partition.lambda_xi}; no convergence rate applies"
         )
+    orders = _orders(decomp, partition, k_list)
     f = _vector(f, decomp.n, "signal")
     norm_f = math.sqrt(f.dot(f))
     if norm_f == 0.0:
@@ -304,7 +287,7 @@ def spline_convergence_experiment(
         )
     targets = analyze(partition, f)
     rows = []
-    for k, order in _orders(decomp, partition, k_list):
+    for k, order in orders:
         error = f - order.splines.dot(targets)
         rel = math.sqrt(error.dot(error)) / norm_f
         bound = 2.0 * gamma ** k

@@ -28,6 +28,8 @@ from avgsampling import (
     optimal_alpha,
     pairs_partition,
     pw_space,
+    solve_spline,
+    spline_convergence_experiment,
     validate_partition,
 )
 
@@ -401,6 +403,25 @@ class TestAverageFunctionals:
         assert (np.abs(analyze(part, f) - xi @ f) <= scale).all()
 
     @given(st.data())
+    def test_layout_of_shuffled_covers(self, data):
+        # clusters listed out of order, each with its vertices unsorted
+        clusters, part = draw_shuffled_partition(data)
+        n, J, eps = part.n, len(clusters), np.finfo(float).eps
+        xi, H = partitions._indicators(part, n), partitions._contrasts(part)
+        assert xi.shape == (J, n) and H.shape == (n, n - J)
+        for j, verts in enumerate(clusters):
+            row = slice(xi.indptr[j], xi.indptr[j + 1])
+            assert xi.indices[row].tolist() == sorted(verts)
+            assert (xi.data[row] == 1.0 / math.sqrt(len(verts))).all()
+        basis = np.vstack([xi.toarray(), H.T.toarray()])
+        assert np.max(np.abs(basis @ basis.T - np.eye(n))) <= 4 * n * eps
+        contrasts = H.toarray()
+        for verts in clusters:
+            assert np.max(np.abs(contrasts[list(verts)].sum(axis=0)), initial=0.0) <= 4 * n * eps
+        # each contrast lives on one cluster
+        assert all(np.unique(part.labels[np.flatnonzero(column)]).size == 1 for column in contrasts.T)
+
+    @given(st.data())
     def test_cluster_rows_match_dense_indicators(self, data):
         part = draw_shuffled_partition(data)[1]
         n = part.n
@@ -451,7 +472,11 @@ class TestFrameSystem:
         partition8 = validate_partition(graph8, pairs_partition(8))
         decomp6 = eigendecompose(build_laplacian(generate_graph("path", 6)))
         for refused in (lambda: build_frame_system(decomp6, partition8, 0.5, 1.0),
-                        lambda: interpolate(decomp6, partition8, np.ones(8), 1)):
+                        lambda: interpolate(decomp6, partition8, np.ones(8), 1),
+                        lambda: solve_spline(decomp6, partition8, np.ones(4), 1),
+                        # the sweep, with a signal of either size
+                        lambda: spline_convergence_experiment(decomp6, partition8, 0.5, 1.0, np.ones(6), [1]),
+                        lambda: spline_convergence_experiment(decomp6, partition8, 0.5, 1.0, np.ones(8), [1, 2])):
             with pytest.raises(InputError, match="^partition and decomposition sizes differ$"):
                 refused()
         with pytest.raises(InputError, match="^alpha must be positive"):

@@ -250,12 +250,19 @@ class TestSolveSpline:
         assert interpolate(d, part, f, 8).condition_estimate == (d.lambda_max / 2.0) ** 8 <= 256.0
 
     def test_all_singletons_reproduce_the_signal(self, path16):
-        # no zero-average signals: the constraints alone fix the spline
+        # no zero-average signals: the constraints alone fix the spline, Xi^T v
+        # at every order, so no system and no power of L is built even at k = 10**9
         g, d, _ = path16
-        singletons = validate_partition(g, [(v,) for v in range(16)])
+        singletons = validate_partition(g, [(v,) for v in range(16)][::-1])
         f = generate_pw_signal(d, 1.0, 4)
-        for k in (1, 2):
-            assert interpolate(d, singletons, f, k).signal == pytest.approx(f, abs=1e-12)
+        first = interpolate(d, singletons, f, 1)
+        for k in (1, 2, 10**9):
+            spline = interpolate(d, singletons, f, k)
+            assert spline.signal.tobytes() == first.signal.tobytes() and np.array_equal(spline.signal, f)
+            assert (spline.condition_estimate, spline.kkt_residual) == (1.0, 0.0)
+        assert splines._CARDINALS[d].orders[10**9].stationarity.shape == (0, 16)
+        row, = spline_convergence_experiment(d, singletons, 1.0, 1.0, f, [10**9 + 1])
+        assert (row.rel_error, row.bound, row.within_bound) == (0.0, 0.0, True)
 
     def test_partition_mismatch_refused(self):
         g = generate_graph("path", 8)
