@@ -15,7 +15,9 @@ tables of at most ``_TABLE_STEPS`` steps of m doubles each; a signal
 reads its step count off one product with the first table and its iterate's
 mode weights off a row of the second, and steps past them are found by
 bisection and evaluated afresh. A signal thus costs a few m x m matvecs
-whatever the number of steps. The direct route applies the canonical dual frame, the minimum-norm
+whatever the number of steps. The default config, once checked against a
+frame, is kept there too, so a warm default call checks only its samples.
+The direct route applies the canonical dual frame, the minimum-norm
 least-squares solve ``c = pinv(A) s``. The singular vectors,
 the Gram matrix ``G = A^T A`` and ``pinv(A)`` are all formed once in
 ``build_frame_system``, from the one thin SVD that gives the frame bounds.
@@ -37,7 +39,8 @@ from .partitions import FrameSystem
 #: many band-coefficient vectors.
 _TABLE_STEPS = 1024
 
-#: Each live frame's step schedules, keyed by ``(mu, tol, max_iter)``.
+#: Each live frame's step schedules, keyed by ``(mu, tol, max_iter)``, and by
+#: None for the default config once checked against the frame.
 _SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -86,6 +89,8 @@ class _StepSchedule:
     meets ``tol`` (``max_iter`` when eta gives none).
     """
 
+    tol: float
+    max_iter: int
     eta: float
     sigma2: np.ndarray
     rho: np.ndarray
@@ -140,21 +145,22 @@ def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> 
     for derived in (sigma2, rho, positive, log_rho, decay, complement):
         derived.flags.writeable = False
     schedule = schedules[key] = _StepSchedule(
-        eta, sigma2, rho, positive, log_rho, bracket, decay, complement)
+        tol, max_iter, eta, sigma2, rho, positive, log_rho, bracket, decay, complement)
     return schedule
 
 
-def _first_step_past_table(schedule: _StepSchedule, share: np.ndarray, tol: float, max_iter: int) -> int | None:
+def _first_step_past_table(schedule: _StepSchedule, share: np.ndarray) -> int | None:
     """The first step past the decay table whose closed-form residual meets tol, by bisection.
 
     Bisects between the table's end and the first of the bracket and
-    ``max_iter`` that meets tol; None when neither does.
+    ``max_iter`` that meets tol; None when neither does. ``decay[0]`` is
+    rho**2 bit for bit.
     """
     def within_tol(steps: int) -> bool:
-        return math.sqrt(float(share.dot((schedule.rho * schedule.rho) ** steps))) <= tol
+        return math.sqrt(float(share.dot(schedule.decay[0] ** steps))) <= schedule.tol
 
     lo = len(schedule.decay) + 1
-    hi = next((k for k in (schedule.bracket, max_iter) if k >= lo and within_tol(k)), None)
+    hi = next((k for k in (schedule.bracket, schedule.max_iter) if k >= lo and within_tol(k)), None)
     if hi is None:
         return None
     while lo < hi:
@@ -191,26 +197,32 @@ def frame_algorithm(
     alongside the run, step k's from the row ``complement_after(k)`` that
     its iterate is formed from.
     """
-    config = config or _DEFAULT_CONFIG
     s = _vector(samples, frame.num_clusters, "samples")
-    if not frame.is_frame:
-        raise NumericalError(
-            f"averages are not a frame for omega={frame.omega} with this partition "
-            f"(lower bound {frame.lower:.3e}); reconstruction is not stable"
-        )
-    a, b = frame.lower, frame.upper
-    mu = 2.0 / (a + b) if config.mu is None else float(config.mu)
-    if not (0.0 < mu < 2.0 / b):
-        raise InputError(f"relaxation parameter mu={mu} outside (0, 2/b)=(0, {2.0 / b})")
-    tol, max_iter = float(config.tol), _integer(config.max_iter, "max_iter")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"tolerance tol={config.tol} must be finite and positive")
+    # Only None is kept as checked: a config equal to the default may hold a refused type (max_iter=10000.0).
+    schedule = _SCHEDULES.get(frame, {}).get(None) if config is None else None
+    if schedule is None:
+        settings = config or _DEFAULT_CONFIG
+        if not frame.is_frame:
+            raise NumericalError(
+                f"averages are not a frame for omega={frame.omega} with this partition "
+                f"(lower bound {frame.lower:.3e}); reconstruction is not stable"
+            )
+        a, b = frame.lower, frame.upper
+        mu = 2.0 / (a + b) if settings.mu is None else float(settings.mu)
+        if not (0.0 < mu < 2.0 / b):
+            raise InputError(f"relaxation parameter mu={mu} outside (0, 2/b)=(0, {2.0 / b})")
+        tol, max_iter = float(settings.tol), _integer(settings.max_iter, "max_iter")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise InputError(f"tolerance tol={settings.tol} must be finite and positive")
+        schedule = _step_schedule(frame, mu, tol, max_iter)
+        if config is None:
+            _SCHEDULES[frame][None] = schedule
+    tol, max_iter = schedule.tol, schedule.max_iter
 
     truth_coeffs = None
     if truth is not None:
         truth_coeffs = frame.basis.T.dot(_vector(truth, frame.basis.shape[0], "truth"))
 
-    schedule = _step_schedule(frame, mu, tol, max_iter)
     right, gram = frame.right_vectors, frame.gram
     normal_rhs = frame.analysis.T.dot(s)
     denom = math.sqrt(normal_rhs.dot(normal_rhs))
@@ -224,7 +236,7 @@ def frame_algorithm(
         share *= share
         within = np.sqrt(schedule.decay.dot(share)) <= tol
         row = int(within.argmax())
-        first = row + 1 if within[row] else _first_step_past_table(schedule, share, tol, max_iter)
+        first = row + 1 if within[row] else _first_step_past_table(schedule, share)
         # The closed form has no roundoff floor, the recomputed residual has.
         # One step more covers a closed-form residual that lands within
         # roundoff below tol; a miss beyond that is the floor, where a

@@ -414,6 +414,33 @@ class TestStepSchedule:
         with pytest.raises(InputError, match="max_iter"):
             frame_algorithm(frame, samples, FrameIterationConfig(max_iter=True))
 
+    def test_warm_default_refuses_what_a_cold_call_refuses(self, frame64, path64, path4):
+        # the default config is checked once per frame; a passed one on every call,
+        # even one equal to the default (10000.0 == 10000)
+        _, d, part = path64
+        frame = unmemoised(frame64, part)
+        samples = analyze(part, generate_pw_signal(d, 0.5, 1))
+        cold = frame_algorithm(frame, samples)
+        plan = _SCHEDULES[frame][None]
+        assert FrameIterationConfig(max_iter=10000.0) == FrameIterationConfig()
+        refused = {"max_iter": FrameIterationConfig(max_iter=True), "mu=5.0": FrameIterationConfig(mu=5.0),
+                   "max_iter must": FrameIterationConfig(max_iter=10000.0)}
+        for match, config in refused.items():
+            for fresh in (frame, unmemoised(frame64, part)):
+                with pytest.raises(InputError, match=match):
+                    frame_algorithm(fresh, samples, config)
+        assert _SCHEDULES[frame][None] is plan and len(_SCHEDULES[frame]) == 2
+        for warm in (frame_algorithm(frame, samples), frame_algorithm(frame, samples, FrameIterationConfig())):
+            assert_same_run(warm, (cold.iterations, cold.coefficients, cold.residual, cold.converged))
+            assert np.array_equal(warm.signal, cold.signal)
+        # a frame refused for the default config keeps no plan and is refused again
+        _, d4, part4 = path4
+        rank_deficient = build_frame_system(d4, part4, omega=4.0, alpha=1.0)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="not a frame"):
+                frame_algorithm(rank_deficient, np.ones(2))
+        assert rank_deficient not in _SCHEDULES
+
     def test_configs_do_not_interfere(self, grid_frame):
         d, part, frame = grid_frame
         shared = unmemoised(frame, part)

@@ -3,6 +3,8 @@ import gc
 import itertools
 import math
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -660,3 +662,93 @@ class TestMemo:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 1
+
+
+def sweep_outcome(d, part, omega, alpha, f, orders):
+    """A sweep's rows with every float as its hex (so -0.0 is not 0.0), or its refusal's type and message."""
+    try:
+        rows = spline_convergence_experiment(d, part, omega, alpha, f, orders)
+    except (InputError, TypeError) as error:
+        return type(error), str(error)
+    return [(row.order, float(row.rel_error).hex(), float(row.bound).hex(), row.within_bound, row.proved)
+            for row in rows]
+
+
+class TestSweepPlan:
+    """A warm sweep reads the plan its first call checked and built; it refuses what a cold sweep refuses and
+    returns the same bits, and the plan is rebuilt for another partition object, orders or omega and alpha."""
+
+    ORDERS = (1, 2, 4, 8)
+    # (omega, alpha, orders) after the plan for (0.5, 1.0, ORDERS): Decimal("0.5") and np.int64 orders compare and
+    # hash equal to the plan's; alpha = 0.25 gives gamma = 1.25 on path64 pairs (Lambda = 2)
+    REFUSED = {
+        "bool order": (0.5, 1.0, (True, 2, 4, 8)),
+        "Decimal omega": (Decimal("0.5"), 1.0, ORDERS),
+        "NaN alpha": (0.5, math.nan, ORDERS),
+        "gamma >= 1": (0.5, 0.25, ORDERS),
+        "NaN omega": (math.nan, 1.0, ORDERS),
+    }
+    REBUILT = {
+        "Fraction omega": (Fraction(1, 2), 1.0, ORDERS),
+        "numpy omega": (np.float64(0.5), 1.0, ORDERS),
+        "int alpha": (0.5, 1, ORDERS),
+        "other omega": (0.25, 1.0, ORDERS),
+        "other orders": (0.5, 1.0, (8, 1, 3)),
+    }
+
+    @pytest.mark.parametrize("omega, alpha, orders", REFUSED.values(), ids=REFUSED.keys())
+    def test_warm_refuses_what_a_cold_sweep_refuses(self, omega, alpha, orders):
+        _, d, part = fresh_path64()
+        f = generate_pw_signal(d, 0.5, 3)
+        spline_convergence_experiment(d, part, 0.5, 1.0, f, self.ORDERS)
+        plan = splines._CARDINALS[d].sweep
+        _, cold_d, cold_part = fresh_path64()
+        cold = sweep_outcome(cold_d, cold_part, omega, alpha, f, orders)
+        assert cold[0] in (InputError, TypeError)
+        assert sweep_outcome(d, part, omega, alpha, f, orders) == cold
+        assert splines._CARDINALS[d].sweep is plan
+        assert cold_d not in splines._CARDINALS  # a refused sweep keeps no plan and builds no order
+
+    @pytest.mark.parametrize("omega, alpha, orders", REBUILT.values(), ids=REBUILT.keys())
+    def test_another_key_rebuilds_the_plan_with_the_cold_bits(self, omega, alpha, orders):
+        _, d, part = fresh_path64()
+        f = generate_pw_signal(d, 0.25, 4)  # in band at both bandwidths
+        spline_convergence_experiment(d, part, 0.5, 1.0, f, self.ORDERS)
+        plan = splines._CARDINALS[d].sweep
+        _, cold_d, cold_part = fresh_path64()
+        warm = sweep_outcome(d, part, omega, alpha, f, orders)
+        assert isinstance(warm, list) and warm == sweep_outcome(cold_d, cold_part, omega, alpha, f, orders)
+        rebuilt = splines._CARDINALS[d].sweep
+        assert rebuilt is not plan and rebuilt.key[1:] == (type(omega), repr(omega), type(alpha), repr(alpha))
+        assert [row[0] for row in rebuilt.rows] == list(orders)
+        assert sweep_outcome(d, part, omega, alpha, f, orders) == warm and splines._CARDINALS[d].sweep is rebuilt
+
+    def test_numpy_orders_reuse_the_plan(self):
+        _, d, part = fresh_path64()
+        f = generate_pw_signal(d, 0.5, 5)
+        cold = sweep_outcome(d, part, 0.5, 1.0, f, self.ORDERS)
+        plan = splines._CARDINALS[d].sweep
+        for orders in (np.array(self.ORDERS, dtype=np.int64), list(self.ORDERS), (k for k in self.ORDERS)):
+            assert sweep_outcome(d, part, 0.5, 1.0, f, orders) == cold
+            assert splines._CARDINALS[d].sweep is plan
+
+    def test_signed_zero_bandwidth_keeps_its_sign(self):
+        # gamma = -0.0 at omega = -0.0, so the order-1 bound is -0.0, which == 0.0 and hashes alike
+        _, d, part = fresh_path64()
+        f = np.ones(64)  # the band at omega = 0 holds the constants
+        positive = sweep_outcome(d, part, 0.0, 1.0, f, [1, 2])
+        negative = sweep_outcome(d, part, -0.0, 1.0, f, [1, 2])
+        _, cold_d, cold_part = fresh_path64()
+        assert negative == sweep_outcome(cold_d, cold_part, -0.0, 1.0, f, [1, 2])
+        assert [row[2] for row in positive] == ["0x0.0p+0"] * 2 and negative[0][2] == "-0x0.0p+0"
+
+    def test_another_partition_object_rebuilds_the_plan(self):
+        g, d, part = fresh_path64()
+        f = generate_pw_signal(d, 0.5, 6)
+        first = sweep_outcome(d, part, 0.5, 1.0, f, self.ORDERS)
+        rebuilt = validate_partition(g, pairs_partition(64))
+        assert sweep_outcome(d, rebuilt, 0.5, 1.0, f, self.ORDERS) == first
+        assert splines._CARDINALS[d].sweep.key[0] is rebuilt
+        assert sweep_outcome(d, part, 0.5, 1.0, f, self.ORDERS) == first
+        assert splines._CARDINALS[d].sweep.key[0] is part
+        assert sweep_outcome(eigendecompose(build_laplacian(g)), part, 0.5, 1.0, f, self.ORDERS) == first
