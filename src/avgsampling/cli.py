@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number(kind):
+    """``kind`` by the file readers' rule (``fileio._plain``), under ``kind``'s name, which argparse's errors show."""
+    def read(text: str):
+        return kind(fileio._plain(text))
+    read.__name__ = kind.__name__
+    return read
+
+
 def _clusters(spec: str, graph) -> list[tuple[int, ...]]:
     """The clusters a ``--clusters`` spec names: pairs | blocks:<m> | bfs:<r>."""
     kind, colon, value = spec.partition(":")
@@ -44,7 +52,7 @@ def _clusters(spec: str, graph) -> list[tuple[int, ...]]:
     if not (colon and kind in ("blocks", "bfs")):
         raise InputError(f"bad --clusters spec {spec!r}; use pairs | blocks:<m> | bfs:<r>")
     try:
-        size = int(value)
+        size = int(fileio._plain(value))
     except ValueError:
         raise InputError(f"bad --clusters spec {spec!r}; blocks:<m> and bfs:<r> take integers") from None
     return blocks_partition(graph.n, size) if kind == "blocks" else bfs_partition(graph, size)
@@ -170,18 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--graph", metavar="FILE", help="edge-list file")
     source.add_argument("--generate", metavar="KIND", choices=GRAPH_KINDS,
                         help=f"generate a graph ({'|'.join(GRAPH_KINDS)})")
-    graph.add_argument("--n", type=int, help="vertex count for --generate")
-    graph.add_argument("--seed", type=int, help="generator seed (default 0)")
-    graph.add_argument("--p", type=float, help="edge probability for erdos-renyi-weighted (default 0.3)")
-    graph.add_argument("--radius", type=float, help="connection radius for random-geometric")
+    graph.add_argument("--n", type=_number(int), help="vertex count for --generate")
+    graph.add_argument("--seed", type=_number(int), help="generator seed (default 0)")
+    graph.add_argument("--p", type=_number(float), help="edge probability for erdos-renyi-weighted (default 0.3)")
+    graph.add_argument("--radius", type=_number(float), help="connection radius for random-geometric")
     clusters = cover.add_mutually_exclusive_group(required=True)
     clusters.add_argument("--partition", metavar="FILE", help="partition file")
     clusters.add_argument("--clusters", metavar="SPEC", help="generate clusters: pairs | blocks:<m> | bfs:<r>")
     values = signal.add_mutually_exclusive_group(required=True)
     values.add_argument("--signal", metavar="FILE", help="signal file")
-    values.add_argument("--random-seed", metavar="INT", type=int, help="seed of a random band signal")
-    omega.add_argument("--omega", type=float, required=True, help="bandwidth")
-    alpha.add_argument("--alpha", type=float, default=1.0, help="balance parameter")
+    values.add_argument("--random-seed", metavar="INT", type=_number(int), help="seed of a random band signal")
+    omega.add_argument("--omega", type=_number(float), required=True, help="bandwidth")
+    alpha.add_argument("--alpha", type=_number(float), default=1.0, help="balance parameter")
     out.add_argument("--out", metavar="FILE", help="output file (default stdout)")
     fmt.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
 
@@ -200,21 +208,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", parents=[graph, cover, omega, signal, out],
                            help="recover a band signal from its averages")
     p_rec.add_argument("--method", choices=("frame-iter", "dual"), default="dual")
-    p_rec.add_argument("--mu", type=float, help="relaxation parameter (frame-iter only)")
-    p_rec.add_argument("--tol", type=float, help="stopping threshold (frame-iter only)")
-    p_rec.add_argument("--max-iter", type=int, help="iteration budget (frame-iter only)")
+    p_rec.add_argument("--mu", type=_number(float), help="relaxation parameter (frame-iter only)")
+    p_rec.add_argument("--tol", type=_number(float), help="stopping threshold (frame-iter only)")
+    p_rec.add_argument("--max-iter", type=_number(int), help="iteration budget (frame-iter only)")
     p_rec.set_defaults(func=_cmd_reconstruct)
 
     p_spl = sub.add_parser("spline", parents=[graph, cover, omega, alpha, signal, out, fmt],
                            help="spline interpolation error against 2*gamma^k")
-    p_spl.add_argument("--k", type=int, action="append", help="spline order (repeatable)")
+    p_spl.add_argument("--k", type=_number(int), action="append", help="spline order (repeatable)")
     p_spl.set_defaults(func=_cmd_spline)
 
     p_demo = sub.add_parser("demo-path", parents=[omega, alpha, out],
                             help="full pipeline on a path graph with pair clusters")
-    p_demo.add_argument("--n", type=int, required=True, help="even vertex count")
-    p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.add_argument("--trials", type=int, default=3)
+    p_demo.add_argument("--n", type=_number(int), required=True, help="even vertex count")
+    p_demo.add_argument("--seed", type=_number(int), default=0)
+    p_demo.add_argument("--trials", type=_number(int), default=3)
     p_demo.set_defaults(func=_cmd_demo_path)
 
     return parser

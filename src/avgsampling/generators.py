@@ -116,7 +116,8 @@ def _close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
     ceil(sqrt(n)): a wider cell is still correct, and the cap keeps the
     m**2 cells within n + 2 sqrt(n) + 1 however small the radius. One stable
     sort puts the points in cell order; each offset's candidates are filtered
-    before the next offset's are made, so at most one offset's are held.
+    before the next offset's are made, so what is held is one offset's
+    candidates plus the close pairs so far, keyed once after the last offset.
 
     The decision is ``np.hypot``'s. With u = 2**-53, the squared distance
     ``d2 = dx*dx + dy*dy`` of the computed differences is within 3u of their
@@ -141,7 +142,7 @@ def _close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
     starts = np.concatenate([[0], np.cumsum(np.bincount(cx * m + cy, minlength=m * m))])
     squared = radius * radius
     accept_to, reject_above = squared * (1.0 - _BAND) - _BAND_FLOOR, squared * (1.0 + _BAND) + _BAND_FLOOR
-    keys = []
+    firsts, seconds = [], []
     for ox, oy in _CELL_OFFSETS:
         nx, ny = cx + ox, cy + oy
         inside = (nx >= 0) & (nx < m) & (ny < m)  # oy >= 0, so ny >= 0
@@ -156,9 +157,11 @@ def _close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
         close = d2 <= accept_to
         band = np.flatnonzero(~close & (d2 <= reject_above))
         close[band] = np.hypot(dx[band], dy[band]) <= radius
-        u, v = order[a[close]], order[b[close]]
-        keys.append(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
-    keys = np.sort(np.concatenate(keys))
+        keep = np.flatnonzero(close)
+        firsts.append(a[keep])
+        seconds.append(b[keep])
+    u, v = order[np.concatenate(firsts)], order[np.concatenate(seconds)]
+    keys = np.sort(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
     return np.column_stack(np.divmod(keys, n))
 
 

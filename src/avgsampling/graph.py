@@ -158,10 +158,11 @@ def _columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _adjacency(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``indptr`` and ``indices`` of a graph, each vertex's neighbours ascending."""
+    """CSR ``indptr`` and ``indices``, each vertex's neighbours ascending: one sort of the keys ``head * n + tail``."""
     us, vs, _ = graph._edge_arrays
-    heads, tails = np.concatenate([us, vs]), np.concatenate([vs, us])
-    tails = tails[np.argsort(heads * graph.n + tails)]
+    heads = np.concatenate([us, vs])
+    tails = np.sort(heads * graph.n + np.concatenate([vs, us]))
+    tails %= graph.n
     indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=graph.n))])
     indptr.flags.writeable = tails.flags.writeable = False
     return indptr, tails

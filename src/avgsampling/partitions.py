@@ -78,6 +78,9 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     (fractional, NaN or infinite) vertex id, an empty cluster, repeated or
     out-of-range vertices, a vertex in more than one cluster; then for
     uncovered vertices or a cluster whose induced subgraph is disconnected.
+    The cover is decided fast and explained slowly: n whole ids, no empty
+    cluster and one ``np.bincount`` that counts each vertex once pass it, and
+    only other input runs the diagnostic pass that names its first fault.
     Connectivity is read from the gaps once every cluster's block is solved
     (see :func:`_cluster_gaps`): a gap above its roundoff floor proves its
     cluster connected, and an exact component search runs only when some
@@ -94,30 +97,31 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
         parts = [_cluster_entries(idx, cluster) for idx, cluster in enumerate(clusters)]
         sizes, raw = np.array(list(map(len, parts)), dtype=np.intp), np.array([v for part in parts for v in part])
     ids, whole = _ids(raw, n)
-    order = np.argsort(ids, kind="stable")  # an id's first entry sorts first
-    again = np.zeros(len(ids), dtype=bool)
-    again[order[1:]] = ids[order[1:]] == ids[order[:-1]]
-    bad = ~whole | (ids < 0) | (ids >= n) | again
     owner = np.repeat(np.arange(len(clusters)), sizes)
-    faulty = (sizes == 0) | (np.bincount(owner[bad], minlength=len(clusters)) > 0)
-    if faulty.any():
-        idx = int(faulty.argmax())
-        entries = slice(int(sizes[:idx].sum()), int(sizes[: idx + 1].sum()))
-        values, verts = raw[entries], ids[entries]
-        if not whole[entries].all():
-            raise InputError(f"cluster {idx} has a non-integer vertex id {_shown(values[~whole[entries]][0])}")
-        if not verts.size:
-            raise InputError(f"cluster {idx} is empty")
-        if np.unique(values).size < values.size:
-            raise InputError(f"cluster {idx} has repeated vertices")
-        if verts.min() < 0 or verts.max() >= n:
-            raise InputError(f"cluster {idx} has out-of-range vertices for n={n}")
-        raise InputError(f"vertex {int(verts[again[entries]].min())} appears in more than one cluster")
-    labels = np.full(n, -1, dtype=np.intp)
+    if not (len(ids) == n and whole.all() and sizes.all() and (np.bincount(ids + 1, minlength=n + 2)[1:-1] == 1).all()):
+        order = np.argsort(ids, kind="stable")  # an id's first entry sorts first
+        again = np.zeros(len(ids), dtype=bool)
+        again[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+        bad = ~whole | (ids < 0) | (ids >= n) | again
+        faulty = (sizes == 0) | (np.bincount(owner[bad], minlength=len(clusters)) > 0)
+        if faulty.any():
+            idx = int(faulty.argmax())
+            entries = slice(int(sizes[:idx].sum()), int(sizes[: idx + 1].sum()))
+            values, verts = raw[entries], ids[entries]
+            if not whole[entries].all():
+                raise InputError(f"cluster {idx} has a non-integer vertex id {_shown(values[~whole[entries]][0])}")
+            if not verts.size:
+                raise InputError(f"cluster {idx} is empty")
+            if np.unique(values).size < values.size:
+                raise InputError(f"cluster {idx} has repeated vertices")
+            if verts.min() < 0 or verts.max() >= n:
+                raise InputError(f"cluster {idx} has out-of-range vertices for n={n}")
+            raise InputError(f"vertex {int(verts[again[entries]].min())} appears in more than one cluster")
+        covered = np.zeros(n, dtype=bool)
+        covered[ids] = True
+        raise InputError(f"vertices not covered by any cluster: {np.flatnonzero(~covered)[:8].tolist()}")
+    labels = np.empty(n, dtype=np.intp)
     labels[ids] = owner
-    uncovered = np.flatnonzero(labels < 0)
-    if uncovered.size:
-        raise InputError(f"vertices not covered by any cluster: {uncovered[:8].tolist()}")
 
     gaps = _cluster_gaps(graph, labels, sizes)
     finite = [g for g in gaps if math.isfinite(g)]
@@ -163,7 +167,7 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     """
     us, vs, ws = graph._edge_arrays
     edge_cluster = labels[us]
-    intra = edge_cluster == labels[vs]
+    intra = np.flatnonzero(edge_cluster == labels[vs])  # one scan of the mask, then four gathers
     us, vs, ws, edge_cluster = us[intra], vs[intra], ws[intra], edge_cluster[intra]
 
     by_cluster, rank = _layout(labels, sizes)
@@ -182,34 +186,34 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     buffer[base + i * size_of + j] = -ws
     buffer[base + j * size_of + i] = -ws
 
-    gaps = np.full(len(sizes), math.inf)
-    certified = True
+    ranked_gaps, ranked_dmax = np.full(len(sizes), math.inf), np.zeros(len(sizes))
     starts = np.flatnonzero(np.diff(ranked_sizes, prepend=0))  # first rank of each size
     starts = starts[ranked_sizes[starts] > 1]
     stops = np.append(starts[1:], len(sizes))
-    for start, stop in zip(starts.tolist(), stops.tolist()):
-        size, first = int(ranked_sizes[start]), int(ranked_start[start])
-        blocks = buffer[first:first + (stop - start) * size * size].reshape(stop - start, size, size)
-        diagonal = np.arange(size)
-        with np.errstate(over="ignore"):  # an overflowing degree leaves a non-finite gap, refused below
+    with np.errstate(over="ignore"):  # an overflowing degree leaves a non-finite gap, refused below
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            size, first = int(ranked_sizes[start]), int(ranked_start[start])
+            blocks = buffer[first:first + (stop - start) * size * size].reshape(stop - start, size, size)
             degrees = -blocks.sum(axis=2)
-        blocks[:, diagonal, diagonal] = degrees
-        block_gaps = np.linalg.eigvalsh(blocks)[:, 1]
-        gaps[by_size[start:stop]] = block_gaps
-        # A disconnected cluster's exact Laplacian L has 0 as a double
-        # eigenvalue, so its exact gap is 0. The assembled block differs from
-        # L only on the diagonal, by the rounding of each degree's sum of at
-        # most s - 1 weights: at most (s - 1)·eps·d_max in the 2-norm, where
-        # d_max is the largest degree in the block. eigvalsh is backward
-        # stable (LAPACK Users' Guide §4.7): each computed eigenvalue is
-        # within p(s)·eps·||block||_2 of the block's own, with
-        # ||block||_2 <= 2·d_max (Gershgorin). By Weyl's inequality a
-        # disconnected cluster's computed gap is thus at most
-        # (s - 1 + 2·p(s))·eps·d_max, below the floor C·s·eps·d_max with
-        # C = 32 for any p(s) <= 15·s. A gap above the floor proves the
-        # cluster connected.
-        floor = 32 * size * np.finfo(float).eps * degrees.max(axis=1)
-        certified &= bool((block_gaps > floor).all())
+            diagonal = np.arange(size)
+            blocks[:, diagonal, diagonal] = degrees
+            ranked_gaps[start:stop] = np.linalg.eigvalsh(blocks)[:, 1]
+            ranked_dmax[start:stop] = degrees.max(axis=1)
+    gaps = np.empty(len(sizes))
+    gaps[by_size] = ranked_gaps
+    # A disconnected cluster's exact Laplacian L has 0 as a double
+    # eigenvalue, so its exact gap is 0. The assembled block differs from
+    # L only on the diagonal, by the rounding of each degree's sum of at
+    # most s - 1 weights: at most (s - 1)·eps·d_max in the 2-norm, where
+    # d_max is the largest degree in the block. eigvalsh is backward
+    # stable (LAPACK Users' Guide §4.7): each computed eigenvalue is
+    # within p(s)·eps·||block||_2 of the block's own, with
+    # ||block||_2 <= 2·d_max (Gershgorin). By Weyl's inequality a
+    # disconnected cluster's computed gap is thus at most
+    # (s - 1 + 2·p(s))·eps·d_max, below the floor C·s·eps·d_max with
+    # C = 32 for any p(s) <= 15·s. A gap above the floor proves the
+    # cluster connected; a singleton keeps its gap inf over the floor 0.
+    certified = bool((ranked_gaps > 32 * ranked_sizes * np.finfo(float).eps * ranked_dmax).all())
     if not certified:
         count, component = _components(graph.n, us, vs)
         if count > len(sizes):

@@ -420,6 +420,63 @@ class TestInputChecksBeforeEigensolve:
                   "--omega", "0.5"])
 
 
+class TestNumbersFollowTheFileRule:
+    """Numeric options and the ``--clusters`` integer are read as the file readers read numbers: an underscore or a
+    non-ASCII digit, which bare ``int`` and ``float`` accept, exits 1 before anything runs."""
+
+    PATH8 = ["--generate", "path", "--n", "8", "--clusters", "pairs", "--omega", "0.5"]
+    OPTIONS = {
+        "--n": (["spectrum", "--generate", "path"], "int"),
+        "--seed": (["spectrum", "--generate", "random-geometric", "--n", "20"], "int"),
+        "--p": (["spectrum", "--generate", "erdos-renyi-weighted", "--n", "8"], "float"),
+        "--radius": (["spectrum", "--generate", "random-geometric", "--n", "20"], "float"),
+        "--omega": (["frame-check", "--generate", "path", "--n", "8", "--clusters", "pairs"], "float"),
+        "--alpha": (["frame-check", *PATH8], "float"),
+        "--random-seed": (["reconstruct", *PATH8], "int"),
+        "--k": (["spline", *PATH8, "--random-seed", "1"], "int"),
+        "--mu": (["reconstruct", *PATH8, "--random-seed", "1", "--method", "frame-iter"], "float"),
+        "--tol": (["reconstruct", *PATH8, "--random-seed", "1", "--method", "frame-iter"], "float"),
+        "--max-iter": (["reconstruct", *PATH8, "--random-seed", "1", "--method", "frame-iter"], "int"),
+        "--trials": (["demo-path", "--n", "8", "--omega", "0.5"], "int"),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(OPTIONS))
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11"], ids=["underscore", "arabic-indic", "fullwidth"])
+    def test_option(self, flag, value, capsys):
+        argv, kind = self.OPTIONS[flag]
+        code, out, err = run_cli([*argv, flag, value], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage:") and f"error: argument {flag}: invalid {kind} value: {value!r}\n" in err
+
+    @pytest.mark.parametrize("flag", ["--n", "--seed", "--trials"])
+    def test_demo_path_option(self, flag, capsys):
+        argv = {"--n": ["--n", "8_0"], "--seed": ["--n", "8", "--seed", "1_1"], "--trials": ["--n", "8", "--trials", "\u0663"]}
+        code, out, err = run_cli(["demo-path", "--omega", "0.5", *argv[flag]], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage:") and f"error: argument {flag}: invalid int value: {argv[flag][-1]!r}\n" in err
+
+    def test_underscored_path_and_bandwidth(self, capsys):
+        # once ran at n = 64 and omega = 5.0
+        code, out, err = run_cli(["frame-check", "--generate", "path", "--n", "6_4", "--clusters", "pairs",
+                                  "--omega", "0_5"], capsys)
+        assert code == 1 and out == ""
+        assert "error: argument --n: invalid int value: '6_4'" in err
+
+    @pytest.mark.parametrize("spec", ["blocks:1_0", "blocks:\u0662", "bfs:1_0", "bfs:\uff11"])
+    def test_cluster_spec(self, spec, capsys):
+        # blocks:1_0 once ran as blocks:10, and blocks:\u0662 as blocks:2
+        code, out, err = run_cli(["frame-check", "--generate", "path", "--n", "64", "--clusters", spec,
+                                  "--omega", "0.5"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: bad --clusters spec {spec!r}; blocks:<m> and bfs:<r> take integers\n"
+
+    def test_plain_ascii_forms_are_read_as_before(self, capsys):
+        runs = [run_cli(["frame-check", "--generate", "path", "--n", n, "--clusters", spec, "--omega", omega,
+                         "--alpha", alpha], capsys)
+                for n, spec, omega, alpha in [("64", "blocks:2", "0.5", "1.0"), (" 64 ", "blocks: 2", "5e-1", "+1")]]
+        assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
+
+
 class TestExitCodes:
     def test_missing_graph_is_usage_error(self, capsys):
         code, _, err = run_cli(["spectrum"], capsys)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avgsampling import (
@@ -456,6 +456,42 @@ class TestLargeEdgeLists:
     def test_nan_vertex_count_refused(self):
         with pytest.raises(InputError, match="^n must be a positive integer, got nan$"):
             WeightedGraph.from_edges(math.nan, [(0, 1, 1.0)])
+
+
+def argsort_and_gather(graph):
+    """CSR ``indptr`` and ``indices`` by an argsort of the keys ``head * n + tail`` and a gather of the tails."""
+    us, vs, _ = graph._edge_arrays
+    heads, tails = np.concatenate([us, vs]), np.concatenate([vs, us])
+    tails = tails[np.argsort(heads * graph.n + tails)]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=graph.n))])
+    return indptr, tails
+
+
+@st.composite
+def edge_sets(draw):
+    """n, small or past 2**16 (keys past 32 bits), and distinct pairs in either orientation with positive weights;
+    the vertices no pair names are isolated."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(2**16 + 1, 2**20)))
+    ids = st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 3), n - 1))
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=40,
+                          unique_by=lambda p: (min(p), max(p))))
+    return n, [(u, v, draw(st.floats(0.5, 2.0))) for u, v in pairs]
+
+
+class TestAdjacency:
+    @settings(max_examples=200)
+    @given(edge_sets())
+    @example((1, []))
+    @example((5, []))
+    @example((2**17 + 3, [(2**17 + 2, 2**17 + 1, 1.0), (0, 2**17 + 2, 1.0), (7, 2**17 + 1, 1.0), (2, 1, 1.0)]))
+    def test_sorted_keys_equal_argsort_and_gather(self, graph_input):
+        graph = WeightedGraph.from_edges(*graph_input)
+        got, expected = _adjacency(graph), argsort_and_gather(graph)
+        for arr, ref in zip(got, expected):
+            assert arr.dtype == ref.dtype and arr.shape == ref.shape
+            assert np.array_equal(arr, ref)
+            assert not arr.flags.writeable
+        assert len(got[0]) == graph.n + 1 and len(got[1]) == 2 * graph.num_edges
 
 
 class TestGradientNorm:

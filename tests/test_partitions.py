@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from avgsampling import (
@@ -45,6 +45,12 @@ from conftest import (
     energy_slack,
     power,
 )
+
+
+def cluster_lists(n):
+    """(n, clusters): up to five clusters of up to four ids each, whole ids in [-1, n + 1] or 0.5, 2.0, nan, inf."""
+    ids = st.one_of(st.integers(-1, n + 1), st.sampled_from([0.5, 2.0, math.nan, math.inf]))
+    return st.tuples(st.just(n), st.lists(st.lists(ids, max_size=4), max_size=5))
 
 
 class TestValidatePartition:
@@ -135,12 +141,16 @@ class TestValidatePartition:
         assert covered == ([] if vertex is None else [vertex])
 
     @settings(max_examples=200)
-    @given(st.data())
-    def test_refusals_match_a_sequential_check(self, data):
+    @given(st.integers(1, 6).flatmap(cluster_lists))
+    # n entries that are no cover, each of which only one of the fast test's conditions refuses
+    @example((4, [[0, 1], [1, 2]]))  # a vertex in two clusters and a missing one
+    @example((4, [[0, 0], [2, 3]]))  # a vertex repeated in its cluster and a missing one
+    @example((4, [[0, 1], [], [2, 3]]))  # an empty cluster beside a full cover
+    @example((4, [[-1, 1], [2, 4]]))  # ids -1 and n standing in for vertices 0 and 3
+    @example((4, [[0.5, 1], [2, 3]]))  # a fractional id, which reads as vertex 0
+    def test_refusals_match_a_sequential_check(self, cover):
         # the first offending cluster, and its first fault, as a loop over the clusters finds them
-        n = data.draw(st.integers(1, 6), label="n")
-        ids = st.one_of(st.integers(-1, n + 1), st.sampled_from([0.5, 2.0, math.nan, math.inf]))
-        clusters = data.draw(st.lists(st.lists(ids, max_size=4), max_size=5), label="clusters")
+        n, clusters = cover
         expected, seen = None, set()
         for idx, cluster in enumerate(clusters):
             if not all(math.isfinite(v) and v == int(v) for v in cluster):
