@@ -10,9 +10,9 @@ normalized indicator of the cluster.
 A partition is valid by construction: :func:`validate_partition`, its only
 constructor, checks the cover and stores it once, as the label vector (the
 cluster index of each vertex), with the square roots of the cluster sizes and
-the cluster gaps. Averages are per-label sums; the cluster gaps, the
-normalized indicators Xi (the frame's analysis rows) and the splines' Helmert
-contrasts H all read the one layout of the labels that :func:`_layout` derives.
+the cluster gaps. Averages and the frame's analysis rows Xi B are per-label
+sums, one ``np.bincount`` each; the cluster gaps and the spline memo's Xi and
+Helmert contrasts H read the one layout of the labels that :func:`_layout` derives.
 
 For signals of bandwidth omega, those averages form a frame whenever
 ``gamma = (1 + alpha)/alpha * omega / Lambda < 1`` for some alpha > 0, with
@@ -38,6 +38,7 @@ from .spectral import SpectralDecomposition, pw_space
 #: zero, both in the pseudoinverse and when deciding whether the analysis map
 #: has a kernel.
 RANK_CUTOFF = 1e-10
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -123,13 +124,11 @@ def validate_partition(graph: WeightedGraph, clusters: Sequence[Sequence[int]]) 
     labels = np.empty(n, dtype=np.intp)
     labels[ids] = owner
 
-    gaps = _cluster_gaps(graph, labels, sizes)
-    finite = [g for g in gaps if math.isfinite(g)]
+    gaps = _cluster_gaps(graph, labels, sizes)  # finite but for the singletons' inf
     partition = object.__new__(ClusterPartition)
     sqrt_sizes = np.sqrt(sizes.astype(float))
     labels.flags.writeable = sqrt_sizes.flags.writeable = False
-    vars(partition).update(n=n, lambda1s=tuple(gaps), lambda_xi=min(finite) if finite else math.inf,
-                           labels=labels, _sqrt_sizes=sqrt_sizes)
+    vars(partition).update(n=n, lambda1s=tuple(gaps), lambda_xi=min(gaps), labels=labels, _sqrt_sizes=sqrt_sizes)
     return partition
 
 
@@ -167,7 +166,7 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     """
     us, vs, ws = graph._edge_arrays
     edge_cluster = labels[us]
-    intra = np.flatnonzero(edge_cluster == labels[vs])  # one scan of the mask, then four gathers
+    intra = (edge_cluster == labels[vs]).nonzero()[0]  # one scan of the mask, then four gathers
     us, vs, ws, edge_cluster = us[intra], vs[intra], ws[intra], edge_cluster[intra]
 
     by_cluster, rank = _layout(labels, sizes)
@@ -175,24 +174,24 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     position[by_cluster] = rank
 
     # Clusters ranked by (size, label); the block of rank r starts at ranked_start[r].
-    by_size = np.argsort(sizes, kind="stable")
+    by_size = sizes.argsort(kind="stable")
     ranked_sizes = sizes[by_size]
     ranked_area = ranked_sizes * ranked_sizes
-    ranked_start = np.cumsum(ranked_area) - ranked_area
+    ranked_start = ranked_area.cumsum() - ranked_area
     start_of = np.empty(len(sizes), dtype=np.intp)
     start_of[by_size] = ranked_start
-    buffer = np.zeros(int(ranked_area.sum()))
+    buffer = np.zeros(int(ranked_start[-1] + ranked_area[-1]))
     base, size_of, i, j = start_of[edge_cluster], sizes[edge_cluster], position[us], position[vs]
     buffer[base + i * size_of + j] = -ws
     buffer[base + j * size_of + i] = -ws
 
     ranked_gaps, ranked_dmax = np.full(len(sizes), math.inf), np.zeros(len(sizes))
-    starts = np.flatnonzero(np.diff(ranked_sizes, prepend=0))  # first rank of each size
-    starts = starts[ranked_sizes[starts] > 1]
-    stops = np.append(starts[1:], len(sizes))
+    bounds = [0, *((ranked_sizes[1:] != ranked_sizes[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
     with np.errstate(over="ignore"):  # an overflowing degree leaves a non-finite gap, refused below
-        for start, stop in zip(starts.tolist(), stops.tolist()):
+        for start, stop in zip(bounds[:-1], bounds[1:]):  # the ranks of one size
             size, first = int(ranked_sizes[start]), int(ranked_start[start])
+            if size == 1:
+                continue
             blocks = buffer[first:first + (stop - start) * size * size].reshape(stop - start, size, size)
             degrees = -blocks.sum(axis=2)
             diagonal = np.arange(size)
@@ -213,7 +212,7 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
     # (s - 1 + 2·p(s))·eps·d_max, below the floor C·s·eps·d_max with
     # C = 32 for any p(s) <= 15·s. A gap above the floor proves the
     # cluster connected; a singleton keeps its gap inf over the floor 0.
-    certified = bool((ranked_gaps > 32 * ranked_sizes * np.finfo(float).eps * ranked_dmax).all())
+    certified = bool((ranked_gaps > 32 * ranked_sizes * _EPS * ranked_dmax).all())
     if not certified:
         count, component = _components(graph.n, us, vs)
         if count > len(sizes):
@@ -230,7 +229,7 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
 
 def _layout(labels: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vertices in (cluster, vertex) order by one stable argsort, and each one's rank in its cluster."""
-    return np.argsort(labels, kind="stable"), np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return labels.argsort(kind="stable"), np.arange(labels.size) - (sizes.cumsum() - sizes).repeat(sizes)
 
 
 def _indicators(partition: ClusterPartition, n: int) -> csr_matrix:
@@ -259,8 +258,16 @@ def _contrasts(partition: ClusterPartition) -> csr_matrix:
 
 
 def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray:
-    """``Xi @ matrix``: each cluster's rows summed in vertex order over sqrt(size); InputError for another row count."""
-    return _indicators(partition, matrix.shape[0]) @ matrix
+    """``Xi @ matrix`` by one ``np.bincount``; InputError unless the row count is the partition's n.
+
+    Entry (v, k), v in cluster j, adds ``matrix[v, k] * (1/sqrt(size j))`` at key ``j * m + k``, in index order
+    from 0: vertex ascending, ``((0 + x_0) + x_1) + ...``, the CSR product's terms and order, so its bits.
+    """
+    (n, m), J, labels = matrix.shape, partition.num_clusters, partition.labels
+    if n != partition.n:
+        raise InputError("partition and decomposition sizes differ")
+    weights = np.multiply(matrix, (1.0 / partition._sqrt_sizes)[labels][:, None], order="C")  # ravels without a copy
+    return np.bincount(((labels * m)[:, None] + np.arange(m)).ravel(), weights.ravel(), minlength=J * m).reshape(J, m)
 
 
 def analyze(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:
@@ -380,7 +387,7 @@ def _frame(analysis: np.ndarray, basis: np.ndarray, omega: float, alpha: float, 
     J, m = analysis.shape
     u, singular, vt = np.linalg.svd(analysis, full_matrices=False)
     kept = singular > RANK_CUTOFF * singular[0]
-    inverse = np.divide(1.0, singular, where=kept, out=np.zeros_like(singular))
+    inverse = np.divide(1.0, singular, where=kept, out=np.zeros(len(singular)))
     right = vt.T
     pinv = right @ (inverse[:, None] * u.T)
     gram = analysis.T @ analysis

@@ -532,3 +532,38 @@ class TestGradientNorm:
         grad2 = gradient_sq(g, f)
         form = f @ (build_laplacian(g) @ f)
         assert abs(form - grad2) <= 1e-9 * max(1.0, grad2)
+
+
+def stored_by_argsort_and_gather(n, lo, hi, ws):
+    """The edge arrays as the constructor for valid pairs once stored them: a stable argsort of ``lo * n + hi``
+    and a gather of each column, frozen."""
+    lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+    order = np.argsort(lo.astype(np.int64) * n + hi, kind="stable")
+    arrays = lo[order], hi[order], np.asarray(ws, dtype=np.float64)[order]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+class TestFromPairs:
+    @settings(max_examples=200)
+    @given(edge_sets(), st.booleans())
+    @example((5, []), False)
+    @example((2**17 + 3, [(2**17 + 2, 2**17 + 1, 1.0), (0, 2**17 + 2, 1.0), (2, 1, 1.0)]), True)
+    def test_sorted_or_shuffled_pairs_are_stored_as_argsort_and_gather(self, graph_input, shuffle):
+        """Pairs handed over in (lo, hi) order skip the sort; shuffled ones are sorted; either way the
+        arrays, dtypes and flags are the argsort-and-gather ones, and the caller's arrays stay writeable."""
+        n, edges = graph_input
+        edges = sorted((min(u, v), max(u, v), w) for u, v, w in edges)
+        if shuffle:
+            edges = [edges[i] for i in np.random.default_rng(len(edges)).permutation(len(edges))]
+        pairs = np.array([(lo, hi) for lo, hi, _ in edges], dtype=np.intp).reshape(-1, 2)
+        ws = np.array([w for _, _, w in edges], dtype=float)
+        lo, hi = pairs[:, 0], pairs[:, 1]  # strided views, as the random-geometric generator hands over
+        graph = WeightedGraph._from_pairs(n, lo, hi, ws)
+        expected = stored_by_argsort_and_gather(n, lo, hi, ws)
+        for arr, ref in zip(graph._edge_arrays, expected, strict=True):
+            assert arr.dtype == ref.dtype and arr.shape == ref.shape and np.array_equal(arr, ref)
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+            assert not any(np.shares_memory(arr, given) for given in (pairs, ws))
+        assert lo.flags.writeable and hi.flags.writeable and ws.flags.writeable

@@ -471,9 +471,24 @@ class TestAverageFunctionals:
         covers = [validate_partition(complete_graph(n), pairs_partition(n)),
                   validate_partition(complete_graph(n), blocks_partition(n, 16))]
         covers += [validate_partition(graph, bfs_partition(graph, radius)) for radius in (1, 2, 3)]
+        # all singletons, and one cluster, whose single row sums all n vertices one at a time
+        covers += [validate_partition(graph, blocks_partition(n, 1)), validate_partition(graph, [tuple(range(n))])]
         for part in covers:
             for matrix in (band, decomp.eigenvectors):
                 assert _cluster_rows(part, matrix).tobytes() == coo_cluster_rows(part, matrix).tobytes()
+
+    def test_frame_set_up_builds_no_sparse_matrix(self, monkeypatch):
+        """The analysis rows are one bincount: building a frame constructs no scipy CSR matrix."""
+        graph = generate_graph("grid2d", 100)
+        decomp, part = eigendecompose(build_laplacian(graph)), validate_partition(graph, bfs_partition(graph, 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the frame set-up built a CSR matrix")
+
+        monkeypatch.setattr(partitions, "csr_matrix", refuse)
+        frame = build_frame_system(decomp, part, 3.22, 1.0)
+        monkeypatch.undo()
+        assert frame.analysis.tobytes() == coo_cluster_rows(part, frame.basis).tobytes()
 
 
 class TestFrameSystem:

@@ -179,6 +179,22 @@ class TestEigendecompose:
         values = eigendecompose(L).eigenvalues / scale
         assert values == pytest.approx(2 - 2 * np.cos(np.arange(6) * np.pi / 6), abs=1e-12)
 
+    def test_exact_symmetry_shortcut_keeps_the_scaled_test(self):
+        """A matrix that fails the exact test is judged by the scaled one: 1e-12 relative asymmetry is
+        accepted, 1e-9 refused, and a NaN entry is refused as non-finite before either test."""
+        L = build_laplacian(generate_graph("grid2d", 16))
+        for asymmetry, accepted in ((1e-12, True), (1e-9, False)):
+            skewed = np.array(L)
+            skewed[0, 1] += asymmetry * np.max(np.abs(L))
+            if accepted:
+                assert eigendecompose(skewed).eigenvalues[0] == pytest.approx(0.0, abs=1e-9)
+            else:
+                with pytest.raises(InputError, match="^matrix is not symmetric$"):
+                    eigendecompose(skewed)
+        skewed[2, 2] = np.nan
+        with pytest.raises(InputError, match="^matrix contains non-finite entries$"):
+            eigendecompose(skewed)
+
     def test_rejects_nonsymmetric_without_overflow_warning(self):
         # the difference of 1e308 and -1e308 overflows: refused before with numpy's RuntimeWarning
         with pytest.raises(InputError, match="matrix is not symmetric"):
