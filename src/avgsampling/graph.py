@@ -102,14 +102,12 @@ class WeightedGraph:
 
         The caller guarantees an int n from 1 to ``MAX_VERTICES``,
         ``0 <= lo < hi < n``, no pair twice, and finite positive weights
-        ``ws``. The edges are stored by (lo, hi), in new C-contiguous arrays:
-        copied when the int64 keys ``lo * n + hi`` strictly increase (one
-        comparison pass), else gathered by one stable sort of the keys.
+        ``ws``. One stable sort of the int64 key ``lo * n + hi`` orders the
+        edges by (lo, hi).
         """
-        lo, hi, ws = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp), np.asarray(ws, dtype=np.float64)
-        key = lo.astype(np.int64) * n + hi
-        order = None if np.logical_and.reduce(key[1:] > key[:-1]) else key.argsort(kind="stable")
-        arrays = (lo.copy(), hi.copy(), ws.copy()) if order is None else (lo[order], hi[order], ws[order])
+        lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+        order = np.argsort(lo.astype(np.int64) * n + hi, kind="stable")
+        arrays = lo[order], hi[order], np.asarray(ws, dtype=np.float64)[order]
         for arr in arrays:
             arr.flags.writeable = False
         graph = object.__new__(cls)

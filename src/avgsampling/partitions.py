@@ -11,7 +11,7 @@ A partition is valid by construction: :func:`validate_partition`, its only
 constructor, checks the cover and stores it once, as the label vector (the
 cluster index of each vertex), with the square roots of the cluster sizes and
 the cluster gaps. Averages and the frame's analysis rows Xi B are per-label
-sums, one ``np.bincount`` each; the cluster gaps and the spline memo's Xi and
+sums by ``np.bincount``; the cluster gaps and the spline memo's Xi and
 Helmert contrasts H read the one layout of the labels that :func:`_layout` derives.
 
 For signals of bandwidth omega, those averages form a frame whenever
@@ -187,11 +187,10 @@ def _cluster_gaps(graph: WeightedGraph, labels: np.ndarray, sizes: np.ndarray) -
 
     ranked_gaps, ranked_dmax = np.full(len(sizes), math.inf), np.zeros(len(sizes))
     bounds = [0, *((ranked_sizes[1:] != ranked_sizes[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
+    bounds = bounds[int(ranked_sizes[0] == 1):]  # the singletons rank first and keep their gap inf
     with np.errstate(over="ignore"):  # an overflowing degree leaves a non-finite gap, refused below
         for start, stop in zip(bounds[:-1], bounds[1:]):  # the ranks of one size
             size, first = int(ranked_sizes[start]), int(ranked_start[start])
-            if size == 1:
-                continue
             blocks = buffer[first:first + (stop - start) * size * size].reshape(stop - start, size, size)
             degrees = -blocks.sum(axis=2)
             diagonal = np.arange(size)
@@ -232,12 +231,17 @@ def _layout(labels: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels.argsort(kind="stable"), np.arange(labels.size) - (sizes.cumsum() - sizes).repeat(sizes)
 
 
-def _indicators(partition: ClusterPartition, n: int) -> csr_matrix:
-    """Xi, J x n, row j cluster j's vertices ascending, each 1/sqrt(size j); InputError unless n is the partition's."""
+def _scales(partition: ClusterPartition, n: int) -> np.ndarray:
+    """Xi's entry 1/sqrt(size j) of each cluster j; InputError unless n, a decomposition's size, is the partition's."""
     if n != partition.n:
         raise InputError("partition and decomposition sizes differ")
+    return 1.0 / partition._sqrt_sizes
+
+
+def _indicators(partition: ClusterPartition, n: int) -> csr_matrix:
+    """Xi, J x n, row j cluster j's vertices ascending, each 1/sqrt(size j); InputError unless n is the partition's."""
     sizes = np.bincount(partition.labels)
-    return csr_matrix((np.repeat(1.0 / partition._sqrt_sizes, sizes), _layout(partition.labels, sizes)[0],
+    return csr_matrix((np.repeat(_scales(partition, n), sizes), _layout(partition.labels, sizes)[0],
                        np.concatenate([[0], np.cumsum(sizes)])), shape=(len(sizes), n))
 
 
@@ -258,16 +262,18 @@ def _contrasts(partition: ClusterPartition) -> csr_matrix:
 
 
 def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray:
-    """``Xi @ matrix`` by one ``np.bincount``; InputError unless the row count is the partition's n.
+    """``Xi @ matrix``, one ``np.bincount`` per block of columns of at most 2**16 entries; InputError as ``_scales``.
 
-    Entry (v, k), v in cluster j, adds ``matrix[v, k] * (1/sqrt(size j))`` at key ``j * m + k``, in index order
+    Entry (v, k), v in cluster j, adds ``matrix[v, k] * (1/sqrt(size j))`` at key ``j * width + k``, in index order
     from 0: vertex ascending, ``((0 + x_0) + x_1) + ...``, the CSR product's terms and order, so its bits.
     """
     (n, m), J, labels = matrix.shape, partition.num_clusters, partition.labels
-    if n != partition.n:
-        raise InputError("partition and decomposition sizes differ")
-    weights = np.multiply(matrix, (1.0 / partition._sqrt_sizes)[labels][:, None], order="C")  # ravels without a copy
-    return np.bincount(((labels * m)[:, None] + np.arange(m)).ravel(), weights.ravel(), minlength=J * m).reshape(J, m)
+    scale, width = _scales(partition, n)[labels][:, None], max(1, min(m, 2**16 // n))
+    keys, rows = ((labels * width)[:, None] + np.arange(width)).ravel(), np.empty((J, m))
+    for k in [min(start, m - width) for start in range(0, m, width)]:  # the last ends at column m, redoing its overlap
+        block = np.multiply(matrix[:, k:k + width], scale, order="C")  # ravels without a copy
+        rows[:, k:k + width] = np.bincount(keys, block.ravel(), minlength=J * width).reshape(J, width)
+    return rows
 
 
 def analyze(partition: ClusterPartition, f: np.ndarray) -> np.ndarray:

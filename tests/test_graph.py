@@ -535,8 +535,8 @@ class TestGradientNorm:
 
 
 def stored_by_argsort_and_gather(n, lo, hi, ws):
-    """The edge arrays as the constructor for valid pairs once stored them: a stable argsort of ``lo * n + hi``
-    and a gather of each column, frozen."""
+    """The edge arrays the constructor for valid pairs stores: a stable argsort of ``lo * n + hi`` and a gather
+    of each column, frozen."""
     lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
     order = np.argsort(lo.astype(np.int64) * n + hi, kind="stable")
     arrays = lo[order], hi[order], np.asarray(ws, dtype=np.float64)[order]
@@ -551,8 +551,8 @@ class TestFromPairs:
     @example((5, []), False)
     @example((2**17 + 3, [(2**17 + 2, 2**17 + 1, 1.0), (0, 2**17 + 2, 1.0), (2, 1, 1.0)]), True)
     def test_sorted_or_shuffled_pairs_are_stored_as_argsort_and_gather(self, graph_input, shuffle):
-        """Pairs handed over in (lo, hi) order skip the sort; shuffled ones are sorted; either way the
-        arrays, dtypes and flags are the argsort-and-gather ones, and the caller's arrays stay writeable."""
+        """Pairs handed over in (lo, hi) order or shuffled are stored in (lo, hi) order, with the argsort-and-gather
+        arrays, dtypes and flags, in new arrays; the caller's arrays stay writeable."""
         n, edges = graph_input
         edges = sorted((min(u, v), max(u, v), w) for u, v, w in edges)
         if shuffle:

@@ -471,7 +471,8 @@ class TestAverageFunctionals:
         covers = [validate_partition(complete_graph(n), pairs_partition(n)),
                   validate_partition(complete_graph(n), blocks_partition(n, 16))]
         covers += [validate_partition(graph, bfs_partition(graph, radius)) for radius in (1, 2, 3)]
-        # all singletons, and one cluster, whose single row sums all n vertices one at a time
+        # all singletons, and one cluster, whose single row sums all n vertices one at a time; on
+        # random-geometric 400 both matrices span several column blocks, the last overlapping the one before
         covers += [validate_partition(graph, blocks_partition(n, 1)), validate_partition(graph, [tuple(range(n))])]
         for part in covers:
             for matrix in (band, decomp.eigenvectors):

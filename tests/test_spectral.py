@@ -179,9 +179,9 @@ class TestEigendecompose:
         values = eigendecompose(L).eigenvalues / scale
         assert values == pytest.approx(2 - 2 * np.cos(np.arange(6) * np.pi / 6), abs=1e-12)
 
-    def test_exact_symmetry_shortcut_keeps_the_scaled_test(self):
-        """A matrix that fails the exact test is judged by the scaled one: 1e-12 relative asymmetry is
-        accepted, 1e-9 refused, and a NaN entry is refused as non-finite before either test."""
+    def test_symmetry_is_judged_at_scale_after_finiteness(self):
+        """Asymmetry is judged relative to the largest entry: 1e-12 of it is accepted, 1e-9 refused, and a
+        NaN entry is refused as non-finite before symmetry is judged."""
         L = build_laplacian(generate_graph("grid2d", 16))
         for asymmetry, accepted in ((1e-12, True), (1e-9, False)):
             skewed = np.array(L)
