@@ -143,12 +143,13 @@ def _cmd_reconstruct(args) -> int:
     if given and args.method == "dual":
         flag = next(iter(given)).replace("_", "-")
         raise InputError(f"--{flag} is read only by --method frame-iter, not by --method dual")
+    config = FrameIterationConfig(**given)
     decomp, partition, truth = _inputs(args)
     # alpha only sets gamma, which recovery neither uses nor reports.
     frame = build_frame_system(decomp, partition, args.omega, 1.0)
     samples = analyze(partition, truth)
     if args.method == "frame-iter":
-        result = frame_algorithm(frame, samples, FrameIterationConfig(**given))
+        result = frame_algorithm(frame, samples, config)
     else:
         result = dual_frame_reconstruct(frame, samples)
     entries = recovery_entries(result, truth, float(np.linalg.norm(truth)))

@@ -105,8 +105,8 @@ def _partner_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
     return owners, np.arange(len(owners)) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
 
 
-def _close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
-    """The pairs u < v with ``np.hypot(*(points[u] - points[v])) <= radius``, as an (E, 2) int64 array sorted by (u, v).
+def _close_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs u < v with ``np.hypot(*(points[u] - points[v])) <= radius``, as int64 arrays u, v sorted by (u, v).
 
     ``points`` is an (n, 2) float array in the unit square, n >= 1, and
     ``radius`` is positive. Each side is cut into m cells of side
@@ -162,7 +162,7 @@ def _close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
         seconds.append(b[keep])
     u, v = order[np.concatenate(firsts)], order[np.concatenate(seconds)]
     keys = np.sort(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
-    return np.column_stack(np.divmod(keys, n))
+    return np.divmod(keys, n)
 
 
 def _random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
@@ -184,8 +184,8 @@ def _random_geometric(n: int, radius: float | None, seed: int) -> WeightedGraph:
         raise InputError(f"radius must be positive, got {radius}")
     rng = _rng(seed)
     for _ in range(RETRY_BUDGET):
-        pairs = _close_pairs(rng.random((n, 2)), radius)
-        graph = WeightedGraph._from_pairs(n, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
+        lo, hi = _close_pairs(rng.random((n, 2)), radius)
+        graph = WeightedGraph._from_pairs(n, lo, hi, np.ones(len(lo)))
         if is_connected(graph):
             return graph
     raise NumericalError(

@@ -15,8 +15,9 @@ tables of at most ``_TABLE_STEPS`` steps of m doubles each; a signal
 reads its step count off one product with the first table and its iterate's
 mode weights off a row of the second, and steps past them are found by
 bisection and evaluated afresh. A signal thus costs a few m x m matvecs
-whatever the number of steps. The default config, once checked against a
-frame, is kept there too, so a warm default call checks only its samples.
+whatever the number of steps. A config is checked when it is made, and
+against a frame once, when its schedule is built under the config itself,
+so a warm call checks only its samples.
 The direct route applies the canonical dual frame, the minimum-norm
 least-squares solve ``c = pinv(A) s``. The singular vectors,
 the Gram matrix ``G = A^T A`` and ``pinv(A)`` are all formed once in
@@ -26,7 +27,9 @@ Each per-signal product is ``ndarray.dot`` on the C-contiguous samples that
 """
 from __future__ import annotations
 
+import bisect
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -39,25 +42,36 @@ from .partitions import FrameSystem
 #: many band-coefficient vectors.
 _TABLE_STEPS = 1024
 
-#: Each live frame's step schedules, keyed by ``(mu, tol, max_iter)``, and by
-#: None for the default config once checked against the frame.
+#: Each live frame's step schedules, keyed by their config.
 _SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
 class FrameIterationConfig:
-    """Relaxation parameter, iteration budget and stopping threshold.
+    """Relaxation parameter, iteration budget and stopping threshold, checked when made.
 
-    ``mu`` must lie in (0, 2/b); None picks 2/(a+b), which minimizes the
-    contraction factor. The stopping rule uses the normal-equations residual
-    ``norm(A^T (s - A c)) <= tol * norm(A^T s)``, computable without the
-    ground truth; ``tol`` must be finite and positive and ``max_iter`` at
-    least 1.
+    ``mu`` is None or a real number, stored as a float; it must lie in
+    (0, 2/b), checked against the frame, and None picks 2/(a+b), which
+    minimizes the contraction factor. The stopping rule uses the
+    normal-equations residual ``norm(A^T (s - A c)) <= tol * norm(A^T s)``,
+    computable without the ground truth; ``tol`` must be finite and positive
+    and ``max_iter`` an integer of at least 1, stored as float and int, so
+    configs that compare equal behave the same. InputError otherwise.
     """
 
     mu: float | None = None
     max_iter: int = 10000
     tol: float = 1e-10
+
+    def __post_init__(self):
+        if not (self.mu is None or isinstance(self.mu, numbers.Real)):
+            raise InputError(f"relaxation parameter mu must be a real number or None, got {self.mu!r}")
+        tol = float(self.tol) if isinstance(self.tol, numbers.Real) else math.nan
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise InputError(f"tolerance tol={self.tol} must be finite and positive")
+        object.__setattr__(self, "mu", None if self.mu is None else float(self.mu))
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
+        object.__setattr__(self, "tol", tol)
 
 
 _DEFAULT_CONFIG = FrameIterationConfig()
@@ -80,23 +94,20 @@ class ReconstructionResult:
 class _StepSchedule:
     """What the frame iteration needs of one frame and config, all read-only.
 
-    Mode i contracts by ``rho[i]`` per step. For k = 1..min(bracket,
-    _TABLE_STEPS), row k-1 of ``decay`` is ``rho**(2k)`` and row k-1 of
-    ``complement`` is ``1 - rho**k``: ``decay`` times a signal's mode shares
-    gives its squared closed-form residual after each of those steps, and a
-    row of ``complement`` times its fixed point gives the iterate after that
-    many steps in the V basis. ``bracket`` is a step by which the residual
-    meets ``tol`` (``max_iter`` when eta gives none).
+    Mode i contracts by ``rho[i]`` per step. For k = 1 to T, row k-1 of
+    ``decay`` is ``rho**(2k)`` and row k-1 of ``complement`` is
+    ``1 - rho**k``: ``decay`` times a signal's mode shares gives its squared
+    closed-form residual after each of those steps, and a row of
+    ``complement`` times its fixed point gives the iterate after that many
+    steps in the V basis. T is ``_TABLE_STEPS`` or, if fewer, a step by
+    which the residual meets ``tol`` (``max_iter`` when eta gives none).
     """
 
-    tol: float
-    max_iter: int
     eta: float
     sigma2: np.ndarray
     rho: np.ndarray
     positive: np.ndarray
     log_rho: np.ndarray
-    bracket: int
     decay: np.ndarray
     complement: np.ndarray
 
@@ -116,16 +127,18 @@ def _complement(positive: np.ndarray, rho: np.ndarray, log_rho: np.ndarray, step
     return np.where(positive, -np.expm1(steps * log_rho), 1.0 - rho ** steps)
 
 
-def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> _StepSchedule:
-    """The step schedule of a frame for a checked config, memoised in ``_SCHEDULES``."""
-    key = (mu, tol, max_iter)
-    schedules = _SCHEDULES.get(frame)
-    if schedules is None:
-        schedules = _SCHEDULES[frame] = {}
-    schedule = schedules.get(key)
-    if schedule is not None:
-        return schedule
-    eta = max(abs(1.0 - mu * frame.lower), abs(1.0 - mu * frame.upper))
+def _step_schedule(frame: FrameSystem, config: FrameIterationConfig) -> _StepSchedule:
+    """The step schedule of a frame for a config, checked against the frame and stored in ``_SCHEDULES``."""
+    if not frame.is_frame:
+        raise NumericalError(
+            f"averages are not a frame for omega={frame.omega} with this partition "
+            f"(lower bound {frame.lower:.3e}); reconstruction is not stable"
+        )
+    a, b = frame.lower, frame.upper
+    mu = 2.0 / (a + b) if config.mu is None else config.mu
+    if not (0.0 < mu < 2.0 / b):
+        raise InputError(f"relaxation parameter mu={mu} outside (0, 2/b)=(0, {2.0 / b})")
+    eta = max(abs(1.0 - mu * a), abs(1.0 - mu * b))
     sigma2 = frame.singular_values ** 2
     rho = 1.0 - mu * sigma2
     rho_squared = rho * rho
@@ -133,9 +146,9 @@ def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> 
     log_rho = np.log1p(-np.where(positive, mu * sigma2, 0.0))
     # The residual after k steps is at most eta**k, so that k brackets the
     # first step within tol; max_iter stands in if roundoff moved it.
-    bracket = max_iter
+    bracket = config.max_iter
     if 0.0 < eta < 1.0:
-        bracket = min(max_iter, max(1, math.ceil(math.log(tol) / math.log(eta))))
+        bracket = min(bracket, max(1, math.ceil(math.log(config.tol) / math.log(eta))))
     steps = range(1, min(bracket, _TABLE_STEPS) + 1)
     decay = np.stack([rho_squared ** k for k in steps])
     # Row by row with k a Python int, so that each row has the bits of the
@@ -144,32 +157,9 @@ def _step_schedule(frame: FrameSystem, mu: float, tol: float, max_iter: int) -> 
     complement = np.stack([_complement(positive, rho, log_rho, k) for k in steps])
     for derived in (sigma2, rho, positive, log_rho, decay, complement):
         derived.flags.writeable = False
-    schedule = schedules[key] = _StepSchedule(
-        tol, max_iter, eta, sigma2, rho, positive, log_rho, bracket, decay, complement)
+    schedule = _SCHEDULES.setdefault(frame, {})[config] = _StepSchedule(
+        eta, sigma2, rho, positive, log_rho, decay, complement)
     return schedule
-
-
-def _first_step_past_table(schedule: _StepSchedule, share: np.ndarray) -> int | None:
-    """The first step past the decay table whose closed-form residual meets tol, by bisection.
-
-    Bisects between the table's end and the first of the bracket and
-    ``max_iter`` that meets tol; None when neither does. ``decay[0]`` is
-    rho**2 bit for bit.
-    """
-    def within_tol(steps: int) -> bool:
-        return math.sqrt(float(share.dot(schedule.decay[0] ** steps))) <= schedule.tol
-
-    lo = len(schedule.decay) + 1
-    hi = next((k for k in (schedule.bracket, schedule.max_iter) if k >= lo and within_tol(k)), None)
-    if hi is None:
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if within_tol(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def frame_algorithm(
@@ -185,39 +175,21 @@ def frame_algorithm(
     ``y = V^T A^T s``, mode i contracts by ``rho_i = 1 - mu*sigma_i^2`` per
     step, so after k steps the iterate is ``V ((1 - rho^k)/sigma^2 * y)`` and
     the residual is ``norm(rho^k * y) / norm(y)``. That residual never
-    increases with k. The first call with a given ``(mu, tol, max_iter)``
-    tabulates ``rho^(2k)`` and ``1 - rho^k`` once per frame for every step up
-    to the one by which ``eta^k`` meets ``tol``, capped at
-    ``_TABLE_STEPS`` steps, so one table product gives the first step
-    meeting ``tol`` and one table row its iterate; beyond the tables the step
-    is found by bisection. The returned residual is recomputed
-    from the iterate. When
-    ``truth`` (a vertex-space signal assumed to lie in the band) is
-    supplied, the per-iteration error ``norm(truth - iterate)`` is logged
-    alongside the run, step k's from the row ``complement_after(k)`` that
-    its iterate is formed from.
+    increases with k. The first call with a given config (None is the
+    default one) checks it against the frame and tabulates ``rho^(2k)`` and
+    ``1 - rho^k`` for every step up to the one by which ``eta^k`` meets
+    ``tol``, capped at ``_TABLE_STEPS`` steps, so one table product gives
+    the first step meeting ``tol`` and one table row its iterate; beyond the
+    tables the step is found by bisection. The returned residual is
+    recomputed from the iterate. When ``truth`` (a vertex-space signal
+    assumed to lie in the band) is supplied, the per-iteration error
+    ``norm(truth - iterate)`` is logged alongside the run, step k's from the
+    row ``complement_after(k)`` that its iterate is formed from.
     """
     s = _vector(samples, frame.num_clusters, "samples")
-    # Only None is kept as checked: a config equal to the default may hold a refused type (max_iter=10000.0).
-    schedule = _SCHEDULES.get(frame, {}).get(None) if config is None else None
-    if schedule is None:
-        settings = config or _DEFAULT_CONFIG
-        if not frame.is_frame:
-            raise NumericalError(
-                f"averages are not a frame for omega={frame.omega} with this partition "
-                f"(lower bound {frame.lower:.3e}); reconstruction is not stable"
-            )
-        a, b = frame.lower, frame.upper
-        mu = 2.0 / (a + b) if settings.mu is None else float(settings.mu)
-        if not (0.0 < mu < 2.0 / b):
-            raise InputError(f"relaxation parameter mu={mu} outside (0, 2/b)=(0, {2.0 / b})")
-        tol, max_iter = float(settings.tol), _integer(settings.max_iter, "max_iter")
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise InputError(f"tolerance tol={settings.tol} must be finite and positive")
-        schedule = _step_schedule(frame, mu, tol, max_iter)
-        if config is None:
-            _SCHEDULES[frame][None] = schedule
-    tol, max_iter = schedule.tol, schedule.max_iter
+    config = config or _DEFAULT_CONFIG
+    schedule = _SCHEDULES.get(frame, {}).get(config) or _step_schedule(frame, config)
+    tol, max_iter = config.tol, config.max_iter
 
     truth_coeffs = None
     if truth is not None:
@@ -236,13 +208,17 @@ def frame_algorithm(
         share *= share
         within = np.sqrt(schedule.decay.dot(share)) <= tol
         row = int(within.argmax())
-        first = row + 1 if within[row] else _first_step_past_table(schedule, share)
+        # Past the table, bisection finds the first step meeting tol (max_iter + 1 if none),
+        # as the residual never increases with k; decay[0] is rho**2 bit for bit.
+        first = row + 1 if within[row] else bisect.bisect_left(
+            range(max_iter + 1), True, len(schedule.decay) + 1,
+            key=lambda k: math.sqrt(float(share.dot(schedule.decay[0] ** k))) <= tol)
         # The closed form has no roundoff floor, the recomputed residual has.
         # One step more covers a closed-form residual that lands within
         # roundoff below tol; a miss beyond that is the floor, where a
         # stepwise run exhausts its budget, so the last try is max_iter,
         # unconverged.
-        tries = () if first is None else tuple(range(first, min(first + 1, max_iter) + 1))
+        tries = tuple(range(first, min(first + 1, max_iter) + 1))
         for iterations in (*tries, max_iter):
             c = right.dot(schedule.complement_after(iterations) * fixed_point)
             direction = normal_rhs - gram.dot(c)

@@ -414,6 +414,21 @@ class TestInputChecksBeforeEigensolve:
         assert code == 1 and out == ""
         assert err == f"error: {flag} is read only by --method frame-iter, not by --method dual\n"
 
+    @pytest.mark.parametrize("source", [["--generate", "grid2d", "--n", "2025"], ["--graph", "grid.edges"]])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iter", "0", "max_iter must be a positive integer, got 0"),
+        ("--tol", "nan", "tolerance tol=nan must be finite and positive"),
+    ])
+    def test_bad_iteration_setting_before_any_file_or_eigensolve(
+            self, source, flag, value, message, no_eigensolve, monkeypatch, capsys):
+        def refuse(path):
+            raise AssertionError("edge list read before the iteration settings were checked")
+
+        monkeypatch.setattr("avgsampling.fileio.read_edge_list", refuse)
+        code, out, err = run_cli(["reconstruct", *source, "--clusters", "bfs:1", "--omega", "0.4",
+                                  "--method", "frame-iter", flag, value, "--random-seed", "1"], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_valid_input_reaches_the_eigensolve(self, no_eigensolve, capsys):
         with pytest.raises(AssertionError, match="eigensolve ran"):
             main(["frame-check", "--generate", "path", "--n", "6", "--clusters", "pairs",

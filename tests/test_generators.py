@@ -196,11 +196,19 @@ class TestGraphGenerators:
 
 
 def all_close_pairs(points, radius):
-    """Every pair u < v with np.hypot of its coordinate differences at most radius, sorted by (u, v)."""
+    """Every pair u < v with np.hypot of its coordinate differences at most radius, as arrays u, v sorted by (u, v)."""
     us, vs = np.triu_indices(len(points), 1)
     delta = points[us] - points[vs]
     close = np.hypot(delta[:, 0], delta[:, 1]) <= radius
-    return np.column_stack([us[close], vs[close]])
+    return us[close], vs[close]
+
+
+def assert_same_pairs(got, expected):
+    """Both arrays of ``_close_pairs`` equal the brute force's, and are contiguous int64."""
+    assert len(got) == len(expected) == 2
+    for mine, theirs in zip(got, expected):
+        assert mine.dtype == np.int64 and mine.flags.c_contiguous
+        assert np.array_equal(mine, theirs)
 
 
 #: Points on multiples of 1/q for q up to 20, which include every cell
@@ -253,7 +261,7 @@ class TestCloseCellList:
         st.floats(1e-3, 1.5),
     ))
     def test_matches_all_pairs_hypot(self, points, radius):
-        assert np.array_equal(generators._close_pairs(points, radius), all_close_pairs(points, radius))
+        assert_same_pairs(generators._close_pairs(points, radius), all_close_pairs(points, radius))
 
     @settings(max_examples=400)
     @given(points=unit_square_points(), data=st.data())
@@ -264,7 +272,7 @@ class TestCloseCellList:
         v = (u + data.draw(st.integers(1, len(points) - 1))) % len(points)
         distance = float(np.hypot(*(points[u] - points[v])))
         radius = data.draw(either_side(distance).filter(lambda r: r > 0))
-        assert np.array_equal(generators._close_pairs(points, radius), all_close_pairs(points, radius))
+        assert_same_pairs(generators._close_pairs(points, radius), all_close_pairs(points, radius))
 
     @pytest.mark.parametrize(("radius", "a", "b"), [(0.25, 0.25, 0.5), (0.2, 0.4, 0.6), (0.125, 0.125, 0.25)])
     def test_pair_across_a_cell_one_radius_apart(self, radius, a, b):
@@ -273,9 +281,9 @@ class TestCloseCellList:
         q = round(1 / radius)
         # q*q far points more, so that the cap on the cell count allows q cells a side
         points = np.array([(np.nextafter(a, 0.0), 0.5), (b, 0.5)] + [(0.99, 0.99)] * (q * q))
-        pairs = generators._close_pairs(points, radius)
-        assert pairs.dtype == np.int64 and pairs[0].tolist() == [0, 1]
-        assert np.array_equal(pairs, all_close_pairs(points, radius))
+        lo, hi = pairs = generators._close_pairs(points, radius)
+        assert (lo[0], hi[0]) == (0, 1)
+        assert_same_pairs(pairs, all_close_pairs(points, radius))
 
     @pytest.mark.parametrize(("n", "seed", "radius"), list(EDGE_DIGESTS))
     def test_edge_arrays_are_pinned(self, n, seed, radius):

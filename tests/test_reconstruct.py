@@ -122,6 +122,13 @@ def bisection_reference(frame, samples, config):
     return (max_iter, *iterate(max_iter), False)
 
 
+def bracket(eta, config):
+    """A step by which ``eta**k`` meets ``config.tol``, at most ``config.max_iter``."""
+    if not 0.0 < eta < 1.0:
+        return config.max_iter
+    return min(config.max_iter, max(1, math.ceil(math.log(config.tol) / math.log(eta))))
+
+
 def per_step_complement(schedule, k):
     """``1 - rho**k`` per mode, evaluated for the one step k."""
     return np.where(schedule.positive, -np.expm1(k * schedule.log_rho), 1.0 - schedule.rho ** k)
@@ -244,19 +251,25 @@ class TestFrameAlgorithm:
         assert 0 in steps_seen and 1 in steps_seen
 
     @pytest.mark.parametrize("config", [
-        FrameIterationConfig(tol=0.0),
-        FrameIterationConfig(tol=-1e-10),
-        FrameIterationConfig(tol=float("nan")),
-        FrameIterationConfig(tol=float("inf")),
-        FrameIterationConfig(max_iter=0),
-        FrameIterationConfig(max_iter=-3),
-        FrameIterationConfig(max_iter=2.5),
-        FrameIterationConfig(max_iter=True),
+        {"tol": 0.0},
+        {"tol": -1e-10},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"max_iter": 0},
+        {"max_iter": -3},
+        {"max_iter": 2.5},
+        {"max_iter": True},
+        {"max_iter": 10000.0},
+        {"tol": "1e-10"},
     ])
-    def test_bad_tolerance_or_budget_rejected(self, frame64, path64, config):
-        samples = analyze(path64[2], generate_pw_signal(path64[1], 0.5, 1))
-        with pytest.raises(InputError):
-            frame_algorithm(frame64, samples, config)
+    def test_bad_tolerance_or_budget_rejected(self, config):
+        with pytest.raises(InputError, match=next(iter(config))):
+            FrameIterationConfig(**config)
+
+    @pytest.mark.parametrize("mu", ["fast", b"1", [0.5], 1j])
+    def test_mu_that_is_not_a_real_number_refused_when_made(self, mu):
+        with pytest.raises(InputError, match="mu must be a real number or None"):
+            FrameIterationConfig(mu=mu)
 
     def test_bad_truth_rejected(self, frame64, path64):
         _, d, part = path64
@@ -370,9 +383,9 @@ class TestStepSchedule:
             expected, iterations, _ = richardson_reference(frame.analysis, samples, mu, config.tol)
             assert abs(result.iterations - iterations) <= 1
             assert np.linalg.norm(result.coefficients - expected) <= 1e-10 * np.linalg.norm(expected)
-        (schedule,) = _SCHEDULES[frame].values()
-        assert schedule.bracket > _TABLE_STEPS
-        assert schedule.decay.shape == (_TABLE_STEPS, frame.dim)
+        assert bracket(result.eta, config) > _TABLE_STEPS
+        assert list(_SCHEDULES[frame]) == [config]
+        assert _SCHEDULES[frame][config].decay.shape == (_TABLE_STEPS, frame.dim)
 
     def test_complement_rows_match_per_step_formula(self, both_frames):
         # On the synthetic frame, at mu = 1.99/b, evaluating the formula for
@@ -393,43 +406,41 @@ class TestStepSchedule:
         for frame, samples in cases:
             for mu in (None, 1.99 / frame.upper):
                 frame_algorithm(frame, samples, FrameIterationConfig(mu=mu))
-            for schedule in _SCHEDULES[frame].values():
+            for config, schedule in _SCHEDULES[frame].items():
                 assert schedule.complement.shape == schedule.decay.shape
                 for k, row in enumerate(schedule.complement, start=1):
                     assert np.array_equal(row, per_step_complement(schedule, k))
                     assert np.array_equal(schedule.complement_after(k), row)
                 past = len(schedule.complement)
-                for k in (past + 1, past + 2, max(past + 1, schedule.bracket)):
+                for k in (past + 1, past + 2, max(past + 1, bracket(schedule.eta, config))):
                     assert np.array_equal(schedule.complement_after(k), per_step_complement(schedule, k))
-        assert len(_SCHEDULES[long][(2.0 / (long.lower + long.upper), 1e-10, 10000)].complement) == _TABLE_STEPS
+        assert len(_SCHEDULES[long][FrameIterationConfig()].complement) == _TABLE_STEPS
 
     def test_bool_budget_refused_after_a_one_step_schedule(self, frame64, path64):
-        # True == 1 and both hash alike, so a memo keyed on the unchecked
+        # True == 1 and both hash alike, so a memo keyed on an unchecked
         # config would hand the max_iter=1 schedule to max_iter=True.
         _, d, part = path64
         frame = unmemoised(frame64, part)
         samples = analyze(part, generate_pw_signal(d, 0.5, 0))
         frame_algorithm(frame, samples, FrameIterationConfig(max_iter=1))
-        assert [key[2] for key in _SCHEDULES[frame]] == [1]
+        assert [config.max_iter for config in _SCHEDULES[frame]] == [1]
         with pytest.raises(InputError, match="max_iter"):
-            frame_algorithm(frame, samples, FrameIterationConfig(max_iter=True))
+            FrameIterationConfig(max_iter=True)
 
     def test_warm_default_refuses_what_a_cold_call_refuses(self, frame64, path64, path4):
-        # the default config is checked once per frame; a passed one on every call,
-        # even one equal to the default (10000.0 == 10000)
+        # a config is checked when made, and against each frame before its schedule is built
         _, d, part = path64
         frame = unmemoised(frame64, part)
         samples = analyze(part, generate_pw_signal(d, 0.5, 1))
         cold = frame_algorithm(frame, samples)
-        plan = _SCHEDULES[frame][None]
-        assert FrameIterationConfig(max_iter=10000.0) == FrameIterationConfig()
-        refused = {"max_iter": FrameIterationConfig(max_iter=True), "mu=5.0": FrameIterationConfig(mu=5.0),
-                   "max_iter must": FrameIterationConfig(max_iter=10000.0)}
-        for match, config in refused.items():
-            for fresh in (frame, unmemoised(frame64, part)):
-                with pytest.raises(InputError, match=match):
-                    frame_algorithm(fresh, samples, config)
-        assert _SCHEDULES[frame][None] is plan and len(_SCHEDULES[frame]) == 2
+        plan = _SCHEDULES[frame][FrameIterationConfig()]
+        for match, settings in {"max_iter": {"max_iter": True}, "max_iter must": {"max_iter": 10000.0}}.items():
+            with pytest.raises(InputError, match=match):
+                FrameIterationConfig(**settings)
+        for fresh in (frame, unmemoised(frame64, part)):
+            with pytest.raises(InputError, match="mu=5.0"):
+                frame_algorithm(fresh, samples, FrameIterationConfig(mu=5.0))
+        assert list(_SCHEDULES[frame]) == [FrameIterationConfig()] and _SCHEDULES[frame][FrameIterationConfig()] is plan
         for warm in (frame_algorithm(frame, samples), frame_algorithm(frame, samples, FrameIterationConfig())):
             assert_same_run(warm, (cold.iterations, cold.coefficients, cold.residual, cold.converged))
             assert np.array_equal(warm.signal, cold.signal)
@@ -440,6 +451,21 @@ class TestStepSchedule:
             with pytest.raises(NumericalError, match="not a frame"):
                 frame_algorithm(rank_deficient, np.ones(2))
         assert rank_deficient not in _SCHEDULES
+
+    def test_equal_configs_share_one_plan(self, frame64, path64):
+        _, d, part = path64
+        frame = unmemoised(frame64, part)
+        samples = analyze(part, generate_pw_signal(d, 0.5, 2))
+        configs = [FrameIterationConfig(max_iter=5), FrameIterationConfig(max_iter=np.int64(5)),
+                   FrameIterationConfig(max_iter=5, tol=np.float64(1e-10), mu=None)]
+        assert all(config == configs[0] and hash(config) == hash(configs[0]) for config in configs)
+        assert all(type(config.max_iter) is int and type(config.tol) is float for config in configs)
+        runs = [frame_algorithm(frame, samples, config) for config in configs]
+        assert len(_SCHEDULES[frame]) == 1
+        for run in runs:
+            assert_same_run(run, (runs[0].iterations, runs[0].coefficients, runs[0].residual, runs[0].converged))
+        mu = FrameIterationConfig(mu=np.float32(0.5)).mu
+        assert type(mu) is float and mu == 0.5
 
     def test_configs_do_not_interfere(self, grid_frame):
         d, part, frame = grid_frame
@@ -464,6 +490,20 @@ class TestStepSchedule:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
+
+
+class TestPastTheTable:
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6])
+    def test_budget_far_past_the_bracket_matches_bisection(self, frame64, path64, scale):
+        # mu = 1e-3/b meets tol near step 24,000; mu = 1e-6/b meets it at no step of the budget
+        _, d, part = path64
+        config = FrameIterationConfig(mu=scale / frame64.upper, max_iter=10**6)
+        for seed in range(3):
+            samples = analyze(part, generate_pw_signal(d, 0.5, seed))
+            result = frame_algorithm(frame64, samples, config)
+            assert result.iterations > _TABLE_STEPS and result.converged == (scale == 1e-3)
+            assert_same_run(result, bisection_reference(frame64, samples, config))
+        assert bracket(result.eta, config) > _TABLE_STEPS
 
 
 class TestPerCallArithmetic:
