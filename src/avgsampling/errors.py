@@ -57,7 +57,9 @@ def _vector(values, length: int, name: str) -> np.ndarray:
 def _ids(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """A flat array of outside vertex ids (numpy's bool, integer or float kind, or ``numbers.Real`` objects such as
     ints past int64 and fractions) as ``intp``, and the mask of the whole ones, each tested exactly. A non-whole id
-    becomes 0; clipping to [-1, n] keeps an out-of-range id out of range and the cast exact."""
+    becomes 0; clipping to [-1, n] by ``np.minimum`` and ``np.maximum`` (``ndarray.clip`` adds a Python layer) keeps
+    an out-of-range id out of range and the cast exact. Integer kinds are ``intp`` first, so -1 and n fit their type
+    (an unsigned id past ``intp`` wraps below 0, still out of range)."""
     kind = values.dtype.kind
     if kind == "f":
         whole = np.isfinite(values) & (values == np.floor(values))
@@ -65,8 +67,8 @@ def _ids(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(invalid="ignore"):  # inf and NaN leave a NaN remainder
             whole = values % 1 == 0
     else:
-        whole = np.ones(len(values), dtype=bool)
-    return np.where(whole, values, 0).clip(-1, n).astype(np.intp), whole  # no NaN reaches the clip
+        whole, values = np.ones(len(values), dtype=bool), values.astype(np.intp)
+    return np.minimum(np.maximum(np.where(whole, values, 0), -1), n).astype(np.intp), whole  # no NaN reaches them
 
 
 def _shown(value):

@@ -11,8 +11,8 @@ A partition is valid by construction: :func:`validate_partition`, its only
 constructor, checks the cover and stores it once, as the label vector (the
 cluster index of each vertex), with the square roots of the cluster sizes and
 the cluster gaps. Averages and the frame's analysis rows Xi B are per-label
-sums by ``np.bincount``; the cluster gaps and the spline memo's Xi and
-Helmert contrasts H read the one layout of the labels that :func:`_layout` derives.
+sums by ``np.bincount``; the cluster gaps and the spline memo's basis of R^n,
+[H^T; Xi] (:func:`_cover_basis`), read the one layout that :func:`_layout` derives.
 
 For signals of bandwidth omega, those averages form a frame whenever
 ``gamma = (1 + alpha)/alpha * omega / Lambda < 1`` for some alpha > 0, with
@@ -238,27 +238,22 @@ def _scales(partition: ClusterPartition, n: int) -> np.ndarray:
     return 1.0 / partition._sqrt_sizes
 
 
-def _indicators(partition: ClusterPartition, n: int) -> csr_matrix:
-    """Xi, J x n, row j cluster j's vertices ascending, each 1/sqrt(size j); InputError unless n is the partition's."""
-    sizes = np.bincount(partition.labels)
-    return csr_matrix((np.repeat(_scales(partition, n), sizes), _layout(partition.labels, sizes)[0],
-                       np.concatenate([[0], np.cumsum(sizes)])), shape=(len(sizes), n))
+def _cover_basis(partition: ClusterPartition, n: int) -> csr_matrix:
+    """The cover's orthogonal basis of R^n as the rows of one n x n CSR, each row's vertices ascending: first the
+    n - J Helmert contrasts H^T, zero-sum in each cluster, then the J rows of Xi; InputError as ``_scales``.
 
-
-def _contrasts(partition: ClusterPartition) -> csr_matrix:
-    """H, the n x (n - J) Helmert contrasts: with Xi^T's columns an orthonormal basis of R^n, zero-sum in each cluster.
-
-    With a cluster's vertices ascending as v_0 < ... < v_{s-1}, contrast
-    i = 1 .. s-1 is ``(e_{v_0} + ... + e_{v_{i-1}} - i e_{v_i}) / sqrt(i (i+1))``.
+    With a cluster's vertices ascending as v_0 < ... < v_{s-1}, contrast i = 1 .. s-1 is
+    ``(e_{v_0} + ... + e_{v_{i-1}} - i e_{v_i}) / sqrt(i (i+1))``, and Xi's row is 1/sqrt(s) at each v.
     """
-    order, rank = _layout(partition.labels, np.bincount(partition.labels))
-    head = np.flatnonzero(rank > 0)  # one column each: contrast i = rank[head], entries at positions head-i .. head
+    scales, sizes = _scales(partition, n), np.bincount(partition.labels)
+    order, rank = _layout(partition.labels, sizes)
+    head = np.flatnonzero(rank > 0)  # one row each: contrast i = rank[head], entries at positions head-i .. head
     count = rank[head] + 1
-    column = np.repeat(np.arange(head.size), count)
-    back = np.repeat(np.cumsum(count), count) - 1 - np.arange(column.size)  # i .. 0 within each column
+    back = np.repeat(np.cumsum(count), count) - 1 - np.arange(count.sum())  # i .. 0 within each row
     i = np.repeat(rank[head], count).astype(float)
-    values = np.where(back > 0, 1.0, -i) / np.sqrt(i * (i + 1.0))
-    return csr_matrix((values, (order[head[column] - back], column)), shape=(partition.n, head.size))
+    values = np.concatenate([np.where(back > 0, 1.0, -i) / np.sqrt(i * (i + 1.0)), np.repeat(scales, sizes)])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate([count, sizes]))])
+    return csr_matrix((values, np.concatenate([order[np.repeat(head, count) - back], order]), indptr), shape=(n, n))
 
 
 def _cluster_rows(partition: ClusterPartition, matrix: np.ndarray) -> np.ndarray:
@@ -348,9 +343,10 @@ class FrameSystem:
 
 
 def _check_alpha(alpha: float) -> None:
-    """InputError unless alpha is finite and positive (NaN fails both tests)."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise InputError(f"alpha must be positive and finite, got {alpha}")
+    """InputError unless alpha is a finite and positive ``numbers.Real`` (NaN fails both tests; Decimal is no Real)."""
+    if not (isinstance(alpha, (float, numbers.Real)) and math.isfinite(alpha) and alpha > 0):
+        raise InputError(f"alpha must be positive and finite, got {alpha}" if isinstance(alpha, numbers.Real)
+                         else f"alpha must be a real number, got {alpha!r}")
 
 
 def _gamma(omega: float, alpha: float, lambda_xi: float) -> float:
@@ -413,11 +409,12 @@ def optimal_alpha(omega: float, lambda_xi: float) -> tuple[float, float]:
     With r = omega/Lambda the bound is 1/(1+alpha) - r/alpha, maximal at
     alpha* = sqrt(r)/(1 - sqrt(r)), where it equals (1 - sqrt(r))**2 (and
     gamma = sqrt(r)). Returns (alpha*, bound); omega = 0 gives (0.0, 1.0).
-    Requires 0 <= omega < Lambda, since otherwise no alpha makes gamma < 1,
-    and refuses a NaN Lambda.
+    Requires a real 0 <= omega < Lambda, since otherwise no alpha makes
+    gamma < 1, and refuses a NaN Lambda.
     """
-    if not omega >= 0:
-        raise InputError(f"omega must be nonnegative, got {omega}")
+    if not (isinstance(omega, (float, numbers.Real)) and omega >= 0):  # float first: numbers.Real alone costs ~0.5 µs
+        raise InputError(f"omega must be nonnegative, got {omega}" if isinstance(omega, numbers.Real)
+                         else f"omega must be a real number, got {omega!r}")
     if lambda_xi == math.inf:
         # Point samples: gamma is 0 for every alpha and the bound 1/(1+alpha)
         # has no interior maximum; report the open-end supremum.

@@ -15,6 +15,7 @@ norm(f)`` for every signal of bandwidth omega.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,9 +139,10 @@ class PWSpace:
 
 
 def pw_space(decomp: SpectralDecomposition, omega: float) -> PWSpace:
-    """Bandlimited subspace for a given bandwidth; InputError when it is negative, NaN or holds no eigenvalue."""
-    if not omega >= 0:  # NaN included
-        raise InputError(f"bandwidth must be nonnegative, got {omega}")
+    """Bandlimited subspace for a bandwidth; InputError unless it is a nonnegative real with an eigenvalue in band."""
+    if not (isinstance(omega, (float, numbers.Real)) and omega >= 0):  # NaN fails; float skips the slow ABC check
+        raise InputError(f"bandwidth must be nonnegative, got {omega}" if isinstance(omega, numbers.Real)
+                         else f"bandwidth must be a real number, got {omega!r}")
     edge = omega + BAND_SLACK * abs(decomp.lambda_max)
     m = int(decomp.eigenvalues.searchsorted(edge, side="right"))
     if m == 0:

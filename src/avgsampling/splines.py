@@ -6,11 +6,11 @@ cluster averages equal v. With a full disjoint cover by connected clusters
 the minimizer exists and is unique for every k >= 1, as the bound below shows.
 
 Solved on the null space of the averages (Benzi, Golub and Liesen, Acta
-Numerica 14, 2005, section 6), with no eigenvector. Xi^T holds the normalized
-cluster indicators (n x J) and H the Helmert contrasts within each cluster
-(s - 1 per cluster of size s), both from ``partitions``; together their columns
-are an orthonormal basis of R^n, and the signals with zero averages are exactly
-those Hy. So the spline is ``Xi^T v + H y`` with ``A_k y = -H^T Lhat^k Xi^T v``, where
+Numerica 14, 2005, section 6), with no eigenvector. ``partitions._cover_basis``
+gives R^n one orthonormal basis as sparse rows: the Helmert contrasts within
+each cluster (s - 1 per cluster of size s), the columns of H, then the normalized
+cluster indicators Xi (J x n). The signals with zero averages are exactly those
+Hy, so the spline is ``Xi^T v + H y`` with ``A_k y = -H^T Lhat^k Xi^T v``, where
 ``A_k = H^T Lhat^k H`` and Lhat = L / lambda_max; that division leaves the
 spline unchanged and keeps every entry within [-1, 1] at any weight scale.
 None of this depends on v, so each order's A_k is Cholesky-factored once and
@@ -53,7 +53,7 @@ from scipy.linalg import lapack
 from scipy.sparse import csr_matrix, issparse, spmatrix
 
 from .errors import InputError, NumericalError, _integer, _vector
-from .partitions import ClusterPartition, _contrasts, _gamma, _indicators, analyze
+from .partitions import ClusterPartition, _cover_basis, _gamma, _scales, analyze
 from .spectral import SpectralDecomposition, pw_space
 
 #: Refuse spline orders whose certified condition bound exceeds this.
@@ -96,11 +96,11 @@ class _Sweep(NamedTuple):
 
 @dataclass(eq=False)
 class _Cardinals:
-    """Lhat, Xi, H and each order so far, all read-only, and the last checked sweep (replaced whole), per partition."""
+    """Lhat, the basis [H^T; Xi], H and each order so far, read-only, and the last checked sweep (replaced whole)."""
 
     partition: ClusterPartition
     laplacian: csr_matrix
-    indicators: csr_matrix
+    basis: csr_matrix
     contrasts: csr_matrix
     orders: dict[int, _Order] = field(default_factory=dict)
     sweep: _Sweep | None = None
@@ -177,39 +177,40 @@ def _orders(decomp: SpectralDecomposition, partition: ClusterPartition, k_list) 
     Checks every order, and the bound of each order not yet memoised, first,
     so a refused order caches nothing: the memo (``_CARDINALS``) is replaced
     when called with another partition object, and only once every order
-    passes. The missing orders are then built in ascending order, each from
-    ``Lhat^k H`` by sparse products that reuse the last one's power, and
-    keep the bound they were built under (no power when every cluster is a
-    singleton). InputError for a partition and decomposition of different
-    sizes, checked only as the memo is replaced; NumericalError when a
-    Cholesky factorisation fails.
+    passes. The missing orders are then built in ascending order, each from ``Lhat^k H``
+    (sparse products that reuse the last one's power) by one product with the cover basis,
+    densified once, and keep the bound they were built under (no power when every cluster
+    is a singleton). InputError for a partition and decomposition of different sizes,
+    checked only as the memo is replaced; NumericalError when a Cholesky factorisation fails.
     """
     ks = [_integer(k, "spline order") for k in k_list]
     memo = _CARDINALS.get(decomp)
     stale = memo is None or memo.partition is not partition
     if stale:
-        indicators, contrasts = _indicators(partition, decomp.n), _contrasts(partition)
+        basis = _cover_basis(partition, decomp.n)
+        contrasts = basis[:decomp.n - partition.num_clusters].T.tocsr()
         laplacian = csr_matrix(decomp.matrix)
         laplacian.data /= decomp.lambda_max
-        _read_only(indicators, laplacian, contrasts)
-        memo = _Cardinals(partition, laplacian, indicators, contrasts)
+        _read_only(basis, laplacian, contrasts)
+        memo = _Cardinals(partition, laplacian, basis, contrasts)
     conditions = {k: _condition(decomp, memo, k) for k in ks if k not in memo.orders}
     if stale:
         _CARDINALS[decomp] = memo
-    H, power, j = memo.contrasts, memo.contrasts, 0
+    H, power, j, m = memo.contrasts, memo.contrasts, 0, memo.contrasts.shape[1]
     for k in sorted(conditions):
-        while j < k and H.shape[1]:  # with no contrasts the spline is Xi^T v at every order
+        while j < k and m:  # with no contrasts the spline is Xi^T v at every order
             power, j = memo.laplacian @ power, j + 1
         stationarity = power.T  # H^T Lhat^k, as Lhat is symmetric
-        factor, info = lapack.dpotrf((H.T @ power).toarray(order="F"), lower=1, overwrite_a=1, clean=0)
-        solved = (stationarity @ memo.indicators.T).toarray(order="F")
+        blocks = (memo.basis @ power).toarray()  # A_k = H^T Lhat^k H over Xi Lhat^k H
+        factor, info = lapack.dpotrf(blocks[:m], lower=1, clean=0)
+        solved = blocks[m:].T  # H^T Lhat^k Xi^T, Fortran-contiguous, so solved in place
         if info == 0 and solved.size:  # empty when every cluster is a singleton
             solved, info = lapack.dpotrs(factor, solved, lower=1, overwrite_b=1)
         if info != 0:
             raise NumericalError(f"order-{k} Cholesky factorisation failed (LAPACK info {info})")
         splines = H @ solved  # S_k = Xi^T - H A_k^{-1} H^T Lhat^k Xi^T
         np.negative(splines, out=splines)
-        splines[np.arange(decomp.n), partition.labels] += 1.0 / partition._sqrt_sizes[partition.labels]
+        splines[np.arange(decomp.n), partition.labels] += _scales(partition, decomp.n)[partition.labels]
         _read_only(splines, stationarity)
         memo.orders[k] = _Order(splines, stationarity, conditions[k])
     return [(k, memo.orders[k]) for k in ks]
@@ -269,14 +270,12 @@ def spline_convergence_experiment(
 ) -> tuple[ConvergenceRow, ...]:
     """Interpolate a bandlimited signal at several orders against 2*gamma**k.
 
-    Refuses, in this order, when gamma >= 1 (no rate is guaranteed there),
-    a bandwidth ``pw_space`` refuses, a partition and decomposition of
-    different sizes or an order as ``solve_spline`` does, then a zero
-    signal, a nonzero one whose squared norm underflows to 0 (no relative
-    error can be formed), or one with out-of-band content (the bound's
-    hypothesis would be violated). A row is ``within_bound`` when its error
-    is at most the bound plus 1e-8. Rows with ``proved=False`` mark orders
-    that are not powers of two, where the bound is reported for reference
+    Refuses, in this order, a bandwidth ``pw_space`` refuses, an alpha that is no finite positive real,
+    gamma >= 1 (no rate is guaranteed there), a partition and decomposition of different sizes or an
+    order as ``solve_spline`` does, then a zero signal, a nonzero one whose squared norm underflows to 0
+    (no relative error can be formed), or one with out-of-band content (the bound's hypothesis would be
+    violated). A row is ``within_bound`` when its error is at most the bound plus 1e-8. Rows with
+    ``proved=False`` mark orders that are not powers of two, where the bound is reported for reference
     only. What is checked before the signal is kept as the sweep's plan.
     """
     memo = _CARDINALS.get(decomp)
@@ -285,13 +284,13 @@ def spline_convergence_experiment(
     if sweep is not None and sweep.key == key:  # so gamma < 1, which a cold call checks before the orders
         k_list = [_integer(k, "spline order") for k in k_list]
     if sweep is None or sweep.key != key or k_list != [row[0] for row in sweep.rows]:
+        basis = pw_space(decomp, omega).basis  # first, as gamma needs a real omega and a NaN gamma passes its test
         gamma = _gamma(omega, alpha, partition.lambda_xi)
         if gamma >= 1.0:
             raise InputError(
                 f"gamma={gamma:.4f} >= 1 for omega={omega}, alpha={alpha}, "
                 f"Lambda={partition.lambda_xi}; no convergence rate applies"
             )
-        basis = pw_space(decomp, omega).basis  # before the orders, so a NaN omega (gamma NaN) builds none
         rows = tuple((k, order, 2.0 * gamma ** k, k & (k - 1) == 0) for k, order in _orders(decomp, partition, k_list))
         sweep = _CARDINALS[decomp].sweep = _Sweep(key, basis, rows)
     f = _vector(f, decomp.n, "signal")

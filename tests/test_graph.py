@@ -15,6 +15,7 @@ from avgsampling import (
     build_laplacian,
     is_connected,
     validate,
+    validate_partition,
 )
 from avgsampling import generators
 from avgsampling.fileio import read_edge_list
@@ -295,6 +296,21 @@ class TestConstructors:
     def test_whole_object_kind_ids_and_large_finite_weights_accepted(self):
         g = WeightedGraph.from_edges(3, [(Fraction(2), 1, Fraction(1, 2)), (0, 2**0, 10**20), (0, 2, 2**1023)])
         assert g.edges() == [(0, 1, 1e20), (0, 2, 2.0**1023), (1, 2, 0.5)]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int16, np.uint64])
+    def test_narrow_and_unsigned_integer_ids_follow_the_rule(self, dtype):
+        # the clip to [-1, n] must not overflow the ids' own type: n = 300 is past uint8's and int8's largest value,
+        # and uint64's largest value is past intp's
+        edges = np.array([[0, 1, 1], [1, 2, 3]], dtype=dtype)
+        assert WeightedGraph.from_edges(300, edges).edges() == [(0, 1, 1.0), (1, 2, 3.0)]
+        g = generate_graph("path", 4)
+        cover = validate_partition(g, [np.array([0, 1], dtype=dtype), np.array([2, 3], dtype=dtype)])
+        assert cover.labels.tolist() == [0, 0, 1, 1]
+        top = np.iinfo(dtype).max
+        with pytest.raises(InputError, match=rf"^edge \(0,{top}\) out of range for n=4$"):
+            WeightedGraph.from_edges(4, np.array([[0, top, 1]], dtype=dtype))
+        with pytest.raises(InputError, match="^cluster 1 has out-of-range vertices for n=4$"):
+            validate_partition(g, [np.array([0, 1], dtype=dtype), np.array([2, 3, top], dtype=dtype)])
 
     @pytest.mark.parametrize("n", [4, np.int64(4), np.int32(4)])
     def test_whole_number_vertex_count_accepted(self, n):

@@ -1,6 +1,7 @@
 """Partitions, cluster averages, frame bounds, and the energy inequalities."""
 import dataclasses
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -21,19 +22,21 @@ from avgsampling import (
     blocks_partition,
     build_frame_system,
     build_laplacian,
+    demo_path,
     eigendecompose,
     generate_graph,
     generate_pw_signal,
     interpolate,
     optimal_alpha,
     pairs_partition,
+    pw_project,
     pw_space,
     solve_spline,
     spline_convergence_experiment,
     validate_partition,
 )
 
-from avgsampling import partitions
+from avgsampling import partitions, splines
 from avgsampling.partitions import _cluster_rows, _frame, _gamma
 
 from conftest import (
@@ -417,15 +420,16 @@ class TestAverageFunctionals:
         # clusters listed out of order, each with its vertices unsorted
         clusters, part = draw_shuffled_partition(data)
         n, J, eps = part.n, len(clusters), np.finfo(float).eps
-        xi, H = partitions._indicators(part, n), partitions._contrasts(part)
-        assert xi.shape == (J, n) and H.shape == (n, n - J)
+        cover = partitions._cover_basis(part, n)  # [H^T; Xi]
+        assert cover.shape == (n, n)
+        assert all((np.diff(cover.indices[lo:hi]) > 0).all() for lo, hi in zip(cover.indptr[:-1], cover.indptr[1:]))
         for j, verts in enumerate(clusters):
-            row = slice(xi.indptr[j], xi.indptr[j + 1])
-            assert xi.indices[row].tolist() == sorted(verts)
-            assert (xi.data[row] == 1.0 / math.sqrt(len(verts))).all()
-        basis = np.vstack([xi.toarray(), H.T.toarray()])
+            row = slice(cover.indptr[n - J + j], cover.indptr[n - J + j + 1])
+            assert cover.indices[row].tolist() == sorted(verts)
+            assert (cover.data[row] == 1.0 / math.sqrt(len(verts))).all()
+        basis = cover.toarray()
         assert np.max(np.abs(basis @ basis.T - np.eye(n))) <= 4 * n * eps
-        contrasts = H.toarray()
+        contrasts = basis[:n - J].T
         for verts in clusters:
             assert np.max(np.abs(contrasts[list(verts)].sum(axis=0)), initial=0.0) <= 4 * n * eps
         # each contrast lives on one cluster
@@ -490,6 +494,58 @@ class TestAverageFunctionals:
         frame = build_frame_system(decomp, part, 3.22, 1.0)
         monkeypatch.undo()
         assert frame.analysis.tobytes() == coo_cluster_rows(part, frame.basis).tobytes()
+
+
+class TestRealParameters:
+    """A bandwidth or alpha that is no ``numbers.Real`` is refused with InputError by each entry point that reads
+    it, before anything is derived from it; a sweep so refused builds no order and keeps no plan."""
+
+    NOT_REAL = {"str": "0.5", "None": None, "Decimal": Decimal("0.5"), "complex": 1j}
+    OMEGA_READERS = {
+        "pw_space": lambda d, p, omega: pw_space(d, omega),
+        "pw_project": lambda d, p, omega: pw_project(d, omega, np.ones(d.n)),
+        "generate_pw_signal": lambda d, p, omega: generate_pw_signal(d, omega, 0),
+        "build_frame_system": lambda d, p, omega: build_frame_system(d, p, omega, 1.0),
+        "optimal_alpha": lambda d, p, omega: optimal_alpha(omega, p.lambda_xi),
+        "demo_path": lambda d, p, omega: demo_path(16, omega, 1.0, trials=1),
+        "spline_convergence_experiment": lambda d, p, omega: spline_convergence_experiment(
+            d, p, omega, 1.0, np.ones(d.n), [1, 2]),
+    }
+
+    @staticmethod
+    def path16():
+        g = generate_graph("path", 16)
+        return eigendecompose(build_laplacian(g)), validate_partition(g, pairs_partition(16))
+
+    @pytest.mark.parametrize("value", NOT_REAL.values(), ids=NOT_REAL.keys())
+    @pytest.mark.parametrize("reader", OMEGA_READERS.values(), ids=OMEGA_READERS.keys())
+    def test_bandwidth_that_is_not_real_refused(self, reader, value):
+        d, p = self.path16()
+        with pytest.raises(InputError, match=r"^(bandwidth|omega) must be a real number, got "):
+            reader(d, p, value)
+        assert d not in splines._CARDINALS
+
+    @pytest.mark.parametrize("value", NOT_REAL.values(), ids=NOT_REAL.keys())
+    def test_alpha_that_is_not_real_refused(self, value):
+        d, p = self.path16()
+        with pytest.raises(InputError, match=r"^alpha must be a real number, got "):
+            build_frame_system(d, p, 0.5, value)
+        with pytest.raises(InputError, match=r"^alpha must be a real number, got "):
+            spline_convergence_experiment(d, p, 0.5, value, generate_pw_signal(d, 0.5, 0), [1, 2])
+        assert d not in splines._CARDINALS
+
+    def test_real_types_keep_their_messages(self):
+        d, p = self.path16()
+        for omega in (-1, -0.5, Fraction(-1, 2), np.float64(-0.5), math.nan):
+            with pytest.raises(InputError, match=f"^bandwidth must be nonnegative, got {re.escape(str(omega))}$"):
+                pw_space(d, omega)
+            with pytest.raises(InputError, match=f"^omega must be nonnegative, got {re.escape(str(omega))}$"):
+                optimal_alpha(omega, 2.0)
+        for alpha in (0, -1.0, Fraction(-1, 2), math.inf, math.nan):
+            with pytest.raises(InputError, match=f"^alpha must be positive and finite, got {re.escape(str(alpha))}$"):
+                build_frame_system(d, p, 0.5, alpha)
+        # real types other than float still run, as before
+        assert build_frame_system(d, p, Fraction(1, 2), np.float32(1.0)).alpha == 1.0
 
 
 class TestFrameSystem:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack, null_space
+from scipy.sparse import csr_matrix
 
 from avgsampling import (
     InputError,
@@ -635,8 +636,9 @@ class TestMemo:
         for g, d, part in er_suite:
             solve_spline(d, part, np.ones(part.num_clusters), 1)
             memo = splines._CARDINALS[d]
-            basis = np.vstack([memo.indicators.toarray(), memo.contrasts.T.toarray()])
+            basis = memo.basis.toarray()  # [H^T; Xi]
             assert np.max(np.abs(basis @ basis.T - np.eye(g.n))) <= 4 * g.n * np.finfo(float).eps
+            assert np.array_equal(basis[:part.n - part.num_clusters].T, memo.contrasts.toarray())
 
     def test_entry_dies_with_its_decomposition(self):
         _, d, part = fresh_path64()
@@ -654,14 +656,80 @@ class TestMemo:
         spline_convergence_experiment(d, part, 0.5, 1.0, generate_pw_signal(d, 0.5, 11), [1, 2, 8])
         memo = splines._CARDINALS[d]
         assert sorted(memo.orders) == [1, 2, 8]
-        matrices = [memo.laplacian, memo.indicators, memo.contrasts,
+        matrices = [memo.laplacian, memo.basis, memo.contrasts,
                     *(m for order in memo.orders.values() for m in (order.splines, order.stationarity))]
-        assert [m.shape for m in matrices] == [(64, 64), (32, 64), (64, 32)] + [(64, 32), (32, 64)] * 3
+        assert [m.shape for m in matrices] == [(64, 64), (64, 64), (64, 32)] + [(64, 32), (32, 64)] * 3
         arrays = [a for m in matrices for a in ((m,) if isinstance(m, np.ndarray) else (m.data, m.indices, m.indptr))]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 1
+
+
+def two_product_order(decomp, partition, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """An order's cardinal splines and dense stationarity map built as before the cover basis: Xi and H as separate
+    CSR matrices, each cluster's vertices ascending, ``H^T Lhat^k H`` and ``H^T Lhat^k Xi^T`` densified apart, then
+    ``H @ solved``, negated, plus 1/sqrt(size) at each vertex's cluster."""
+    n, labels = partition.n, partition.labels
+    clusters = [np.flatnonzero(labels == j) for j in range(partition.num_clusters)]
+    xi = csr_matrix((np.concatenate([np.full(len(c), 1.0 / math.sqrt(len(c))) for c in clusters]),
+                     (np.repeat(np.arange(len(clusters)), [len(c) for c in clusters]), np.concatenate(clusters))),
+                    shape=(len(clusters), n))
+    rows, columns, values, column = [], [], [], itertools.count()
+    for c in clusters:  # contrast i of a cluster: (e_{c_0} + ... + e_{c_{i-1}} - i e_{c_i}) / sqrt(i (i + 1))
+        for i in range(1, len(c)):
+            scale = math.sqrt(i * (i + 1.0))
+            rows += c[:i + 1].tolist()
+            columns += [next(column)] * (i + 1)
+            values += [1.0 / scale] * i + [-i / scale]
+    H = csr_matrix((values, (rows, columns)), shape=(n, n - len(clusters)))
+    laplacian = csr_matrix(decomp.matrix)
+    laplacian.data /= decomp.lambda_max
+    power = H
+    for _ in range(k if H.shape[1] else 0):
+        power = laplacian @ power
+    factor, info = lapack.dpotrf((H.T @ power).toarray(order="F"), lower=1, overwrite_a=1, clean=0)
+    solved = (power.T @ xi.T).toarray(order="F")
+    if solved.size:
+        solved, info = lapack.dpotrs(factor, solved, lower=1, overwrite_b=1)
+    assert info == 0
+    cardinals = H @ solved
+    np.negative(cardinals, out=cardinals)
+    cardinals[np.arange(n), labels] += 1.0 / np.sqrt(np.bincount(labels).astype(float))[labels]
+    return cardinals, power.T.toarray()
+
+
+def bundle_of(graph, radius: int):
+    """A graph with its decomposition and its radius-``radius`` BFS cover."""
+    return graph, eigendecompose(build_laplacian(graph)), validate_partition(graph, bfs_partition(graph, radius))
+
+
+def shuffled_rgg200():
+    """A random-geometric n=200 radius-1 cover listed last cluster first, each cluster's vertices descending."""
+    g = generate_graph("random-geometric", 200, seed=4101)
+    clusters = [tuple(sorted(c, reverse=True)) for c in bfs_partition(g, 1)][::-1]
+    return g, eigendecompose(build_laplacian(g)), validate_partition(g, clusters)
+
+
+class TestCoverBasis:
+    """Each order's one product with the cover basis [H^T; Xi] sums every entry's terms in ascending vertex order,
+    as the separate products with H^T and Xi did, so the memoised splines keep their bits."""
+
+    COVERS = {
+        "path64-pairs": fresh_path64,
+        "grid100-bfs1": lambda: bundle_of(generate_graph("grid2d", 100), 1),
+        "rgg400-bfs2": lambda: bundle_of(generate_graph("random-geometric", 400, seed=4101), 2),
+        "er40-bfs1": lambda: bundle_of(generate_graph("erdos-renyi-weighted", 40, seed=4101), 1),
+        "rgg200-shuffled": shuffled_rgg200,
+    }
+
+    @pytest.mark.parametrize("cover", COVERS.values(), ids=COVERS.keys())
+    def test_orders_equal_the_two_product_build_bit_for_bit(self, cover):
+        _, d, part = cover()
+        for k, order in splines._orders(d, part, [1, 2, 4, 8]):
+            cardinals, stationarity = two_product_order(d, part, k)
+            assert np.array_equal(order.splines, cardinals)
+            assert np.array_equal(order.stationarity.toarray(), stationarity)
 
 
 def sweep_outcome(d, part, omega, alpha, f, orders):
